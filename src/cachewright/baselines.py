@@ -14,19 +14,10 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ConfigMismatch, LengthMismatch, OutOfRange
-from .field import Symbol, decode_bytes, encode_bytes, vec_add, vec_sub, vec_zero
-from .model import NetworkConfig, validate_demand
+from .field import Symbol, decode_bytes, encode_bytes, vec_combine
+from .model import NetworkConfig, SubfileGrid, split_symbols, validate_demand
 
 Vec = tuple[Symbol, ...]
-
-
-@dataclass
-class ManGrid:
-    """One file cut into K pieces; piece e is the one user e does not cache."""
-
-    parts: dict[int, Vec]
-    subfile_len: int
-    original_length: int
 
 
 @dataclass
@@ -41,15 +32,13 @@ class ManCache:
         return len(self.parts) * self.subfile_len
 
 
-def man_split(data: bytes, cfg: NetworkConfig) -> ManGrid:
-    symbols = encode_bytes(data, cfg.field)
-    sub_len = max(1, -(-len(symbols) // cfg.k))
-    padded = symbols + (0,) * (sub_len * cfg.k - len(symbols))
-    parts = {e: padded[(e - 1) * sub_len: e * sub_len] for e in range(1, cfg.k + 1)}
-    return ManGrid(parts=parts, subfile_len=sub_len, original_length=len(data))
+def man_split(data: bytes, cfg: NetworkConfig) -> SubfileGrid:
+    """K pieces keyed 1..K; piece e is the one user e does not cache."""
+    return split_symbols(encode_bytes(data, cfg.field), cfg, original_length=len(data),
+                         keys=range(1, cfg.k + 1))
 
 
-def man_place(library: list[ManGrid], cfg: NetworkConfig) -> list[ManCache]:
+def man_place(library: list[SubfileGrid], cfg: NetworkConfig) -> list[ManCache]:
     if cfg.k < 2:
         raise ConfigMismatch("the K-1 subset split is degenerate for K = 1")
     if len(library) != cfg.n:
@@ -69,26 +58,20 @@ def man_place(library: list[ManGrid], cfg: NetworkConfig) -> list[ManCache]:
     return caches
 
 
-def man_deliver(library: list[ManGrid], demand, cfg: NetworkConfig) -> Vec:
+def man_deliver(library: list[SubfileGrid], demand, cfg: NetworkConfig) -> Vec:
     """One packet of F/K symbols; valid for every demand, not only D."""
     d = validate_demand(demand, cfg)
-    fld = cfg.field
-    acc = vec_zero(library[0].subfile_len)
-    for k in range(1, cfg.k + 1):
-        acc = vec_add(fld, acc, library[d[k - 1] - 1].parts[k])
-    return acc
+    return vec_combine(cfg.field, ((1, library[d[k - 1] - 1].parts[k])
+                                   for k in range(1, cfg.k + 1)))
 
 
 def man_decode(cache: ManCache, packet: Vec, demand, cfg: NetworkConfig) -> bytes:
     d = validate_demand(demand, cfg)
     if len(packet) != cache.subfile_len:
         raise LengthMismatch("packet length != subfile length")
-    fld = cfg.field
     k, wanted = cache.user, d[cache.user - 1]
-    missing = packet
-    for j in range(1, cfg.k + 1):
-        if j != k:
-            missing = vec_sub(fld, missing, cache.parts[(d[j - 1], j)])
+    missing = vec_combine(cfg.field, [(1, packet)] + [
+        (-1, cache.parts[(d[j - 1], j)]) for j in range(1, cfg.k + 1) if j != k])
     symbols: list[Symbol] = []
     for e in range(1, cfg.k + 1):
         symbols.extend(missing if e == k else cache.parts[(wanted, e)])

@@ -13,9 +13,7 @@ import argparse
 import os
 import random
 import sys
-from fractions import Fraction
 
-from . import baselines, coded_placement
 from .converse import (
     case1_certificate,
     case2_certificate,
@@ -25,10 +23,10 @@ from .converse import (
     serialize_certificate,
 )
 from .converse.tightness import tightness_check
-from .errors import CachewrightError, DemandNotInD
-from .model import NetworkConfig, in_demand_set, split_file, surjection_count
+from .errors import CachewrightError
+from .model import NetworkConfig, surjection_count
 from .tradeoff import assemble_known_curve, emit_csv
-from .verify import run_verification
+from .verify import SCHEMES, run_verification
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -51,8 +49,7 @@ def _parse_demand(text: str, k: int) -> tuple[int, ...]:
 
 
 def _filler(matching: bytes, index: int) -> bytes:
-    rng = random.Random(f"cachewright-filler-{index}")
-    return bytes(rng.randrange(256) for _ in range(len(matching)))
+    return random.Random(f"cachewright-filler-{index}").randbytes(len(matching))
 
 
 def cmd_roundtrip(args) -> int:
@@ -66,25 +63,12 @@ def cmd_roundtrip(args) -> int:
     wanted = demand[user - 1]
     blobs = [payload if n == wanted else _filler(payload, n) for n in range(1, args.n + 1)]
 
-    if args.scheme == "new":
-        if not in_demand_set(demand, cfg):
-            raise DemandNotInD(f"demand {demand} does not request every file")
-        library = [split_file(b, cfg) for b in blobs]
-        caches = coded_placement.place(library, cfg)
-        broadcast = coded_placement.deliver(library, demand, cfg)
-        decoded = coded_placement.decode(caches[user - 1], broadcast, cfg)
-        f_sym = cfg.subfiles_per_file * library[0].subfile_len
-        memory = Fraction(caches[user - 1].symbol_count, f_sym)
-        rate = Fraction(broadcast.symbol_count, f_sym)
-    else:
-        library = [baselines.man_split(b, cfg) for b in blobs]
-        caches = baselines.man_place(library, cfg)
-        packet = baselines.man_deliver(library, demand, cfg)
-        decoded = baselines.man_decode(caches[user - 1], packet, demand, cfg)
-        f_sym = cfg.k * library[0].subfile_len
-        memory = Fraction(caches[user - 1].symbol_count, f_sym)
-        rate = Fraction(len(packet), f_sym)
-
+    scheme = SCHEMES[args.scheme]
+    library = [scheme.split(b, cfg) for b in blobs]
+    cache = scheme.place(library, cfg)[user - 1]
+    sent = scheme.deliver(library, demand, cfg)
+    decoded = scheme.decode(cache, sent, demand, cfg, scheme.context(demand, cfg))
+    memory, rate = scheme.point(cfg, library, cache, sent)
     with open(args.out, "wb") as fh:
         fh.write(decoded)
     print(f"M = {memory}")
@@ -170,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prime", type=int, default=None,
                        help="field modulus (default: auto)")
         if scheme:
-            p.add_argument("--scheme", choices=("new", "man"), default="new")
+            p.add_argument("--scheme", choices=tuple(SCHEMES), default="new")
 
     p = sub.add_parser("roundtrip", help="split, place, deliver, decode one file")
     common(p, scheme=True)

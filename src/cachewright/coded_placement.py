@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import ConfigMismatch, DemandNotInD, LengthMismatch, OutOfRange
-from .field import Symbol, decode_bytes, vec_add, vec_scale, vec_sub, vec_zero
+from .field import Symbol, decode_bytes, vec_combine
 from .model import (
     Demand,
     DemandContext,
@@ -109,18 +110,17 @@ def place(library: list[SubfileGrid], cfg: NetworkConfig) -> list[CacheContents]
             head = grid.parts[(k, succ)]
             for j in others:
                 if j != succ:
-                    diffs[(n, j)] = vec_sub(fld, head, grid.parts[(k, j)])
-        total = vec_zero(sub_len)
-        for grid in library:
-            total = vec_add(fld, total, grid.parts[(k, succ)])
+                    diffs[(n, j)] = vec_combine(fld, ((1, head), (-1, grid.parts[(k, j)])))
+        total = vec_combine(fld, ((1, grid.parts[(k, succ)]) for grid in library))
         caches.append(CacheContents(user=k, stage1=stage1, stage2_diffs=diffs,
                                     stage2_sum=total, file_lengths=lengths,
                                     subfile_len=sub_len))
     return caches
 
 
+@cache
 def _inverse_table(cfg: NetworkConfig) -> dict[int, Symbol]:
-    """Inverses of every divisor the scheme can produce: 1..K-1."""
+    """Inverses of every divisor the scheme can produce: 1..K-1; shared, do not mutate."""
     fld = cfg.field
     return {m: fld.inv(m) for m in range(1, cfg.k)}
 
@@ -136,18 +136,14 @@ def deliver(library: list[SubfileGrid], demand, cfg: NetworkConfig) -> Broadcast
     d = validate_demand(demand, cfg)
     if not in_demand_set(d, cfg):
         raise DemandNotInD(f"demand {d} does not request every file")
-    sub_len = _check_library(library, cfg)
-    fld = cfg.field
+    _check_library(library, cfg)
     ctx = demand_context(d, cfg)
     inv = _inverse_table(cfg)
-    packets = []
-    for k in range(1, cfg.k + 1):
-        acc = vec_zero(sub_len)
-        for s in ctx.others(k):
-            part = library[d[s - 1] - 1].parts[(k, s)]
-            acc = vec_add(fld, acc, vec_scale(fld, part, _coefficient(ctx, inv, cfg.p, k, s)))
-        packets.append(acc)
-    return Broadcast(demand=d, packets=tuple(packets))
+    packets = tuple(
+        vec_combine(cfg.field, [(_coefficient(ctx, inv, cfg.p, k, s),
+                                 library[d[s - 1] - 1].parts[(k, s)]) for s in ctx.others(k)])
+        for k in range(1, cfg.k + 1))
+    return Broadcast(demand=d, packets=packets)
 
 
 def recover_cross_subfiles(stage1: dict[tuple[int, int, int], Vec],
@@ -158,21 +154,17 @@ def recover_cross_subfiles(stage1: dict[tuple[int, int, int], Vec],
     Uses only the broadcast packets X_d^j and uncoded stage-1 cache content,
     never the coded stage-2 packets.
     """
-    fld = cfg.field
     ctx = ctx or demand_context(broadcast.demand, cfg)
     inv = _inverse_table(cfg)
     d = ctx.demand
     out = {}
     for j in ctx.others(user):
-        acc = broadcast.packets[j - 1]
-        for s in ctx.others(j):
-            if s == user:
-                continue
-            part = stage1[(d[s - 1], j, s)]
-            acc = vec_sub(fld, acc, vec_scale(fld, part, _coefficient(ctx, inv, cfg.p, j, s)))
-        # acc = (a_jk / m_jk) W^{jk}; a is +-1 so dividing by it is multiplying
-        sign = -1 if d[j - 1] == d[user - 1] else 1
-        out[j] = vec_scale(fld, acc, sign * ctx.n_ks(j, user) % cfg.p)
+        # X_d^j minus its known terms is (a_jk / m_jk) W^{jk}; a is +-1, so
+        # undoing the coefficient is multiplying by a_jk * m_jk
+        undo = (-1 if d[j - 1] == d[user - 1] else 1) * ctx.n_ks(j, user)
+        out[j] = vec_combine(cfg.field, [(undo, broadcast.packets[j - 1])] + [
+            (-undo * _coefficient(ctx, inv, cfg.p, j, s), stage1[(d[s - 1], j, s)])
+            for s in ctx.others(j) if s != user])
     return out
 
 
@@ -185,21 +177,17 @@ def _recover_own_subfiles(cache: CacheContents, broadcast: Broadcast,
     succ = successor(k, cfg.k)
     wanted = d[k - 1]
 
-    acc = broadcast.packets[k - 1]
-    for j in ctx.others(k):
-        if j == succ:
-            continue
-        diff = cache.stage2_diffs[(d[j - 1], j)]
-        acc = vec_add(fld, acc, vec_scale(fld, diff, _coefficient(ctx, inv, cfg.p, k, j)))
-    # acc = sum over files != wanted of W_n^{k,succ}, minus W_wanted^{k,succ}
-    # whenever some other user also requests the wanted file.
-    head = vec_sub(fld, cache.stage2_sum, acc)
-    if ctx.own_file_count(k) != 0:
-        head = vec_scale(fld, head, fld.inv(2))
+    # X_d^k plus the weighted diffs is the sum over files != wanted of W_n^{k,succ},
+    # minus W_wanted^{k,succ} whenever some other user also requests the wanted
+    # file; the sum packet minus that is W_wanted^{k,succ}, doubled in that case.
+    half = fld.inv(2) if ctx.own_file_count(k) != 0 else 1
+    head = vec_combine(fld, [(half, cache.stage2_sum), (-half, broadcast.packets[k - 1])] + [
+        (-half * _coefficient(ctx, inv, cfg.p, k, j), cache.stage2_diffs[(d[j - 1], j)])
+        for j in ctx.others(k) if j != succ])
     out = {succ: head}
     for j in ctx.others(k):
         if j != succ:
-            out[j] = vec_sub(fld, head, cache.stage2_diffs[(wanted, j)])
+            out[j] = vec_combine(fld, ((1, head), (-1, cache.stage2_diffs[(wanted, j)])))
     return out
 
 

@@ -145,27 +145,36 @@ def serialize_certificate(cert: Certificate) -> str:
 
 
 def parse_certificate(text: str) -> Certificate:
+    """Inverse of serialize_certificate; a malformed line raises ConfigMismatch naming it."""
     n = k = case = None
     demands: list[Demand] = []
     axioms: list[tuple[Axiom, Fraction]] = []
     target = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
-        if parts[0] == "NK":
-            n, k, case = int(parts[1]), int(parts[2]), int(parts[4])
-        elif parts[0] == "D":
-            demands.append(tuple(int(f) for f in parts[2:]))
-        elif parts[0] == "AX":
-            if parts[-2] != "MUL":
-                raise ConfigMismatch(f"axiom line lacks a multiplier: {raw!r}")
-            axioms.append((axiom_from_tokens(parts[1], parts[2:-2]),
-                           _parse_frac(parts[-1])))
-        elif parts[0] == "TARGET":
-            target = (_parse_frac(parts[1]), _parse_frac(parts[4]), _parse_frac(parts[7]))
-        else:
-            raise ConfigMismatch(f"unrecognized line {raw!r}")
+        try:
+            if parts[0] == "NK":
+                n, k, case = int(parts[1]), int(parts[2]), int(parts[4])
+            elif parts[0] == "D":
+                if int(parts[1]) != len(demands) + 1:
+                    raise ValueError(f"demand id {parts[1]} out of order, "
+                                     f"expected {len(demands) + 1}")
+                demands.append(tuple(int(f) for f in parts[2:]))
+            elif parts[0] == "AX":
+                if parts[-2] != "MUL":
+                    raise ValueError("axiom line lacks a multiplier")
+                axioms.append((axiom_from_tokens(parts[1], parts[2:-2]),
+                               _parse_frac(parts[-1])))
+            elif parts[0] == "TARGET":
+                target = (_parse_frac(parts[1]), _parse_frac(parts[4]), _parse_frac(parts[7]))
+            else:
+                raise ValueError("unrecognized line")
+        except IndexError as exc:
+            raise ConfigMismatch(f"line {lineno}: too few fields in {raw!r}") from exc
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigMismatch(f"line {lineno}: {exc} in {raw!r}") from exc
     if n is None or target is None:
         raise ConfigMismatch("certificate text lacks a header or target")
     return Certificate(n, k, case, tuple(demands), tuple(axioms), *target)

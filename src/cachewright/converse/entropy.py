@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 _KIND_ORDER = {"W": 0, "Z": 1, "X": 2}
 
@@ -54,10 +53,6 @@ def xvar(demand_id: int) -> Var:
 def wset(count: int) -> VarSet:
     """The file collection {W_1, ..., W_count}; empty for count 0."""
     return frozenset(wvar(i) for i in range(1, count + 1))
-
-
-def xset(ids: Iterable[int]) -> VarSet:
-    return frozenset(xvar(i) for i in ids)
 
 
 def varset_token(vs: VarSet) -> str:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
-from .errors import DivisionByZero, EvenModulus, NotPrime, SymbolOutOfByteRange
+from .errors import DivisionByZero, EvenModulus, LengthMismatch, NotPrime, SymbolOutOfByteRange
 
 Symbol = int
 
@@ -92,7 +93,27 @@ def default_modulus(k: int) -> int:
     return p
 
 
-# Vector helpers: subfiles are tuples of symbols, combined componentwise.
+def vec_combine(ctx: FieldCtx,
+                terms: Iterable[tuple[int, Sequence[Symbol]]]) -> tuple[Symbol, ...]:
+    """Sum of c * v over the (c, v) terms, reduced mod p once at the end.
+
+    Coefficients may be any integers; every scheme's placement, delivery and
+    decoding runs through here.
+    """
+    acc = None
+    for c, v in terms:
+        scaled = v if c == 1 else [c * x for x in v]
+        if acc is None:
+            acc = scaled
+        elif len(scaled) != len(acc):
+            raise LengthMismatch(f"cannot combine vectors of lengths {len(acc)} and {len(v)}")
+        else:
+            acc = list(map(add, acc, scaled))
+    p = ctx.p
+    return tuple([a % p for a in acc])
+
+
+# Componentwise reference helpers, kept for the tests to check vec_combine by.
 
 def vec_add(ctx: FieldCtx, a: Sequence[Symbol], b: Sequence[Symbol]) -> tuple[Symbol, ...]:
     p = ctx.p
@@ -109,10 +130,6 @@ def vec_scale(ctx: FieldCtx, a: Sequence[Symbol], c: Symbol) -> tuple[Symbol, ..
         return tuple(a)
     p = ctx.p
     return tuple(x * c % p for x in a)
-
-
-def vec_zero(length: int) -> tuple[Symbol, ...]:
-    return (0,) * length
 
 
 def encode_bytes(data: bytes, ctx: FieldCtx) -> tuple[Symbol, ...]:

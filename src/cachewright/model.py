@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import ConfigMismatch, IndexOutOfRange
+from .errors import ConfigMismatch, IndexOutOfRange, OutOfRange
 from .field import FieldCtx, Symbol, decode_bytes, default_modulus, encode_bytes, make_field
 
 Demand = tuple[int, ...]
@@ -50,22 +50,29 @@ def pair_order(k: int) -> list[tuple[int, int]]:
 
 @dataclass
 class SubfileGrid:
-    """One file cut into K(K-1) equal-length subfiles, keyed by (i, j)."""
+    """One file cut into equal-length subfiles, keyed by user pair (i, j), or by user for MAN."""
 
-    parts: dict[tuple[int, int], tuple[Symbol, ...]]
+    parts: dict[object, tuple[Symbol, ...]]
     subfile_len: int
     original_length: int
 
 
 def split_symbols(symbols: Sequence[Symbol], cfg: NetworkConfig,
-                  original_length: int | None = None) -> SubfileGrid:
-    """Zero-pad to a multiple of K(K-1) (at least one symbol each) and split."""
-    count = cfg.subfiles_per_file
+                  original_length: int | None = None,
+                  keys: Sequence[object] | None = None) -> SubfileGrid:
+    """Zero-pad to a multiple of len(keys) (at least one symbol each) and split.
+
+    keys defaults to pair_order(K), which is empty, and refused, when K < 2.
+    """
+    keys = pair_order(cfg.k) if keys is None else keys
+    count = len(keys)
+    if count == 0:
+        raise OutOfRange(f"K = {cfg.k} leaves no subfiles to split into; need K >= 2")
     subfile_len = max(1, -(-len(symbols) // count))
     padded = tuple(symbols) + (0,) * (subfile_len * count - len(symbols))
     parts = {}
-    for idx, pair in enumerate(pair_order(cfg.k)):
-        parts[pair] = padded[idx * subfile_len:(idx + 1) * subfile_len]
+    for idx, key in enumerate(keys):
+        parts[key] = padded[idx * subfile_len:(idx + 1) * subfile_len]
     kept = len(symbols) if original_length is None else original_length
     return SubfileGrid(parts=parts, subfile_len=subfile_len, original_length=kept)
 

@@ -9,17 +9,59 @@ reports merge in demand order. One symbol per subfile keeps the sweep fast.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
+from typing import Callable
 
 from . import baselines, coded_placement
 from .errors import ConfigMismatch
 from .model import NetworkConfig, demand_context, enumerate_demands, split_file
 
-SCHEMES = ("new", "man")
+
+@dataclass(frozen=True)
+class Scheme:
+    """One linear scheme as the steps a sweep or a roundtrip runs.
+
+    Each step looks its function up through its module when called, so a
+    function replaced on the module (for tracing, say) is the one that runs.
+    """
+
+    split: Callable  # (data, cfg) -> SubfileGrid
+    place: Callable  # (library, cfg) -> caches
+    deliver: Callable  # (library, demand, cfg) -> what is broadcast
+    context: Callable  # (demand, cfg) -> per-demand state decode reuses across users
+    decode: Callable  # (cache, sent, demand, cfg, ctx) -> bytes
+    subfiles: Callable  # cfg -> subfiles per file
+    sent_symbols: Callable  # sent -> broadcast symbols
+
+    def point(self, cfg: NetworkConfig, library, cache, sent) -> tuple[Fraction, Fraction]:
+        """(M, R) occupied by one cache and one broadcast, in file units."""
+        f_sym = self.subfiles(cfg) * library[0].subfile_len
+        return Fraction(cache.symbol_count, f_sym), Fraction(self.sent_symbols(sent), f_sym)
+
+
+SCHEMES = {
+    "new": Scheme(
+        split=lambda data, cfg: split_file(data, cfg),
+        place=lambda library, cfg: coded_placement.place(library, cfg),
+        deliver=lambda library, demand, cfg: coded_placement.deliver(library, demand, cfg),
+        context=lambda demand, cfg: demand_context(demand, cfg),
+        decode=lambda cache, sent, d, cfg, ctx: coded_placement.decode(cache, sent, cfg, ctx),
+        subfiles=lambda cfg: cfg.subfiles_per_file,
+        sent_symbols=lambda sent: sent.symbol_count),
+    "man": Scheme(
+        split=lambda data, cfg: baselines.man_split(data, cfg),
+        place=lambda library, cfg: baselines.man_place(library, cfg),
+        deliver=lambda library, demand, cfg: baselines.man_deliver(library, demand, cfg),
+        context=lambda demand, cfg: None,
+        decode=lambda cache, sent, d, cfg, ctx: baselines.man_decode(cache, sent, d, cfg),
+        subfiles=lambda cfg: cfg.k,
+        sent_symbols=len),
+}
 
 
 @dataclass
@@ -47,84 +89,53 @@ class VerifyReport:
 
 
 def _deterministic_blob(n: int, k: int, index: int, length: int) -> bytes:
-    rng = random.Random(f"cachewright-{n}-{k}-{index}")
-    return bytes(rng.randrange(256) for _ in range(length))
+    return random.Random(f"cachewright-{n}-{k}-{index}").randbytes(length)
 
 
-def _check_chunk(args) -> tuple[int, list[dict]]:
-    n, k, p, scheme, chunk = args
+def _check_chunk(args) -> tuple[int, list[dict], tuple[Fraction, Fraction]]:
+    """Check one run of demands; also (M, R) of cache 1 and the first broadcast."""
+    n, k, p, name, chunk = args
+    scheme = SCHEMES[name]
     cfg = NetworkConfig(n, k, p)
+    plain = [_deterministic_blob(n, k, i, scheme.subfiles(cfg)) for i in range(n)]
+    library = [scheme.split(blob, cfg) for blob in plain]
+    caches = scheme.place(library, cfg)
     failures: list[dict] = []
-    if scheme == "new":
-        plain = [_deterministic_blob(n, k, i, cfg.subfiles_per_file) for i in range(n)]
-        library = [split_file(blob, cfg) for blob in plain]
-        caches = coded_placement.place(library, cfg)
-        for demand in chunk:
-            broadcast = coded_placement.deliver(library, demand, cfg)
-            ctx = demand_context(demand, cfg)
-            for user in range(1, k + 1):
-                got = coded_placement.decode(caches[user - 1], broadcast, cfg, ctx)
-                if got != plain[demand[user - 1] - 1]:
-                    failures.append({"demand": list(demand), "user": user,
-                                     "reason": "decoded bytes differ"})
-    else:
-        plain = [_deterministic_blob(n, k, i, k) for i in range(n)]
-        library = [baselines.man_split(blob, cfg) for blob in plain]
-        caches = baselines.man_place(library, cfg)
-        for demand in chunk:
-            packet = baselines.man_deliver(library, demand, cfg)
-            for user in range(1, k + 1):
-                got = baselines.man_decode(caches[user - 1], packet, demand, cfg)
-                if got != plain[demand[user - 1] - 1]:
-                    failures.append({"demand": list(demand), "user": user,
-                                     "reason": "decoded bytes differ"})
-    return len(chunk), failures
-
-
-def measured_point(n: int, k: int, scheme: str, p: int | None = None):
-    """(M, R) actually occupied by placement and delivery, as exact rationals."""
-    cfg = NetworkConfig(n, k, p or 0)
-    if scheme == "new":
-        library = [split_file(_deterministic_blob(n, k, i, cfg.subfiles_per_file), cfg)
-                   for i in range(n)]
-        caches = coded_placement.place(library, cfg)
-        f_sym = cfg.subfiles_per_file * library[0].subfile_len
-        demand = next(iter(enumerate_demands(cfg)))
-        broadcast = coded_placement.deliver(library, demand, cfg)
-        return (Fraction(caches[0].symbol_count, f_sym),
-                Fraction(broadcast.symbol_count, f_sym))
-    library = [baselines.man_split(_deterministic_blob(n, k, i, k), cfg)
-               for i in range(n)]
-    caches = baselines.man_place(library, cfg)
-    f_sym = cfg.k * library[0].subfile_len
-    demand = next(iter(enumerate_demands(cfg)))
-    packet = baselines.man_deliver(library, demand, cfg)
-    return (Fraction(caches[0].symbol_count, f_sym), Fraction(len(packet), f_sym))
+    point = None
+    for demand in chunk:
+        sent = scheme.deliver(library, demand, cfg)
+        point = point or scheme.point(cfg, library, caches[0], sent)
+        ctx = scheme.context(demand, cfg)
+        for user in range(1, k + 1):
+            got = scheme.decode(caches[user - 1], sent, demand, cfg, ctx)
+            if got != plain[demand[user - 1] - 1]:
+                failures.append({"demand": list(demand), "user": user,
+                                 "reason": "decoded bytes differ"})
+    return len(chunk), failures, point
 
 
 def run_verification(n: int, k: int, scheme: str = "new", jobs: int = 1,
                      p: int | None = None) -> VerifyReport:
     if scheme not in SCHEMES:
-        raise ConfigMismatch(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
+        raise ConfigMismatch(f"unknown scheme {scheme!r}; pick one of {tuple(SCHEMES)}")
     cfg = NetworkConfig(n, k, p or 0)
     start = time.perf_counter()
     demands = list(enumerate_demands(cfg))
-    jobs = max(1, min(jobs, len(demands)))
+    jobs = max(1, min(jobs, len(demands), os.cpu_count() or 1))
     if jobs == 1:
-        checked, failures = _check_chunk((n, k, cfg.p, scheme, demands))
+        results = [_check_chunk((n, k, cfg.p, scheme, demands))]
     else:
         size = -(-len(demands) // jobs)
         chunks = [demands[i:i + size] for i in range(0, len(demands), size)]
         with Pool(processes=len(chunks)) as pool:
             results = pool.map(_check_chunk,
                                [(n, k, cfg.p, scheme, c) for c in chunks])
-        checked = sum(c for c, _ in results)
-        failures = [f for _, fs in results for f in fs]
+    failures = [f for _, fs, _ in results for f in fs]
     failures.sort(key=lambda f: (f["demand"], f["user"]))
-    memory, rate = measured_point(n, k, scheme, cfg.p)
+    memory, rate = results[0][2]
     return VerifyReport(
         config={"k": k, "n": n, "p": cfg.p, "scheme": scheme},
-        demands_checked=checked,
+        demands_checked=sum(c for c, _, _ in results),
         failures=failures,
         wall_time=time.perf_counter() - start,
         memory=memory,

@@ -151,3 +151,12 @@ def test_env_var_sets_default_jobs(capsys, monkeypatch):
     rc = main(["verify", "--n", "2", "--k", "3"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["failures"] == []
+
+
+@pytest.mark.parametrize("scheme", ["new", "man"])
+def test_single_user_is_a_usage_error(tmp_path, sample_file, scheme, capsys):
+    path, _ = sample_file
+    assert main(["verify", "--n", "1", "--k", "1", "--scheme", scheme]) == 2
+    assert main(["roundtrip", "--n", "1", "--k", "1", "--scheme", scheme,
+                 "--demand", "1", str(path), "--out", str(tmp_path / "x.bin")]) == 2
+    assert "K = 1" in capsys.readouterr().err

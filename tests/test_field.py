@@ -8,6 +8,7 @@ import pytest
 from cachewright.errors import (
     DivisionByZero,
     EvenModulus,
+    LengthMismatch,
     NotPrime,
     SymbolOutOfByteRange,
 )
@@ -19,6 +20,7 @@ from cachewright.field import (
     is_prime,
     make_field,
     vec_add,
+    vec_combine,
     vec_scale,
     vec_sub,
     wire_to_coded,
@@ -133,3 +135,31 @@ def test_vector_helpers():
     assert vec_add(fld, (1, 4), (4, 4)) == (0, 3)
     assert vec_sub(fld, (0, 1), (1, 4)) == (4, 2)
     assert vec_scale(fld, (1, 2, 3), 3) == (3, 1, 4)
+
+
+@pytest.mark.parametrize("p", [5, 257])
+def test_vec_combine_matches_reference(p):
+    fld = make_field(p)
+    rng = random.Random(f"vec-combine-{p}")
+    coefs = [-p - 3, -2 * p, -1, 0, 1, 2, p - 1, p, p + 1, 3 * p + 2]
+    for trial in range(200):
+        length = rng.randrange(0, 9)
+        count = rng.randrange(1, 6)
+        terms = [(rng.choice(coefs) if trial % 2 else rng.randrange(-3 * p, 3 * p),
+                  tuple(rng.randrange(p) for _ in range(length))) for _ in range(count)]
+        expected = (0,) * length
+        for c, v in terms:
+            if c < 0:
+                expected = vec_sub(fld, expected, vec_scale(fld, v, -c % p))
+            else:
+                expected = vec_add(fld, expected, vec_scale(fld, v, c % p))
+        assert vec_combine(fld, terms) == expected
+        assert vec_combine(fld, iter(terms)) == expected
+
+
+def test_vec_combine_rejects_unequal_lengths():
+    fld = make_field(5)
+    with pytest.raises(LengthMismatch):
+        vec_combine(fld, [(1, (1, 2)), (2, (3,))])
+    with pytest.raises(LengthMismatch):
+        vec_combine(fld, [(1, (1,)), (-1, (1,)), (3, (1, 2))])

@@ -11,7 +11,7 @@ from cachewright.converse import (
     parse_certificate,
     serialize_certificate,
 )
-from cachewright.errors import ConfigMismatch
+from cachewright.errors import CachewrightError, ConfigMismatch
 
 
 def test_round_trip_case1():
@@ -60,3 +60,19 @@ def test_lf_only():
     text = serialize_certificate(case1_certificate(2, 3))
     assert "\r" not in text
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("NK 2\n", 1),
+    ("NK 2 2 CASE 1\nAX\n", 2),
+    ("NK 2 2 CASE 1\nTARGET 1/1\n", 2),
+    ("NK a 4 CASE 1\n", 1),
+    ("NK 2 2 CASE 1\nD 1 1 2\nAX FOO W1 MUL 1/1\n", 3),
+    ("NK 2 2 CASE 1\nTARGET 1 M + 1/1 R >= 1/1\n", 2),
+    ("NK 2 2 CASE 1\nD 1 x\n", 2),
+    ("NK 2 2 CASE 1\nD 1 1 2\nAX CACHE 1 MUL 1/0\n", 3),
+    ("NK 2 2 CASE 1\nD 2 1 2\nD 1 2 1\nTARGET 1/1 M + 1/1 R >= 1/1\n", 2),
+])
+def test_parse_names_the_malformed_line(text, line):
+    with pytest.raises(CachewrightError, match=rf"^line {line}: "):
+        parse_certificate(text)
