@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterable
 
 from .errors import ConfigMismatch, LengthMismatch, OutOfRange
 from .field import Symbol, decode_bytes, encode_bytes, vec_combine
-from .model import NetworkConfig, SubfileGrid, split_symbols, validate_demand
+from .model import NetworkConfig, SubfileGrid, split_symbols, validate_demand, validate_users
 
 Vec = tuple[Symbol, ...]
 
@@ -38,16 +39,19 @@ def man_split(data: bytes, cfg: NetworkConfig) -> SubfileGrid:
                          keys=range(1, cfg.k + 1))
 
 
-def man_place(library: list[SubfileGrid], cfg: NetworkConfig) -> list[ManCache]:
+def man_place(library: list[SubfileGrid], cfg: NetworkConfig,
+              users: Iterable[int] | None = None) -> list[ManCache]:
+    """The caches of the listed users, in the order given; all K by default."""
     if cfg.k < 2:
         raise ConfigMismatch("the K-1 subset split is degenerate for K = 1")
     if len(library) != cfg.n:
         raise ConfigMismatch(f"library holds {len(library)} files, config says {cfg.n}")
     if len({g.subfile_len for g in library}) != 1:
         raise ConfigMismatch("files split with differing subfile lengths")
+    users = validate_users(users, cfg)
     lengths = tuple(g.original_length for g in library)
     caches = []
-    for k in range(1, cfg.k + 1):
+    for k in users:
         parts = {}
         for n, grid in enumerate(library, start=1):
             for e in range(1, cfg.k + 1):

@@ -31,11 +31,13 @@ from .verify import SCHEMES, run_verification
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
-def _default_jobs() -> int:
+def _env_jobs() -> int:
+    """The worker count CACHEWRIGHT_JOBS sets, 1 when unset."""
+    text = os.environ.get("CACHEWRIGHT_JOBS", "1")
     try:
-        return max(1, int(os.environ.get("CACHEWRIGHT_JOBS", "1")))
+        return max(1, int(text))
     except ValueError:
-        return 1
+        raise CachewrightError(f"CACHEWRIGHT_JOBS={text!r} is not an integer") from None
 
 
 def _parse_demand(text: str, k: int) -> tuple[int, ...]:
@@ -65,7 +67,7 @@ def cmd_roundtrip(args) -> int:
 
     scheme = SCHEMES[args.scheme]
     library = [scheme.split(b, cfg) for b in blobs]
-    cache = scheme.place(library, cfg)[user - 1]
+    cache = scheme.place(library, cfg, users=(user,))[0]
     sent = scheme.deliver(library, demand, cfg)
     decoded = scheme.decode(cache, sent, demand, cfg, scheme.context(demand, cfg))
     memory, rate = scheme.point(cfg, library, cache, sent)
@@ -86,8 +88,8 @@ def cmd_verify(args) -> int:
         raise CachewrightError(
             f"K = {args.k} would enumerate {surjection_count(args.n, args.k)} demands; "
             "pass --force to run anyway")
-    report = run_verification(args.n, args.k, args.scheme, jobs=args.jobs,
-                              p=args.prime)
+    jobs = _env_jobs() if args.jobs is None else args.jobs
+    report = run_verification(args.n, args.k, args.scheme, jobs=jobs, p=args.prime)
     text = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -166,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="decode every demand in D, every user")
     common(p, scheme=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help="parallel workers (env CACHEWRIGHT_JOBS)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="parallel workers (default: env CACHEWRIGHT_JOBS, else 1)")
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.add_argument("--force", action="store_true",
                    help="lift the K <= 8 enumeration guard")

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import Iterable
 
 from .errors import ConfigMismatch, DemandNotInD, LengthMismatch, OutOfRange
 from .field import Symbol, decode_bytes, vec_combine
@@ -35,6 +36,7 @@ from .model import (
     in_demand_set,
     successor,
     validate_demand,
+    validate_users,
 )
 
 Vec = tuple[Symbol, ...]
@@ -89,14 +91,17 @@ def _check_library(library: list[SubfileGrid], cfg: NetworkConfig) -> int:
     return lengths.pop()
 
 
-def place(library: list[SubfileGrid], cfg: NetworkConfig) -> list[CacheContents]:
+def place(library: list[SubfileGrid], cfg: NetworkConfig,
+          users: Iterable[int] | None = None) -> list[CacheContents]:
+    """The caches of the listed users, in the order given; all K by default."""
     if cfg.k < 2:
         raise OutOfRange("placement needs K >= 2")
     sub_len = _check_library(library, cfg)
+    users = validate_users(users, cfg)
     fld = cfg.field
     lengths = tuple(g.original_length for g in library)
     caches = []
-    for k in range(1, cfg.k + 1):
+    for k in users:
         others = [u for u in range(1, cfg.k + 1) if u != k]
         succ = successor(k, cfg.k)
         stage1 = {}

@@ -8,8 +8,11 @@ keeps file round trips trivially lossless.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from typing import Iterable, Sequence
 
@@ -98,19 +101,89 @@ def vec_combine(ctx: FieldCtx,
     """Sum of c * v over the (c, v) terms, reduced mod p once at the end.
 
     Coefficients may be any integers; every scheme's placement, delivery and
-    decoding runs through here.
+    decoding runs through here. At p = 257, a first vector of at least
+    _PACKED_MIN symbols sends the terms to the packed kernel, whose result is
+    the same; shorter vectors and other primes take the list path.
     """
-    acc = None
+    terms = iter(terms)
+    first = next(terms, None)
+    if first is None:
+        raise LengthMismatch("no vectors to combine")
+    c, v = first
+    if ctx.p == 257 and len(v) >= _PACKED_MIN:
+        terms = list(terms)
+        packed = _combine_packed([first, *terms], len(v))
+        if packed is not None:
+            return packed
+    return _combine_list(ctx.p, c, v, terms)
+
+
+def _combine_list(p: int, c: int, v: Sequence[Symbol],
+                  terms: Iterable[tuple[int, Sequence[Symbol]]]) -> tuple[Symbol, ...]:
+    """The list path of vec_combine, given its first term apart from the rest."""
+    acc = v if c == 1 else [c * x for x in v]
     for c, v in terms:
         scaled = v if c == 1 else [c * x for x in v]
-        if acc is None:
-            acc = scaled
-        elif len(scaled) != len(acc):
+        if len(scaled) != len(acc):
             raise LengthMismatch(f"cannot combine vectors of lengths {len(acc)} and {len(v)}")
-        else:
-            acc = list(map(add, acc, scaled))
-    p = ctx.p
+        acc = list(map(add, acc, scaled))
     return tuple([a % p for a in acc])
+
+
+# The packed kernel for p = 257. Each vector becomes one Python int holding a
+# 32-bit lane per symbol, so a term costs one big-int multiply and add. While
+# every entry lies in [0, 512) and there are at most _PACKED_MAX_TERMS terms,
+# each lane's sum stays below 32767 * 256 * 511 < 2**32 and never carries into
+# the next lane; any other input goes to the list path.
+_PACKED_MIN = 64
+_PACKED_MAX_TERMS = 32767
+_LANE = next(code for code in "IL" if array(code).itemsize == 4)
+
+
+@lru_cache(maxsize=64)
+def _lane_masks(n: int) -> tuple[int, int, int, int, int]:
+    """For n lanes, each lane set to 1, 0xFF, 0xFFFF, 257, and the bits from 2**9 up."""
+    ones = ((1 << 32 * n) - 1) // 0xFFFFFFFF
+    return ones, 0xFF * ones, 0xFFFF * ones, 257 * ones, 0xFFFFFE00 * ones
+
+
+def _combine_packed(terms: list[tuple[int, Sequence[Symbol]]],
+                    n: int) -> tuple[Symbol, ...] | None:
+    """vec_combine mod 257 on packed lanes; None when the lane invariant would break."""
+    if len(terms) > _PACKED_MAX_TERMS:
+        return None
+    high = _lane_masks(n)[4]
+    acc = 0
+    for c, v in terms:
+        if len(v) != n:
+            raise LengthMismatch(f"cannot combine vectors of lengths {n} and {len(v)}")
+        try:
+            lanes = array(_LANE, v)
+        except OverflowError:  # an entry < 0 or >= 2**32
+            return None
+        if len(lanes) != n:  # array reads a bytes-like vector as raw machine words
+            return None
+        packed = int.from_bytes(lanes, sys.byteorder)
+        if packed & high:
+            return None
+        acc += c % 257 * packed
+    return _reduce_lanes(acc, n)
+
+
+def _reduce_lanes(acc: int, n: int) -> tuple[Symbol, ...]:
+    """Each of the n 32-bit lanes of acc, reduced mod 257."""
+    ones, m8, m16, b257, _ = _lane_masks(n)
+    # 2**16 = 1 (mod 257): every lane drops below 2**17
+    acc = (acc & m16) + (acc >> 16 & m16)
+    # 2**8 = -1 (mod 257), twice, with biases of 2 * 257 and 257 keeping every
+    # lane non-negative: lanes land in [3, 769], then in [254, 512]
+    acc = (acc & m8) + (b257 << 1) - (acc >> 8 & m16)
+    acc = (acc & m8) + b257 - (acc >> 8 & m8)
+    # adding 255 carries into bit 9 exactly when a lane is >= 257
+    acc -= 257 * ((acc + m8) >> 9 & ones)
+    out = array(_LANE)
+    out.frombytes(acc.to_bytes(4 * n, sys.byteorder))
+    return tuple(out)
 
 
 # Componentwise reference helpers, kept for the tests to check vec_combine by.
@@ -139,14 +212,13 @@ def encode_bytes(data: bytes, ctx: FieldCtx) -> tuple[Symbol, ...]:
     return tuple(data)
 
 
-def decode_bytes(symbols: Iterable[Symbol]) -> bytes:
+def decode_bytes(symbols: Sequence[Symbol]) -> bytes:
     """Inverse of encode_bytes; refuses symbols that cannot be plain bytes."""
-    out = bytearray()
-    for s in symbols:
-        if not 0 <= s < 256:
-            raise SymbolOutOfByteRange(f"symbol {s} is not a byte; content is coded")
-        out.append(s)
-    return bytes(out)
+    try:
+        return bytes(symbols)
+    except ValueError:
+        bad = next(s for s in symbols if not 0 <= s < 256)
+        raise SymbolOutOfByteRange(f"symbol {bad} is not a byte; content is coded") from None
 
 
 def coded_to_wire(symbols: Iterable[Symbol]) -> bytes:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigMismatch, IndexOutOfRange, OutOfRange
 from .field import FieldCtx, Symbol, decode_bytes, default_modulus, encode_bytes, make_field
@@ -130,6 +130,17 @@ def validate_demand(demand: Sequence[int], cfg: NetworkConfig) -> Demand:
         if not 1 <= f <= cfg.n:
             raise ConfigMismatch(f"file index {f} outside [1, {cfg.n}]")
     return tuple(demand)
+
+
+def validate_users(users: Iterable[int] | None, cfg: NetworkConfig) -> tuple[int, ...]:
+    """The users a placement builds caches for, in the order given; all K for None."""
+    if users is None:
+        return tuple(range(1, cfg.k + 1))
+    users = tuple(users)
+    for k in users:
+        if not 1 <= k <= cfg.k:
+            raise IndexOutOfRange(f"user {k} outside [1, {cfg.k}]")
+    return users
 
 
 def in_demand_set(demand: Sequence[int], cfg: NetworkConfig) -> bool:

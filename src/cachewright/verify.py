@@ -31,7 +31,7 @@ class Scheme:
     """
 
     split: Callable  # (data, cfg) -> SubfileGrid
-    place: Callable  # (library, cfg) -> caches
+    place: Callable  # (library, cfg, users=None) -> caches of those users, all by default
     deliver: Callable  # (library, demand, cfg) -> what is broadcast
     context: Callable  # (demand, cfg) -> per-demand state decode reuses across users
     decode: Callable  # (cache, sent, demand, cfg, ctx) -> bytes
@@ -47,7 +47,7 @@ class Scheme:
 SCHEMES = {
     "new": Scheme(
         split=lambda data, cfg: split_file(data, cfg),
-        place=lambda library, cfg: coded_placement.place(library, cfg),
+        place=lambda library, cfg, users=None: coded_placement.place(library, cfg, users=users),
         deliver=lambda library, demand, cfg: coded_placement.deliver(library, demand, cfg),
         context=lambda demand, cfg: demand_context(demand, cfg),
         decode=lambda cache, sent, d, cfg, ctx: coded_placement.decode(cache, sent, cfg, ctx),
@@ -55,7 +55,7 @@ SCHEMES = {
         sent_symbols=lambda sent: sent.symbol_count),
     "man": Scheme(
         split=lambda data, cfg: baselines.man_split(data, cfg),
-        place=lambda library, cfg: baselines.man_place(library, cfg),
+        place=lambda library, cfg, users=None: baselines.man_place(library, cfg, users=users),
         deliver=lambda library, demand, cfg: baselines.man_deliver(library, demand, cfg),
         context=lambda demand, cfg: None,
         decode=lambda cache, sent, d, cfg, ctx: baselines.man_decode(cache, sent, d, cfg),

@@ -153,6 +153,25 @@ def test_env_var_sets_default_jobs(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["failures"] == []
 
 
+def test_malformed_jobs_env_var_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CACHEWRIGHT_JOBS", "abc")
+    assert main(["verify", "--n", "2", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "CACHEWRIGHT_JOBS='abc' is not an integer" in captured.err
+
+
+def test_malformed_jobs_env_var_leaves_roundtrip_alone(tmp_path, sample_file, capsys,
+                                                       monkeypatch):
+    monkeypatch.setenv("CACHEWRIGHT_JOBS", "abc")
+    path, blob = sample_file
+    out = tmp_path / "decoded.bin"
+    assert main(["roundtrip", "--n", "3", "--k", "4", "--demand", "1,1,2,3",
+                 str(path), "--out", str(out)]) == 0
+    assert out.read_bytes() == blob
+    assert main(["verify", "--n", "2", "--k", "2", "--jobs", "1"]) == 0
+
+
 @pytest.mark.parametrize("scheme", ["new", "man"])
 def test_single_user_is_a_usage_error(tmp_path, sample_file, scheme, capsys):
     path, _ = sample_file

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cachewright import field
 from cachewright.errors import (
     DivisionByZero,
     EvenModulus,
@@ -113,6 +118,24 @@ def test_decode_rejects_coded_symbols():
         decode_bytes((256,))
 
 
+@pytest.mark.parametrize("bad", [256, -1])
+def test_decode_names_the_first_symbol_outside_a_byte(bad):
+    rng = random.Random(3)
+    symbols = [rng.randrange(256) for _ in range(5000)]
+    symbols[4321] = bad
+    symbols[4500] = 1000
+    message = f"^symbol {bad} is not a byte; content is coded$"
+    with pytest.raises(SymbolOutOfByteRange, match=message):
+        decode_bytes(symbols)
+
+
+def test_decode_of_valid_symbols_is_the_plain_bytes():
+    rng = random.Random(4)
+    symbols = [rng.randrange(256) for _ in range(5000)]
+    assert decode_bytes(symbols) == bytes(bytearray(symbols))
+    assert decode_bytes(tuple(symbols)) == bytes(bytearray(symbols))
+
+
 def test_encode_needs_wide_modulus():
     with pytest.raises(SymbolOutOfByteRange):
         encode_bytes(b"x", make_field(251))
@@ -137,24 +160,122 @@ def test_vector_helpers():
     assert vec_scale(fld, (1, 2, 3), 3) == (3, 1, 4)
 
 
+def _reference(fld, terms):
+    """The sum of c * v over the terms, one vec_add or vec_sub at a time."""
+    p = fld.p
+    expected = (0,) * len(terms[0][1])
+    for c, v in terms:
+        if c < 0:
+            expected = vec_sub(fld, expected, vec_scale(fld, v, -c % p))
+        else:
+            expected = vec_add(fld, expected, vec_scale(fld, v, c % p))
+    return expected
+
+
+def _coefs(p):
+    return [-p - 3, -2 * p, -1, 0, 1, 2, p - 1, p, p + 1, 3 * p + 2]
+
+
 @pytest.mark.parametrize("p", [5, 257])
 def test_vec_combine_matches_reference(p):
     fld = make_field(p)
     rng = random.Random(f"vec-combine-{p}")
-    coefs = [-p - 3, -2 * p, -1, 0, 1, 2, p - 1, p, p + 1, 3 * p + 2]
     for trial in range(200):
         length = rng.randrange(0, 9)
         count = rng.randrange(1, 6)
-        terms = [(rng.choice(coefs) if trial % 2 else rng.randrange(-3 * p, 3 * p),
+        terms = [(rng.choice(_coefs(p)) if trial % 2 else rng.randrange(-3 * p, 3 * p),
                   tuple(rng.randrange(p) for _ in range(length))) for _ in range(count)]
-        expected = (0,) * length
-        for c, v in terms:
-            if c < 0:
-                expected = vec_sub(fld, expected, vec_scale(fld, v, -c % p))
-            else:
-                expected = vec_add(fld, expected, vec_scale(fld, v, c % p))
+        expected = _reference(fld, terms)
         assert vec_combine(fld, terms) == expected
         assert vec_combine(fld, iter(terms)) == expected
+
+
+@pytest.mark.parametrize("length", [63, 64, 65, 1000, 5462])
+def test_vec_combine_long_vectors_at_257_match_reference(length):
+    fld = make_field(257)
+    rng = random.Random(f"vec-combine-long-{length}")
+    for count in (1, 2, 7, 300):
+        terms = [(rng.choice(_coefs(257)) if i % 2 else rng.randrange(-771, 771),
+                  tuple(rng.choices((0, 256, *range(257)), k=length)))
+                 for i in range(count)]
+        expected = _reference(fld, terms)
+        assert vec_combine(fld, terms) == expected
+        assert vec_combine(fld, iter(terms)) == expected
+
+
+@pytest.mark.parametrize("length", [64, 1000])
+@pytest.mark.parametrize("entry", [-1, 512, 2 ** 32 - 1, 2 ** 32])
+def test_entries_outside_the_lane_invariant_take_the_list_path(length, entry):
+    fld = make_field(257)
+    terms = [(256, (entry,) + (511,) * (length - 1)), (-1, (1,) * length), (256, (3,) * length)]
+    assert field._combine_packed(terms, length) is None
+    assert vec_combine(fld, terms) == _reference(fld, terms)
+
+
+def test_lane_reduction_covers_every_folded_value():
+    # after the first fold a lane holds hi + lo for its 16-bit halves, any
+    # value up to 2 * 0xFFFF; one lane per such value exercises every later step
+    lanes = [(t - min(t, 0xFFFF) << 16) + min(t, 0xFFFF) for t in range(2 * 0xFFFF + 1)]
+    lanes += [0, 256 * 511 * field._PACKED_MAX_TERMS, 2 ** 32 - 1]
+    packed = int.from_bytes(array(field._LANE, lanes), sys.byteorder)
+    assert field._reduce_lanes(packed, len(lanes)) == tuple(x % 257 for x in lanes)
+
+
+def test_packed_kernel_holds_at_its_term_limit():
+    # every lane at its largest: 32767 terms of 256 * 511
+    fld = make_field(257)
+    terms = [(256, (511,) * 64)] * field._PACKED_MAX_TERMS
+    expected = (field._PACKED_MAX_TERMS * 256 * 511 % 257,) * 64
+    assert field._combine_packed(terms, 64) == expected
+    assert vec_combine(fld, terms) == expected
+    # one term more goes to the list path, with the same answer
+    terms.append((1, (1,) * 64))
+    assert field._combine_packed(terms, 64) is None
+    assert vec_combine(fld, terms) == tuple((e + 1) % 257 for e in expected)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_packed_and_list_paths_agree(data):
+    length = data.draw(st.integers(64, 80))
+    wide = data.draw(st.booleans())
+    entries = st.integers(-2 ** 40, 2 ** 40) if wide else st.integers(0, 511)
+    terms = data.draw(st.lists(st.tuples(st.integers(), st.tuples(*[entries] * length)),
+                               min_size=1, max_size=6))
+    c, v = terms[0]
+    by_list = field._combine_list(257, c, v, terms[1:])
+    packed = field._combine_packed(terms, length)
+    if all(0 <= x < 512 for _, v in terms for x in v):
+        assert packed == by_list
+    else:
+        assert packed is None
+    assert vec_combine(make_field(257), terms) == by_list
+
+
+def test_vec_combine_reads_bytes_like_vectors_as_symbols():
+    fld = make_field(257)
+    terms = [(3, bytes(range(100, 200))), (-1, bytearray(range(100))), (1, (256,) * 100)]
+    assert vec_combine(fld, terms) == _reference(fld, terms)
+    # four bytes per machine word, so a packed read would see 25 small lanes
+    terms = [(1, (256,) * 100), (2, b"\x07\x00\x00\x00" * 25)]
+    assert vec_combine(fld, terms) == _reference(fld, terms)
+
+
+def test_vec_combine_takes_the_packed_path_only_at_257_and_length_64(monkeypatch):
+    calls = []
+
+    def spy(terms, n):
+        calls.append(n)
+        return None  # hand the terms on to the list path
+
+    monkeypatch.setattr(field, "_combine_packed", spy)
+    long_terms = [(2, tuple(range(200))), (-1, tuple(range(200)))]
+    for p in (263, 65537):
+        assert vec_combine(make_field(p), long_terms) == _reference(make_field(p), long_terms)
+    assert vec_combine(make_field(257), [(1, (5,) * 63)] * 2) == (10,) * 63
+    assert calls == []
+    assert vec_combine(make_field(257), [(1, (5,) * 64)] * 2) == (10,) * 64
+    assert calls == [64]
 
 
 def test_vec_combine_rejects_unequal_lengths():
@@ -163,3 +284,16 @@ def test_vec_combine_rejects_unequal_lengths():
         vec_combine(fld, [(1, (1, 2)), (2, (3,))])
     with pytest.raises(LengthMismatch):
         vec_combine(fld, [(1, (1,)), (-1, (1,)), (3, (1, 2))])
+
+
+def test_vec_combine_rejects_unequal_lengths_on_the_packed_path():
+    fld = make_field(257)
+    with pytest.raises(LengthMismatch, match="lengths 100 and 99"):
+        vec_combine(fld, [(1, (1,) * 100), (2, (3,) * 100), (1, (1,) * 99)])
+    with pytest.raises(LengthMismatch, match="lengths 64 and 65"):
+        vec_combine(fld, iter([(1, (1,) * 64), (1, (1,) * 65)]))
+
+
+def test_vec_combine_needs_a_term():
+    with pytest.raises(LengthMismatch, match="no vectors"):
+        vec_combine(make_field(257), iter(()))

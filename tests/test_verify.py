@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import os
+import random
+
+import pytest
 
 from cachewright import verify
-from cachewright.verify import run_verification
+from cachewright.errors import CachewrightError
+from cachewright.model import NetworkConfig
+from cachewright.verify import SCHEMES, run_verification
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch):
@@ -18,3 +23,30 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
     assert capped.ok
     serial.wall_time = capped.wall_time = 0.0
     assert capped.to_json() == serial.to_json()
+
+
+def _long_library(scheme, cfg):
+    """Subfiles of 70 symbols, long enough for the packed kernel."""
+    rng = random.Random(f"long-{cfg.n}-{cfg.k}")
+    return [scheme.split(rng.randbytes(70 * scheme.subfiles(cfg)), cfg) for _ in range(cfg.n)]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+@pytest.mark.parametrize("n, k", [(3, 4), (5, 7)])
+def test_placing_one_user_matches_placing_all(name, n, k):
+    scheme, cfg = SCHEMES[name], NetworkConfig(n, k)
+    library = _long_library(scheme, cfg)
+    everyone = scheme.place(library, cfg)
+    assert [c.user for c in everyone] == list(range(1, k + 1))
+    for user in range(1, k + 1):
+        (one,) = scheme.place(library, cfg, users=(user,))
+        assert vars(one) == vars(everyone[user - 1])
+    assert scheme.place(library, cfg, users=(k, 1)) == [everyone[k - 1], everyone[0]]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+@pytest.mark.parametrize("user", [0, 5, -1])
+def test_placing_a_user_outside_the_network_is_refused(name, user):
+    scheme, cfg = SCHEMES[name], NetworkConfig(3, 4)
+    with pytest.raises(CachewrightError, match=f"user {user} outside"):
+        scheme.place(_long_library(scheme, cfg), cfg, users=(1, user))
