@@ -1,0 +1,47 @@
+"""Byte-for-byte comparison of CLI output against committed golden files.
+
+tests/golden/tradeoff/nN_kK.csv holds `cachewright tradeoff --n N --k K` at
+the default 33 samples, and tests/golden/converse/nN_kK.out the stdout of
+`cachewright converse --n N --k K`, whose exit code is listed in
+tests/golden/converse/exit_codes.txt, for every 1 <= N <= K with 2 <= K <= 8.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from cachewright.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+PAIRS = [(n, k) for k in range(2, 9) for n in range(1, k + 1)]
+
+
+def _exit_codes() -> dict[tuple[int, int], int]:
+    codes = {}
+    for line in (GOLDEN / "converse" / "exit_codes.txt").read_text().splitlines():
+        n, k, code = map(int, line.split())
+        codes[(n, k)] = code
+    return codes
+
+
+def test_golden_set_is_complete():
+    assert sorted(_exit_codes()) == sorted(PAIRS)
+    assert len(list((GOLDEN / "tradeoff").glob("*.csv"))) == len(PAIRS) == 35
+    assert len(list((GOLDEN / "converse").glob("*.out"))) == len(PAIRS)
+
+
+@pytest.mark.parametrize("n,k", PAIRS)
+def test_tradeoff_csv_matches_golden(n, k, capsysbinary):
+    assert main(["tradeoff", "--n", str(n), "--k", str(k)]) == 0
+    expected = (GOLDEN / "tradeoff" / f"n{n}_k{k}.csv").read_bytes()
+    assert capsysbinary.readouterr().out == expected
+
+
+@pytest.mark.parametrize("n,k", PAIRS)
+def test_converse_matches_golden(n, k, capsysbinary):
+    code = main(["converse", "--n", str(n), "--k", str(k)])
+    expected = (GOLDEN / "converse" / f"n{n}_k{k}.out").read_bytes()
+    assert capsysbinary.readouterr().out == expected
+    assert code == _exit_codes()[(n, k)]
