@@ -82,10 +82,6 @@ def man_decode(cache: ManCache, packet: Vec, demand, cfg: NetworkConfig) -> byte
     return decode_bytes(symbols)[: cache.file_lengths[wanted - 1]]
 
 
-def man_point(n: int, k: int) -> tuple[Fraction, Fraction]:
-    return Fraction(n * (k - 1), k), Fraction(1, k)
-
-
 def rate_yu(n: int, k: int, r: int) -> Fraction:
     """Corner rate R_r = (C(K, r+1) - C(K-N, r+1)) / C(K, r) at M = Nr/K."""
     if not 1 <= n <= k:
@@ -107,13 +103,3 @@ def rate_chen(n: int, k: int, memory: Fraction) -> Fraction:
     if not 0 <= memory <= Fraction(1, k):
         raise OutOfRange(f"M={memory} outside [0, 1/{k}]")
     return n - n * memory
-
-
-def rate_gomez(n: int, memory: Fraction) -> Fraction:
-    """(N^2-1)/N - (N-1)*M, exact on [1/N, 1/(N-1)] when K = N >= 2."""
-    if n < 2:
-        raise OutOfRange("needs N >= 2")
-    memory = Fraction(memory)
-    if not Fraction(1, n) <= memory <= Fraction(1, n - 1):
-        raise OutOfRange(f"M={memory} outside [1/{n}, 1/{n - 1}]")
-    return Fraction(n * n - 1, n) - (n - 1) * memory

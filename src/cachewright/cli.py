@@ -50,6 +50,14 @@ def _parse_demand(text: str, k: int) -> tuple[int, ...]:
     return demand
 
 
+def _open(path: str, mode: str, **kwargs):
+    """open(), with a failure turned into a CachewrightError naming the path."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise CachewrightError(f"cannot open {path}: {exc.strerror or exc}") from None
+
+
 def _filler(matching: bytes, index: int) -> bytes:
     return random.Random(f"cachewright-filler-{index}").randbytes(len(matching))
 
@@ -60,7 +68,7 @@ def cmd_roundtrip(args) -> int:
     user = args.user
     if not 1 <= user <= args.k:
         raise CachewrightError(f"--user {user} outside [1, {args.k}]")
-    with open(args.input, "rb") as fh:
+    with _open(args.input, "rb") as fh:
         payload = fh.read()
     wanted = demand[user - 1]
     blobs = [payload if n == wanted else _filler(payload, n) for n in range(1, args.n + 1)]
@@ -71,7 +79,7 @@ def cmd_roundtrip(args) -> int:
     sent = scheme.deliver(library, demand, cfg)
     decoded = scheme.decode(cache, sent, demand, cfg, scheme.context(demand, cfg))
     memory, rate = scheme.point(cfg, library, cache, sent)
-    with open(args.out, "wb") as fh:
+    with _open(args.out, "wb") as fh:
         fh.write(decoded)
     print(f"M = {memory}")
     print(f"R = {rate}")
@@ -92,7 +100,7 @@ def cmd_verify(args) -> int:
     report = run_verification(args.n, args.k, args.scheme, jobs=jobs, p=args.prime)
     text = report.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -102,7 +110,7 @@ def cmd_tradeoff(args) -> int:
     curve = assemble_known_curve(args.n, args.k)
     text = emit_csv(curve, args.samples)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with _open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -139,7 +147,7 @@ def cmd_converse(args) -> int:
             ok = False
         dumps.append(serialize_certificate(cert))
     if args.dump:
-        with open(args.dump, "w", encoding="utf-8", newline="") as fh:
+        with _open(args.dump, "w", encoding="utf-8", newline="") as fh:
             fh.write("".join(dumps))
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -98,14 +98,3 @@ class LinComb:
         self.r += other.r * coef
         self.const += other.const * coef
         return self
-
-    def describe(self, limit: int = 6) -> str:
-        parts = []
-        for vs in sorted(self.terms, key=lambda s: sorted(v.sort_key() for v in s))[:limit]:
-            parts.append(f"{self.terms[vs]}*H({varset_token(vs)})")
-        if len(self.terms) > limit:
-            parts.append(f"... {len(self.terms) - limit} more")
-        for label, value in (("M", self.m), ("R", self.r), ("1", self.const)):
-            if value:
-                parts.append(f"{value}*{label}")
-        return " + ".join(parts) if parts else "0"

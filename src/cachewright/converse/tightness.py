@@ -8,9 +8,14 @@ from fractions import Fraction
 from ..baselines import rate_yu
 from ..coded_placement import scheme_point
 from ..errors import OutOfCaseRange
-from ..tradeoff import case1_line, case2_line
-from .case1 import in_case1_range
-from .case2 import in_case2_range
+from .case1 import case1_target, in_case1_range
+from .case2 import case2_target, in_case2_range
+
+
+def bound_line(target: tuple[Fraction, Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """(intercept, slope) of the line a M + b R = c bounding a target (a, b, c)."""
+    a, b, c = target
+    return c / b, -a / b
 
 
 @dataclass(frozen=True)
@@ -46,11 +51,11 @@ def tightness_check(n: int, k: int) -> TightnessReport:
     entries = []
     if in_case1_range(n, k):
         memory, rate = scheme_point(n, k)
-        intercept, slope = case1_line(n, k)
+        intercept, slope = bound_line(case1_target(n, k))
         entries.append(TightnessEntry(1, memory, intercept + slope * memory, rate))
     if in_case2_range(n, k):
         memory = Fraction(n * (k - 2), k)
-        intercept, slope = case2_line(n, k)
+        intercept, slope = bound_line(case2_target(n, k))
         entries.append(TightnessEntry(2, memory, intercept + slope * memory,
                                       rate_yu(n, k, k - 2)))
     if not entries:

@@ -16,7 +16,7 @@ class EvenModulus(CachewrightError):
 
 
 class DivisionByZero(CachewrightError):
-    """Inversion of zero, or a rational coefficient whose denominator vanishes mod p."""
+    """Inversion of zero in the field."""
 
 
 class SymbolOutOfByteRange(CachewrightError):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 from typing import Iterable, Sequence
@@ -53,28 +52,10 @@ class FieldCtx:
 
     p: int
 
-    def add(self, a: Symbol, b: Symbol) -> Symbol:
-        return (a + b) % self.p
-
-    def sub(self, a: Symbol, b: Symbol) -> Symbol:
-        return (a - b) % self.p
-
-    def mul(self, a: Symbol, b: Symbol) -> Symbol:
-        return (a * b) % self.p
-
-    def neg(self, a: Symbol) -> Symbol:
-        return (-a) % self.p
-
     def inv(self, a: Symbol) -> Symbol:
         if a % self.p == 0:
             raise DivisionByZero("cannot invert 0")
         return pow(a, self.p - 2, self.p)
-
-    def scale_rational(self, a: Symbol, q: Fraction) -> Symbol:
-        """a * u * v^-1 mod p for q = u/v; requires gcd(v, p) = 1."""
-        if q.denominator % self.p == 0:
-            raise DivisionByZero(f"denominator of {q} vanishes mod {self.p}")
-        return a * q.numerator % self.p * self.inv(q.denominator % self.p) % self.p
 
 
 def make_field(p: int) -> FieldCtx:
@@ -184,25 +165,6 @@ def _reduce_lanes(acc: int, n: int) -> tuple[Symbol, ...]:
     out = array(_LANE)
     out.frombytes(acc.to_bytes(4 * n, sys.byteorder))
     return tuple(out)
-
-
-# Componentwise reference helpers, kept for the tests to check vec_combine by.
-
-def vec_add(ctx: FieldCtx, a: Sequence[Symbol], b: Sequence[Symbol]) -> tuple[Symbol, ...]:
-    p = ctx.p
-    return tuple((x + y) % p for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(ctx: FieldCtx, a: Sequence[Symbol], b: Sequence[Symbol]) -> tuple[Symbol, ...]:
-    p = ctx.p
-    return tuple((x - y) % p for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(ctx: FieldCtx, a: Sequence[Symbol], c: Symbol) -> tuple[Symbol, ...]:
-    if c == 1:
-        return tuple(a)
-    p = ctx.p
-    return tuple(x * c % p for x in a)
 
 
 def encode_bytes(data: bytes, ctx: FieldCtx) -> tuple[Symbol, ...]:

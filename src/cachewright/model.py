@@ -12,7 +12,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigMismatch, IndexOutOfRange, OutOfRange
-from .field import FieldCtx, Symbol, decode_bytes, default_modulus, encode_bytes, make_field
+from .field import FieldCtx, Symbol, default_modulus, encode_bytes, make_field
 
 Demand = tuple[int, ...]
 
@@ -79,18 +79,6 @@ def split_symbols(symbols: Sequence[Symbol], cfg: NetworkConfig,
 
 def split_file(data: bytes, cfg: NetworkConfig) -> SubfileGrid:
     return split_symbols(encode_bytes(data, cfg.field), cfg, original_length=len(data))
-
-
-def grid_symbols(grid: SubfileGrid, cfg: NetworkConfig) -> tuple[Symbol, ...]:
-    """Concatenate subfiles in canonical order (still padded)."""
-    out: list[Symbol] = []
-    for pair in pair_order(cfg.k):
-        out.extend(grid.parts[pair])
-    return tuple(out)
-
-
-def grid_bytes(grid: SubfileGrid, cfg: NetworkConfig) -> bytes:
-    return decode_bytes(grid_symbols(grid, cfg))[: grid.original_length]
 
 
 def surjection_count(n: int, k: int) -> int:

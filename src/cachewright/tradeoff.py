@@ -19,32 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .baselines import rate_chen, yu_point
 from .coded_placement import scheme_point
+from .converse.case1 import case1_target, in_case1_range
+from .converse.case2 import case2_target, in_case2_range
+from .converse.tightness import bound_line
 from .errors import DegenerateInput, OutOfRange, OutsideCharacterizedRegion
 
 Point = tuple[Fraction, Fraction]
-
-
-def case1_applies(n: int, k: int) -> bool:
-    """Most users want distinct files: N >= ceil((K+1)/2), N >= 2."""
-    return k >= 2 and n >= 2 and 2 * n >= k + 1 and n <= k
-
-
-def case2_applies(n: int, k: int) -> bool:
-    """Few files regime: 2N - 1 <= K, N >= 2."""
-    return n >= 2 and 2 * n <= k + 1
-
-
-def case1_line(n: int, k: int) -> tuple[Fraction, Fraction]:
-    """(intercept, slope) of the exact segment for the many-files regime."""
-    return Fraction(k * n - 1, k * (n - 1)), -Fraction(1, n - 1)
-
-
-def case2_line(n: int, k: int) -> tuple[Fraction, Fraction]:
-    return Fraction(k * k + k - 2, k * (k - 1)), -Fraction(k + 1, n * (k - 1))
 
 
 @dataclass(frozen=True)
@@ -141,36 +125,10 @@ def lower_envelope(points: Sequence[Point],
             hull.pop()
         hull.append((m, r, tag))
 
-    segments = []
-    for (m0, r0, _), (m1, r1, _) in zip(hull, hull[1:]):
-        slope = (r1 - r0) / (m1 - m0)
-        if slope > 0:
-            raise DegenerateInput("points do not describe a non-increasing tradeoff")
-        segments.append(Segment(m0, m1, r0 - slope * m0, slope, "memory-sharing"))
+    segments = [_chord(a[:2], b[:2], "memory-sharing") for a, b in zip(hull, hull[1:])]
+    if any(seg.slope > 0 for seg in segments):
+        raise DegenerateInput("points do not describe a non-increasing tradeoff")
     return TradeoffCurve(tuple(segments), tuple(hull))
-
-
-def _split_curve(curve: TradeoffCurve, cuts: Iterable[Fraction],
-                 cut_tags: dict[Fraction, str]) -> TradeoffCurve:
-    lo, hi = curve.domain
-    interior = sorted({c for c in cuts if lo < c < hi})
-    segments = []
-    for seg in curve.segments:
-        inner = [c for c in interior if seg.m_lo < c < seg.m_hi]
-        edges = [seg.m_lo] + inner + [seg.m_hi]
-        for a, b in zip(edges, edges[1:]):
-            segments.append(Segment(a, b, seg.intercept, seg.slope, seg.provenance))
-    vertices = {(m, r): tag for m, r, tag in curve.vertices}
-    for c in interior:
-        key = (c, curve.evaluate(c))
-        extra = cut_tags.get(c, "")
-        old = vertices.get(key, "")
-        if extra and extra not in old:
-            vertices[key] = f"{old}+{extra}" if old else extra
-        else:
-            vertices.setdefault(key, old)
-    ordered = tuple(sorted((m, r, tag) for (m, r), tag in vertices.items()))
-    return TradeoffCurve(tuple(segments), ordered)
 
 
 def exact_regions(n: int, k: int) -> list[Segment]:
@@ -185,14 +143,12 @@ def exact_regions(n: int, k: int) -> list[Segment]:
             if lo < man_m:
                 regions.append(Segment(lo, man_m, Fraction(1), Fraction(-1), "yu"))
     else:
-        if case1_applies(n, k):
-            m_a, _ = scheme_point(n, k)
-            intercept, slope = case1_line(n, k)
-            regions.append(Segment(m_a, man_m, intercept, slope, "theorem-case1"))
-        if case2_applies(n, k):
-            intercept, slope = case2_line(n, k)
+        if in_case1_range(n, k):
+            regions.append(Segment(scheme_point(n, k)[0], man_m,
+                                   *bound_line(case1_target(n, k)), "theorem-case1"))
+        if in_case2_range(n, k):
             regions.append(Segment(Fraction(n * (k - 2), k), man_m,
-                                   intercept, slope, "theorem-case2"))
+                                   *bound_line(case2_target(n, k)), "theorem-case2"))
     if man_m < n:
         regions.append(Segment(man_m, Fraction(n), Fraction(1), -Fraction(1, n), "man"))
     return regions
@@ -213,28 +169,17 @@ def exact_tradeoff(n: int, k: int, memory) -> Fraction:
     return min(values)
 
 
-def _yu_chord(n: int, k: int, r: int) -> tuple[Fraction, Fraction]:
-    (m0, r0), (m1, r1) = yu_point(n, k, r), yu_point(n, k, r + 1)
-    slope = (r1 - r0) / (m1 - m0)
-    return r0 - slope * m0, slope
-
-
-def _matches_yu_envelope(n: int, k: int, seg: Segment) -> bool:
-    for r in range(k):
-        lo, hi = Fraction(n * r, k), Fraction(n * (r + 1), k)
-        if hi <= seg.m_lo or lo >= seg.m_hi:
-            continue
-        if _yu_chord(n, k, r) != (seg.intercept, seg.slope):
-            return False
-    return True
-
-
 def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
     """Best known achievable curve from the assembled corner points.
 
     Sources: the full-library corner and the coded-delivery corner of the
     N - NM line, every uncoded-prefetching corner, the coded-placement
     scheme's point where it applies, and full caching at (N, 0).
+
+    Each piece between breakpoints is named after the first family of known
+    lines that covers it and agrees with its line on every overlapping piece:
+    chen on [0, 1/K], the exact regions in order, then the K chords between
+    uncoded-prefetching corners. A piece no family names is memory-sharing.
     """
     if not 1 <= n <= k or k < 2:
         raise OutOfRange(f"need 1 <= N <= K and K >= 2, got ({n}, {k})")
@@ -243,42 +188,51 @@ def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
     for r in range(1, k + 1):
         points.append(yu_point(n, k, r))
         labels.append(f"yu-r{r}")
-    if case1_applies(n, k):
+    if in_case1_range(n, k):
         points.append(scheme_point(n, k))
         labels.append("theorem-1-point")
+    hull = lower_envelope(points, labels)
 
-    curve = lower_envelope(points, labels)
-
-    man_m = Fraction(n * (k - 1), k)
-    cuts: dict[Fraction, str] = {Fraction(1, k): "chen-corner", man_m: "man-corner"}
-    if case1_applies(n, k):
+    # the breakpoints: hull vertices plus cut points, whose tags join the vertex's
+    cuts = {Fraction(1, k): "chen-corner", Fraction(n * (k - 1), k): "man-corner"}
+    if in_case1_range(n, k):
         cuts[scheme_point(n, k)[0]] = "theorem-1-point"
-    if case2_applies(n, k) or n == 1:
+    if in_case2_range(n, k) or n == 1:
         cuts[Fraction(n * (k - 2), k)] = f"yu-r{k - 2}"
-    curve = _split_curve(curve, cuts.keys(), cuts)
+    lo, hi = hull.domain
+    vertices = {m: (r, tag) for m, r, tag in hull.vertices}
+    for m, extra in cuts.items():
+        if lo < m < hi:
+            r, tag = vertices.get(m, (hull.evaluate(m), ""))
+            if extra not in tag:
+                tag = f"{tag}+{extra}" if tag else extra
+            vertices[m] = (r, tag)
 
-    relabeled = []
-    exact = exact_regions(n, k)
-    for seg in curve.segments:
-        tag = None
-        if seg.m_hi <= Fraction(1, k) and (seg.intercept, seg.slope) == (Fraction(n), Fraction(-n)):
-            tag = "chen"
-        if tag is None:
-            for reg in exact:
-                if reg.provenance.startswith("theorem") and reg.m_lo <= seg.m_lo \
-                        and seg.m_hi <= reg.m_hi \
-                        and (reg.intercept, reg.slope) == (seg.intercept, seg.slope):
-                    tag = reg.provenance
-                    break
-        if tag is None and seg.m_lo >= man_m \
-                and (seg.intercept, seg.slope) == (Fraction(1), -Fraction(1, n)):
-            tag = "man"
-        if tag is None and _matches_yu_envelope(n, k, seg):
-            tag = "yu"
-        if tag is None:
-            tag = seg.provenance
-        relabeled.append(Segment(seg.m_lo, seg.m_hi, seg.intercept, seg.slope, tag))
-    return TradeoffCurve(tuple(relabeled), curve.vertices)
+    yu = [yu_point(n, k, r) for r in range(k + 1)]
+    families = [[_chord(points[0], points[1], "chen")]]
+    families += [[region] for region in exact_regions(n, k)]
+    families.append([_chord(a, b, "yu") for a, b in zip(yu, yu[1:])])
+    ms = sorted(vertices)
+    segments = []
+    for a, b in zip(ms, ms[1:]):
+        line = hull.segment_at(a)
+        tag = next((fam[0].provenance for fam in families
+                    if _names(fam, a, b, line)), "memory-sharing")
+        segments.append(Segment(a, b, line.intercept, line.slope, tag))
+    return TradeoffCurve(tuple(segments),
+                         tuple((m, r, tag) for m, (r, tag) in sorted(vertices.items())))
+
+
+def _chord(a: Point, b: Point, provenance: str) -> Segment:
+    slope = (b[1] - a[1]) / (b[0] - a[0])
+    return Segment(a[0], b[0], a[1] - slope * a[0], slope, provenance)
+
+
+def _names(family: list[Segment], a: Fraction, b: Fraction, line: Segment) -> bool:
+    """Whether the contiguous pieces of family cover [a, b], each on line there."""
+    over = [piece for piece in family if piece.m_lo < b and a < piece.m_hi]
+    return bool(over) and over[0].m_lo <= a and b <= over[-1].m_hi and all(
+        (piece.intercept, piece.slope) == (line.intercept, line.slope) for piece in over)
 
 
 def _decimal(x: Fraction) -> str:

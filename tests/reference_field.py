@@ -1,0 +1,23 @@
+"""Componentwise vector arithmetic over Z_p, the reference the tests check
+field.vec_combine and the schemes' linear combinations against."""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+
+def vec_add(ctx, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    p = ctx.p
+    return tuple((x + y) % p for x, y in zip(a, b, strict=True))
+
+
+def vec_sub(ctx, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    p = ctx.p
+    return tuple((x - y) % p for x, y in zip(a, b, strict=True))
+
+
+def vec_scale(ctx, a: Sequence[int], c: int) -> tuple[int, ...]:
+    if c == 1:
+        return tuple(a)
+    p = ctx.p
+    return tuple(x * c % p for x in a)

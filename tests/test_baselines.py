@@ -9,10 +9,8 @@ from cachewright.baselines import (
     man_decode,
     man_deliver,
     man_place,
-    man_point,
     man_split,
     rate_chen,
-    rate_gomez,
     rate_yu,
     yu_point,
 )
@@ -24,10 +22,6 @@ def man_library(cfg, seed=0, length=40):
     rng = random.Random(f"man-{seed}-{cfg.n}-{cfg.k}")
     plain = [bytes(rng.randrange(256) for _ in range(length)) for _ in range(cfg.n)]
     return plain, [man_split(blob, cfg) for blob in plain]
-
-
-def test_man_point_3_4():
-    assert man_point(3, 4) == (Fraction(9, 4), Fraction(1, 4))
 
 
 def test_man_cache_budget():
@@ -80,7 +74,7 @@ def test_rate_yu_values():
 def test_rate_yu_man_corner():
     for n, k in [(2, 4), (3, 4), (4, 6)]:
         assert rate_yu(n, k, k - 1) == Fraction(1, k)
-        assert yu_point(n, k, k - 1) == man_point(n, k)
+        assert yu_point(n, k, k - 1) == (Fraction(n * (k - 1), k), Fraction(1, k))
 
 
 def test_rate_yu_second_corner():
@@ -96,13 +90,3 @@ def test_rate_chen():
     assert rate_chen(2, 4, Fraction(1, 4)) == Fraction(3, 2)
     with pytest.raises(OutOfRange):
         rate_chen(3, 4, Fraction(1, 2))
-
-
-def test_rate_gomez():
-    assert rate_gomez(2, Fraction(1, 2)) == 1
-    assert rate_gomez(2, Fraction(1)) == Fraction(1, 2)
-    assert rate_gomez(3, Fraction(1, 3)) == 2
-    with pytest.raises(OutOfRange):
-        rate_gomez(2, Fraction(2))
-    with pytest.raises(OutOfRange):
-        rate_gomez(1, Fraction(1))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cachewright.baselines import man_point, yu_point
+from cachewright.baselines import yu_point
 from cachewright.coded_placement import scheme_point
 from cachewright.converse import (
     CacheBound,
@@ -143,7 +143,7 @@ def test_case1_bound_tight_at_both_corners():
             if not in_case1_range(n, k):
                 continue
             t_m, t_r, rhs = case1_target(n, k)
-            for memory, rate in (scheme_point(n, k), man_point(n, k)):
+            for memory, rate in (scheme_point(n, k), (F(n * (k - 1), k), F(1, k))):
                 assert t_m * memory + t_r * rate == rhs, (n, k)
 
 
@@ -153,7 +153,7 @@ def test_case2_bound_tight_at_both_corners():
             if not in_case2_range(n, k):
                 continue
             t_m, t_r, rhs = case2_target(n, k)
-            for memory, rate in (yu_point(n, k, k - 2), man_point(n, k)):
+            for memory, rate in (yu_point(n, k, k - 2), (F(n * (k - 1), k), F(1, k))):
                 assert t_m * memory + t_r * rate == rhs, (n, k)
 
 

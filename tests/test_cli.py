@@ -179,3 +179,39 @@ def test_single_user_is_a_usage_error(tmp_path, sample_file, scheme, capsys):
     assert main(["roundtrip", "--n", "1", "--k", "1", "--scheme", scheme,
                  "--demand", "1", str(path), "--out", str(tmp_path / "x.bin")]) == 2
     assert "K = 1" in capsys.readouterr().err
+
+
+def _assert_open_error(capsys, path, reason):
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot open {path}: {reason}\n"
+
+
+def test_roundtrip_file_errors_are_usage_errors(tmp_path, sample_file, capsys):
+    path, _ = sample_file
+    missing = tmp_path / "no" / "such.bin"
+    args = ["roundtrip", "--n", "2", "--k", "3", "--demand", "1,2,1"]
+    assert main(args + [str(missing), "--out", str(tmp_path / "o.bin")]) == 2
+    _assert_open_error(capsys, missing, "No such file or directory")
+    assert not (tmp_path / "o.bin").exists()
+    assert main(args + [str(path), "--out", str(missing)]) == 2
+    _assert_open_error(capsys, missing, "No such file or directory")
+    assert main(args + [str(tmp_path), "--out", str(tmp_path / "o.bin")]) == 2
+    _assert_open_error(capsys, tmp_path, "Is a directory")
+
+
+def test_verify_out_error_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    assert main(["verify", "--n", "2", "--k", "2", "--out", str(missing)]) == 2
+    _assert_open_error(capsys, missing, "No such file or directory")
+
+
+def test_tradeoff_out_error_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "curve.csv"
+    assert main(["tradeoff", "--n", "2", "--k", "3", "--out", str(missing)]) == 2
+    _assert_open_error(capsys, missing, "No such file or directory")
+
+
+def test_converse_dump_error_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "cert.txt"
+    assert main(["converse", "--n", "3", "--k", "4", "--dump", str(missing)]) == 2
+    _assert_open_error(capsys, missing, "No such file or directory")

@@ -13,13 +13,14 @@ from cachewright.coded_placement import (
     scheme_point,
 )
 from cachewright.errors import DemandNotInD
-from cachewright.field import vec_add, vec_scale, vec_sub
 from cachewright.model import (
     NetworkConfig,
     enumerate_demands,
     split_file,
     split_symbols,
 )
+
+from reference_field import vec_add, vec_scale, vec_sub
 
 
 def make_library(cfg, seed=0, length=None):

@@ -6,14 +6,12 @@ import pytest
 
 from cachewright.baselines import rate_yu, yu_point
 from cachewright.coded_placement import scheme_point
+from cachewright.converse import case1_target, case2_target, in_case1_range, in_case2_range
+from cachewright.converse.tightness import bound_line
 from cachewright.errors import DegenerateInput, OutOfRange, OutsideCharacterizedRegion
 from cachewright.tradeoff import (
     CSV_HEADER,
     assemble_known_curve,
-    case1_applies,
-    case1_line,
-    case2_applies,
-    case2_line,
     emit_csv,
     exact_tradeoff,
     lower_envelope,
@@ -23,17 +21,31 @@ from cachewright.tradeoff import (
 F = Fraction
 
 
+def case1_line(n, k):
+    return bound_line(case1_target(n, k))
+
+
+def case2_line(n, k):
+    return bound_line(case2_target(n, k))
+
+
 def test_case_ranges():
-    assert case1_applies(3, 4) and case1_applies(4, 4) and not case1_applies(2, 4)
-    assert case2_applies(2, 4) and not case2_applies(3, 4)
-    assert case1_applies(2, 3) and case2_applies(2, 3)  # odd-K shared boundary
-    assert not case2_applies(1, 4)
+    assert in_case1_range(3, 4) and in_case1_range(4, 4) and not in_case1_range(2, 4)
+    assert in_case2_range(2, 4) and not in_case2_range(3, 4)
+    assert in_case1_range(2, 3) and in_case2_range(2, 3)  # odd-K shared boundary
+    assert not in_case2_range(1, 4)
 
 
 def test_lines_agree_at_odd_boundary():
     for k in (3, 5, 7, 9):
         n = (k + 1) // 2
         assert case1_line(n, k) == case2_line(n, k)
+
+
+def test_case1_line_closed_form():
+    for k in range(2, 9):
+        for n in range(max(2, (k + 2) // 2), k + 1):
+            assert case1_line(n, k) == (F(k * n - 1, k * (n - 1)), -F(1, n - 1))
 
 
 def test_exact_tradeoff_3_4():
@@ -77,10 +89,10 @@ def test_exact_at_man_corner_from_both_lines():
     for n, k in [(3, 4), (2, 4), (2, 3), (4, 7), (5, 8)]:
         man_m = F(n * (k - 1), k)
         assert exact_tradeoff(n, k, man_m) == F(1, k)
-        if case1_applies(n, k):
+        if in_case1_range(n, k):
             b, a = case1_line(n, k)
             assert b + a * man_m == F(1, k)
-        if case2_applies(n, k):
+        if in_case2_range(n, k):
             b, a = case2_line(n, k)
             assert b + a * man_m == F(1, k)
 
@@ -186,7 +198,7 @@ def test_new_point_improves_on_prior_envelope():
     # inside the many-files regime; at 2N = K+1 the two coincide
     for k in range(3, 8):
         for n in range(2, k + 1):
-            if not case1_applies(n, k):
+            if not in_case1_range(n, k):
                 continue
             m_a, rate = scheme_point(n, k)
             (m0, r0), (m1, r1) = yu_point(n, k, k - 2), yu_point(n, k, k - 1)
@@ -221,3 +233,37 @@ def test_emit_csv_empty_curve():
 def test_csv_lf_endings():
     text = emit_csv(assemble_known_curve(2, 2), 3)
     assert "\r" not in text and text.endswith("\n")
+
+
+def test_gomez_point_3_3_is_left_open():
+    # Gomez-Vilardebo's coded-prefetching line (N^2-1)/N - (N-1)M gives 5/3 at
+    # (3, 3), M = 1/2; nothing here checks that scheme, so the curve keeps the
+    # memory-sharing chord and the point stays outside the characterized region
+    curve = assemble_known_curve(3, 3)
+    assert curve.evaluate(F(1, 2)) == F(7, 4)
+    assert curve.segment_at(F(1, 2)).provenance == "memory-sharing"
+    with pytest.raises(OutsideCharacterizedRegion):
+        exact_tradeoff(3, 3, F(1, 2))
+
+
+SEGMENT_TAGS = {"chen", "yu", "theorem-case1", "theorem-case2", "man", "memory-sharing"}
+
+
+def test_tags_are_the_documented_ones():
+    for k in range(2, 9):
+        for n in range(1, k + 1):
+            curve = assemble_known_curve(n, k)
+            assert {seg.provenance for seg in curve.segments} <= SEGMENT_TAGS
+            tags = {t for _, _, tag in curve.vertices for t in tag.split("+")}
+            known = {"chen-left", "chen-corner", "man-corner", "theorem-1-point"}
+            known |= {f"yu-r{r}" for r in range(1, k + 1)}
+            assert tags <= known, (n, k, tags - known)
+
+
+def test_exact_segments_lie_on_exact_regions():
+    for k in range(2, 9):
+        for n in range(1, k + 1):
+            for seg in assemble_known_curve(n, k).segments:
+                if seg.provenance.startswith("theorem") or seg.provenance == "man":
+                    for m in (seg.m_lo, (seg.m_lo + seg.m_hi) / 2, seg.m_hi):
+                        assert seg.value(m) == exact_tradeoff(n, k, m), (n, k, seg)
