@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ConfigMismatch, LengthMismatch, OutOfRange
-from .field import Symbol, decode_bytes, encode_bytes, vec_combine
-from .model import NetworkConfig, SubfileGrid, split_symbols, validate_demand, validate_users
+from .field import Symbol, join_bytes, vec_combine
+from .model import NetworkConfig, SubfileGrid, split_file, validate_demand, validate_users
 
-Vec = tuple[Symbol, ...]
+Vec = Sequence[Symbol]
 
 
 @dataclass
@@ -35,8 +35,7 @@ class ManCache:
 
 def man_split(data: bytes, cfg: NetworkConfig) -> SubfileGrid:
     """K pieces keyed 1..K; piece e is the one user e does not cache."""
-    return split_symbols(encode_bytes(data, cfg.field), cfg, original_length=len(data),
-                         keys=range(1, cfg.k + 1))
+    return split_file(data, cfg, keys=range(1, cfg.k + 1))
 
 
 def man_place(library: list[SubfileGrid], cfg: NetworkConfig,
@@ -76,10 +75,8 @@ def man_decode(cache: ManCache, packet: Vec, demand, cfg: NetworkConfig) -> byte
     k, wanted = cache.user, d[cache.user - 1]
     missing = vec_combine(cfg.field, [(1, packet)] + [
         (-1, cache.parts[(d[j - 1], j)]) for j in range(1, cfg.k + 1) if j != k])
-    symbols: list[Symbol] = []
-    for e in range(1, cfg.k + 1):
-        symbols.extend(missing if e == k else cache.parts[(wanted, e)])
-    return decode_bytes(symbols)[: cache.file_lengths[wanted - 1]]
+    pieces = [missing if e == k else cache.parts[(wanted, e)] for e in range(1, cfg.k + 1)]
+    return join_bytes(pieces)[: cache.file_lengths[wanted - 1]]
 
 
 def rate_yu(n: int, k: int, r: int) -> Fraction:
@@ -96,7 +93,9 @@ def yu_point(n: int, k: int, r: int) -> tuple[Fraction, Fraction]:
 
 
 def rate_chen(n: int, k: int, memory: Fraction) -> Fraction:
-    """N - N*M, exact on [0, 1/K] for N <= K."""
+    """N - N*M on [0, 1/K] for N <= K, shown optimal there by Chen, Fan and Letaief,
+    "Fundamental limits of caching: improved bounds for users with small buffers",
+    IET Commun. 2016. Cited, not checked: nothing in this package proves it."""
     if not 1 <= n <= k:
         raise OutOfRange(f"need 1 <= N <= K, got ({n}, {k})")
     memory = Fraction(memory)

@@ -10,6 +10,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import random
 import sys
@@ -58,6 +59,24 @@ def _open(path: str, mode: str, **kwargs):
         raise CachewrightError(f"cannot open {path}: {exc.strerror or exc}") from None
 
 
+@contextlib.contextmanager
+def _output(path: str | None, mode: str, **kwargs):
+    """path opened before the work, so that a bad path fails at once; None for no path.
+    If the work raises, a file that this call created is removed again."""
+    if not path:
+        yield None
+        return
+    created = not os.path.lexists(path)
+    fh = _open(path, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            os.unlink(path)
+        raise
+
+
 def _filler(matching: bytes, index: int) -> bytes:
     return random.Random(f"cachewright-filler-{index}").randbytes(len(matching))
 
@@ -71,16 +90,16 @@ def cmd_roundtrip(args) -> int:
     with _open(args.input, "rb") as fh:
         payload = fh.read()
     wanted = demand[user - 1]
-    blobs = [payload if n == wanted else _filler(payload, n) for n in range(1, args.n + 1)]
-
-    scheme = SCHEMES[args.scheme]
-    library = [scheme.split(b, cfg) for b in blobs]
-    cache = scheme.place(library, cfg, users=(user,))[0]
-    sent = scheme.deliver(library, demand, cfg)
-    decoded = scheme.decode(cache, sent, demand, cfg, scheme.context(demand, cfg))
-    memory, rate = scheme.point(cfg, library, cache, sent)
-    with _open(args.out, "wb") as fh:
-        fh.write(decoded)
+    with _output(args.out, "wb") as out:
+        blobs = [payload if n == wanted else _filler(payload, n) for n in range(1, args.n + 1)]
+        scheme = SCHEMES[args.scheme]
+        library = [scheme.split(b, cfg) for b in blobs]
+        cache = scheme.place(library, cfg, users=(user,))[0]
+        ctx = scheme.context(demand, cfg)
+        sent = scheme.deliver(library, demand, cfg, ctx)
+        decoded = scheme.decode(cache, sent, demand, cfg, ctx)
+        memory, rate = scheme.point(cfg, library, cache, sent)
+        out.write(decoded)
     print(f"M = {memory}")
     print(f"R = {rate}")
     if decoded != payload:
@@ -97,23 +116,19 @@ def cmd_verify(args) -> int:
             f"K = {args.k} would enumerate {surjection_count(args.n, args.k)} demands; "
             "pass --force to run anyway")
     jobs = _env_jobs() if args.jobs is None else args.jobs
-    report = run_verification(args.n, args.k, args.scheme, jobs=jobs, p=args.prime)
-    text = report.to_json()
-    if args.out:
-        with _open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    with _output(args.out, "w", encoding="utf-8") as out:
+        report = run_verification(args.n, args.k, args.scheme, jobs=jobs, p=args.prime)
+        text = report.to_json()
+        if out:
+            out.write(text + "\n")
     print(text)
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
 def cmd_tradeoff(args) -> int:
-    curve = assemble_known_curve(args.n, args.k)
-    text = emit_csv(curve, args.samples)
-    if args.out:
-        with _open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out, "w", encoding="utf-8", newline="") as out:
+        curve = assemble_known_curve(args.n, args.k)
+        (out or sys.stdout).write(emit_csv(curve, args.samples))
     return EXIT_OK
 
 
@@ -132,23 +147,21 @@ def cmd_converse(args) -> int:
         chosen = [args.theorem]
 
     ok = True
-    dumps = []
-    for key in chosen:
-        case, generate, _ = _FAMILIES[key]
-        cert = generate(args.n, args.k)
-        report = check_certificate(cert)
-        tight = tightness_check(args.n, args.k)
-        entry = next(e for e in tight.entries if e.case == case)
-        print(f"{cert.target_text()} {report.verdict}; "
-              f"tight at M={entry.memory}: bound {entry.bound_rate} vs "
-              f"achievable {entry.achievable_rate}; axioms={report.axiom_count}")
-        if not report.ok:
-            print(f"  reason: {report.reason}", file=sys.stderr)
-            ok = False
-        dumps.append(serialize_certificate(cert))
-    if args.dump:
-        with _open(args.dump, "w", encoding="utf-8", newline="") as fh:
-            fh.write("".join(dumps))
+    with _output(args.dump, "w", encoding="utf-8", newline="") as out:
+        for key in chosen:
+            case, generate, _ = _FAMILIES[key]
+            cert = generate(args.n, args.k)
+            report = check_certificate(cert)
+            tight = tightness_check(args.n, args.k)
+            entry = next(e for e in tight.entries if e.case == case)
+            print(f"{cert.target_text()} {report.verdict}; "
+                  f"tight at M={entry.memory}: bound {entry.bound_rate} vs "
+                  f"achievable {entry.achievable_rate}; axioms={report.axiom_count}")
+            if not report.ok:
+                print(f"  reason: {report.reason}", file=sys.stderr)
+                ok = False
+            if out:
+                out.write(serialize_certificate(cert))
     return EXIT_OK if ok else EXIT_FAIL
 
 

@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ConfigMismatch, DemandNotInD, LengthMismatch, OutOfRange
-from .field import Symbol, decode_bytes, vec_combine
+from .field import Symbol, join_bytes, vec_combine
 from .model import (
     Demand,
     DemandContext,
@@ -39,7 +39,7 @@ from .model import (
     validate_users,
 )
 
-Vec = tuple[Symbol, ...]
+Vec = Sequence[Symbol]
 
 
 @dataclass
@@ -137,12 +137,22 @@ def _coefficient(ctx: DemandContext, inv: dict[int, Symbol], p: int,
     return sign * inv[ctx.n_ks(k, s)] % p
 
 
-def deliver(library: list[SubfileGrid], demand, cfg: NetworkConfig) -> Broadcast:
+def _context_for(d: Demand, cfg: NetworkConfig, ctx: DemandContext | None) -> DemandContext:
+    """ctx, or a new one when None; a context built for another demand is refused."""
+    if ctx is None:
+        return demand_context(d, cfg)
+    if ctx.demand != d:
+        raise ConfigMismatch(f"context built for demand {ctx.demand} cannot serve demand {d}")
+    return ctx
+
+
+def deliver(library: list[SubfileGrid], demand, cfg: NetworkConfig,
+            ctx: DemandContext | None = None) -> Broadcast:
     d = validate_demand(demand, cfg)
     if not in_demand_set(d, cfg):
         raise DemandNotInD(f"demand {d} does not request every file")
     _check_library(library, cfg)
-    ctx = demand_context(d, cfg)
+    ctx = _context_for(d, cfg, ctx)
     inv = _inverse_table(cfg)
     packets = tuple(
         vec_combine(cfg.field, [(_coefficient(ctx, inv, cfg.p, k, s),
@@ -159,7 +169,7 @@ def recover_cross_subfiles(stage1: dict[tuple[int, int, int], Vec],
     Uses only the broadcast packets X_d^j and uncoded stage-1 cache content,
     never the coded stage-2 packets.
     """
-    ctx = ctx or demand_context(broadcast.demand, cfg)
+    ctx = _context_for(broadcast.demand, cfg, ctx)
     inv = _inverse_table(cfg)
     d = ctx.demand
     out = {}
@@ -207,23 +217,15 @@ def decode(cache: CacheContents, broadcast: Broadcast, cfg: NetworkConfig,
         if len(p) != cache.subfile_len:
             raise LengthMismatch("broadcast and cache subfile lengths differ")
 
-    ctx = ctx or demand_context(d, cfg)
+    ctx = _context_for(d, cfg, ctx)
     k, wanted = cache.user, d[cache.user - 1]
     cross = recover_cross_subfiles(cache.stage1, broadcast, k, cfg, ctx)
     own = _recover_own_subfiles(cache, broadcast, cfg, ctx)
 
-    symbols: list[Symbol] = []
-    for i in range(1, cfg.k + 1):
-        for j in range(1, cfg.k + 1):
-            if i == j:
-                continue
-            if i == k:
-                symbols.extend(own[j])
-            elif j == k:
-                symbols.extend(cross[i])
-            else:
-                symbols.extend(cache.stage1[(wanted, i, j)])
-    return decode_bytes(symbols)[: cache.file_lengths[wanted - 1]]
+    users = range(1, cfg.k + 1)  # the pieces in pair_order, without building its list
+    pieces = [own[j] if i == k else cross[i] if j == k else cache.stage1[(wanted, i, j)]
+              for i in users for j in users if i != j]
+    return join_bytes(pieces)[: cache.file_lengths[wanted - 1]]
 
 
 def scheme_point(n: int, k: int) -> tuple[Fraction, Fraction]:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add
+from functools import lru_cache, reduce
+from operator import add, iconcat
 from typing import Iterable, Sequence
 
 from .errors import DivisionByZero, EvenModulus, LengthMismatch, NotPrime, SymbolOutOfByteRange
@@ -78,13 +78,13 @@ def default_modulus(k: int) -> int:
 
 
 def vec_combine(ctx: FieldCtx,
-                terms: Iterable[tuple[int, Sequence[Symbol]]]) -> tuple[Symbol, ...]:
+                terms: Iterable[tuple[int, Sequence[Symbol]]]) -> Sequence[Symbol]:
     """Sum of c * v over the (c, v) terms, reduced mod p once at the end.
 
     Coefficients may be any integers; every scheme's placement, delivery and
     decoding runs through here. At p = 257, a first vector of at least
     _PACKED_MIN symbols sends the terms to the packed kernel, whose result is
-    the same; shorter vectors and other primes take the list path.
+    the same, as Lanes; shorter vectors and other primes take the list path.
     """
     terms = iter(terms)
     first = next(terms, None)
@@ -119,6 +119,7 @@ def _combine_list(p: int, c: int, v: Sequence[Symbol],
 _PACKED_MIN = 64
 _PACKED_MAX_TERMS = 32767
 _LANE = next(code for code in "IL" if array(code).itemsize == 4)
+_LOW_BYTE = 0 if sys.byteorder == "little" else 3  # where a lane's low byte sits
 
 
 @lru_cache(maxsize=64)
@@ -128,8 +129,47 @@ def _lane_masks(n: int) -> tuple[int, int, int, int, int]:
     return ones, 0xFF * ones, 0xFFFF * ones, 257 * ones, 0xFFFFFE00 * ones
 
 
+class Lanes:
+    """n symbols mod 257 in the 32-bit lanes of one int, each lane in [0, 257); immutable.
+
+    Built only by pack_bytes and _reduce_lanes. Reads as the tuple of its symbols
+    (len, iteration, indexing, ==), unpacking on each read; bytes() reads the lanes.
+    """
+
+    __slots__ = ("value", "n")
+
+    def __init__(self, value: int, n: int):
+        self.value = value
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def _symbols(self) -> tuple[Symbol, ...]:
+        out = array(_LANE)
+        out.frombytes(self.value.to_bytes(4 * self.n, sys.byteorder))
+        return tuple(out)
+
+    def __iter__(self):
+        return iter(self._symbols())
+
+    def __getitem__(self, index):
+        return self._symbols()[index]
+
+    def __eq__(self, other):
+        if isinstance(other, Lanes):
+            return self.n == other.n and self.value == other.value
+        return self._symbols() == other if isinstance(other, tuple) else NotImplemented
+
+    def __bytes__(self) -> bytes:
+        # below 257, only a lane of 256 has bit 8 set
+        if self.value & _lane_masks(self.n)[0] << 8:
+            raise ValueError("bytes must be in range(0, 256)")
+        return self.value.to_bytes(4 * self.n, sys.byteorder)[_LOW_BYTE::4]
+
+
 def _combine_packed(terms: list[tuple[int, Sequence[Symbol]]],
-                    n: int) -> tuple[Symbol, ...] | None:
+                    n: int) -> Lanes | None:
     """vec_combine mod 257 on packed lanes; None when the lane invariant would break."""
     if len(terms) > _PACKED_MAX_TERMS:
         return None
@@ -138,6 +178,9 @@ def _combine_packed(terms: list[tuple[int, Sequence[Symbol]]],
     for c, v in terms:
         if len(v) != n:
             raise LengthMismatch(f"cannot combine vectors of lengths {n} and {len(v)}")
+        if isinstance(v, Lanes):
+            acc += c % 257 * v.value
+            continue
         try:
             lanes = array(_LANE, v)
         except OverflowError:  # an entry < 0 or >= 2**32
@@ -151,7 +194,7 @@ def _combine_packed(terms: list[tuple[int, Sequence[Symbol]]],
     return _reduce_lanes(acc, n)
 
 
-def _reduce_lanes(acc: int, n: int) -> tuple[Symbol, ...]:
+def _reduce_lanes(acc: int, n: int) -> Lanes:
     """Each of the n 32-bit lanes of acc, reduced mod 257."""
     ones, m8, m16, b257, _ = _lane_masks(n)
     # 2**16 = 1 (mod 257): every lane drops below 2**17
@@ -162,9 +205,17 @@ def _reduce_lanes(acc: int, n: int) -> tuple[Symbol, ...]:
     acc = (acc & m8) + b257 - (acc >> 8 & m8)
     # adding 255 carries into bit 9 exactly when a lane is >= 257
     acc -= 257 * ((acc + m8) >> 9 & ones)
-    out = array(_LANE)
-    out.frombytes(acc.to_bytes(4 * n, sys.byteorder))
-    return tuple(out)
+    return Lanes(acc, n)
+
+
+def pack_bytes(data: bytes, ctx: FieldCtx, count: int, n: int) -> list[Lanes] | None:
+    """data, zero-padded to count * n bytes, as count Lanes of n; None unless p = 257, n >= 64."""
+    if ctx.p != 257 or n < _PACKED_MIN:
+        return None
+    buf = bytearray(4 * count * n)
+    buf[_LOW_BYTE:4 * len(data):4] = data
+    return [Lanes(int.from_bytes(buf[i:i + 4 * n], sys.byteorder), n)
+            for i in range(0, len(buf), 4 * n)]
 
 
 def encode_bytes(data: bytes, ctx: FieldCtx) -> tuple[Symbol, ...]:
@@ -176,10 +227,17 @@ def encode_bytes(data: bytes, ctx: FieldCtx) -> tuple[Symbol, ...]:
 
 def decode_bytes(symbols: Sequence[Symbol]) -> bytes:
     """Inverse of encode_bytes; refuses symbols that cannot be plain bytes."""
+    return join_bytes((symbols,))
+
+
+def join_bytes(pieces: Sequence[Sequence[Symbol]]) -> bytes:
+    """decode_bytes of the pieces laid end to end; Lanes pieces are read from their lanes."""
     try:
-        return bytes(symbols)
+        if pieces and isinstance(pieces[0], Lanes):
+            return b"".join(map(bytes, pieces))
+        return bytes(reduce(iconcat, pieces, []))  # one list: bytes() reads it fastest
     except ValueError:
-        bad = next(s for s in symbols if not 0 <= s < 256)
+        bad = next(s for s in reduce(iconcat, pieces, []) if not 0 <= s < 256)
         raise SymbolOutOfByteRange(f"symbol {bad} is not a byte; content is coded") from None
 
 

@@ -12,7 +12,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigMismatch, IndexOutOfRange, OutOfRange
-from .field import FieldCtx, Symbol, default_modulus, encode_bytes, make_field
+from .field import FieldCtx, Symbol, default_modulus, encode_bytes, make_field, pack_bytes
 
 Demand = tuple[int, ...]
 
@@ -52,7 +52,7 @@ def pair_order(k: int) -> list[tuple[int, int]]:
 class SubfileGrid:
     """One file cut into equal-length subfiles, keyed by user pair (i, j), or by user for MAN."""
 
-    parts: dict[object, tuple[Symbol, ...]]
+    parts: dict[object, Sequence[Symbol]]
     subfile_len: int
     original_length: int
 
@@ -77,8 +77,15 @@ def split_symbols(symbols: Sequence[Symbol], cfg: NetworkConfig,
     return SubfileGrid(parts=parts, subfile_len=subfile_len, original_length=kept)
 
 
-def split_file(data: bytes, cfg: NetworkConfig) -> SubfileGrid:
-    return split_symbols(encode_bytes(data, cfg.field), cfg, original_length=len(data))
+def split_file(data: bytes, cfg: NetworkConfig,
+               keys: Sequence[object] | None = None) -> SubfileGrid:
+    """split_symbols of the file's bytes, with subfiles packed as Lanes when pack_bytes can."""
+    keys = pair_order(cfg.k) if keys is None else keys
+    subfile_len = -(-len(data) // len(keys)) if keys else 0
+    parts = pack_bytes(data, cfg.field, len(keys), subfile_len)
+    if parts is None:
+        return split_symbols(encode_bytes(data, cfg.field), cfg, len(data), keys)
+    return SubfileGrid(dict(zip(keys, parts)), subfile_len, len(data))
 
 
 def surjection_count(n: int, k: int) -> int:

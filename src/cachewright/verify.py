@@ -32,8 +32,8 @@ class Scheme:
 
     split: Callable  # (data, cfg) -> SubfileGrid
     place: Callable  # (library, cfg, users=None) -> caches of those users, all by default
-    deliver: Callable  # (library, demand, cfg) -> what is broadcast
-    context: Callable  # (demand, cfg) -> per-demand state decode reuses across users
+    deliver: Callable  # (library, demand, cfg, ctx) -> what is broadcast
+    context: Callable  # (demand, cfg) -> per-demand state deliver and decode reuse
     decode: Callable  # (cache, sent, demand, cfg, ctx) -> bytes
     subfiles: Callable  # cfg -> subfiles per file
     sent_symbols: Callable  # sent -> broadcast symbols
@@ -48,7 +48,7 @@ SCHEMES = {
     "new": Scheme(
         split=lambda data, cfg: split_file(data, cfg),
         place=lambda library, cfg, users=None: coded_placement.place(library, cfg, users=users),
-        deliver=lambda library, demand, cfg: coded_placement.deliver(library, demand, cfg),
+        deliver=lambda library, d, cfg, ctx: coded_placement.deliver(library, d, cfg, ctx),
         context=lambda demand, cfg: demand_context(demand, cfg),
         decode=lambda cache, sent, d, cfg, ctx: coded_placement.decode(cache, sent, cfg, ctx),
         subfiles=lambda cfg: cfg.subfiles_per_file,
@@ -56,7 +56,7 @@ SCHEMES = {
     "man": Scheme(
         split=lambda data, cfg: baselines.man_split(data, cfg),
         place=lambda library, cfg, users=None: baselines.man_place(library, cfg, users=users),
-        deliver=lambda library, demand, cfg: baselines.man_deliver(library, demand, cfg),
+        deliver=lambda library, d, cfg, ctx: baselines.man_deliver(library, d, cfg),
         context=lambda demand, cfg: None,
         decode=lambda cache, sent, d, cfg, ctx: baselines.man_decode(cache, sent, d, cfg),
         subfiles=lambda cfg: cfg.k,
@@ -103,9 +103,9 @@ def _check_chunk(args) -> tuple[int, list[dict], tuple[Fraction, Fraction]]:
     failures: list[dict] = []
     point = None
     for demand in chunk:
-        sent = scheme.deliver(library, demand, cfg)
-        point = point or scheme.point(cfg, library, caches[0], sent)
         ctx = scheme.context(demand, cfg)
+        sent = scheme.deliver(library, demand, cfg, ctx)
+        point = point or scheme.point(cfg, library, caches[0], sent)
         for user in range(1, k + 1):
             got = scheme.decode(caches[user - 1], sent, demand, cfg, ctx)
             if got != plain[demand[user - 1] - 1]:

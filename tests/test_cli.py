@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cachewright import cli, verify
 from cachewright.cli import main
 from cachewright.converse import check_certificate, parse_certificate
 
@@ -215,3 +216,76 @@ def test_converse_dump_error_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing" / "cert.txt"
     assert main(["converse", "--n", "3", "--k", "4", "--dump", str(missing)]) == 2
     _assert_open_error(capsys, missing, "No such file or directory")
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("the work ran before the output was opened")
+
+
+def test_roundtrip_opens_out_before_the_work(tmp_path, sample_file, capsys, monkeypatch):
+    path, _ = sample_file
+    monkeypatch.setattr(cli, "_filler", _fail_if_called)
+    monkeypatch.setattr(verify, "split_file", _fail_if_called)
+    missing = tmp_path / "missing" / "o.bin"
+    assert main(["roundtrip", "--n", "3", "--k", "4", "--demand", "1,1,2,3",
+                 str(path), "--out", str(missing)]) == 2
+    _assert_open_error(capsys, missing, "No such file or directory")
+
+
+def test_verify_opens_out_before_the_sweep(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_verification", _fail_if_called)
+    missing = tmp_path / "missing" / "x.json"
+    assert main(["verify", "--n", "4", "--k", "6", "--jobs", "1", "--out", str(missing)]) == 2
+    _assert_open_error(capsys, missing, "No such file or directory")
+
+
+def test_converse_opens_dump_before_the_certificates(tmp_path, capsys, monkeypatch):
+    for key, (case, _, in_range) in list(cli._FAMILIES.items()):
+        monkeypatch.setitem(cli._FAMILIES, key, (case, _fail_if_called, in_range))
+    monkeypatch.setattr(cli, "tightness_check", _fail_if_called)
+    missing = tmp_path / "missing" / "cert.txt"
+    assert main(["converse", "--n", "3", "--k", "4", "--dump", str(missing)]) == 2
+    _assert_open_error(capsys, missing, "No such file or directory")
+
+
+def test_tradeoff_opens_out_before_the_curve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "assemble_known_curve", _fail_if_called)
+    missing = tmp_path / "missing" / "curve.csv"
+    assert main(["tradeoff", "--n", "2", "--k", "3", "--out", str(missing)]) == 2
+    _assert_open_error(capsys, missing, "No such file or directory")
+
+
+def test_failed_work_removes_only_an_output_it_created(tmp_path, sample_file, capsys):
+    path, _ = sample_file
+    out = tmp_path / "decoded.bin"
+    args = ["roundtrip", "--n", "3", "--k", "4", "--demand", "1,1,1,1", str(path),
+            "--out", str(out)]
+    assert main(args) == 2
+    assert "does not request every file" in capsys.readouterr().err
+    assert not out.exists()
+    out.write_bytes(b"kept")
+    assert main(args) == 2
+    assert out.exists()
+    assert main(["verify", "--n", "4", "--k", "3", "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_both_kernels_decode_the_same_roundtrip(tmp_path, capsys):
+    # p = 257 runs the packed lanes, p = 263 the list path; both must decode
+    # the input and report the same (M, R) for each scheme
+    blob = random.Random("cross-kernel").randbytes(64 * 1024)
+    path = tmp_path / "in.bin"
+    path.write_bytes(blob)
+    for scheme in ("new", "man"):
+        reports = set()
+        for prime in ([], ["--prime", "263"]):
+            for user in ("1", "4"):
+                out = tmp_path / f"{scheme}-{len(prime)}-{user}.bin"
+                assert main(["roundtrip", "--n", "3", "--k", "4", "--scheme", scheme,
+                             "--demand", "1,2,3,1", "--user", user, str(path),
+                             "--out", str(out), *prime]) == 0
+                assert out.read_bytes() == blob
+                lines = capsys.readouterr().out.splitlines()
+                reports.add(tuple(line for line in lines if line[:4] in ("M = ", "R = ")))
+        assert len(reports) == 1
+        assert len(next(iter(reports))) == 2

@@ -12,9 +12,10 @@ from cachewright.coded_placement import (
     recover_cross_subfiles,
     scheme_point,
 )
-from cachewright.errors import DemandNotInD
+from cachewright.errors import ConfigMismatch, DemandNotInD
 from cachewright.model import (
     NetworkConfig,
+    demand_context,
     enumerate_demands,
     split_file,
     split_symbols,
@@ -133,6 +134,35 @@ def test_delivery_refuses_non_surjective():
     lib = make_library(cfg)
     with pytest.raises(DemandNotInD):
         deliver(lib, (1, 1, 1, 1), cfg)
+
+
+def test_context_for_another_demand_is_refused():
+    cfg = NetworkConfig(3, 4)
+    plain = [random.Random(f"ctx-{n}").randbytes(3000) for n in range(3)]
+    lib = [split_file(blob, cfg) for blob in plain]
+    caches = place(lib, cfg)
+    other = demand_context((1, 1, 2, 3), cfg)
+    sent = deliver(lib, (1, 2, 3, 1), cfg)
+    for user in range(1, 5):
+        with pytest.raises(ConfigMismatch, match=r"\(1, 1, 2, 3\).*\(1, 2, 3, 1\)"):
+            decode(caches[user - 1], sent, cfg, other)
+    with pytest.raises(ConfigMismatch, match=r"\(1, 1, 2, 3\).*\(1, 2, 3, 1\)"):
+        deliver(lib, (1, 2, 3, 1), cfg, other)
+    with pytest.raises(ConfigMismatch, match=r"\(1, 1, 2, 3\).*\(1, 2, 3, 1\)"):
+        recover_cross_subfiles(caches[0].stage1, sent, 1, cfg, other)
+
+
+def test_a_matching_context_is_reused():
+    cfg = NetworkConfig(3, 4)
+    plain = [random.Random(f"ctx-{n}").randbytes(3000) for n in range(3)]
+    lib = [split_file(blob, cfg) for blob in plain]
+    caches = place(lib, cfg)
+    for demand in enumerate_demands(cfg):
+        ctx = demand_context(demand, cfg)
+        sent = deliver(lib, demand, cfg, ctx)
+        assert sent == deliver(lib, demand, cfg)
+        for user in range(1, 5):
+            assert decode(caches[user - 1], sent, cfg, ctx) == plain[demand[user - 1] - 1]
 
 
 def test_decode_exhaustive_3_4():
