@@ -6,15 +6,16 @@ for large caches, and a generator/checker pair for the entropy-inequality
 certificates that establish the matching lower bounds.
 """
 
-from .coded_placement import Broadcast, CacheContents, decode, deliver, place, scheme_point
+from .coded_placement import decode, deliver, place, scheme_point
 from .model import NetworkConfig, SubfileGrid, enumerate_demands, split_file
+from .scheme import Broadcast, Cache
 from .tradeoff import assemble_known_curve, emit_csv, exact_tradeoff, lower_envelope
 from .verify import VerifyReport, run_verification
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Broadcast", "CacheContents", "decode", "deliver", "place", "scheme_point",
+    "Broadcast", "Cache", "decode", "deliver", "place", "scheme_point",
     "NetworkConfig", "SubfileGrid", "enumerate_demands", "split_file",
     "assemble_known_curve", "emit_csv", "exact_tradeoff", "lower_envelope",
     "VerifyReport", "run_verification",

@@ -9,74 +9,37 @@ formula used when assembling tradeoff curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
 
-from .errors import ConfigMismatch, LengthMismatch, OutOfRange
-from .field import Symbol, join_bytes, vec_combine
-from .model import NetworkConfig, SubfileGrid, split_file, validate_demand, validate_users
-
-Vec = Sequence[Symbol]
+from .errors import ConfigMismatch, OutOfRange
+from .model import NetworkConfig
+from .scheme import Scheme
 
 
-@dataclass
-class ManCache:
-    user: int
-    parts: dict[tuple[int, int], Vec]
-    file_lengths: tuple[int, ...]
-    subfile_len: int
-
-    @property
-    def symbol_count(self) -> int:
-        return len(self.parts) * self.subfile_len
-
-
-def man_split(data: bytes, cfg: NetworkConfig) -> SubfileGrid:
-    """K pieces keyed 1..K; piece e is the one user e does not cache."""
-    return split_file(data, cfg, keys=range(1, cfg.k + 1))
-
-
-def man_place(library: list[SubfileGrid], cfg: NetworkConfig,
-              users: Iterable[int] | None = None) -> list[ManCache]:
-    """The caches of the listed users, in the order given; all K by default."""
+def _caching(cfg: NetworkConfig, k: int) -> dict:
+    """Every piece that mentions user k, of every file, kept under (f-1, e)."""
     if cfg.k < 2:
         raise ConfigMismatch("the K-1 subset split is degenerate for K = 1")
-    if len(library) != cfg.n:
-        raise ConfigMismatch(f"library holds {len(library)} files, config says {cfg.n}")
-    if len({g.subfile_len for g in library}) != 1:
-        raise ConfigMismatch("files split with differing subfile lengths")
-    users = validate_users(users, cfg)
-    lengths = tuple(g.original_length for g in library)
-    caches = []
-    for k in users:
-        parts = {}
-        for n, grid in enumerate(library, start=1):
-            for e in range(1, cfg.k + 1):
-                if e != k:
-                    parts[(n, e)] = grid.parts[e]
-        caches.append(ManCache(user=k, parts=parts, file_lengths=lengths,
-                               subfile_len=library[0].subfile_len))
-    return caches
+    return {(f, e): ((1, (f, e)),) for f in range(cfg.n) for e in range(1, cfg.k + 1) if e != k}
 
 
-def man_deliver(library: list[SubfileGrid], demand, cfg: NetworkConfig) -> Vec:
+def _delivery(cfg: NetworkConfig, pattern) -> tuple:
     """One packet of F/K symbols; valid for every demand, not only D."""
-    d = validate_demand(demand, cfg)
-    return vec_combine(cfg.field, ((1, library[d[k - 1] - 1].parts[k])
-                                   for k in range(1, cfg.k + 1)))
+    return (tuple((1, (u - 1, u)) for u in range(1, cfg.k + 1)),)
 
 
-def man_decode(cache: ManCache, packet: Vec, demand, cfg: NetworkConfig) -> bytes:
-    d = validate_demand(demand, cfg)
-    if len(packet) != cache.subfile_len:
-        raise LengthMismatch("packet length != subfile length")
-    k, wanted = cache.user, d[cache.user - 1]
-    missing = vec_combine(cfg.field, [(1, packet)] + [
-        (-1, cache.parts[(d[j - 1], j)]) for j in range(1, cfg.k + 1) if j != k])
-    pieces = [missing if e == k else cache.parts[(wanted, e)] for e in range(1, cfg.k + 1)]
-    return join_bytes(pieces)[: cache.file_lengths[wanted - 1]]
+def _decoding(cfg: NetworkConfig, pattern, k: int) -> tuple:
+    """The packet minus the cached pieces of the others' files, then the wanted file's pieces."""
+    big_k = cfg.k
+    missing = ((1, (big_k, 0)),) + tuple((-1, (j - 1, j)) for j in range(1, big_k + 1) if j != k)
+    return (missing,) + tuple(((1, (big_k, 1) if e == k else (k - 1, e)),)
+                              for e in range(1, big_k + 1))
+
+
+# K pieces keyed 1..K, piece e the one user e does not cache; no program reads the demand
+MAN = Scheme(keys=lambda cfg: tuple(range(1, cfg.k + 1)), pattern=lambda d, cfg: (),
+             caching=_caching, delivery=_delivery, decoding=_decoding)
 
 
 def rate_yu(n: int, k: int, r: int) -> Fraction:

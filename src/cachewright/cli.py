@@ -95,10 +95,9 @@ def cmd_roundtrip(args) -> int:
         scheme = SCHEMES[args.scheme]
         library = [scheme.split(b, cfg) for b in blobs]
         cache = scheme.place(library, cfg, users=(user,))[0]
-        ctx = scheme.context(demand, cfg)
-        sent = scheme.deliver(library, demand, cfg, ctx)
-        decoded = scheme.decode(cache, sent, demand, cfg, ctx)
-        memory, rate = scheme.point(cfg, library, cache, sent)
+        sent = scheme.deliver(library, demand, cfg)
+        decoded = scheme.decode(cache, sent, cfg)
+        memory, rate = scheme.point(cfg, cache, sent)
         out.write(decoded)
     print(f"M = {memory}")
     print(f"R = {rate}")
@@ -111,6 +110,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    NetworkConfig(args.n, args.k, args.prime or 0)  # a bad N, K or prime reports itself first
     if args.k > 8 and not args.force:
         raise CachewrightError(
             f"K = {args.k} would enumerate {surjection_count(args.n, args.k)} demands; "

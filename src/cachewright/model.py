@@ -7,6 +7,7 @@ contains exactly the assignments that request every file at least once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -176,12 +177,5 @@ class DemandContext:
 
 def demand_context(demand: Sequence[int], cfg: NetworkConfig) -> DemandContext:
     d = validate_demand(demand, cfg)
-    total: dict[int, int] = {}
-    for f in d:
-        total[f] = total.get(f, 0) + 1
-    counts = []
-    for k in range(1, cfg.k + 1):
-        mine = dict(total)
-        mine[d[k - 1]] -= 1
-        counts.append({f: c for f, c in mine.items() if c})
-    return DemandContext(demand=d, counts=tuple(counts))
+    total = Counter(d)  # Counter subtraction drops the files whose count falls to 0
+    return DemandContext(demand=d, counts=tuple(total - Counter((f,)) for f in d))

@@ -1,0 +1,134 @@
+"""One data plane for every linear scheme: coefficient programs and the engine that runs them.
+
+A scheme is its split keys plus three compilers of programs: tuples of steps, each a
+tuple of (coefficient, (slot, key)) terms. `run` makes one `vec_combine` per step; a
+step of one term with coefficient 1 is a copy. In caching(cfg, user), a dict from
+cache name to step, slot f-1 is file f; the cache keeps packets mixing files in its
+slot N. In delivery(cfg, pattern), one step per broadcast packet, and decoding(cfg,
+pattern, user), whose last steps yield the wanted file's pieces in key order, slot
+u-1 is the file user u requests; slot K lists the broadcast, the cache's slot N, then
+each step's result. So both read a demand only through the scheme's pattern of it,
+and are kept per (cfg, pattern, user) in small LRU caches.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from typing import Callable, Iterable, Sequence
+
+from .errors import ConfigMismatch, LengthMismatch
+from .field import FieldCtx, Symbol, join_bytes, vec_combine
+from .model import Demand, NetworkConfig, SubfileGrid, split_file, validate_demand, validate_users
+
+
+def run(program: Iterable[tuple], slots: list, field: FieldCtx) -> list:
+    """Run the steps in order, appending each result to the last slot, and return that slot."""
+    out = slots[-1]
+    for step in program:
+        if len(step) == 1 and step[0][0] == 1:
+            s, key = step[0][1]
+            out.append(slots[s][key])
+        else:
+            out.append(vec_combine(field, [(c, slots[s][key]) for c, (s, key) in step]))
+    return out
+
+
+@dataclass
+class Cache:
+    """One user's cache: parts[f-1] maps key to packet for file f alone, parts[N] mixes files."""
+
+    user: int
+    parts: tuple[dict, ...]
+    file_lengths: tuple[int, ...]
+    subfile_len: int
+
+    @property
+    def symbol_count(self) -> int:
+        return sum(map(len, self.parts)) * self.subfile_len
+
+
+@dataclass
+class Broadcast:
+    """The packets sent for one demand."""
+
+    demand: Demand
+    packets: tuple[Sequence[Symbol], ...]
+
+    @property
+    def symbol_count(self) -> int:
+        return sum(len(p) for p in self.packets)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """A linear scheme as its split keys and the compilers of its three programs."""
+
+    keys: Callable  # cfg -> the keys a file is split under, in file order
+    pattern: Callable  # (demand, cfg) -> what the programs read of a demand; raises if unserved
+    caching: Callable  # (cfg, user) -> {cache name: step}
+    delivery: Callable  # (cfg, pattern) -> one step per broadcast packet
+    decoding: Callable  # (cfg, pattern, user) -> steps ending with the wanted file's pieces
+
+    def __post_init__(self):
+        # a sweep over demands grouped by pattern needs one pattern's delivery and its
+        # K decoding programs at a time: 16 entries keep them for every K <= 16
+        for name in ("keys", "delivery", "decoding"):
+            object.__setattr__(self, name, lru_cache(maxsize=16)(getattr(self, name)))
+
+    def split(self, data: bytes, cfg: NetworkConfig) -> SubfileGrid:
+        return split_file(data, cfg, keys=self.keys(cfg))
+
+    def _subfile_len(self, library: list[SubfileGrid], cfg: NetworkConfig) -> int:
+        if len(library) != cfg.n:
+            raise ConfigMismatch(f"library holds {len(library)} files, config says {cfg.n}")
+        lengths = {g.subfile_len for g in library}
+        if len(lengths) != 1:
+            raise ConfigMismatch("files split with differing subfile lengths")
+        count = len(self.keys(cfg))
+        if any(len(g.parts) != count for g in library):
+            raise ConfigMismatch("file not split for this (N, K)")
+        return lengths.pop()
+
+    def place(self, library: list[SubfileGrid], cfg: NetworkConfig,
+              users: Iterable[int] | None = None) -> list[Cache]:
+        """The caches of the listed users, in the order given; all K by default."""
+        programs = [(user, self.caching(cfg, user)) for user in validate_users(users, cfg)]
+        sub_len = self._subfile_len(library, cfg)
+        files = [g.parts for g in library]
+        lengths = tuple(g.original_length for g in library)
+        caches = []
+        for user, program in programs:
+            parts = tuple({} for _ in range(cfg.n + 1))
+            for (slot, key), packet in zip(program, run(program.values(), [*files, []],
+                                                        cfg.field)):
+                parts[slot][key] = packet
+            caches.append(Cache(user, parts, lengths, sub_len))
+        return caches
+
+    def deliver(self, library: list[SubfileGrid], demand, cfg: NetworkConfig) -> Broadcast:
+        d = validate_demand(demand, cfg)
+        program = self.delivery(cfg, self.pattern(d, cfg))
+        self._subfile_len(library, cfg)
+        packets = run(program, [library[f - 1].parts for f in d] + [[]], cfg.field)
+        return Broadcast(d, tuple(packets))
+
+    def decode(self, cache: Cache, sent: Broadcast, cfg: NetworkConfig) -> bytes:
+        d = validate_demand(sent.demand, cfg)
+        pattern = self.pattern(d, cfg)
+        count = len(self.delivery(cfg, pattern))
+        if len(sent.packets) != count:
+            raise ConfigMismatch(f"broadcast holds {len(sent.packets)} packets, not {count}")
+        if set(map(len, sent.packets)) != {cache.subfile_len}:
+            raise LengthMismatch("broadcast and cache subfile lengths differ")
+        slots = [cache.parts[f - 1] for f in d]
+        slots.append([*sent.packets, *cache.parts[-1].values()])
+        out = run(self.decoding(cfg, pattern, cache.user), slots, cfg.field)
+        pieces = out[len(out) - len(self.keys(cfg)):]
+        return join_bytes(pieces)[: cache.file_lengths[d[cache.user - 1] - 1]]
+
+    def point(self, cfg: NetworkConfig, cache: Cache, sent: Broadcast) -> tuple[Fraction, Fraction]:
+        """(M, R) occupied by one cache and one broadcast, in file units."""
+        f_sym = len(self.keys(cfg)) * cache.subfile_len
+        return Fraction(cache.symbol_count, f_sym), Fraction(sent.symbol_count, f_sym)

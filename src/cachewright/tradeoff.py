@@ -12,7 +12,7 @@ are few (2N <= K+1, N >= 2) the exact segment is
 
 At 2N = K+1 the two formulas coincide. Beyond N(K-1)/K the classical
 R(M) = 1 - M/N takes over; for a single file the exact curve is simply
-1 - M. Everything is carried as exact rationals.
+1 - M on all of [0, 1]. Everything is carried as exact rationals.
 """
 
 from __future__ import annotations
@@ -137,12 +137,9 @@ def exact_regions(n: int, k: int) -> list[Segment]:
         raise OutOfRange(f"need 1 <= N <= K, got ({n}, {k})")
     regions = []
     man_m = Fraction(n * (k - 1), k)
-    if n == 1:
-        if k >= 2:
-            lo = Fraction(max(0, k - 2), k)
-            if lo < man_m:
-                regions.append(Segment(lo, man_m, Fraction(1), Fraction(-1), "yu"))
-    else:
+    if n == 1 and k >= 2:  # M + R >= 1: a cache and one broadcast must hold the file
+        regions.append(Segment(Fraction(0), man_m, Fraction(1), Fraction(-1), "yu"))
+    elif n > 1:
         if in_case1_range(n, k):
             regions.append(Segment(scheme_point(n, k)[0], man_m,
                                    *bound_line(case1_target(n, k)), "theorem-case1"))

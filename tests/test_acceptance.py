@@ -10,13 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from cachewright.baselines import (
-    man_decode,
-    man_deliver,
-    man_place,
-    man_split,
-    rate_yu,
-)
+from cachewright.baselines import MAN, rate_yu
 from cachewright.coded_placement import decode, deliver, place, scheme_point
 from cachewright.converse import (
     case1_certificate,
@@ -300,10 +294,10 @@ def test_criterion_9_file_round_trip():
     new_ok = all(decode(caches[u - 1], broadcast, cfg) == plain[demand[u - 1] - 1]
                  for u in range(1, 5))
 
-    man_lib = [man_split(blob, cfg) for blob in plain]
-    man_caches = man_place(man_lib, cfg)
-    packet = man_deliver(man_lib, demand, cfg)
-    man_ok = all(man_decode(man_caches[u - 1], packet, demand, cfg)
+    man_lib = [MAN.split(blob, cfg) for blob in plain]
+    man_caches = MAN.place(man_lib, cfg)
+    packet = MAN.deliver(man_lib, demand, cfg)
+    man_ok = all(MAN.decode(man_caches[u - 1], packet, cfg)
                  == plain[demand[u - 1] - 1] for u in range(1, 5))
 
     _report(9, new_ok and man_ok,

@@ -6,10 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cachewright.baselines import (
-    man_decode,
-    man_deliver,
-    man_place,
-    man_split,
+    MAN,
     rate_chen,
     rate_yu,
     yu_point,
@@ -21,13 +18,13 @@ from cachewright.model import NetworkConfig, enumerate_demands
 def man_library(cfg, seed=0, length=40):
     rng = random.Random(f"man-{seed}-{cfg.n}-{cfg.k}")
     plain = [bytes(rng.randrange(256) for _ in range(length)) for _ in range(cfg.n)]
-    return plain, [man_split(blob, cfg) for blob in plain]
+    return plain, [MAN.split(blob, cfg) for blob in plain]
 
 
 def test_man_cache_budget():
     cfg = NetworkConfig(3, 4)
     _, lib = man_library(cfg)
-    caches = man_place(lib, cfg)
+    caches = MAN.place(lib, cfg)
     f_sym = cfg.k * lib[0].subfile_len
     for cache in caches:
         assert Fraction(cache.symbol_count) == Fraction(3 * 3, 4) * f_sym
@@ -36,30 +33,31 @@ def test_man_cache_budget():
 def test_man_decodes_every_demand_3_4():
     cfg = NetworkConfig(3, 4)
     plain, lib = man_library(cfg)
-    caches = man_place(lib, cfg)
+    caches = MAN.place(lib, cfg)
     f_sym = cfg.k * lib[0].subfile_len
     for demand in enumerate_demands(cfg):
-        packet = man_deliver(lib, demand, cfg)
+        sent = MAN.deliver(lib, demand, cfg)
+        (packet,) = sent.packets
         assert Fraction(len(packet)) == Fraction(f_sym, cfg.k)
         for user in range(1, 5):
-            got = man_decode(caches[user - 1], packet, demand, cfg)
+            got = MAN.decode(caches[user - 1], sent, cfg)
             assert got == plain[demand[user - 1] - 1]
 
 
 def test_man_handles_demands_outside_d():
     cfg = NetworkConfig(3, 4)
     plain, lib = man_library(cfg)
-    caches = man_place(lib, cfg)
-    packet = man_deliver(lib, (2, 2, 2, 2), cfg)
+    caches = MAN.place(lib, cfg)
+    sent = MAN.deliver(lib, (2, 2, 2, 2), cfg)
     for user in range(1, 5):
-        assert man_decode(caches[user - 1], packet, (2, 2, 2, 2), cfg) == plain[1]
+        assert MAN.decode(caches[user - 1], sent, cfg) == plain[1]
 
 
 def test_man_rejects_single_user():
     cfg = NetworkConfig(1, 1, p=257)
-    lib = [man_split(b"abc", cfg)]
+    lib = [MAN.split(b"abc", cfg)]
     with pytest.raises(ConfigMismatch):
-        man_place(lib, cfg)
+        MAN.place(lib, cfg)
 
 
 def test_rate_yu_values():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cachewright import cli, verify
+from cachewright import cli, scheme
 from cachewright.cli import main
 from cachewright.converse import check_certificate, parse_certificate
 
@@ -87,6 +87,19 @@ def test_verify_budget_guard(capsys):
     rc = main(["verify", "--n", "2", "--k", "9"])
     assert rc == 2
     assert "--force" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["--n", "10", "--k", "9"], "need 1 <= N <= K"),
+    (["--n", "0", "--k", "9"], "need 1 <= N <= K"),
+    (["--n", "2", "--k", "9", "--prime", "9"], "9 is not prime"),
+    (["--n", "2", "--k", "9", "--prime", "7"], "modulus 7 must exceed K=9"),
+])
+def test_verify_reports_a_bad_config_before_the_budget_guard(args, reason, capsys):
+    assert main(["verify", *args]) == 2
+    err = capsys.readouterr().err
+    assert reason in err
+    assert "--force" not in err
 
 
 def test_verify_json_stable_ordering(capsys):
@@ -225,7 +238,7 @@ def _fail_if_called(*args, **kwargs):
 def test_roundtrip_opens_out_before_the_work(tmp_path, sample_file, capsys, monkeypatch):
     path, _ = sample_file
     monkeypatch.setattr(cli, "_filler", _fail_if_called)
-    monkeypatch.setattr(verify, "split_file", _fail_if_called)
+    monkeypatch.setattr(scheme, "split_file", _fail_if_called)
     missing = tmp_path / "missing" / "o.bin"
     assert main(["roundtrip", "--n", "3", "--k", "4", "--demand", "1,1,2,3",
                  str(path), "--out", str(missing)]) == 2

@@ -5,18 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from cachewright.coded_placement import (
-    deliver,
-    decode,
-    place,
-    recover_cross_subfiles,
-    scheme_point,
-)
-from cachewright.errors import ConfigMismatch, DemandNotInD
+from cachewright.coded_placement import NEW, deliver, decode, place, scheme_point
+from cachewright.errors import ConfigMismatch, DemandNotInD, LengthMismatch, OutOfRange
 from cachewright.model import (
     NetworkConfig,
-    demand_context,
     enumerate_demands,
+    pair_order,
     split_file,
     split_symbols,
 )
@@ -31,13 +25,29 @@ def make_library(cfg, seed=0, length=None):
             for _ in range(cfg.n)]
 
 
+def stage1(cache):
+    """The uncoded packets W_n^{ij}, keyed (n, i, j)."""
+    return {(n, *key): v for n, part in enumerate(cache.parts[:-1], start=1)
+            for key, v in part.items() if key[0] != "diff"}
+
+
+def stage2_diffs(cache):
+    """The differences W_n^{k,succ(k)} - W_n^{kj}, keyed (n, j)."""
+    return {(n, key[1]): v for n, part in enumerate(cache.parts[:-1], start=1)
+            for key, v in part.items() if key[0] == "diff"}
+
+
+def packet_count(cache):
+    return sum(map(len, cache.parts))
+
+
 def test_placement_counts_3_4():
     cfg = NetworkConfig(3, 4)
     caches = place(make_library(cfg), cfg)
     for cache in caches:
-        assert len(cache.stage1) == 18
-        assert len(cache.stage2_diffs) == 6
-        assert cache.packet_count == 25
+        assert len(stage1(cache)) == 18
+        assert len(stage2_diffs(cache)) == 6
+        assert packet_count(cache) == 25
 
 
 def test_placement_packet_count_formula():
@@ -45,7 +55,7 @@ def test_placement_packet_count_formula():
         cfg = NetworkConfig(n, k)
         caches = place(make_library(cfg), cfg)
         for cache in caches:
-            assert cache.packet_count == n * k * (k - 2) + 1
+            assert packet_count(cache) == n * k * (k - 2) + 1
 
 
 def test_cache_budget_exact():
@@ -70,21 +80,21 @@ def test_placement_matches_hand_table_3_4():
 
     z1 = caches[0]
     expected_pairs = {(2, 3), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3)}
-    assert {(i, j) for (_, i, j) in z1.stage1} == expected_pairs
+    assert {(i, j) for (_, i, j) in stage1(z1)} == expected_pairs
     for n in (1, 2, 3):
         grid = lib[n - 1]
-        assert z1.stage2_diffs[(n, 3)] == vec_sub(fld, grid.parts[(1, 2)], grid.parts[(1, 3)])
-        assert z1.stage2_diffs[(n, 4)] == vec_sub(fld, grid.parts[(1, 2)], grid.parts[(1, 4)])
+        assert stage2_diffs(z1)[(n, 3)] == vec_sub(fld, grid.parts[(1, 2)], grid.parts[(1, 3)])
+        assert stage2_diffs(z1)[(n, 4)] == vec_sub(fld, grid.parts[(1, 2)], grid.parts[(1, 4)])
     total = vec_add(fld, vec_add(fld, lib[0].parts[(1, 2)], lib[1].parts[(1, 2)]),
                     lib[2].parts[(1, 2)])
-    assert z1.stage2_sum == total
+    assert z1.parts[-1] == {"sum": total}
 
     # user 4 wraps around: successor(4) = 1
     z4 = caches[3]
     for n in (1, 2, 3):
         grid = lib[n - 1]
-        assert z4.stage2_diffs[(n, 2)] == vec_sub(fld, grid.parts[(4, 1)], grid.parts[(4, 2)])
-        assert z4.stage2_diffs[(n, 3)] == vec_sub(fld, grid.parts[(4, 1)], grid.parts[(4, 3)])
+        assert stage2_diffs(z4)[(n, 2)] == vec_sub(fld, grid.parts[(4, 1)], grid.parts[(4, 2)])
+        assert stage2_diffs(z4)[(n, 3)] == vec_sub(fld, grid.parts[(4, 1)], grid.parts[(4, 3)])
 
 
 def test_delivery_matches_hand_set_3_4():
@@ -136,33 +146,20 @@ def test_delivery_refuses_non_surjective():
         deliver(lib, (1, 1, 1, 1), cfg)
 
 
-def test_context_for_another_demand_is_refused():
-    cfg = NetworkConfig(3, 4)
-    plain = [random.Random(f"ctx-{n}").randbytes(3000) for n in range(3)]
-    lib = [split_file(blob, cfg) for blob in plain]
-    caches = place(lib, cfg)
-    other = demand_context((1, 1, 2, 3), cfg)
-    sent = deliver(lib, (1, 2, 3, 1), cfg)
-    for user in range(1, 5):
-        with pytest.raises(ConfigMismatch, match=r"\(1, 1, 2, 3\).*\(1, 2, 3, 1\)"):
-            decode(caches[user - 1], sent, cfg, other)
-    with pytest.raises(ConfigMismatch, match=r"\(1, 1, 2, 3\).*\(1, 2, 3, 1\)"):
-        deliver(lib, (1, 2, 3, 1), cfg, other)
-    with pytest.raises(ConfigMismatch, match=r"\(1, 1, 2, 3\).*\(1, 2, 3, 1\)"):
-        recover_cross_subfiles(caches[0].stage1, sent, 1, cfg, other)
-
-
-def test_a_matching_context_is_reused():
+def test_a_pattern_compiles_once_for_all_its_demands():
     cfg = NetworkConfig(3, 4)
     plain = [random.Random(f"ctx-{n}").randbytes(3000) for n in range(3)]
     lib = [split_file(blob, cfg) for blob in plain]
     caches = place(lib, cfg)
     for demand in enumerate_demands(cfg):
-        ctx = demand_context(demand, cfg)
-        sent = deliver(lib, demand, cfg, ctx)
-        assert sent == deliver(lib, demand, cfg)
+        moved = tuple(f % 3 + 1 for f in demand)  # the same pattern, other files
+        pattern = NEW.pattern(demand, cfg)
+        assert NEW.pattern(moved, cfg) == pattern
+        assert NEW.delivery(cfg, pattern) is NEW.delivery(cfg, NEW.pattern(moved, cfg))
+        assert NEW.decoding(cfg, pattern, 2) is NEW.decoding(cfg, NEW.pattern(moved, cfg), 2)
+        sent = deliver(lib, demand, cfg)
         for user in range(1, 5):
-            assert decode(caches[user - 1], sent, cfg, ctx) == plain[demand[user - 1] - 1]
+            assert decode(caches[user - 1], sent, cfg) == plain[demand[user - 1] - 1]
 
 
 def test_decode_exhaustive_3_4():
@@ -193,24 +190,13 @@ def test_decode_no_halving_when_own_file_unshared():
     assert decode(caches[0], bc, cfg) == plain[0]
 
 
-def test_stage1_recovery_uses_only_uncoded_cache():
-    cfg = NetworkConfig(3, 4)
-    lib = make_library(cfg)
-    caches = place(lib, cfg)
-    bc = deliver(lib, (1, 1, 2, 3), cfg)
-    # hand the recovery only the uncoded dictionary; user 1 wants file 1
-    got = recover_cross_subfiles(caches[0].stage1, bc, 1, cfg)
-    for j in (2, 3, 4):
-        assert got[j] == lib[0].parts[(j, 1)]
-
-
 def test_smallest_network_2_2():
     cfg = NetworkConfig(2, 2)
     plain = [b"ab", b"cd"]
     lib = [split_file(blob, cfg) for blob in plain]
     caches = place(lib, cfg)
     for cache in caches:
-        assert cache.packet_count == 1  # only the sum packet survives at K=2
+        assert packet_count(cache) == 1  # only the sum packet survives at K=2
     for demand in enumerate_demands(cfg):
         bc = deliver(lib, demand, cfg)
         for user in (1, 2):
@@ -230,9 +216,11 @@ def test_tight_modulus_exercises_every_divisor():
         for user in range(1, 6):
             cache = caches[user - 1]
             wanted = demand[user - 1]
-            cross = recover_cross_subfiles(cache.stage1, bc, user, cfg)
-            for j, vec in cross.items():
-                assert vec == lib[wanted - 1].parts[(j, user)]
+            got = decode(cache, bc, cfg)
+            for j in range(1, 6):
+                if j != user:
+                    at = pair_order(5).index((j, user))
+                    assert tuple(got[at:at + 1]) == lib[wanted - 1].parts[(j, user)]
 
 
 def test_scheme_point_values():
@@ -253,3 +241,32 @@ def test_scheme_point_consistent_with_placement():
         f_sym = cfg.subfiles_per_file * lib[0].subfile_len
         memory, _ = scheme_point(n, k)
         assert all(Fraction(c.symbol_count, f_sym) == memory for c in caches)
+
+
+def test_placement_needs_two_users():
+    with pytest.raises(OutOfRange, match="placement needs K >= 2"):
+        place([], NetworkConfig(1, 1))
+
+
+def test_a_library_not_split_for_the_config_is_refused():
+    cfg = NetworkConfig(2, 3)
+    lib = make_library(cfg)
+    with pytest.raises(ConfigMismatch, match="library holds 1 files, config says 2"):
+        place(lib[:1], cfg)
+    with pytest.raises(ConfigMismatch, match="differing subfile lengths"):
+        deliver([lib[0], make_library(cfg, length=12)[1]], (1, 2, 2), cfg)
+    with pytest.raises(ConfigMismatch, match="not split for this"):
+        place(make_library(NetworkConfig(2, 4)), cfg)
+
+
+def test_a_broadcast_that_does_not_fit_is_refused():
+    cfg = NetworkConfig(2, 3)
+    lib = make_library(cfg, length=12)
+    (cache,) = place(lib, cfg, users=(1,))
+    sent = deliver(lib, (1, 2, 2), cfg)
+    short = type(sent)(sent.demand, sent.packets[:2])
+    with pytest.raises(ConfigMismatch, match="broadcast holds 2 packets, not 3"):
+        decode(cache, short, cfg)
+    cut = type(sent)(sent.demand, tuple(p[:1] for p in sent.packets))
+    with pytest.raises(LengthMismatch, match="subfile lengths differ"):
+        decode(cache, cut, cfg)

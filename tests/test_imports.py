@@ -1,4 +1,4 @@
-"""The package's import graph runs one way: tradeoff uses converse, never back."""
+"""The package's import graph runs one way: tradeoff uses converse, schemes use the engine."""
 
 from __future__ import annotations
 
@@ -23,3 +23,27 @@ def test_each_side_imports_first_in_a_fresh_interpreter(first):
 def test_tightness_does_not_reference_tradeoff():
     source = (SRC / "cachewright" / "converse" / "tightness.py").read_text()
     assert "tradeoff" not in source
+
+
+# load modules of the package without running its __init__, which imports everything
+_BARE = ("import sys, types; pkg = types.ModuleType('cachewright'); "
+         "pkg.__path__ = ['cachewright']; sys.modules['cachewright'] = pkg; ")
+
+
+def _loaded_after(module: str) -> set[str]:
+    code = _BARE + f"import {module}; print(' '.join(sorted(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], cwd=SRC,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_the_engine_imports_no_scheme():
+    loaded = _loaded_after("cachewright.scheme")
+    for name in ("coded_placement", "baselines", "verify", "cli"):
+        assert f"cachewright.{name}" not in loaded
+
+
+@pytest.mark.parametrize("module", ["cachewright.coded_placement", "cachewright.baselines"])
+def test_each_scheme_runs_on_the_engine(module):
+    assert "cachewright.scheme" in _loaded_after(module)

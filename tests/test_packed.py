@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachewright import field
-from cachewright.baselines import man_split
+from cachewright.baselines import MAN
 from cachewright.errors import SymbolOutOfByteRange
 from cachewright.field import (
     Lanes,
@@ -34,6 +34,10 @@ def _lanes(symbols):
     packed = field.pack_bytes(data, F257, 1, len(symbols))[0]
     bump = tuple(int(s == 256) for s in symbols)
     return vec_combine(F257, [(1, packed), (1, bump)])
+
+
+def man_split(data, cfg):
+    return MAN.split(data, cfg)
 
 
 def _reference(terms):

@@ -1,0 +1,73 @@
+"""The coefficient-program engine, checked on the programs and on a symbolic library."""
+
+from __future__ import annotations
+
+import pytest
+
+from cachewright.coded_placement import NEW
+from cachewright.model import NetworkConfig, enumerate_demands, pair_order
+from cachewright.verify import SCHEMES
+
+
+def unit_vector_files(scheme, cfg):
+    """File n's bytes, read as subfiles: subfile t is the unit vector e_(n,t) of length N*S."""
+    count = len(scheme.keys(cfg))
+    length = cfg.n * count
+    files = []
+    for n in range(cfg.n):
+        blob = bytearray(count * length)
+        for t in range(count):
+            blob[t * length + n * count + t] = 1
+        files.append(bytes(blob))
+    return files
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_every_user_decodes_a_unit_vector_library(name, k):
+    # every step is linear in the library, so decoding the unit vectors exactly
+    # proves the decoder right for every file content over F_257
+    scheme = SCHEMES[name]
+    for n in range(1, k + 1):
+        cfg = NetworkConfig(n, k)
+        files = unit_vector_files(scheme, cfg)
+        library = [scheme.split(blob, cfg) for blob in files]
+        caches = scheme.place(library, cfg)
+        for demand in enumerate_demands(cfg):
+            sent = scheme.deliver(library, demand, cfg)
+            for cache in caches:
+                assert scheme.decode(cache, sent, cfg) == files[demand[cache.user - 1] - 1], \
+                    (n, demand, cache.user)
+
+
+def patterns(k):
+    for n in range(1, k + 1):
+        cfg = NetworkConfig(n, k)
+        for demand in enumerate_demands(cfg):
+            if NEW.pattern(demand, cfg) == demand:
+                yield cfg, demand
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_stage1_recovery_reads_only_broadcast_and_uncoded_cache(k):
+    # slot K holds X_d^1..X_d^K at 0..K-1, the sum packet at K, then the steps
+    pairs = set(pair_order(k))
+    for cfg, pattern in patterns(k):
+        for user in range(1, k + 1):
+            steps = NEW.decoding(cfg, pattern, user)
+            pieces = steps[len(steps) - len(pairs):]
+            for (i, j), piece in zip(pair_order(k), pieces):
+                if j != user:
+                    continue
+                ((c, (slot, at)),) = piece  # a copy of the step that recovers W^{i,user}
+                assert (c, slot) == (1, k) and at > k
+                for _, (s, key) in steps[at - k - 1]:
+                    assert key < k if s == k else key in pairs, (pattern, user, i, (s, key))
+
+
+def test_a_copy_step_passes_the_vector_through():
+    cfg = NetworkConfig(2, 3)
+    library = [NEW.split(bytes(range(6 * n, 6 * n + 6)), cfg) for n in (1, 2)]
+    (cache,) = NEW.place(library, cfg, users=(1,))
+    assert cache.parts[1][(2, 3)] is library[1].parts[(2, 3)]
+    assert cache.parts[-1] == {"sum": (6 + 12,)}  # W_1^{12} + W_2^{12}, one vec_combine

@@ -6,13 +6,22 @@ import pytest
 
 from cachewright.baselines import rate_yu, yu_point
 from cachewright.coded_placement import scheme_point
-from cachewright.converse import case1_target, case2_target, in_case1_range, in_case2_range
+from cachewright.converse import (
+    case1_target,
+    case2_target,
+    check_certificate,
+    in_case1_range,
+    in_case2_range,
+    parse_certificate,
+    perturbed,
+)
 from cachewright.converse.tightness import bound_line
 from cachewright.errors import DegenerateInput, OutOfRange, OutsideCharacterizedRegion
 from cachewright.tradeoff import (
     CSV_HEADER,
     assemble_known_curve,
     emit_csv,
+    exact_regions,
     exact_tradeoff,
     lower_envelope,
     TradeoffCurve,
@@ -74,6 +83,31 @@ def test_exact_tradeoff_single_file():
     for k in (2, 3, 5):
         for m in (F(k - 2, k), F(k - 1, k), F(1, 1)):
             assert exact_tradeoff(1, k, m) == 1 - m
+
+
+def single_file_certificate(k):
+    """M + R >= 1 for one file: user 1's cache and the one broadcast decode W1."""
+    return parse_certificate("\n".join([
+        f"NK 1 {k} CASE 0",
+        "D 1 " + " ".join(["1"] * k),
+        "AX CACHE 1 MUL 1/1",
+        "AX RATE 1 MUL 1/1",
+        "AX SUBMOD Z1 X1 MUL 1/1",
+        "AX DECODE 1 1 Z1,X1 MUL -1/1",
+        "AX TOTAL W1,Z1,X1 MUL 1/1",
+        "TARGET 1/1 M + 1/1 R >= 1/1",
+    ]))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+def test_single_file_is_exact_from_zero_memory(k):
+    cert = single_file_certificate(k)
+    assert check_certificate(cert).ok
+    for index in range(len(cert.axioms)):
+        assert not check_certificate(perturbed(cert, index)).ok
+    assert exact_regions(1, k)[0].m_lo == 0
+    for m in (F(0), F(1, k), F(k - 1, k), F(1)):
+        assert exact_tradeoff(1, k, m) == 1 - m == assemble_known_curve(1, k).evaluate(m)
 
 
 def test_exact_matches_scheme_point():
@@ -183,7 +217,6 @@ def test_assemble_2_4():
 
 def test_assembled_curve_matches_exact_region():
     # two independent routes: hull of corner points vs closed-form lines
-    from cachewright.tradeoff import exact_regions
     for k in range(2, 9):
         for n in range(1, k + 1):
             curve = assemble_known_curve(n, k)

@@ -7,7 +7,7 @@ import pytest
 
 from cachewright import verify
 from cachewright.errors import CachewrightError
-from cachewright.model import NetworkConfig
+from cachewright.model import NetworkConfig, enumerate_demands
 from cachewright.verify import SCHEMES, run_verification
 
 
@@ -28,7 +28,7 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
 def _long_library(scheme, cfg):
     """Subfiles of 70 symbols, long enough for the packed kernel."""
     rng = random.Random(f"long-{cfg.n}-{cfg.k}")
-    return [scheme.split(rng.randbytes(70 * scheme.subfiles(cfg)), cfg) for _ in range(cfg.n)]
+    return [scheme.split(rng.randbytes(70 * len(scheme.keys(cfg))), cfg) for _ in range(cfg.n)]
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -50,3 +50,16 @@ def test_placing_a_user_outside_the_network_is_refused(name, user):
     scheme, cfg = SCHEMES[name], NetworkConfig(3, 4)
     with pytest.raises(CachewrightError, match=f"user {user} outside"):
         scheme.place(_long_library(scheme, cfg), cfg, users=(1, user))
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_a_sweep_compiles_each_pattern_once(name):
+    # D lists a pattern's demands far apart; the sweep takes them together, so a
+    # program cache far smaller than the 540 demands x 6 users still always hits
+    scheme, cfg = SCHEMES[name], NetworkConfig(3, 6)
+    patterns = {scheme.pattern(d, cfg) for d in enumerate_demands(cfg)}
+    scheme.delivery.cache_clear()
+    scheme.decoding.cache_clear()
+    assert run_verification(3, 6, name).ok
+    assert scheme.delivery.cache_info().misses == len(patterns)
+    assert scheme.decoding.cache_info().misses == len(patterns) * cfg.k
