@@ -28,7 +28,7 @@ from .certificate import (
     perturbed,
     serialize_certificate,
 )
-from .entropy import LinComb, Var, varset_token, wset, wvar, xvar, zvar
+from .entropy import Var, varset_token, wset, wvar, xvar, zvar
 from .tightness import TightnessEntry, TightnessReport, tightness_check
 
 __all__ = [
@@ -39,6 +39,6 @@ __all__ = [
     "case2_tail_sets", "case2_target", "in_case2_range",
     "Certificate", "CheckReport", "check_certificate", "parse_certificate",
     "perturbed", "serialize_certificate",
-    "LinComb", "Var", "varset_token", "wset", "wvar", "xvar", "zvar",
+    "Var", "varset_token", "wset", "wvar", "xvar", "zvar",
     "TightnessEntry", "TightnessReport", "tightness_check",
 ]

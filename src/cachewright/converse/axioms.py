@@ -13,195 +13,205 @@ or = 0 (equalities) over the variables of one demand table:
   PermSymmetry       H(S) - H(pi S) = 0, pi relabelling users and demands
   FileSymmetry       H(W_a, Z_l) - H(W_b, Z_l) = 0
 
-PermSymmetry is valid only when pi maps every broadcast in S to a demand
-that exists in the table; the checker enforces exactly that.
+Each kind declares its fields once, typed VarSet, User, DemandId, File or
+Perm; the table _FIELDS says how each type is written in certificate text,
+read back and range-checked, so a kind keeps only its side conditions and
+its terms. PermSymmetry is valid only when pi maps every broadcast in S to a
+demand that exists in the table; the checker enforces exactly that.
 """
 
-from __future__ import annotations
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple, NewType, Sequence
 
-from dataclasses import dataclass
-from typing import Sequence
+from .entropy import CONST, M, R, VarSet, parse_varset, varset_token, wset, wvar, xvar, zvar
 
-from .entropy import LinComb, VarSet, parse_varset, varset_token, wset, wvar, xvar, zvar
+User = NewType("User", int)
+DemandId = NewType("DemandId", int)
+File = NewType("File", int)
+Perm = NewType("Perm", tuple)
+
+
+class OutsideTable(ValueError):
+    """A symmetry sends some broadcast to a demand the table lacks."""
+
+
+def _bounded(what: str, bound: Callable) -> Callable:
+    def check(i: int, table) -> None:
+        if not 1 <= i <= bound(table):
+            raise ValueError(f"{what} {i} outside [1, {bound(table)}]")
+    return check
+
+
+_user = _bounded("user", lambda t: t.k)
+_file = _bounded("file index", lambda t: t.n)
+_demand_id = _bounded("demand id", lambda t: len(t.demands))
+_VAR_RANGE = {"W": _file, "Z": _bounded("cache index", lambda t: t.k), "X": _demand_id}
 
 
 def _check_vars(vs: VarSet, table) -> None:
     for v in vs:
-        if v.kind == "W" and not 1 <= v.idx <= table.n:
-            raise ValueError(f"file index {v.idx} outside [1, {table.n}]")
-        if v.kind == "Z" and not 1 <= v.idx <= table.k:
-            raise ValueError(f"cache index {v.idx} outside [1, {table.k}]")
-        if v.kind == "X" and not 1 <= v.idx <= len(table.demands):
-            raise ValueError(f"demand id {v.idx} outside the table")
+        _VAR_RANGE[v.kind](v.idx, table)
 
 
-@dataclass(frozen=True)
-class Submodularity:
+def _check_perm(perm: Perm, table) -> None:
+    if sorted(perm) != list(range(1, table.k + 1)):
+        raise ValueError(f"{perm} is not a permutation of [1, {table.k}]")
+
+
+class _Field(NamedTuple):
+    write: Callable[[object], str]
+    read: Callable[[str], object]
+    check: Callable[[object, object], None]
+
+
+_FIELDS = {
+    VarSet: _Field(varset_token, parse_varset, _check_vars),
+    User: _Field(str, int, _user),
+    DemandId: _Field(str, int, _demand_id),
+    File: _Field(str, int, _file),
+    Perm: _Field(lambda p: ",".join(map(str, p)),
+                 lambda t: tuple(int(i) for i in t.split(",")), _check_perm),
+}
+
+_KINDS: dict[str, type] = {}
+
+
+class Axiom:
+    """Text form and range checks of every kind, derived from its declared fields."""
+
+    kind: str
+    equality: bool
+    spec: tuple[tuple[str, _Field], ...]
+
+    def tokens(self) -> list[str]:
+        return [f.write(getattr(self, name)) for name, f in self.spec]
+
+    def validate(self, table) -> None:
+        for name, f in self.spec:
+            f.check(getattr(self, name), table)
+        self.side_conditions(table)
+
+    def side_conditions(self, table) -> None:
+        pass
+
+    def terms(self, table) -> Sequence[tuple]:
+        """(key, integer coefficient) pairs: a variable set, or M, R or CONST."""
+        raise NotImplementedError
+
+
+def _kind(kind: str, equality: bool) -> Callable:
+    """Make a frozen dataclass of an axiom kind and register its text name."""
+    def register(cls):
+        # f.type is the annotation object itself because this module does not
+        # postpone the evaluation of annotations
+        cls = dataclass(frozen=True)(cls)
+        cls.kind, cls.equality = kind, equality
+        cls.spec = tuple((f.name, _FIELDS[f.type]) for f in fields(cls))
+        _KINDS[kind] = cls
+        return cls
+    return register
+
+
+def axiom_from_tokens(kind: str, tokens: list[str]) -> Axiom:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown axiom kind {kind!r}")
+    cls = _KINDS[kind]
+    if len(tokens) != len(cls.spec):
+        raise ValueError(f"{kind} takes {len(cls.spec)} fields, got {len(tokens)}")
+    return cls(*(f.read(t) for (_, f), t in zip(cls.spec, tokens)))
+
+
+@_kind("SUBMOD", equality=False)
+class Submodularity(Axiom):
     a: VarSet
     b: VarSet
 
-    kind = "SUBMOD"
-    equality = False
-
-    def validate(self, table) -> None:
+    def side_conditions(self, table) -> None:
         if not self.a or not self.b:
             raise ValueError("submodularity needs two nonempty sets")
-        _check_vars(self.a | self.b, table)
 
-    def lincomb(self, table) -> LinComb:
-        lc = LinComb()
-        lc.add_term(self.a, 1).add_term(self.b, 1)
-        lc.add_term(self.a | self.b, -1).add_term(self.a & self.b, -1)
-        return lc
-
-    def tokens(self) -> list[str]:
-        return [varset_token(self.a), varset_token(self.b)]
+    def terms(self, table):
+        return (self.a, 1), (self.b, 1), (self.a | self.b, -1), (self.a & self.b, -1)
 
 
-@dataclass(frozen=True)
-class Monotonicity:
+@_kind("MONO", equality=False)
+class Monotonicity(Axiom):
     sup: VarSet
     sub: VarSet
 
-    kind = "MONO"
-    equality = False
-
-    def validate(self, table) -> None:
+    def side_conditions(self, table) -> None:
         if not self.sup:
             raise ValueError("monotonicity needs a nonempty superset")
         if not self.sub <= self.sup:
             raise ValueError("second set is not contained in the first")
-        _check_vars(self.sup, table)
 
-    def lincomb(self, table) -> LinComb:
-        return LinComb().add_term(self.sup, 1).add_term(self.sub, -1)
-
-    def tokens(self) -> list[str]:
-        return [varset_token(self.sup), varset_token(self.sub)]
+    def terms(self, table):
+        return (self.sup, 1), (self.sub, -1)
 
 
-@dataclass(frozen=True)
-class CacheBound:
-    user: int
+@_kind("CACHE", equality=False)
+class CacheBound(Axiom):
+    user: User
 
-    kind = "CACHE"
-    equality = False
-
-    def validate(self, table) -> None:
-        if not 1 <= self.user <= table.k:
-            raise ValueError(f"user {self.user} outside [1, {table.k}]")
-
-    def lincomb(self, table) -> LinComb:
-        lc = LinComb()
-        lc.m += 1
-        return lc.add_term(frozenset({zvar(self.user)}), -1)
-
-    def tokens(self) -> list[str]:
-        return [str(self.user)]
+    def terms(self, table):
+        return (M, 1), (frozenset({zvar(self.user)}), -1)
 
 
-@dataclass(frozen=True)
-class RateBound:
-    demand_id: int
+@_kind("RATE", equality=False)
+class RateBound(Axiom):
+    demand_id: DemandId
 
-    kind = "RATE"
-    equality = False
-
-    def validate(self, table) -> None:
-        if not 1 <= self.demand_id <= len(table.demands):
-            raise ValueError(f"demand id {self.demand_id} outside the table")
-
-    def lincomb(self, table) -> LinComb:
-        lc = LinComb()
-        lc.r += 1
-        return lc.add_term(frozenset({xvar(self.demand_id)}), -1)
-
-    def tokens(self) -> list[str]:
-        return [str(self.demand_id)]
+    def terms(self, table):
+        return (R, 1), (frozenset({xvar(self.demand_id)}), -1)
 
 
-@dataclass(frozen=True)
-class Decodability:
-    user: int
-    demand_id: int
+@_kind("DECODE", equality=True)
+class Decodability(Axiom):
+    user: User
+    demand_id: DemandId
     s: VarSet
 
-    kind = "DECODE"
-    equality = True
-
-    def validate(self, table) -> None:
-        if not 1 <= self.user <= table.k:
-            raise ValueError(f"user {self.user} outside [1, {table.k}]")
-        if not 1 <= self.demand_id <= len(table.demands):
-            raise ValueError(f"demand id {self.demand_id} outside the table")
+    def side_conditions(self, table) -> None:
         if zvar(self.user) not in self.s:
             raise ValueError(f"Z{self.user} missing from the conditioning set")
         if xvar(self.demand_id) not in self.s:
             raise ValueError(f"X{self.demand_id} missing from the conditioning set")
-        _check_vars(self.s, table)
 
-    def lincomb(self, table) -> LinComb:
+    def terms(self, table):
         wanted = wvar(table.demands[self.demand_id - 1][self.user - 1])
-        lc = LinComb()
-        return lc.add_term(self.s | {wanted}, 1).add_term(self.s, -1)
-
-    def tokens(self) -> list[str]:
-        return [str(self.user), str(self.demand_id), varset_token(self.s)]
+        return (self.s | {wanted}, 1), (self.s, -1)
 
 
-@dataclass(frozen=True)
-class Totality:
+@_kind("TOTAL", equality=True)
+class Totality(Axiom):
     s: VarSet
 
-    kind = "TOTAL"
-    equality = True
-
-    def validate(self, table) -> None:
+    def side_conditions(self, table) -> None:
         if not wset(table.n) <= self.s:
             raise ValueError("set does not contain every file")
-        _check_vars(self.s, table)
 
-    def lincomb(self, table) -> LinComb:
-        lc = LinComb()
-        lc.add_term(self.s, 1)
-        lc.const -= table.n
-        return lc
-
-    def tokens(self) -> list[str]:
-        return [varset_token(self.s)]
+    def terms(self, table):
+        return (self.s, 1), (CONST, -table.n)
 
 
-@dataclass(frozen=True)
-class FileIndependence:
+@_kind("FILEIND", equality=True)
+class FileIndependence(Axiom):
     files: VarSet
 
-    kind = "FILEIND"
-    equality = True
-
-    def validate(self, table) -> None:
+    def side_conditions(self, table) -> None:
         if not self.files:
             raise ValueError("needs a nonempty file set")
         if any(v.kind != "W" for v in self.files):
             raise ValueError("only file variables allowed")
-        _check_vars(self.files, table)
 
-    def lincomb(self, table) -> LinComb:
-        lc = LinComb()
-        lc.add_term(self.files, 1)
-        lc.const -= len(self.files)
-        return lc
-
-    def tokens(self) -> list[str]:
-        return [varset_token(self.files)]
+    def terms(self, table):
+        return (self.files, 1), (CONST, -len(self.files))
 
 
-@dataclass(frozen=True)
-class PermSymmetry:
-    perm: tuple[int, ...]
+@_kind("PERMSYM", equality=True)
+class PermSymmetry(Axiom):
+    perm: Perm
     s: VarSet
-
-    kind = "PERMSYM"
-    equality = True
 
     def permuted_demand(self, demand: Sequence[int]) -> tuple[int, ...]:
         out = [0] * len(self.perm)
@@ -209,15 +219,12 @@ class PermSymmetry:
             out[image - 1] = demand[user - 1]
         return tuple(out)
 
-    def validate(self, table) -> None:
-        if sorted(self.perm) != list(range(1, table.k + 1)):
-            raise ValueError(f"{self.perm} is not a permutation of [1, {table.k}]")
-        _check_vars(self.s, table)
+    def side_conditions(self, table) -> None:
         for v in self.s:
             if v.kind == "X":
                 moved = self.permuted_demand(table.demands[v.idx - 1])
                 if table.demand_id(moved) is None:
-                    raise ValueError(
+                    raise OutsideTable(
                         f"permutation sends demand {v.idx} to {moved}, not in the table")
 
     def image(self, table) -> VarSet:
@@ -231,65 +238,16 @@ class PermSymmetry:
                 out.add(v)
         return frozenset(out)
 
-    def lincomb(self, table) -> LinComb:
-        return LinComb().add_term(self.s, 1).add_term(self.image(table), -1)
-
-    def tokens(self) -> list[str]:
-        return [",".join(str(i) for i in self.perm), varset_token(self.s)]
+    def terms(self, table):
+        return (self.s, 1), (self.image(table), -1)
 
 
-@dataclass(frozen=True)
-class FileSymmetry:
-    file_a: int
-    file_b: int
-    user: int
+@_kind("FILESYM", equality=True)
+class FileSymmetry(Axiom):
+    file_a: File
+    file_b: File
+    user: User
 
-    kind = "FILESYM"
-    equality = True
-
-    def validate(self, table) -> None:
-        for f in (self.file_a, self.file_b):
-            if not 1 <= f <= table.n:
-                raise ValueError(f"file index {f} outside [1, {table.n}]")
-        if not 1 <= self.user <= table.k:
-            raise ValueError(f"user {self.user} outside [1, {table.k}]")
-
-    def lincomb(self, table) -> LinComb:
-        lc = LinComb()
-        lc.add_term(frozenset({wvar(self.file_a), zvar(self.user)}), 1)
-        lc.add_term(frozenset({wvar(self.file_b), zvar(self.user)}), -1)
-        return lc
-
-    def tokens(self) -> list[str]:
-        return [str(self.file_a), str(self.file_b), str(self.user)]
-
-
-Axiom = (Submodularity | Monotonicity | CacheBound | RateBound | Decodability
-         | Totality | FileIndependence | PermSymmetry | FileSymmetry)
-
-_KINDS = {cls.kind: cls for cls in
-          (Submodularity, Monotonicity, CacheBound, RateBound, Decodability,
-           Totality, FileIndependence, PermSymmetry, FileSymmetry)}
-
-
-def axiom_from_tokens(kind: str, tokens: list[str]) -> Axiom:
-    if kind not in _KINDS:
-        raise ValueError(f"unknown axiom kind {kind!r}")
-    if kind == "SUBMOD":
-        return Submodularity(parse_varset(tokens[0]), parse_varset(tokens[1]))
-    if kind == "MONO":
-        return Monotonicity(parse_varset(tokens[0]), parse_varset(tokens[1]))
-    if kind == "CACHE":
-        return CacheBound(int(tokens[0]))
-    if kind == "RATE":
-        return RateBound(int(tokens[0]))
-    if kind == "DECODE":
-        return Decodability(int(tokens[0]), int(tokens[1]), parse_varset(tokens[2]))
-    if kind == "TOTAL":
-        return Totality(parse_varset(tokens[0]))
-    if kind == "FILEIND":
-        return FileIndependence(parse_varset(tokens[0]))
-    if kind == "PERMSYM":
-        perm = tuple(int(t) for t in tokens[0].split(","))
-        return PermSymmetry(perm, parse_varset(tokens[1]))
-    return FileSymmetry(int(tokens[0]), int(tokens[1]), int(tokens[2]))
+    def terms(self, table):
+        z = zvar(self.user)
+        return (frozenset({wvar(self.file_a), z}), 1), (frozenset({wvar(self.file_b), z}), -1)

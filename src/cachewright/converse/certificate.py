@@ -19,8 +19,8 @@ from ..errors import (
     NegativeMultiplierOnInequality,
     SymmetryOutsideTable,
 )
-from .axioms import Axiom, axiom_from_tokens
-from .entropy import LinComb, VarSet, varset_token
+from .axioms import Axiom, OutsideTable, axiom_from_tokens
+from .entropy import CONST, M, R, VarSet, varset_token
 
 Demand = tuple[int, ...]
 
@@ -82,35 +82,38 @@ def _validate_table(cert: Certificate) -> None:
 def check_certificate(cert: Certificate) -> CheckReport:
     """Validate side conditions, sum the axioms, compare with the target."""
     _validate_table(cert)
-    residual = LinComb()
+    residual: dict = {}   # zero sums are dropped at once, so the dict stays small
     for index, (axiom, mult) in enumerate(cert.axioms):
         if not axiom.equality and mult < 0:
             raise NegativeMultiplierOnInequality(index, f"{axiom.kind} weighted {mult}")
         try:
             axiom.validate(cert)
+        except OutsideTable as exc:
+            raise SymmetryOutsideTable(index, str(exc)) from exc
         except ValueError as exc:
-            if axiom.kind == "PERMSYM" and "not in the table" in str(exc):
-                raise SymmetryOutsideTable(index, str(exc)) from exc
             raise MalformedAxiom(index, str(exc)) from exc
-        residual.add_scaled(axiom.lincomb(cert), mult)
+        for key, coef in axiom.terms(cert):
+            if key:   # the empty set has zero entropy
+                total = residual.get(key, 0) + coef * mult
+                if total:
+                    residual[key] = total
+                else:
+                    residual.pop(key, None)
 
-    count = len(cert.axioms)
-    if residual.terms:
-        worst = sorted(residual.terms, key=lambda s: sorted(v.sort_key() for v in s))[0]
-        return CheckReport(False, count, residual.m, residual.r, residual.const,
-                           dict(residual.terms),
-                           f"{len(residual.terms)} entropy terms do not cancel, "
-                           f"e.g. {residual.terms[worst]}*H({varset_token(worst)})")
-    if residual.m > cert.target_m:
-        return CheckReport(False, count, residual.m, residual.r, residual.const,
-                           reason=f"proved M coefficient {residual.m} exceeds target {cert.target_m}")
-    if residual.r > cert.target_r:
-        return CheckReport(False, count, residual.m, residual.r, residual.const,
-                           reason=f"proved R coefficient {residual.r} exceeds target {cert.target_r}")
-    if residual.const > -cert.target_rhs:
-        return CheckReport(False, count, residual.m, residual.r, residual.const,
-                           reason=f"proved constant {-residual.const} below target {cert.target_rhs}")
-    return CheckReport(True, count, residual.m, residual.r, residual.const)
+    m, r, const = (Fraction(residual.pop(key, 0)) for key in (M, R, CONST))
+    if residual:
+        worst = min(residual, key=lambda s: sorted(v.sort_key() for v in s))
+        reason = (f"{len(residual)} entropy terms do not cancel, "
+                  f"e.g. {residual[worst]}*H({varset_token(worst)})")
+    elif m > cert.target_m:
+        reason = f"proved M coefficient {m} exceeds target {cert.target_m}"
+    elif r > cert.target_r:
+        reason = f"proved R coefficient {r} exceeds target {cert.target_r}"
+    elif const > -cert.target_rhs:
+        reason = f"proved constant {-const} below target {cert.target_rhs}"
+    else:
+        reason = ""
+    return CheckReport(not reason, len(cert.axioms), m, r, const, residual, reason)
 
 
 def perturbed(cert: Certificate, index: int, delta=1) -> Certificate:
@@ -144,19 +147,31 @@ def serialize_certificate(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+_NK = ("NK", "<n>", "<k>", "CASE", "<case>")
+_TARGET = ("TARGET", "<u>/<v>", "M", "+", "<u>/<v>", "R", ">=", "<u>/<v>")
+
+
+def _fields(parts: list[str], shape: tuple[str, ...]) -> list[str]:
+    """The <...> fields of a line that must match shape token for token."""
+    if len(parts) != len(shape) or any(p != s for p, s in zip(parts, shape) if s[0] != "<"):
+        raise ValueError("expected " + " ".join(shape))
+    return [p for p, s in zip(parts, shape) if s[0] == "<"]
+
+
 def parse_certificate(text: str) -> Certificate:
     """Inverse of serialize_certificate; a malformed line raises ConfigMismatch naming it."""
-    n = k = case = None
+    header = target = None
     demands: list[Demand] = []
     axioms: list[tuple[Axiom, Fraction]] = []
-    target = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
         try:
             if parts[0] == "NK":
-                n, k, case = int(parts[1]), int(parts[2]), int(parts[4])
+                if header is not None:
+                    raise ValueError("second NK line")
+                header = [int(t) for t in _fields(parts, _NK)]
             elif parts[0] == "D":
                 if int(parts[1]) != len(demands) + 1:
                     raise ValueError(f"demand id {parts[1]} out of order, "
@@ -168,13 +183,15 @@ def parse_certificate(text: str) -> Certificate:
                 axioms.append((axiom_from_tokens(parts[1], parts[2:-2]),
                                _parse_frac(parts[-1])))
             elif parts[0] == "TARGET":
-                target = (_parse_frac(parts[1]), _parse_frac(parts[4]), _parse_frac(parts[7]))
+                if target is not None:
+                    raise ValueError("second TARGET line")
+                target = [_parse_frac(t) for t in _fields(parts, _TARGET)]
             else:
                 raise ValueError("unrecognized line")
         except IndexError as exc:
             raise ConfigMismatch(f"line {lineno}: too few fields in {raw!r}") from exc
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigMismatch(f"line {lineno}: {exc} in {raw!r}") from exc
-    if n is None or target is None:
+    if header is None or target is None:
         raise ConfigMismatch("certificate text lacks a header or target")
-    return Certificate(n, k, case, tuple(demands), tuple(axioms), *target)
+    return Certificate(*header, tuple(demands), tuple(axioms), *target)

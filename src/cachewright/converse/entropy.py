@@ -1,17 +1,17 @@
-"""Exact-rational linear combinations of joint entropy terms.
+"""Random variables and the keys of linear combinations of joint entropy terms.
 
 Random variables come in three flavours: a file W_n, a cache Z_l, and a
 broadcast X_i for the i-th demand of a certificate's demand table. A linear
-combination maps variable sets to rational coefficients and additionally
-carries coefficients for the cache budget M, the rate R, and a constant.
+combination maps keys to coefficients: a variable set stands for its joint
+entropy, and M, R and CONST for the cache budget, the rate and a constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 _KIND_ORDER = {"W": 0, "Z": 1, "X": 2}
+M, R, CONST = "M", "R", "1"
 
 
 @dataclass(frozen=True)
@@ -65,36 +65,3 @@ def parse_varset(token: str) -> VarSet:
     if token == "-":
         return frozenset()
     return frozenset(Var.parse(t) for t in token.split(","))
-
-
-class LinComb:
-    """Mutable accumulator; zero coefficients are never stored."""
-
-    __slots__ = ("terms", "m", "r", "const")
-
-    def __init__(self):
-        self.terms: dict[VarSet, Fraction] = {}
-        self.m = Fraction(0)
-        self.r = Fraction(0)
-        self.const = Fraction(0)
-
-    def add_term(self, vs: VarSet, coef) -> "LinComb":
-        """Add coef * H(vs); the empty set has zero entropy and is dropped."""
-        coef = Fraction(coef)
-        if not vs or coef == 0:
-            return self
-        new = self.terms.get(vs, Fraction(0)) + coef
-        if new:
-            self.terms[vs] = new
-        else:
-            self.terms.pop(vs, None)
-        return self
-
-    def add_scaled(self, other: "LinComb", coef) -> "LinComb":
-        coef = Fraction(coef)
-        for vs, c in other.terms.items():
-            self.add_term(vs, c * coef)
-        self.m += other.m * coef
-        self.r += other.r * coef
-        self.const += other.const * coef
-        return self

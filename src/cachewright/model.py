@@ -7,7 +7,6 @@ contains exactly the assignments that request every file at least once.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -149,33 +148,3 @@ def successor(k: int, users: int) -> int:
     if not 1 <= k <= users:
         raise IndexOutOfRange(f"user {k} outside [1, {users}]")
     return k % users + 1
-
-
-@dataclass(frozen=True)
-class DemandContext:
-    """Per-user request counts for one demand.
-
-    For user k, counts[k-1][f] is the number of users other than k that
-    request file f; at least 1 whenever some s != k requests f.
-    """
-
-    demand: Demand
-    counts: tuple[dict[int, int], ...]
-
-    def others(self, k: int) -> list[int]:
-        """The user set S_k = [K] \\ {k}."""
-        return [u for u in range(1, len(self.demand) + 1) if u != k]
-
-    def n_ks(self, k: int, s: int) -> int:
-        """How many users in S_k request the same file as user s."""
-        return self.counts[k - 1].get(self.demand[s - 1], 0)
-
-    def own_file_count(self, k: int) -> int:
-        """How many users in S_k request user k's own file (may be 0)."""
-        return self.counts[k - 1].get(self.demand[k - 1], 0)
-
-
-def demand_context(demand: Sequence[int], cfg: NetworkConfig) -> DemandContext:
-    d = validate_demand(demand, cfg)
-    total = Counter(d)  # Counter subtraction drops the files whose count falls to 0
-    return DemandContext(demand=d, counts=tuple(total - Counter((f,)) for f in d))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,13 @@ from cachewright.converse import (
     Certificate,
     Decodability,
     FileIndependence,
+    FileSymmetry,
     Monotonicity,
     PermSymmetry,
     RateBound,
     Submodularity,
+    Totality,
+    Var,
     case1_certificate,
     case1_target,
     case2_certificate,
@@ -236,6 +240,54 @@ def test_checker_rejects_monotonicity_not_subset():
     with pytest.raises(MalformedAxiom):
         check_certificate(cert)
 
+
+
+# one valid instance of every kind over N = K = |table| = 2, so index 3 is one past every range
+_TABLE = ((1, 2), (2, 1))
+_VALID = (Submodularity(fs(wvar(1)), fs(zvar(1))), Monotonicity(fs(wvar(1), zvar(1)), fs(wvar(1))),
+          CacheBound(1), RateBound(1), Decodability(1, 1, fs(zvar(1), xvar(1))),
+          Totality(fs(wvar(1), wvar(2))), FileIndependence(fs(wvar(1))),
+          PermSymmetry((2, 1), fs(zvar(1), xvar(1))), FileSymmetry(1, 2, 1))
+
+
+def _out_of_range(value):
+    if isinstance(value, frozenset):
+        return [value | {Var(kind, idx)} for kind in "WZX" for idx in (0, 3)]
+    if isinstance(value, tuple):   # a permutation of the users
+        return [(0, 1), (1, 3)]
+    return [0, 3]
+
+
+_BROKEN = [dataclasses.replace(axiom, **{f.name: bad})
+           for axiom in _VALID for f in dataclasses.fields(axiom)
+           for bad in _out_of_range(getattr(axiom, f.name))]
+_BROKEN += [Submodularity(frozenset(), fs(zvar(1))), Submodularity(fs(zvar(1)), frozenset()),
+            Monotonicity(frozenset(), frozenset()), Monotonicity(fs(wvar(1)), fs(zvar(1))),
+            Decodability(1, 1, fs(xvar(1))), Decodability(1, 1, fs(zvar(1))),
+            Totality(fs(wvar(1), zvar(1))), FileIndependence(frozenset()),
+            FileIndependence(fs(wvar(1), zvar(1))), PermSymmetry((1, 1), fs(zvar(1)))]
+
+
+def test_every_kind_has_a_valid_instance():
+    assert len({type(a) for a in _VALID}) == 9
+    cert = Certificate(2, 2, 1, _TABLE, tuple((a, F(1)) for a in _VALID), F(0), F(0), F(0))
+    check_certificate(cert)   # no field or side condition is violated
+
+
+@pytest.mark.parametrize("bad", _BROKEN, ids=lambda a: " ".join([a.kind, *a.tokens()]))
+def test_checker_range_checks_every_field_and_side_condition(bad):
+    cert = Certificate(2, 2, 1, _TABLE, ((CacheBound(1), F(1)), (bad, F(1))), F(0), F(0), F(0))
+    with pytest.raises(MalformedAxiom) as info:
+        check_certificate(cert)
+    assert info.value.index == 1
+
+
+def test_symmetry_outside_table_carries_its_index():
+    swap = PermSymmetry((2, 1), fs(xvar(1)))
+    cert = Certificate(2, 2, 1, ((1, 2),), ((CacheBound(1), F(1)), (swap, F(1))), F(0), F(0), F(0))
+    with pytest.raises(SymmetryOutsideTable) as info:
+        check_certificate(cert)
+    assert info.value.index == 1
 
 def test_budget_slack_is_accepted():
     # proving with a smaller M coefficient than the target is still a proof:

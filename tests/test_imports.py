@@ -30,8 +30,8 @@ _BARE = ("import sys, types; pkg = types.ModuleType('cachewright'); "
          "pkg.__path__ = ['cachewright']; sys.modules['cachewright'] = pkg; ")
 
 
-def _loaded_after(module: str) -> set[str]:
-    code = _BARE + f"import {module}; print(' '.join(sorted(sys.modules)))"
+def _loaded_after(module: str, bare: str = _BARE) -> set[str]:
+    code = bare + f"import {module}; print(' '.join(sorted(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], cwd=SRC,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
@@ -47,3 +47,14 @@ def test_the_engine_imports_no_scheme():
 @pytest.mark.parametrize("module", ["cachewright.coded_placement", "cachewright.baselines"])
 def test_each_scheme_runs_on_the_engine(module):
     assert "cachewright.scheme" in _loaded_after(module)
+
+
+def test_the_certificate_checker_loads_only_the_converse_core():
+    bare = _BARE + ("sub = types.ModuleType('cachewright.converse'); "
+                    "sub.__path__ = ['cachewright/converse']; "
+                    "sys.modules['cachewright.converse'] = sub; ")
+    loaded = {m for m in _loaded_after("cachewright.converse.certificate", bare)
+              if m.startswith("cachewright.")}
+    assert loaded == {"cachewright.converse", "cachewright.converse.certificate",
+                      "cachewright.converse.axioms", "cachewright.converse.entropy",
+                      "cachewright.errors"}

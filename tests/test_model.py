@@ -8,7 +8,6 @@ import pytest
 from cachewright.errors import ConfigMismatch, IndexOutOfRange
 from cachewright.model import (
     NetworkConfig,
-    demand_context,
     enumerate_demands,
     in_demand_set,
     pair_order,
@@ -125,44 +124,9 @@ def test_other_users_cover_all_other_files():
                 assert others >= set(range(1, n + 1)) - {d[user - 1]}
 
 
-def test_demand_context_counts():
-    cfg = NetworkConfig(3, 4)
-    ctx = demand_context((1, 1, 2, 3), cfg)
-    # users 1 and 2 both request file 1, seen from user 3
-    assert ctx.n_ks(3, 1) == 2
-    assert ctx.n_ks(3, 2) == 2
-    assert ctx.n_ks(3, 4) == 1
-    assert ctx.own_file_count(1) == 1
-    assert ctx.own_file_count(3) == 0
-    assert ctx.others(2) == [1, 3, 4]
-
-
-def test_demand_context_distinct_files():
-    cfg = NetworkConfig(4, 4)
-    ctx = demand_context((1, 2, 3, 4), cfg)
-    for k in range(1, 5):
-        for s in ctx.others(k):
-            assert ctx.n_ks(k, s) == 1
-
-
-def test_demand_context_2_4():
-    ctx = demand_context((1, 1, 1, 2), NetworkConfig(2, 4))
-    assert ctx.n_ks(1, 2) == 2  # users 2 and 3 in S_1 request file 1
-
-
 def test_successor():
     assert successor(4, 4) == 1
     assert successor(1, 4) == 2
     assert successor(3, 4) == 4
     with pytest.raises(IndexOutOfRange):
         successor(5, 4)
-
-
-def test_counts_sum_to_k_minus_1():
-    cfg = NetworkConfig(3, 5)
-    rng = random.Random(5)
-    demands = list(enumerate_demands(cfg))
-    for d in rng.sample(demands, 20):
-        ctx = demand_context(d, cfg)
-        for k in range(1, 6):
-            assert sum(ctx.counts[k - 1].values()) == 4

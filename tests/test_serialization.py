@@ -76,3 +76,28 @@ def test_lf_only():
 def test_parse_names_the_malformed_line(text, line):
     with pytest.raises(CachewrightError, match=rf"^line {line}: "):
         parse_certificate(text)
+
+
+
+# H(W_1) >= 0 and H(W_1) = 1 prove 0 >= -1, which dominates M >= -1
+_VALID = ["NK 2 2 CASE 1", "D 1 1 2", "D 2 2 1", "AX MONO W1 - MUL 1/1",
+          "AX FILEIND W1 MUL -1/1", "TARGET 1/1 M + 0/1 R >= -1/1"]
+
+
+@pytest.mark.parametrize("how, line, text", [
+    ("replace", 4, "AX SUBMOD Z1 X1 W1 MUL 1/1"),     # one field too many
+    ("replace", 4, "AX CACHE 1 7 MUL 1/1"),
+    ("replace", 5, "AX FILESYM 1 2 1 2 MUL 1/1"),
+    ("replace", 1, "NK 2 2 FOO 1 BAR"),               # wrong keyword, trailing field
+    ("replace", 1, "NK 2 2 CASE 1 9"),
+    ("replace", 6, "TARGET 1/1 Q + 0/1 Q >= 0/1 trailing"),
+    ("replace", 6, "TARGET 1/1 M - 0/1 R >= -1/1"),
+    ("insert", 3, "NK 2 2 CASE 2"),                   # a second header
+    ("insert", 7, "TARGET 9/1 M + 0/1 R >= 0/1"),     # a second target
+])
+def test_parse_refuses_lines_that_say_something_else(how, line, text):
+    assert check_certificate(parse_certificate("\n".join(_VALID) + "\n")).ok
+    lines = list(_VALID)
+    lines[line - 1:line - 1 + (how == "replace")] = [text]
+    with pytest.raises(ConfigMismatch, match=rf"^line {line}: "):
+        parse_certificate("\n".join(lines) + "\n")
