@@ -15,15 +15,8 @@ import os
 import random
 import sys
 
-from .converse import (
-    case1_certificate,
-    case2_certificate,
-    check_certificate,
-    in_case1_range,
-    in_case2_range,
-    serialize_certificate,
-)
-from .converse.tightness import tightness_check
+from .converse import check_certificate, serialize_certificate
+from .converse.tightness import FAMILIES, tightness_check
 from .errors import CachewrightError
 from .model import NetworkConfig, surjection_count
 from .tradeoff import assemble_known_curve, emit_csv
@@ -132,28 +125,19 @@ def cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
-# --theorem keys map onto the two bound families by their case number
-_FAMILIES = {"2": (1, case1_certificate, in_case1_range),
-             "4": (2, case2_certificate, in_case2_range)}
-
-
 def cmd_converse(args) -> int:
-    if args.theorem == "auto":
-        chosen = [key for key, (_, _, in_range) in _FAMILIES.items()
-                  if in_range(args.n, args.k)]
-        if not chosen:
-            raise CachewrightError(f"({args.n}, {args.k}) fits neither bound family")
-    else:
-        chosen = [args.theorem]
+    chosen = [f for f in FAMILIES if args.theorem == f.theorem
+              or args.theorem == "auto" and f.in_range(args.n, args.k)]
+    if not chosen:
+        raise CachewrightError(f"({args.n}, {args.k}) fits neither bound family")
 
     ok = True
     with _output(args.dump, "w", encoding="utf-8", newline="") as out:
-        for key in chosen:
-            case, generate, _ = _FAMILIES[key]
-            cert = generate(args.n, args.k)
+        for family in chosen:
+            cert = family.certificate(args.n, args.k)
             report = check_certificate(cert)
             tight = tightness_check(args.n, args.k)
-            entry = next(e for e in tight.entries if e.case == case)
+            entry = next(e for e in tight.entries if e.case == family.case)
             print(f"{cert.target_text()} {report.verdict}; "
                   f"tight at M={entry.memory}: bound {entry.bound_rate} vs "
                   f"achievable {entry.achievable_rate}; axioms={report.axiom_count}")
@@ -206,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converse", help="generate and check a lower-bound certificate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--theorem", choices=("2", "4", "auto"), default="auto",
+    p.add_argument("--theorem", choices=(*(f.theorem for f in FAMILIES), "auto"),
+                   default="auto",
                    help="2: many-files bound, 4: few-files bound")
     p.add_argument("--dump", default=None, help="write the certificate text here")
     p.set_defaults(func=cmd_converse)

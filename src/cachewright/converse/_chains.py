@@ -24,7 +24,7 @@ from .axioms import (
     Submodularity,
     Totality,
 )
-from .certificate import Certificate
+from .certificate import Certificate, Demand
 from .entropy import VarSet, wset, wvar, xvar, zvar
 
 ONE = Fraction(1)
@@ -122,6 +122,14 @@ def reduction(bld: Builder, user: int, s_term: VarSet, s_ids: frozenset[int],
         grown = grown | single
     bld.add(Totality(wset(n) | {z}), share)
     return s_term | frozenset(xvar(d) for d in t_ids)
+
+
+def cyclic_table(n: int, base: Demand) -> tuple[tuple[Demand, ...], dict[int, int]]:
+    """The K left shifts of base, and the map l -> b_l, the id of the shift
+    in which user l requests file n; base holds its only n at position n."""
+    k = len(base)
+    demands = tuple(base[shift:] + base[:shift] for shift in range(k))
+    return demands, {l: (n - l) % k + 1 for l in range(1, k + 1)}
 
 
 def transposition(a: int, b: int, k: int) -> tuple[int, ...]:

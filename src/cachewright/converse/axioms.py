@@ -23,7 +23,8 @@ demand that exists in the table; the checker enforces exactly that.
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, NewType, Sequence
 
-from .entropy import CONST, M, R, VarSet, parse_varset, varset_token, wset, wvar, xvar, zvar
+from .entropy import (
+    CONST, M, R, VarSet, natural, parse_varset, varset_token, wset, wvar, xvar, zvar)
 
 User = NewType("User", int)
 DemandId = NewType("DemandId", int)
@@ -66,11 +67,11 @@ class _Field(NamedTuple):
 
 _FIELDS = {
     VarSet: _Field(varset_token, parse_varset, _check_vars),
-    User: _Field(str, int, _user),
-    DemandId: _Field(str, int, _demand_id),
-    File: _Field(str, int, _file),
+    User: _Field(str, natural, _user),
+    DemandId: _Field(str, natural, _demand_id),
+    File: _Field(str, natural, _file),
     Perm: _Field(lambda p: ",".join(map(str, p)),
-                 lambda t: tuple(int(i) for i in t.split(",")), _check_perm),
+                 lambda t: tuple(map(natural, t.split(","))), _check_perm),
 }
 
 _KINDS: dict[str, type] = {}

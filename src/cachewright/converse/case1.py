@@ -18,6 +18,7 @@ from ._chains import (
     budget_family,
     chain_step,
     close_with_independence,
+    cyclic_table,
     family_term,
     transposition,
 )
@@ -38,14 +39,9 @@ def _guard(n: int, k: int) -> None:
 
 def case1_demand_table(n: int, k: int) -> tuple[tuple[Demand, ...], dict[int, int]]:
     """The K shifted demands plus the map l -> id of b_l."""
-    if (n, k) == (1, 1):
-        return ((1,),), {1: 1}
-    _guard(n, k)
-    base = tuple(range(1, n + 1)) + tuple(range(1, k - n + 1))
-    demands = tuple(tuple(base[(u + shift) % k] for u in range(k))
-                    for shift in range(k))
-    b = {l: (n - l + 1 if l <= n else k + n - l + 1) for l in range(1, k + 1)}
-    return demands, b
+    if (n, k) != (1, 1):   # in no regime, but its table backs the trivial certificate
+        _guard(n, k)
+    return cyclic_table(n, tuple(range(1, n + 1)) + tuple(range(1, k - n + 1)))
 
 
 def case1_sets(n: int, k: int, i: int):

@@ -20,7 +20,7 @@ from ..errors import (
     SymmetryOutsideTable,
 )
 from .axioms import Axiom, OutsideTable, axiom_from_tokens
-from .entropy import CONST, M, R, VarSet, varset_token
+from .entropy import CONST, M, R, VarSet, natural, varset_token
 
 Demand = tuple[int, ...]
 
@@ -131,7 +131,7 @@ def _frac_token(x: Fraction) -> str:
 
 def _parse_frac(token: str) -> Fraction:
     num, den = token.split("/")
-    return Fraction(int(num), int(den))
+    return Fraction(-natural(num[1:]) if num[:1] == "-" else natural(num), natural(den))
 
 
 def serialize_certificate(cert: Certificate) -> str:
@@ -171,12 +171,17 @@ def parse_certificate(text: str) -> Certificate:
             if parts[0] == "NK":
                 if header is not None:
                     raise ValueError("second NK line")
-                header = [int(t) for t in _fields(parts, _NK)]
+                header = [natural(t) for t in _fields(parts, _NK)]
             elif parts[0] == "D":
-                if int(parts[1]) != len(demands) + 1:
+                if header is None:
+                    raise ValueError("demand before the NK line")
+                if natural(parts[1]) != len(demands) + 1:
                     raise ValueError(f"demand id {parts[1]} out of order, "
                                      f"expected {len(demands) + 1}")
-                demands.append(tuple(int(f) for f in parts[2:]))
+                demand = tuple(map(natural, parts[2:]))
+                if len(demand) != header[1] or not all(1 <= f <= header[0] for f in demand):
+                    raise ValueError(f"demand is not K={header[1]} files in [1, {header[0]}]")
+                demands.append(demand)
             elif parts[0] == "AX":
                 if parts[-2] != "MUL":
                     raise ValueError("axiom line lacks a multiplier")

@@ -14,6 +14,13 @@ _KIND_ORDER = {"W": 0, "Z": 1, "X": 2}
 M, R, CONST = "M", "R", "1"
 
 
+def natural(token: str) -> int:
+    """A whole number of certificate text: ASCII digits, no sign, '_' or leading zero."""
+    if token.isdigit() and token.isascii() and (token[0] != "0" or token == "0"):
+        return int(token)
+    raise ValueError(f"{token!r} is not a plain decimal number")
+
+
 @dataclass(frozen=True)
 class Var:
     """One random variable: kind 'W' (file), 'Z' (cache), or 'X' (broadcast)."""
@@ -29,10 +36,9 @@ class Var:
 
     @classmethod
     def parse(cls, token: str) -> "Var":
-        kind = token[:1]
-        if kind not in _KIND_ORDER or not token[1:].isdigit():
+        if token[:1] not in _KIND_ORDER:
             raise ValueError(f"bad variable token {token!r}")
-        return cls(kind, int(token[1:]))
+        return cls(token[0], natural(token[1:]))
 
 
 VarSet = frozenset
@@ -64,4 +70,8 @@ def varset_token(vs: VarSet) -> str:
 def parse_varset(token: str) -> VarSet:
     if token == "-":
         return frozenset()
-    return frozenset(Var.parse(t) for t in token.split(","))
+    names = token.split(",")
+    vs = frozenset(map(Var.parse, names))
+    if len(vs) != len(names):
+        raise ValueError(f"{token!r} names a variable twice")
+    return vs

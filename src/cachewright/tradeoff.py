@@ -1,18 +1,9 @@
 """Rate-memory tradeoff curves: exact closed forms, envelopes, CSV emission.
 
-Two families of straight lines are proven exact for large caches. When most
-files have a dedicated requester (2N >= K+1, N >= 2) the segment
-
-    R(M) = (KN-1)/(K(N-1)) - M/(N-1)      on [M_A, N(K-1)/K]
-
-is exact, where M_A is the coded-placement scheme's memory point. When files
-are few (2N <= K+1, N >= 2) the exact segment is
-
-    R(M) = (K^2+K-2)/(K(K-1)) - (K+1)M/(N(K-1))   on [N(K-2)/K, N(K-1)/K].
-
-At 2N = K+1 the two formulas coincide. Beyond N(K-1)/K the classical
-R(M) = 1 - M/N takes over; for a single file the exact curve is simply
-1 - M on all of [0, 1]. Everything is carried as exact rationals.
+Each bound family of converse.tightness.FAMILIES is exact on the line from its
+corner up to N(K-1)/K (at 2N = K+1 the two lines coincide). Beyond N(K-1)/K
+the classical R(M) = 1 - M/N takes over; for a single file the exact curve is
+simply 1 - M on all of [0, 1]. Everything is carried as exact rationals.
 """
 
 from __future__ import annotations
@@ -22,10 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .baselines import rate_chen, yu_point
-from .coded_placement import scheme_point
-from .converse.case1 import case1_target, in_case1_range
-from .converse.case2 import case2_target, in_case2_range
-from .converse.tightness import bound_line
+from .converse.tightness import FAMILIES, bound_line
 from .errors import DegenerateInput, OutOfRange, OutsideCharacterizedRegion
 
 Point = tuple[Fraction, Fraction]
@@ -139,13 +127,8 @@ def exact_regions(n: int, k: int) -> list[Segment]:
     man_m = Fraction(n * (k - 1), k)
     if n == 1 and k >= 2:  # M + R >= 1: a cache and one broadcast must hold the file
         regions.append(Segment(Fraction(0), man_m, Fraction(1), Fraction(-1), "yu"))
-    elif n > 1:
-        if in_case1_range(n, k):
-            regions.append(Segment(scheme_point(n, k)[0], man_m,
-                                   *bound_line(case1_target(n, k)), "theorem-case1"))
-        if in_case2_range(n, k):
-            regions.append(Segment(Fraction(n * (k - 2), k), man_m,
-                                   *bound_line(case2_target(n, k)), "theorem-case2"))
+    regions += [Segment(f.corner(n, k)[0], man_m, *bound_line(f.target(n, k)),
+                        f"theorem-case{f.case}") for f in FAMILIES if f.in_range(n, k)]
     if man_m < n:
         regions.append(Segment(man_m, Fraction(n), Fraction(1), -Fraction(1, n), "man"))
     return regions
@@ -185,17 +168,14 @@ def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
     for r in range(1, k + 1):
         points.append(yu_point(n, k, r))
         labels.append(f"yu-r{r}")
-    if in_case1_range(n, k):
-        points.append(scheme_point(n, k))
-        labels.append("theorem-1-point")
-    hull = lower_envelope(points, labels)
+    corners = [(f.corner(n, k), f.tag(n, k)) for f in FAMILIES if f.in_range(n, k)]
+    hull = lower_envelope(points + [p for p, _ in corners], labels + [t for _, t in corners])
 
     # the breakpoints: hull vertices plus cut points, whose tags join the vertex's
     cuts = {Fraction(1, k): "chen-corner", Fraction(n * (k - 1), k): "man-corner"}
-    if in_case1_range(n, k):
-        cuts[scheme_point(n, k)[0]] = "theorem-1-point"
-    if in_case2_range(n, k) or n == 1:
-        cuts[Fraction(n * (k - 2), k)] = f"yu-r{k - 2}"
+    cuts.update((m, tag) for (m, _), tag in corners)
+    if n == 1:   # the end of the exact line M + R >= 1
+        cuts[Fraction(k - 2, k)] = f"yu-r{k - 2}"
     lo, hi = hull.domain
     vertices = {m: (r, tag) for m, r, tag in hull.vertices}
     for m, extra in cuts.items():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -253,8 +254,8 @@ def test_verify_opens_out_before_the_sweep(tmp_path, capsys, monkeypatch):
 
 
 def test_converse_opens_dump_before_the_certificates(tmp_path, capsys, monkeypatch):
-    for key, (case, _, in_range) in list(cli._FAMILIES.items()):
-        monkeypatch.setitem(cli._FAMILIES, key, (case, _fail_if_called, in_range))
+    monkeypatch.setattr(cli, "FAMILIES", tuple(
+        dataclasses.replace(f, certificate=_fail_if_called) for f in cli.FAMILIES))
     monkeypatch.setattr(cli, "tightness_check", _fail_if_called)
     missing = tmp_path / "missing" / "cert.txt"
     assert main(["converse", "--n", "3", "--k", "4", "--dump", str(missing)]) == 2

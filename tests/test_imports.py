@@ -58,3 +58,12 @@ def test_the_certificate_checker_loads_only_the_converse_core():
     assert loaded == {"cachewright.converse", "cachewright.converse.certificate",
                       "cachewright.converse.axioms", "cachewright.converse.entropy",
                       "cachewright.errors"}
+
+
+def test_cli_and_tradeoff_reach_the_bound_families_only_through_the_table():
+    names = [f"{prefix}{case}{suffix}" for case in (1, 2)
+             for prefix, suffix in (("in_case", "_range"), ("case", "_target"),
+                                    ("case", "_certificate"))]
+    for module in ("cli.py", "tradeoff.py"):
+        source = (SRC / "cachewright" / module).read_text()
+        assert [name for name in names if name in source] == [], module

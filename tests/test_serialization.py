@@ -94,6 +94,26 @@ _VALID = ["NK 2 2 CASE 1", "D 1 1 2", "D 2 2 1", "AX MONO W1 - MUL 1/1",
     ("replace", 6, "TARGET 1/1 M - 0/1 R >= -1/1"),
     ("insert", 3, "NK 2 2 CASE 2"),                   # a second header
     ("insert", 7, "TARGET 9/1 M + 0/1 R >= 0/1"),     # a second target
+    ("replace", 4, "AX CACHE 0_1 MUL 1_0/2"),         # read as CACHE 1 MUL 5/1
+    ("replace", 4, "AX CACHE 1 MUL 1_0/2"),
+    ("replace", 4, "AX MONO W1,W01 - MUL 1/1"),       # read as MONO W1 -
+    ("replace", 4, "AX MONO W\u0661 - MUL 1/1"),      # a non-ASCII digit one
+    ("replace", 4, "AX CACHE +1 MUL 1/1"),
+    ("replace", 4, "AX CACHE 02 MUL 1/1"),
+    ("replace", 4, "AX RATE 1 MUL +1/1"),
+    ("replace", 4, "AX RATE 1 MUL 1/-1"),             # a sign on the denominator
+    ("replace", 4, "AX PERMSYM 2,01 - MUL 1/1"),
+    ("replace", 4, "AX FILESYM 01 2 1 MUL 1/1"),
+    ("replace", 5, "AX FILEIND W1,W1 MUL -1/1"),      # a variable named twice
+    ("replace", 1, "NK +2 2 CASE 1"),
+    ("replace", 1, "NK 2 2 CASE 01"),
+    ("replace", 2, "D 01 1 2"),
+    ("replace", 2, "D 1 1 02"),
+    ("replace", 2, "D 1 1 2 2"),                      # K = 2 files per demand
+    ("replace", 2, "D 1 1"),
+    ("replace", 2, "D 1 1 3"),                        # a file outside [1, N]
+    ("replace", 2, "D 1 0 2"),
+    ("insert", 1, "D 1 1 2"),                         # a demand before the header
 ])
 def test_parse_refuses_lines_that_say_something_else(how, line, text):
     assert check_certificate(parse_certificate("\n".join(_VALID) + "\n")).ok

@@ -15,7 +15,7 @@ from cachewright.converse import (
     parse_certificate,
     perturbed,
 )
-from cachewright.converse.tightness import bound_line
+from cachewright.converse.tightness import FAMILIES, bound_line
 from cachewright.errors import DegenerateInput, OutOfRange, OutsideCharacterizedRegion
 from cachewright.tradeoff import (
     CSV_HEADER,
@@ -300,3 +300,21 @@ def test_exact_segments_lie_on_exact_regions():
                 if seg.provenance.startswith("theorem") or seg.provenance == "man":
                     for m in (seg.m_lo, (seg.m_lo + seg.m_hi) / 2, seg.m_hi):
                         assert seg.value(m) == exact_tradeoff(n, k, m), (n, k, seg)
+
+
+def test_no_family_line_lies_above_an_achievable_vertex():
+    # for each theorem that applies: every vertex of the known curve satisfies
+    # the certified inequality, and the family's corner is a tagged vertex on the line
+    for k in range(2, 17):
+        for n in range(2, k + 1):
+            curve = assemble_known_curve(n, k)
+            rows = [f for f in FAMILIES if f.in_range(n, k)]
+            assert rows, (n, k)
+            for f in rows:
+                t_m, t_r, rhs = f.target(n, k)
+                below = [(m, r, tag) for m, r, tag in curve.vertices if t_m * m + t_r * r < rhs]
+                assert not below, (n, k, f.case, below)
+                m, r = f.corner(n, k)
+                assert t_m * m + t_r * r == rhs, (n, k, f.case)
+                tag = next(tag for vm, vr, tag in curve.vertices if (vm, vr) == (m, r))
+                assert f.tag(n, k) in tag.split("+"), (n, k, f.case, tag)
