@@ -1,9 +1,15 @@
 """Exhaustive decode verification over the demand set D.
 
-For a given (N, K) and scheme, every demand in D is delivered once and every
-user decodes; any byte mismatch is recorded. The library content is
-deterministic in (N, K), so independent workers rebuild identical state and
-reports merge in demand order. One symbol per subfile keeps the sweep fast.
+For a given (N, K) and scheme, every user decodes every demand in D from its
+own data, and any symbol that differs from the file is recorded as a failure.
+Each subfile is one symbol. A scheme's programs read a demand only through its
+pattern, so the sweep groups D by pattern and makes each demand of a group one
+column: a slot's subfile is the tuple of that subfile's symbol over the
+group's demands. A group runs its delivery program once and its decoding
+program once per user, and a group of 64 or more demands at p = 257 runs
+through the packed kernel. The library content is deterministic in (N, K),
+so workers, each given whole patterns, rebuild identical state, and failures
+merge in demand order.
 """
 
 from __future__ import annotations
@@ -15,10 +21,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
+from operator import itemgetter
 
 from . import baselines, coded_placement
 from .errors import ConfigMismatch
-from .model import NetworkConfig, enumerate_demands
+from .model import Demand, NetworkConfig, enumerate_demands
+from .scheme import Cache, run
 
 SCHEMES = {"new": coded_placement.NEW, "man": baselines.MAN}
 
@@ -47,26 +55,68 @@ class VerifyReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _by_key(files) -> dict:
+    """Each key of the one-symbol subfiles files[f], mapped to its symbol in every file."""
+    return {key: tuple([part[key][0] for part in files]) for key in files[0]}
+
+
+class _Columns(dict):
+    """One slot of a group run: each subfile a program reads, as its symbol per demand.
+
+    symbols maps a key to its symbol in every file, and column gives each demand's
+    file index, so only the keys a program reads are ever gathered.
+    """
+
+    def __init__(self, symbols: dict, column: tuple[int, ...]):
+        super().__init__()
+        self.symbols = symbols
+        self.pick = itemgetter(*column) if len(column) > 1 else lambda s: (s[column[0]],)
+
+    def __missing__(self, key):
+        value = self[key] = self.pick(self.symbols[key])
+        return value
+
+
+def _check_group(scheme, cfg: NetworkConfig, library: dict, caches: list[tuple[Cache, dict]],
+                 wanted: list[tuple], group: list[Demand]) -> list[dict]:
+    """Deliver and decode one pattern's demands together, one column per demand."""
+    pattern = scheme.pattern(group[0], cfg)
+    columns = [tuple(f - 1 for f in files) for files in zip(*group)]  # slot u-1's, per user u
+    requested = [_Columns(library, c) for c in columns]
+    sent = run(scheme.delivery(cfg, pattern), [*requested, []], cfg.field)
+    failures = []
+    for cache, held in caches:
+        mixed = [packet * len(group) for packet in cache.parts[-1].values()]
+        slots = [*(_Columns(held, c) for c in columns), [*sent, *mixed]]
+        out = run(scheme.decoding(cfg, pattern, cache.user), slots, cfg.field)
+        # one tuple() per piece, as indexing Lanes per column unpacks it each time; the
+        # pieces are compared whole, and only a mismatch is transposed into columns
+        pieces = [tuple(piece) for piece in out[len(out) - len(wanted):]]
+        plain = [requested[cache.user - 1].pick(symbols) for symbols in wanted]
+        if pieces != plain:
+            for demand, got, want in zip(group, zip(*pieces), zip(*plain)):
+                if got != want:
+                    failures.append({"demand": list(demand), "user": cache.user,
+                                     "reason": "decoded bytes differ"})
+    return failures
+
+
 def _check_chunk(args) -> tuple[int, list[dict], tuple[Fraction, Fraction]]:
-    """Check one run of demands; also (M, R) of cache 1 and the first broadcast."""
-    n, k, p, name, chunk = args
+    """Check whole patterns' demands; also (M, R) of cache 1 and the first demand's broadcast."""
+    n, k, p, name, groups = args
     scheme = SCHEMES[name]
     cfg = NetworkConfig(n, k, p)
     plain = [random.Random(f"cachewright-{n}-{k}-{i}").randbytes(len(scheme.keys(cfg)))
              for i in range(n)]
     library = [scheme.split(blob, cfg) for blob in plain]
     caches = scheme.place(library, cfg)
-    failures: list[dict] = []
-    point = None
-    # a pattern's demands one after another, so its K + 1 programs compile once
-    for demand in sorted(chunk, key=lambda d: scheme.pattern(d, cfg)):
-        sent = scheme.deliver(library, demand, cfg)
-        point = point or scheme.point(cfg, caches[0], sent)
-        for cache in caches:
-            if scheme.decode(cache, sent, cfg) != plain[demand[cache.user - 1] - 1]:
-                failures.append({"demand": list(demand), "user": cache.user,
-                                 "reason": "decoded bytes differ"})
-    return len(chunk), failures, point
+    point = scheme.point(cfg, caches[0], scheme.deliver(library, groups[0][0], cfg))
+    by_key = _by_key([g.parts for g in library])
+    held = [(cache, _by_key(cache.parts[:n])) for cache in caches]
+    wanted = list(zip(*plain))  # each piece's symbol in every file, read from the bytes
+    failures = [f for group in groups
+                for f in _check_group(scheme, cfg, by_key, held, wanted, group)]
+    return sum(map(len, groups)), failures, point
 
 
 def run_verification(n: int, k: int, scheme: str = "new", jobs: int = 1,
@@ -75,16 +125,18 @@ def run_verification(n: int, k: int, scheme: str = "new", jobs: int = 1,
         raise ConfigMismatch(f"unknown scheme {scheme!r}; pick one of {tuple(SCHEMES)}")
     cfg = NetworkConfig(n, k, p or 0)
     start = time.perf_counter()
-    demands = list(enumerate_demands(cfg))
-    jobs = max(1, min(jobs, len(demands), os.cpu_count() or 1))
+    by_pattern: dict = {}
+    for demand in enumerate_demands(cfg):
+        by_pattern.setdefault(SCHEMES[scheme].pattern(demand, cfg), []).append(demand)
+    # in order of first appearance in D, so chunk 0 starts with D's first demand
+    groups = list(by_pattern.values())
+    jobs = max(1, min(jobs, len(groups), os.cpu_count() or 1))
+    chunks = [(n, k, cfg.p, scheme, groups[i::jobs]) for i in range(jobs)]
     if jobs == 1:
-        results = [_check_chunk((n, k, cfg.p, scheme, demands))]
+        results = [_check_chunk(chunks[0])]
     else:
-        size = -(-len(demands) // jobs)
-        chunks = [demands[i:i + size] for i in range(0, len(demands), size)]
-        with Pool(processes=len(chunks)) as pool:
-            results = pool.map(_check_chunk,
-                               [(n, k, cfg.p, scheme, c) for c in chunks])
+        with Pool(processes=jobs) as pool:
+            results = pool.map(_check_chunk, chunks)
     failures = [f for _, fs, _ in results for f in fs]
     failures.sort(key=lambda f: (f["demand"], f["user"]))
     memory, rate = results[0][2]

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 import random
 
 import pytest
 
-from cachewright import verify
-from cachewright.errors import CachewrightError
+from cachewright import cli, field, scheme as engine, verify
+from cachewright.errors import CachewrightError, SymbolOutOfByteRange
 from cachewright.model import NetworkConfig, enumerate_demands
 from cachewright.verify import SCHEMES, run_verification
 
@@ -53,13 +55,153 @@ def test_placing_a_user_outside_the_network_is_refused(name, user):
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
-def test_a_sweep_compiles_each_pattern_once(name):
+def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
     # D lists a pattern's demands far apart; the sweep takes them together, so a
-    # program cache far smaller than the 540 demands x 6 users still always hits
+    # program cache far smaller than the 540 demands x 6 users still always hits,
+    # and each pattern costs one delivery run and one decoding run per user
     scheme, cfg = SCHEMES[name], NetworkConfig(3, 6)
     patterns = {scheme.pattern(d, cfg) for d in enumerate_demands(cfg)}
+    runs = []
+
+    def counted(program, slots, fld):
+        runs.append(program)
+        return run(program, slots, fld)
+
+    run = engine.run
+    monkeypatch.setattr(engine, "run", counted)
+    monkeypatch.setattr(verify, "run", counted)
     scheme.delivery.cache_clear()
     scheme.decoding.cache_clear()
     assert run_verification(3, 6, name).ok
     assert scheme.delivery.cache_info().misses == len(patterns)
     assert scheme.decoding.cache_info().misses == len(patterns) * cfg.k
+    # K placement runs and the one delivery that measures (M, R) come on top
+    assert len(runs) == len(patterns) * (1 + cfg.k) + cfg.k + 1
+
+
+def _mutant(scheme, user: int, term: int, coef: int | None = None, slot: int | None = None):
+    """scheme with term `term` of user `user`'s first decoding step given another
+    coefficient or read from another slot."""
+    def decoding(cfg, pattern, k):
+        steps = scheme.decoding(cfg, pattern, k)
+        if k != user:
+            return steps
+        first = list(steps[0])
+        c, (s, key) = first[term]
+        first[term] = (c if coef is None else coef, (s if slot is None else slot, key))
+        return (tuple(first), *steps[1:])
+    return dataclasses.replace(scheme, decoding=decoding)
+
+
+def _per_demand_failures(scheme, cfg) -> tuple[list[dict], int]:
+    """The sweep as a loop over D through Scheme.deliver and Scheme.decode, with the
+    library verify builds; also how many decodes yielded a symbol outside a byte."""
+    plain = [random.Random(f"cachewright-{cfg.n}-{cfg.k}-{i}").randbytes(len(scheme.keys(cfg)))
+             for i in range(cfg.n)]
+    library = [scheme.split(blob, cfg) for blob in plain]
+    caches = scheme.place(library, cfg)
+    failures, outside = [], 0
+    for demand in enumerate_demands(cfg):
+        sent = scheme.deliver(library, demand, cfg)
+        for cache in caches:
+            try:
+                right = scheme.decode(cache, sent, cfg) == plain[demand[cache.user - 1] - 1]
+            except SymbolOutOfByteRange:
+                right, outside = False, outside + 1
+            if not right:
+                failures.append({"demand": list(demand), "user": cache.user,
+                                 "reason": "decoded bytes differ"})
+    return failures, outside
+
+
+# at (3, 5) each coefficient mutant decodes some symbol to 256; the slot mutant
+# fails only the demands where users 2 and 3 request different files
+MUTANTS = {
+    "man-coefficient": ("man", dict(user=1, term=0, coef=5)),
+    "new-coefficient": ("new", dict(user=1, term=1, coef=10)),
+    "man-slot": ("man", dict(user=1, term=1, slot=2)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_the_batched_sweep_fails_what_a_per_demand_loop_fails(mutant, monkeypatch):
+    name, change = MUTANTS[mutant]
+    broken, cfg = _mutant(SCHEMES[name], **change), NetworkConfig(3, 5)
+    expected, outside = _per_demand_failures(broken, cfg)
+    assert expected and (outside > 0) == ("coef" in change)
+    monkeypatch.setitem(verify.SCHEMES, name, broken)
+    report = run_verification(3, 5, name)
+    assert report.failures == sorted(expected, key=lambda f: (f["demand"], f["user"]))
+    assert report.demands_checked == len(list(enumerate_demands(cfg)))
+
+
+def test_a_decoded_symbol_outside_a_byte_is_a_failure_not_a_usage_error(monkeypatch, capsys):
+    broken = _mutant(SCHEMES["man"], **MUTANTS["man-coefficient"][1])
+    assert _per_demand_failures(broken, NetworkConfig(3, 5))[1] > 0
+    monkeypatch.setitem(verify.SCHEMES, "man", broken)
+    report = run_verification(3, 5, "man")
+    assert report.ok is False and report.failures
+    assert cli.main(["verify", "--n", "3", "--k", "5", "--scheme", "man"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == report.failures
+
+
+def test_wide_groups_take_the_packed_kernel_only_at_257(monkeypatch):
+    # at (5, 6) every coded-scheme pattern has 5! = 120 demands, so its vectors are
+    # 120 symbols wide: packed at p = 257, the list path at p = 263
+    packed = []
+
+    def spy(terms, n):
+        out = combine(terms, n)
+        packed.append(out is not None)
+        return out
+
+    combine = field._combine_packed
+    monkeypatch.setattr(field, "_combine_packed", spy)
+    default = run_verification(5, 6, "new")
+    assert default.ok and packed and all(packed)
+    packed.clear()
+    other = run_verification(5, 6, "new", p=263)
+    assert other.ok and not packed
+    assert default.demands_checked == other.demands_checked == 1800
+    assert (default.memory, default.rate) == (other.memory, other.rate)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_two_jobs_report_what_one_job_reports(name, monkeypatch):
+    serial = run_verification(4, 6, name, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parallel = run_verification(4, 6, name, jobs=2)
+    serial.wall_time = parallel.wall_time = 0.0
+    assert parallel.to_json() == serial.to_json()
+
+
+def test_workers_get_whole_patterns(monkeypatch):
+    chunks = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            assert processes == 3
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            chunks.extend(args)
+            return list(map(fn, args))
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(verify, "Pool", InlinePool)
+    scheme, cfg = SCHEMES["new"], NetworkConfig(3, 5)
+    assert run_verification(3, 5, "new", jobs=3).ok
+    demands = list(enumerate_demands(cfg))
+    owner = {}
+    for i, (*_, groups) in enumerate(chunks):
+        for group in groups:
+            for d in group:
+                assert owner.setdefault(scheme.pattern(d, cfg), i) == i
+    assert len(chunks) == 3
+    assert sorted(d for *_, groups in chunks for g in groups for d in g) == demands
+    assert chunks[0][-1][0][0] == demands[0]  # (M, R) comes from D's first demand
