@@ -20,6 +20,8 @@ peels off the remaining W_{d_k}^{kj}.
 Each phase is compiled into a coefficient program for the engine in
 `scheme`; a cache keeps W_n^{ij} under (n-1, (i, j)), the difference ending
 in W_n^{kj} under (n-1, ("diff", j)) and the sum packet under (N, "sum").
+The compilers read only N, K and the field's inverse, and leave every
+reduction to the field, so over Q the same programs hold exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import DemandNotInD, OutOfRange
-from .field import Symbol
 from .model import (
     Demand,
     NetworkConfig,
@@ -64,13 +65,13 @@ def _caching(cfg: NetworkConfig, k: int) -> dict:
 
 
 def _context(cfg: NetworkConfig, pattern: Demand) -> tuple:
-    """How many users request each file, and coef(k, s) = (a_ks / m_ks) reduced into the field."""
+    """How many users request each file, and coef(k, s) = a_ks / m_ks, 1/m_ks from cfg.field.inv."""
     counts = Counter(pattern)
     inv = [0] + [cfg.field.inv(m) for m in range(1, cfg.k)]
 
-    def coef(k: int, s: int) -> Symbol:
+    def coef(k: int, s: int) -> int:
         same = pattern[k - 1] == pattern[s - 1]  # then user k is among the requesters of d_s
-        return (-1 if same else 1) * inv[counts[pattern[s - 1]] - same] % cfg.p
+        return (-1 if same else 1) * inv[counts[pattern[s - 1]] - same]
     return counts, coef
 
 
@@ -82,7 +83,7 @@ def _delivery(cfg: NetworkConfig, pattern: Demand) -> tuple:
 
 def _decoding(cfg: NetworkConfig, pattern: Demand, k: int) -> tuple:
     counts, coef = _context(cfg, pattern)
-    big_k, p = cfg.k, cfg.p
+    big_k = cfg.k
     succ = successor(k, big_k)
     others = [u for u in range(1, big_k + 1) if u != k]
     steps: list = []
@@ -96,15 +97,15 @@ def _decoding(cfg: NetworkConfig, pattern: Demand, k: int) -> tuple:
     for j in others:
         undo = cfg.field.inv(coef(j, k))
         found[(j, k)] = emit([(undo, (big_k, j - 1))] + [
-            (-undo * coef(j, s) % p, (s - 1, (j, s))) for s in others if s != j])
+            (-undo * coef(j, s), (s - 1, (j, s))) for s in others if s != j])
 
     # stage 2: X_d^k plus the weighted diffs is the sum over files != wanted of
     # W_n^{k,succ}, minus W_wanted^{k,succ} whenever some other user also requests
     # the wanted file; the sum packet minus that is W_wanted^{k,succ}, doubled in
     # that case. Only the stage-1 steps above read the broadcast for W^{jk}.
     half = cfg.field.inv(2) if counts[pattern[k - 1]] > 1 else 1
-    head = found[(k, succ)] = emit([(half, (big_k, big_k)), (-half % p, (big_k, k - 1))] + [
-        (-half * coef(k, j) % p, (j - 1, ("diff", j)))
+    head = found[(k, succ)] = emit([(half, (big_k, big_k)), (-half, (big_k, k - 1))] + [
+        (-half * coef(k, j), (j - 1, ("diff", j)))
         for j in others if j != succ])
     for j in others:
         if j != succ:

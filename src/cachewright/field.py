@@ -225,13 +225,9 @@ def encode_bytes(data: bytes, ctx: FieldCtx) -> tuple[Symbol, ...]:
     return tuple(data)
 
 
-def decode_bytes(symbols: Sequence[Symbol]) -> bytes:
-    """Inverse of encode_bytes; refuses symbols that cannot be plain bytes."""
-    return join_bytes((symbols,))
-
-
 def join_bytes(pieces: Sequence[Sequence[Symbol]]) -> bytes:
-    """decode_bytes of the pieces laid end to end; Lanes pieces are read from their lanes."""
+    """The pieces laid end to end as bytes, inverting encode_bytes; refuses symbols that
+    cannot be plain bytes. Lanes pieces are read from their lanes."""
     try:
         if pieces and isinstance(pieces[0], Lanes):
             return b"".join(map(bytes, pieces))

@@ -1,14 +1,16 @@
 """One data plane for every linear scheme: coefficient programs and the engine that runs them.
 
 A scheme is its split keys plus three compilers of programs: tuples of steps, each a
-tuple of (coefficient, (slot, key)) terms. `run` makes one `vec_combine` per step; a
-step of one term with coefficient 1 is a copy. In caching(cfg, user), a dict from
-cache name to step, slot f-1 is file f; the cache keeps packets mixing files in its
-slot N. In delivery(cfg, pattern), one step per broadcast packet, and decoding(cfg,
-pattern, user), whose last steps yield the wanted file's pieces in key order, slot
-u-1 is the file user u requests; slot K lists the broadcast, the cache's slot N, then
-each step's result. So both read a demand only through the scheme's pattern of it,
-and are kept per (cfg, pattern, user) in small LRU caches.
+tuple of (coefficient, (slot, key)) terms. Coefficients are plain integers, dividing
+only through cfg.field.inv, and `run` makes one `vec_combine` per step, which alone
+reduces them; a step of one term with coefficient 1 is a copy. In caching(cfg, user),
+a dict from cache name to step, slot f-1 is file f; the cache keeps packets mixing
+files in its slot N. In delivery(cfg, pattern), one step per broadcast packet, and
+decoding(cfg, pattern, user), slot u-1 is the file user u requests. So both read a
+demand only through the scheme's pattern of it, and are kept per (cfg, pattern, user)
+in small LRU caches. Only `Scheme.send` and `Scheme.recover` run them. In recover,
+slot K lists the broadcast, the cache's slot N, then each step's result, and the
+last len(keys) results are the wanted file's pieces in key order.
 """
 
 from __future__ import annotations
@@ -107,12 +109,22 @@ class Scheme:
             caches.append(Cache(user, parts, lengths, sub_len))
         return caches
 
+    def send(self, cfg: NetworkConfig, pattern, requested: Sequence) -> list:
+        """The broadcast packets, slot u-1 being requested[u-1]: the file user u requests."""
+        return run(self.delivery(cfg, pattern), [*requested, []], cfg.field)
+
+    def recover(self, cfg: NetworkConfig, pattern, user: int, held: Sequence,
+                sent: Iterable, mixed: Iterable) -> list:
+        """The wanted file's pieces in key order, decoded by user from the broadcast sent,
+        its cache's mixed packets, and held[u-1]: what it caches of the file user u requests."""
+        out = run(self.decoding(cfg, pattern, user), [*held, [*sent, *mixed]], cfg.field)
+        return out[len(out) - len(self.keys(cfg)):]
+
     def deliver(self, library: list[SubfileGrid], demand, cfg: NetworkConfig) -> Broadcast:
         d = validate_demand(demand, cfg)
-        program = self.delivery(cfg, self.pattern(d, cfg))
+        pattern = self.pattern(d, cfg)
         self._subfile_len(library, cfg)
-        packets = run(program, [library[f - 1].parts for f in d] + [[]], cfg.field)
-        return Broadcast(d, tuple(packets))
+        return Broadcast(d, tuple(self.send(cfg, pattern, [library[f - 1].parts for f in d])))
 
     def decode(self, cache: Cache, sent: Broadcast, cfg: NetworkConfig) -> bytes:
         d = validate_demand(sent.demand, cfg)
@@ -122,10 +134,8 @@ class Scheme:
             raise ConfigMismatch(f"broadcast holds {len(sent.packets)} packets, not {count}")
         if set(map(len, sent.packets)) != {cache.subfile_len}:
             raise LengthMismatch("broadcast and cache subfile lengths differ")
-        slots = [cache.parts[f - 1] for f in d]
-        slots.append([*sent.packets, *cache.parts[-1].values()])
-        out = run(self.decoding(cfg, pattern, cache.user), slots, cfg.field)
-        pieces = out[len(out) - len(self.keys(cfg)):]
+        pieces = self.recover(cfg, pattern, cache.user, [cache.parts[f - 1] for f in d],
+                              sent.packets, cache.parts[-1].values())
         return join_bytes(pieces)[: cache.file_lengths[d[cache.user - 1] - 1]]
 
     def point(self, cfg: NetworkConfig, cache: Cache, sent: Broadcast) -> tuple[Fraction, Fraction]:

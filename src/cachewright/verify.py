@@ -26,7 +26,7 @@ from operator import itemgetter
 from . import baselines, coded_placement
 from .errors import ConfigMismatch
 from .model import Demand, NetworkConfig, enumerate_demands
-from .scheme import Cache, run
+from .scheme import Cache
 
 SCHEMES = {"new": coded_placement.NEW, "man": baselines.MAN}
 
@@ -83,15 +83,14 @@ def _check_group(scheme, cfg: NetworkConfig, library: dict, caches: list[tuple[C
     pattern = scheme.pattern(group[0], cfg)
     columns = [tuple(f - 1 for f in files) for files in zip(*group)]  # slot u-1's, per user u
     requested = [_Columns(library, c) for c in columns]
-    sent = run(scheme.delivery(cfg, pattern), [*requested, []], cfg.field)
+    sent = scheme.send(cfg, pattern, requested)
     failures = []
     for cache, held in caches:
         mixed = [packet * len(group) for packet in cache.parts[-1].values()]
-        slots = [*(_Columns(held, c) for c in columns), [*sent, *mixed]]
-        out = run(scheme.decoding(cfg, pattern, cache.user), slots, cfg.field)
         # one tuple() per piece, as indexing Lanes per column unpacks it each time; the
         # pieces are compared whole, and only a mismatch is transposed into columns
-        pieces = [tuple(piece) for piece in out[len(out) - len(wanted):]]
+        pieces = [tuple(piece) for piece in scheme.recover(
+            cfg, pattern, cache.user, [_Columns(held, c) for c in columns], sent, mixed)]
         plain = [requested[cache.user - 1].pick(symbols) for symbols in wanted]
         if pieces != plain:
             for demand, got, want in zip(group, zip(*pieces), zip(*plain)):

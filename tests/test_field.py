@@ -18,10 +18,10 @@ from cachewright.errors import (
 )
 from cachewright.field import (
     coded_to_wire,
-    decode_bytes,
     default_modulus,
     encode_bytes,
     is_prime,
+    join_bytes,
     make_field,
     vec_combine,
     wire_to_coded,
@@ -85,18 +85,18 @@ def test_inverse_property_random():
 def test_byte_round_trip():
     fld = make_field(257)
     assert encode_bytes(b"", fld) == ()
-    assert decode_bytes(()) == b""
+    assert join_bytes(((),)) == b""
     assert encode_bytes(b"\x00\xff", fld) == (0, 255)
-    assert decode_bytes((0, 255)) == b"\x00\xff"
+    assert join_bytes(((0, 255),)) == b"\x00\xff"
     rng = random.Random(11)
     for _ in range(50):
         blob = bytes(rng.randrange(256) for _ in range(rng.randrange(200)))
-        assert decode_bytes(encode_bytes(blob, fld)) == blob
+        assert join_bytes((encode_bytes(blob, fld),)) == blob
 
 
 def test_decode_rejects_coded_symbols():
     with pytest.raises(SymbolOutOfByteRange):
-        decode_bytes((256,))
+        join_bytes(((256,),))
 
 
 @pytest.mark.parametrize("bad", [256, -1])
@@ -107,14 +107,14 @@ def test_decode_names_the_first_symbol_outside_a_byte(bad):
     symbols[4500] = 1000
     message = f"^symbol {bad} is not a byte; content is coded$"
     with pytest.raises(SymbolOutOfByteRange, match=message):
-        decode_bytes(symbols)
+        join_bytes((symbols,))
 
 
 def test_decode_of_valid_symbols_is_the_plain_bytes():
     rng = random.Random(4)
     symbols = [rng.randrange(256) for _ in range(5000)]
-    assert decode_bytes(symbols) == bytes(bytearray(symbols))
-    assert decode_bytes(tuple(symbols)) == bytes(bytearray(symbols))
+    assert join_bytes((symbols,)) == bytes(bytearray(symbols))
+    assert join_bytes((tuple(symbols),)) == bytes(bytearray(symbols))
 
 
 def test_encode_needs_wide_modulus():

@@ -4,10 +4,14 @@ tests/golden/tradeoff/nN_kK.csv holds `cachewright tradeoff --n N --k K` at
 the default 33 samples, and tests/golden/converse/nN_kK.out the stdout of
 `cachewright converse --n N --k K`, whose exit code is listed in
 tests/golden/converse/exit_codes.txt, for every 1 <= N <= K with 2 <= K <= 8.
+tests/golden/verify/SCHEME_nN_kK.json holds the JSON of `cachewright verify --n N
+--k K --scheme SCHEME` without its wall_time, for both schemes and every
+1 <= N <= K with 2 <= K <= 6.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ from cachewright.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 PAIRS = [(n, k) for k in range(2, 9) for n in range(1, k + 1)]
+VERIFIED = [(scheme, n, k) for scheme in ("man", "new") for n, k in PAIRS if k <= 6]
 
 
 def _exit_codes() -> dict[tuple[int, int], int]:
@@ -30,6 +35,7 @@ def test_golden_set_is_complete():
     assert sorted(_exit_codes()) == sorted(PAIRS)
     assert len(list((GOLDEN / "tradeoff").glob("*.csv"))) == len(PAIRS) == 35
     assert len(list((GOLDEN / "converse").glob("*.out"))) == len(PAIRS)
+    assert len(list((GOLDEN / "verify").glob("*.json"))) == len(VERIFIED) == 40
 
 
 @pytest.mark.parametrize("n,k", PAIRS)
@@ -45,3 +51,12 @@ def test_converse_matches_golden(n, k, capsysbinary):
     expected = (GOLDEN / "converse" / f"n{n}_k{k}.out").read_bytes()
     assert capsysbinary.readouterr().out == expected
     assert code == _exit_codes()[(n, k)]
+
+
+@pytest.mark.parametrize("scheme,n,k", VERIFIED)
+def test_verify_json_matches_golden_apart_from_wall_time(scheme, n, k, capsys):
+    assert main(["verify", "--n", str(n), "--k", str(k), "--scheme", scheme]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["wall_time"]
+    expected = (GOLDEN / "verify" / f"{scheme}_n{n}_k{k}.json").read_text()
+    assert json.dumps(report, sort_keys=True, indent=2) + "\n" == expected

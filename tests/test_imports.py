@@ -67,3 +67,11 @@ def test_cli_and_tradeoff_reach_the_bound_families_only_through_the_table():
     for module in ("cli.py", "tradeoff.py"):
         source = (SRC / "cachewright" / module).read_text()
         assert [name for name in names if name in source] == [], module
+
+
+def test_only_the_field_reduces_and_verify_runs_no_program_itself():
+    for module in ("coded_placement.py", "baselines.py"):
+        source = (SRC / "cachewright" / module).read_text()
+        assert [text for text in ("cfg.p", "% p") if text in source] == [], module
+    source = (SRC / "cachewright" / "verify.py").read_text()
+    assert [text for text in ("run(", ".delivery(", ".decoding(") if text in source] == []

@@ -15,7 +15,6 @@ from cachewright.baselines import MAN
 from cachewright.errors import SymbolOutOfByteRange
 from cachewright.field import (
     Lanes,
-    decode_bytes,
     encode_bytes,
     join_bytes,
     make_field,
@@ -137,7 +136,7 @@ def test_join_bytes_names_the_first_lane_outside_a_byte():
     pieces = [_lanes(tuple(symbols[:2000])), _lanes(tuple(symbols[2000:4400])),
               tuple(symbols[4400:])]
     with pytest.raises(SymbolOutOfByteRange) as from_symbols:
-        decode_bytes(symbols)
+        join_bytes((symbols,))
     message = "^symbol 256 is not a byte; content is coded$"
     with pytest.raises(SymbolOutOfByteRange, match=message) as from_lanes:
         join_bytes(pieces)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from types import SimpleNamespace
+
 import pytest
 
 from cachewright.coded_placement import NEW
@@ -71,3 +75,38 @@ def test_a_copy_step_passes_the_vector_through():
     (cache,) = NEW.place(library, cfg, users=(1,))
     assert cache.parts[1][(2, 3)] is library[1].parts[(2, 3)]
     assert cache.parts[-1] == {"sum": (6 + 12,)}  # W_1^{12} + W_2^{12}, one vec_combine
+
+
+def _programs(scheme, cfg, patterns) -> list:
+    """Every step compiled at cfg: each user's placement, then per pattern the delivery
+    and each user's decoding, from the compilers themselves rather than their caches."""
+    users = range(1, cfg.k + 1)
+    steps = [step for user in users for step in scheme.caching(cfg, user).values()]
+    for pattern in patterns:
+        steps += scheme.delivery.__wrapped__(cfg, pattern)
+        for user in users:
+            steps += scheme.decoding.__wrapped__(cfg, pattern, user)
+    return steps
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_the_compilers_run_over_q_and_agree_with_f257(name):
+    # a cfg without p, whose field divides in Q: the compilers read no modulus, each
+    # rational coefficient reduces mod 257 to the F_257 one, and the denominators'
+    # lcm is 2 lcm(1..K-1), so NetworkConfig's rule p > K keeps every one invertible
+    scheme = SCHEMES[name]
+    rational = SimpleNamespace(inv=lambda a: 1 / Fraction(a))
+    for k in range(2, 7):
+        denominators = set()
+        for n in range(1, k + 1):
+            cfg = NetworkConfig(n, k)
+            exact = SimpleNamespace(n=n, k=k, field=rational)
+            patterns = sorted({scheme.pattern(d, cfg) for d in enumerate_demands(cfg)})
+            for over_q, over_p in zip(_programs(scheme, exact, patterns),
+                                      _programs(scheme, cfg, patterns), strict=True):
+                assert [key for _, key in over_q] == [key for _, key in over_p]
+                for (q, _), (c, _) in zip(over_q, over_p):
+                    q = Fraction(q)
+                    assert q.numerator * pow(q.denominator, -1, 257) % 257 == c % 257
+                    denominators.add(q.denominator)
+        assert lcm(*denominators) == (2 * lcm(*range(1, k)) if name == "new" else 1), k

@@ -69,7 +69,6 @@ def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
 
     run = engine.run
     monkeypatch.setattr(engine, "run", counted)
-    monkeypatch.setattr(verify, "run", counted)
     scheme.delivery.cache_clear()
     scheme.decoding.cache_clear()
     assert run_verification(3, 6, name).ok
@@ -144,6 +143,21 @@ def test_a_decoded_symbol_outside_a_byte_is_a_failure_not_a_usage_error(monkeypa
     assert cli.main(["verify", "--n", "3", "--k", "5", "--scheme", "man"]) == 1
     assert json.loads(capsys.readouterr().out)["failures"] == report.failures
 
+
+
+@pytest.mark.parametrize("demand", ["1,2,3,1,1", "1,1,2,3,1"])
+def test_a_roundtrip_decoding_a_symbol_outside_a_byte_fails_with_exit_1(demand, tmp_path,
+                                                                         monkeypatch, capsys):
+    broken = _mutant(SCHEMES["man"], **MUTANTS["man-coefficient"][1])
+    monkeypatch.setitem(verify.SCHEMES, "man", broken)
+    source, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    source.write_bytes(random.Random("outside-a-byte").randbytes(3000))
+    assert cli.main(["roundtrip", "--n", "3", "--k", "5", "--scheme", "man", "--demand", demand,
+                     str(source), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "roundtrip FAILED: symbol 256 is not a byte; content is coded\n"
+    assert captured.out == "M = 12/5\nR = 1/5\n"
+    assert out.read_bytes() == b""  # no bytes to write, and no usage error to remove it
 
 def test_wide_groups_take_the_packed_kernel_only_at_257(monkeypatch):
     # at (5, 6) every coded-scheme pattern has 5! = 120 demands, so its vectors are
