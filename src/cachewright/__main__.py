@@ -1,0 +1,8 @@
+"""`python -m cachewright ...` runs the command-line front end."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -80,6 +80,8 @@ def cmd_roundtrip(args) -> int:
     user = args.user
     if not 1 <= user <= args.k:
         raise CachewrightError(f"--user {user} outside [1, {args.k}]")
+    if not args.out:
+        raise CachewrightError("--out must name a file for the decoded bytes")
     with _open(args.input, "rb") as fh:
         payload = fh.read()
     wanted = demand[user - 1]

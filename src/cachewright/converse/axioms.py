@@ -50,8 +50,10 @@ _VAR_RANGE = {"W": _file, "Z": _bounded("cache index", lambda t: t.k), "X": _dem
 
 
 def _check_vars(vs: VarSet, table) -> None:
-    for v in vs:
-        _VAR_RANGE[v.kind](v.idx, table)
+    top = {"W": table.n, "Z": table.k, "X": len(table.demands)}
+    for kind, idx in vs:
+        if not 1 <= idx <= top[kind]:
+            _VAR_RANGE[kind](idx, table)   # raises, naming the range
 
 
 def _check_perm(perm: Perm, table) -> None:

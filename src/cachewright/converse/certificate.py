@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from ..errors import (
     ConfigMismatch,
@@ -80,11 +81,21 @@ def _validate_table(cert: Certificate) -> None:
 
 
 def check_certificate(cert: Certificate) -> CheckReport:
-    """Validate side conditions, sum the axioms, compare with the target."""
+    """Validate side conditions, sum the axioms, compare with the target.
+
+    Multipliers must be int or Fraction (bool is refused). The sum runs over
+    integers: each multiplier is scaled by the lcm of all their denominators,
+    and only the surviving residual entries are divided back by that lcm.
+    """
     _validate_table(cert)
+    for index, (_, mult) in enumerate(cert.axioms):
+        if not isinstance(mult, (int, Fraction)) or isinstance(mult, bool):
+            raise MalformedAxiom(index, f"multiplier {mult!r} is not an int or a Fraction")
+    scale = lcm(*(mult.denominator for _, mult in cert.axioms))
     residual: dict = {}   # zero sums are dropped at once, so the dict stays small
     for index, (axiom, mult) in enumerate(cert.axioms):
-        if not axiom.equality and mult < 0:
+        weight = mult.numerator * (scale // mult.denominator)
+        if not axiom.equality and weight < 0:
             raise NegativeMultiplierOnInequality(index, f"{axiom.kind} weighted {mult}")
         try:
             axiom.validate(cert)
@@ -94,13 +105,14 @@ def check_certificate(cert: Certificate) -> CheckReport:
             raise MalformedAxiom(index, str(exc)) from exc
         for key, coef in axiom.terms(cert):
             if key:   # the empty set has zero entropy
-                total = residual.get(key, 0) + coef * mult
+                total = residual.get(key, 0) + coef * weight
                 if total:
                     residual[key] = total
                 else:
                     residual.pop(key, None)
 
-    m, r, const = (Fraction(residual.pop(key, 0)) for key in (M, R, CONST))
+    m, r, const = (Fraction(residual.pop(key, 0), scale) for key in (M, R, CONST))
+    residual = {key: Fraction(total, scale) for key, total in residual.items()}
     if residual:
         worst = min(residual, key=lambda s: sorted(v.sort_key() for v in s))
         reason = (f"{len(residual)} entropy terms do not cancel, "

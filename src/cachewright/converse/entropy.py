@@ -4,11 +4,17 @@ Random variables come in three flavours: a file W_n, a cache Z_l, and a
 broadcast X_i for the i-th demand of a certificate's demand table. A linear
 combination maps keys to coefficients: a variable set stands for its joint
 entropy, and M, R and CONST for the cache budget, the rate and a constant.
+
+A variable is a named (kind, idx) tuple, so hashing and comparing the
+frozensets that key a combination run in C. Token parsing goes through a
+bounded memo that holds only tokens that parsed: a malformed token raises
+every time it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 _KIND_ORDER = {"W": 0, "Z": 1, "X": 2}
 M, R, CONST = "M", "R", "1"
@@ -21,8 +27,7 @@ def natural(token: str) -> int:
     raise ValueError(f"{token!r} is not a plain decimal number")
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     """One random variable: kind 'W' (file), 'Z' (cache), or 'X' (broadcast)."""
 
     kind: str
@@ -34,11 +39,12 @@ class Var:
     def token(self) -> str:
         return f"{self.kind}{self.idx}"
 
-    @classmethod
-    def parse(cls, token: str) -> "Var":
+    @staticmethod
+    @lru_cache(maxsize=4096)
+    def parse(token: str) -> "Var":
         if token[:1] not in _KIND_ORDER:
             raise ValueError(f"bad variable token {token!r}")
-        return cls(token[0], natural(token[1:]))
+        return Var(token[0], natural(token[1:]))
 
 
 VarSet = frozenset

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from math import lcm
 
 import pytest
+import reference_certificate
 
 from cachewright.baselines import yu_point
 from cachewright.coded_placement import scheme_point
@@ -32,6 +34,7 @@ from cachewright.converse import (
     xvar,
     zvar,
 )
+from cachewright.converse.tightness import FAMILIES
 from cachewright.errors import (
     MalformedAxiom,
     NegativeMultiplierOnInequality,
@@ -102,6 +105,63 @@ def test_mutation_any_multiplier_breaks_2_4():
     cert = case2_certificate(2, 4)
     for index in range(len(cert.axioms)):
         assert not check_certificate(perturbed(cert, index, 1)).ok, index
+
+
+def _scale(cert):
+    return lcm(*(mult.denominator for _, mult in cert.axioms))
+
+
+@pytest.mark.parametrize("n, k", [(3, 4), (2, 4)])
+def test_fractional_mutation_of_any_multiplier_breaks(n, k):
+    # a delta whose denominator is coprime to the certificate's lcm changes
+    # the scale the checker sums over, so a slip in the scaling would show
+    cert = case1_certificate(n, k) if in_case1_range(n, k) else case2_certificate(n, k)
+    delta = F(1, _scale(cert) + 1)
+    for index in range(len(cert.axioms)):
+        assert not check_certificate(perturbed(cert, index, delta)).ok, index
+
+
+def _matches_reference(cert):
+    got = check_certificate(cert)
+    assert got == reference_certificate.check_certificate(cert)
+    for value in (got.residual_m, got.residual_r, got.residual_const,
+                  *got.leftover_terms.values()):
+        assert type(value) is Fraction
+    return got
+
+
+_FAMILY_PAIRS = [(f, n, k) for k in range(2, 9) for n in range(2, k + 1) for f in FAMILIES
+                 if f.in_range(n, k)]
+
+
+@pytest.mark.parametrize("family, n, k", _FAMILY_PAIRS,
+                         ids=[f"theorem{f.theorem}-{n}-{k}" for f, n, k in _FAMILY_PAIRS])
+def test_checker_matches_the_fraction_reference(family, n, k):
+    cert = family.certificate(n, k)
+    assert _matches_reference(cert).ok
+    inequality = next(i for i, (ax, _) in enumerate(cert.axioms) if not ax.equality)
+    equality = next(i for i, (ax, _) in enumerate(cert.axioms) if ax.equality)
+    bent = [perturbed(cert, inequality, F(1, 11)), perturbed(cert, equality, F(-3, 13))]
+    bent.append(perturbed(bent[0], equality, F(-3, 13)))
+    for copy, new_factor in zip(bent, (11, 13, 143)):
+        assert _scale(copy) == _scale(cert) * new_factor
+        report = _matches_reference(copy)
+        assert not report.ok and report.leftover_terms
+
+
+def test_checker_refuses_a_multiplier_that_is_not_rational():
+    for bad in (1.0, 0.5, "1", True):
+        axioms = ((CacheBound(1), F(1)), (CacheBound(2), bad))
+        cert = Certificate(2, 2, 1, ((1, 2), (2, 1)), axioms, F(2), F(0), F(0))
+        with pytest.raises(MalformedAxiom, match="not an int or a Fraction") as info:
+            check_certificate(cert)
+        assert info.value.index == 1
+
+
+def test_checker_accepts_int_multipliers():
+    axioms = ((CacheBound(1), 1), (CacheBound(2), F(1, 2)))
+    cert = Certificate(2, 2, 1, ((1, 2), (2, 1)), axioms, F(3, 2), F(0), F(0))
+    assert _matches_reference(cert).leftover_terms == {fs(zvar(1)): -1, fs(zvar(2)): F(-1, 2)}
 
 
 def test_mutation_reports_noncancellation():

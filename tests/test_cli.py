@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +216,24 @@ def test_roundtrip_file_errors_are_usage_errors(tmp_path, sample_file, capsys):
     _assert_open_error(capsys, missing, "No such file or directory")
     assert main(args + [str(tmp_path), "--out", str(tmp_path / "o.bin")]) == 2
     _assert_open_error(capsys, tmp_path, "Is a directory")
+
+
+def test_roundtrip_empty_out_is_a_usage_error(tmp_path, sample_file, capsys, monkeypatch):
+    path, _ = sample_file
+    monkeypatch.setattr(cli, "_filler", _fail_if_called)
+    monkeypatch.setattr(scheme, "split_file", _fail_if_called)
+    assert main(["roundtrip", "--n", "2", "--k", "3", "--demand", "1,2,1", str(path),
+                 "--out", ""]) == 2
+    assert capsys.readouterr().err == "error: --out must name a file for the decoded bytes\n"
+
+
+def test_the_package_runs_as_a_module(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "cachewright", "converse", "--n", "3", "--k", "4"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("4M+8R >= 11 PASS")
 
 
 def test_verify_out_error_is_a_usage_error(tmp_path, capsys):

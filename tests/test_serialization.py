@@ -121,3 +121,22 @@ def test_parse_refuses_lines_that_say_something_else(how, line, text):
     lines[line - 1:line - 1 + (how == "replace")] = [text]
     with pytest.raises(ConfigMismatch, match=rf"^line {line}: "):
         parse_certificate("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("token", ["W01", "Q1", "W1,W1"])
+def test_a_malformed_variable_is_refused_every_time_it_is_read(token):
+    # variable tokens are parsed through a memo; it must never hold a failure
+    # as a success, so each reading of the token raises again
+    parse_certificate("\n".join(_VALID) + "\n")   # W1 is now in the memo
+    lines = list(_VALID)
+    lines[3:4] = [f"AX MONO {token} - MUL 1/1"] * 2
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(ConfigMismatch, match=r"^line 4: ") as info:
+            parse_certificate("\n".join(lines) + "\n")
+        messages.add(str(info.value))
+    lines[3] = _VALID[3]
+    with pytest.raises(ConfigMismatch, match=r"^line 5: ") as info:
+        parse_certificate("\n".join(lines) + "\n")
+    assert len(messages) == 1
+    assert str(info.value).replace("line 5: ", "line 4: ") == messages.pop()
