@@ -25,13 +25,19 @@ from .verify import SCHEMES, run_verification
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
-def _env_jobs() -> int:
-    """The worker count CACHEWRIGHT_JOBS sets, 1 when unset."""
-    text = os.environ.get("CACHEWRIGHT_JOBS", "1")
-    try:
-        return max(1, int(text))
-    except ValueError:
-        raise CachewrightError(f"CACHEWRIGHT_JOBS={text!r} is not an integer") from None
+def _jobs(flag: int | None) -> int:
+    """The worker count: --jobs, else CACHEWRIGHT_JOBS, else 1; refused below 1."""
+    source = f"--jobs {flag}"
+    if flag is None:
+        text = os.environ.get("CACHEWRIGHT_JOBS", "1")
+        source = f"CACHEWRIGHT_JOBS={text!r}"
+        try:
+            flag = int(text)
+        except ValueError:
+            raise CachewrightError(f"{source} is not an integer") from None
+    if flag < 1:
+        raise CachewrightError(f"{source} is below 1")
+    return flag
 
 
 def _parse_demand(text: str, k: int) -> tuple[int, ...]:
@@ -115,7 +121,7 @@ def cmd_verify(args) -> int:
         raise CachewrightError(
             f"K = {args.k} would enumerate {surjection_count(args.n, args.k)} demands; "
             "pass --force to run anyway")
-    jobs = _env_jobs() if args.jobs is None else args.jobs
+    jobs = _jobs(args.jobs)
     with _output(args.out, "w", encoding="utf-8") as out:
         report = run_verification(args.n, args.k, args.scheme, jobs=jobs, p=args.prime)
         text = report.to_json()

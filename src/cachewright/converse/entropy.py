@@ -13,6 +13,7 @@ every time it is read.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -35,9 +36,6 @@ class Var(NamedTuple):
 
     def sort_key(self) -> tuple[int, int]:
         return _KIND_ORDER[self.kind], self.idx
-
-    def token(self) -> str:
-        return f"{self.kind}{self.idx}"
 
     @staticmethod
     @lru_cache(maxsize=4096)
@@ -70,7 +68,10 @@ def wset(count: int) -> VarSet:
 def varset_token(vs: VarSet) -> str:
     if not vs:
         return "-"
-    return ",".join(v.token() for v in sorted(vs, key=Var.sort_key))
+    # tuple order runs the kinds W, X, Z; the text lists them W, Z, X
+    ordered = sorted(vs)
+    x, z = bisect_left(ordered, ("X",)), bisect_left(ordered, ("Z",))
+    return ",".join(["%s%d" % v for v in ordered[:x] + ordered[z:] + ordered[x:z]])
 
 
 def parse_varset(token: str) -> VarSet:

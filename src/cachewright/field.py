@@ -83,8 +83,9 @@ def vec_combine(ctx: FieldCtx,
 
     Coefficients may be any integers; every scheme's placement, delivery and
     decoding runs through here. At p = 257, a first vector of at least
-    _PACKED_MIN symbols sends the terms to the packed kernel, whose result is
-    the same, as Lanes; shorter vectors and other primes take the list path.
+    _PACKED_MIN symbols sends the terms to the packed kernel, whose result reads
+    the same, as loosely reduced Lanes; shorter vectors and other primes take the
+    list path.
     """
     terms = iter(terms)
     first = next(terms, None)
@@ -112,35 +113,67 @@ def _combine_list(p: int, c: int, v: Sequence[Symbol],
 
 
 # The packed kernel for p = 257. Each vector becomes one Python int holding a
-# 32-bit lane per symbol, so a term costs one big-int multiply and add. While
-# every entry lies in [0, 512) and there are at most _PACKED_MAX_TERMS terms,
-# each lane's sum stays below 32767 * 256 * 511 < 2**32 and never carries into
-# the next lane; any other input goes to the list path.
+# 32-bit lane per symbol, so a term costs one big-int multiply and add. Every
+# Lanes is loosely reduced: each lane lies below 2**17 and is congruent mod 257
+# to its symbol. A tuple term must have every entry in [0, 512). Each term adds
+# at most 256 * 131070 to a lane, so with at most _PACKED_MAX_TERMS terms a
+# lane's sum stays below 128 * 256 * 131070 < 2**32 and never carries into the
+# next lane; any other input goes to the list path. One 16-bit fold ends each
+# combine, and a Lanes is made canonical, once and in place, only where its
+# symbols are read.
 _PACKED_MIN = 64
-_PACKED_MAX_TERMS = 32767
+_PACKED_MAX_TERMS = 128
 _LANE = next(code for code in "IL" if array(code).itemsize == 4)
 _LOW_BYTE = 0 if sys.byteorder == "little" else 3  # where a lane's low byte sits
 
 
 @lru_cache(maxsize=64)
-def _lane_masks(n: int) -> tuple[int, int, int, int, int]:
-    """For n lanes, each lane set to 1, 0xFF, 0xFFFF, 257, and the bits from 2**9 up."""
+def _lane_masks(n: int) -> tuple[int, int, int, int, int, int]:
+    """For n lanes, each lane set to 1, 0xFF, 0xFFFF, 257, the bits from 2**9 up, and 2**8."""
     ones = ((1 << 32 * n) - 1) // 0xFFFFFFFF
-    return ones, 0xFF * ones, 0xFFFF * ones, 257 * ones, 0xFFFFFE00 * ones
+    return ones, 0xFF * ones, 0xFFFF * ones, 257 * ones, 0xFFFFFE00 * ones, ones << 8
 
 
 class Lanes:
-    """n symbols mod 257 in the 32-bit lanes of one int, each lane in [0, 257); immutable.
+    """n symbols mod 257 in the 32-bit lanes of one int; immutable as a sequence.
 
-    Built only by pack_bytes and _reduce_lanes. Reads as the tuple of its symbols
-    (len, iteration, indexing, ==), unpacking on each read; bytes() reads the lanes.
+    Built only by pack_bytes, whose lanes are canonical, in [0, 257), and by
+    _reduce_lanes, whose lanes are loose: below 2**17 and congruent mod 257 to
+    their symbols. The packed kernel reads the int as it is. Reads as the tuple
+    of its symbols (len, iteration, indexing, ==), unpacking on each read; the
+    first read of its symbols or of value makes every lane canonical, once, and
+    keeps that int in place of the loose one.
     """
 
-    __slots__ = ("value", "n")
+    __slots__ = ("_lanes", "_loose", "n")
 
-    def __init__(self, value: int, n: int):
-        self.value = value
+    def __init__(self, lanes: int, n: int, loose: bool = False):
+        self._lanes = lanes
+        self._loose = loose
         self.n = n
+
+    @property
+    def value(self) -> int:
+        """The lanes as one int, every lane in [0, 257)."""
+        if self._loose:
+            ones, m8, m16, b257, _, _ = _lane_masks(self.n)
+            # each step drops the int it replaces, so few lane-wide temporaries live at once
+            acc, self._lanes = self._lanes, None
+            # 2**8 = -1 (mod 257), twice, with biases of 2 * 257 and 257 keeping every
+            # lane non-negative: lanes below 2**17 land in [3, 769], then in [254, 512]
+            high = acc >> 8 & m16
+            acc &= m8
+            acc += b257 << 1
+            acc -= high
+            high = acc >> 8 & m8
+            acc &= m8
+            acc += b257
+            acc -= high
+            del high
+            # adding 255 carries into bit 9 exactly when a lane is >= 257
+            self._lanes = acc - 257 * ((acc + m8) >> 9 & ones)
+            self._loose = False
+        return self._lanes
 
     def __len__(self) -> int:
         return self.n
@@ -162,10 +195,11 @@ class Lanes:
         return self._symbols() == other if isinstance(other, tuple) else NotImplemented
 
     def __bytes__(self) -> bytes:
+        value = self.value
         # below 257, only a lane of 256 has bit 8 set
-        if self.value & _lane_masks(self.n)[0] << 8:
+        if value & _lane_masks(self.n)[5]:
             raise ValueError("bytes must be in range(0, 256)")
-        return self.value.to_bytes(4 * self.n, sys.byteorder)[_LOW_BYTE::4]
+        return value.to_bytes(4 * self.n, sys.byteorder)[_LOW_BYTE::4]
 
 
 def _combine_packed(terms: list[tuple[int, Sequence[Symbol]]],
@@ -179,7 +213,7 @@ def _combine_packed(terms: list[tuple[int, Sequence[Symbol]]],
         if len(v) != n:
             raise LengthMismatch(f"cannot combine vectors of lengths {n} and {len(v)}")
         if isinstance(v, Lanes):
-            acc += c % 257 * v.value
+            acc += c % 257 * v._lanes
             continue
         try:
             lanes = array(_LANE, v)
@@ -195,17 +229,9 @@ def _combine_packed(terms: list[tuple[int, Sequence[Symbol]]],
 
 
 def _reduce_lanes(acc: int, n: int) -> Lanes:
-    """Each of the n 32-bit lanes of acc, reduced mod 257."""
-    ones, m8, m16, b257, _ = _lane_masks(n)
-    # 2**16 = 1 (mod 257): every lane drops below 2**17
-    acc = (acc & m16) + (acc >> 16 & m16)
-    # 2**8 = -1 (mod 257), twice, with biases of 2 * 257 and 257 keeping every
-    # lane non-negative: lanes land in [3, 769], then in [254, 512]
-    acc = (acc & m8) + (b257 << 1) - (acc >> 8 & m16)
-    acc = (acc & m8) + b257 - (acc >> 8 & m8)
-    # adding 255 carries into bit 9 exactly when a lane is >= 257
-    acc -= 257 * ((acc + m8) >> 9 & ones)
-    return Lanes(acc, n)
+    """The n 32-bit lanes of acc as loose Lanes: 2**16 = 1 (mod 257) drops each below 2**17."""
+    m16 = _lane_masks(n)[2]
+    return Lanes((acc & m16) + (acc >> 16 & m16), n, loose=True)
 
 
 def pack_bytes(data: bytes, ctx: FieldCtx, count: int, n: int) -> list[Lanes] | None:

@@ -180,6 +180,28 @@ def test_malformed_jobs_env_var_is_a_usage_error(capsys, monkeypatch):
     assert "CACHEWRIGHT_JOBS='abc' is not an integer" in captured.err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.delenv("CACHEWRIGHT_JOBS", raising=False)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--n", "2", "--k", "3", "--jobs", jobs, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --jobs {jobs} is below 1" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", " -1"])
+def test_jobs_env_var_below_one_is_a_usage_error(capsys, monkeypatch, jobs):
+    monkeypatch.setenv("CACHEWRIGHT_JOBS", jobs)
+    assert main(["verify", "--n", "2", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: CACHEWRIGHT_JOBS={jobs!r} is below 1" in captured.err
+    # an explicit --jobs is read instead of the variable
+    assert main(["verify", "--n", "2", "--k", "3", "--jobs", "1"]) == 0
+
+
 def test_malformed_jobs_env_var_leaves_roundtrip_alone(tmp_path, sample_file, capsys,
                                                        monkeypatch):
     monkeypatch.setenv("CACHEWRIGHT_JOBS", "abc")

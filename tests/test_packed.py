@@ -143,3 +143,95 @@ def test_join_bytes_names_the_first_lane_outside_a_byte():
     assert str(from_lanes.value) == str(from_symbols.value)
     symbols[4321] = symbols[4500] = 7  # and with every symbol a byte, the bytes themselves
     assert join_bytes([_lanes(tuple(symbols[:2000])), tuple(symbols[2000:])]) == bytes(symbols)
+
+
+def _loose(lanes):
+    """Lanes whose raw 32-bit lanes are the given values folded once, as the kernel leaves them."""
+    return field._reduce_lanes(int.from_bytes(array(field._LANE, lanes), sys.byteorder),
+                               len(lanes))
+
+
+def _raw(lanes):
+    """The lanes of a Lanes as stored, without making them canonical."""
+    out = array(field._LANE)
+    out.frombytes(lanes._lanes.to_bytes(4 * lanes.n, sys.byteorder))
+    return list(out)
+
+
+def _canonical(symbols):
+    return Lanes(int.from_bytes(array(field._LANE, symbols), sys.byteorder), len(symbols))
+
+
+def test_the_term_limit_is_the_largest_that_cannot_carry():
+    largest = 256 * 2 * 0xFFFF  # a coefficient below 257 times a folded lane below 2**17
+    assert field._PACKED_MAX_TERMS * largest < 2 ** 32 <= (field._PACKED_MAX_TERMS + 1) * largest
+
+
+def test_packed_kernel_holds_at_its_term_limit_with_loose_lanes():
+    # every lane at the largest folded value, 0xFFFF + 0xFFFF
+    top = _loose([2 ** 32 - 1] * 64)
+    assert _raw(top) == [131070] * 64
+    assert _loose([2 ** 32 - 1] * 64) == _canonical((0,) * 64)  # 131070 = 510 * 257
+    terms = [(256, top)] * field._PACKED_MAX_TERMS
+    column = (131070,) * 64
+    by_list = field._combine_list(257, 256, column, [(256, column)] * (len(terms) - 1))
+    assert field._combine_packed(terms, 64) == by_list
+    assert vec_combine(F257, terms) == by_list
+    # one term more goes to the list path, with the list path's answer
+    terms.append((256, top))
+    assert field._combine_packed(terms, 64) is None
+    assert vec_combine(F257, terms) == tuple((x + 256 * 131070) % 257 for x in by_list)
+
+
+def _fresh(lanes):
+    """A loose copy of loose Lanes, so each read below is the first that copy sees."""
+    assert lanes._loose
+    return Lanes(lanes._lanes, lanes.n, loose=True)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_chained_loose_results_read_as_the_list_path(data):
+    length = data.draw(st.integers(64, 80))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    plain = tuple(rng.choices(range(512), k=length))
+    symbols = tuple(rng.choices(range(257), k=length))
+    # the program's vectors, and beside each the list path's tuple of its symbols
+    loose = _loose([rng.randrange(2 ** 32) for _ in range(length)])
+    pool = [(plain, plain), (_canonical(symbols), symbols),
+            (loose, tuple(x % 257 for x in _raw(loose)))]
+    for _ in range(data.draw(st.integers(3, 6))):
+        picks = data.draw(st.lists(st.tuples(st.integers(-2 ** 40, 2 ** 40),
+                                             st.integers(0, len(pool) - 1)),
+                                   min_size=1, max_size=6))
+        result = vec_combine(F257, [(c, pool[i][0]) for c, i in picks])
+        assert isinstance(result, Lanes) and result._loose
+        assert max(_raw(result)) < 2 ** 17
+        (c0, i0), *rest = picks
+        expected = field._combine_list(257, c0, pool[i0][1], [(c, pool[i][1]) for c, i in rest])
+        pool.append((result, expected))
+    for result, expected in pool[3:]:
+        assert _fresh(result) == _canonical(expected)
+        assert _canonical(expected) == _fresh(result)
+        assert _fresh(result) == expected and expected == _fresh(result)
+        assert tuple(_fresh(result)) == expected
+        assert [_fresh(result)[i] for i in (0, -1)] == [expected[0], expected[-1]]
+        assert _fresh(result).value == _canonical(expected).value
+        if 256 in expected:
+            with pytest.raises(ValueError):
+                bytes(_fresh(result))
+        else:
+            assert bytes(_fresh(result)) == bytes(expected)
+        # reading once leaves the canonical lanes in place of the loose ones
+        assert result == expected and not result._loose
+        assert _raw(result) == list(expected)
+
+
+def test_a_loose_lane_congruent_to_256_is_not_a_byte():
+    lanes = [7] * 100
+    lanes[42] = (0xFFFF << 16) + 130812 - 0xFFFF  # folds to 256 + 508 * 257
+    loose = _loose(lanes)
+    assert _raw(loose)[42] == 130812 and 130812 % 257 == 256
+    with pytest.raises(SymbolOutOfByteRange, match="^symbol 256 is not a byte; content is coded$"):
+        join_bytes([_canonical((1,) * 64), loose])
+    assert join_bytes([_loose([7 + 257 * 500] * 64)]) == bytes([7] * 64)

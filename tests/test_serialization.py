@@ -10,7 +10,12 @@ from cachewright.converse import (
     check_certificate,
     parse_certificate,
     serialize_certificate,
+    varset_token,
+    wvar,
+    xvar,
+    zvar,
 )
+from cachewright.converse.entropy import parse_varset
 from cachewright.errors import CachewrightError, ConfigMismatch
 
 
@@ -140,3 +145,13 @@ def test_a_malformed_variable_is_refused_every_time_it_is_read(token):
         parse_certificate("\n".join(lines) + "\n")
     assert len(messages) == 1
     assert str(info.value).replace("line 5: ", "line 4: ") == messages.pop()
+
+
+def test_a_variable_set_lists_files_then_caches_then_broadcasts_by_index():
+    vs = frozenset([xvar(12), zvar(2), wvar(10), xvar(3), wvar(2), zvar(1), xvar(0)])
+    assert varset_token(vs) == "W2,W10,Z1,Z2,X0,X3,X12"
+    assert parse_varset(varset_token(vs)) == vs
+    for kinds in ([xvar(2), xvar(1)], [zvar(3), xvar(1)], [xvar(1), wvar(5)], [zvar(7), wvar(8)]):
+        assert varset_token(frozenset(kinds)) == ",".join(
+            f"{v.kind}{v.idx}" for v in sorted(kinds, key=lambda v: v.sort_key()))
+    assert varset_token(frozenset()) == "-"
