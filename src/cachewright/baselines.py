@@ -3,8 +3,10 @@
 The Maddah-Ali--Niesen corner at M = N(K-1)/K is implemented end to end:
 each file is cut into K pieces indexed by the excluded user, every cache
 stores the K-1 pieces that mention its owner, and delivery is the single
-packet summing W_{d_k}^{[K] minus k} over k. Everything else here is a rate
-formula used when assembling tradeoff curves.
+packet summing W_{d_k}^{[K] minus k} over k. User k's decoder names each
+piece by its key e: piece k from that packet, the others copied from the
+cache. Everything else here is a rate formula used when assembling tradeoff
+curves.
 """
 
 from __future__ import annotations
@@ -24,17 +26,15 @@ def _caching(cfg: NetworkConfig, k: int) -> dict:
     return {(f, e): ((1, (f, e)),) for f in range(cfg.n) for e in range(1, cfg.k + 1) if e != k}
 
 
-def _delivery(cfg: NetworkConfig, pattern) -> tuple:
+def _delivery(cfg: NetworkConfig, pattern) -> dict:
     """One packet of F/K symbols; valid for every demand, not only D."""
-    return (tuple((1, (u - 1, u)) for u in range(1, cfg.k + 1)),)
+    return {0: tuple((1, (u - 1, u)) for u in range(1, cfg.k + 1))}
 
 
-def _decoding(cfg: NetworkConfig, pattern, k: int) -> tuple:
-    """The packet minus the cached pieces of the others' files, then the wanted file's pieces."""
-    big_k = cfg.k
-    missing = ((1, (big_k, 0)),) + tuple((-1, (j - 1, j)) for j in range(1, big_k + 1) if j != k)
-    return (missing,) + tuple(((1, (big_k, 1) if e == k else (k - 1, e)),)
-                              for e in range(1, big_k + 1))
+def _decoding(cfg: NetworkConfig, pattern, k: int) -> dict:
+    """The packet minus the cached pieces of the others' files; the rest the user caches."""
+    missing = ((1, (cfg.k, 0)),) + tuple((-1, (j - 1, j)) for j in range(1, cfg.k + 1) if j != k)
+    return {e: missing if e == k else ((1, (k - 1, e)),) for e in range(1, cfg.k + 1)}
 
 
 # K pieces keyed 1..K, piece e the one user e does not cache; no program reads the demand

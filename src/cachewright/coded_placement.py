@@ -17,11 +17,12 @@ combines X_d^k with the cached differences and the sum packet to isolate
 W_{d_k}^{k,succ(k)} (halving when somebody else shares user k's file) and
 peels off the remaining W_{d_k}^{kj}.
 
-Each phase is compiled into a coefficient program for the engine in
-`scheme`; a cache keeps W_n^{ij} under (n-1, (i, j)), the difference ending
-in W_n^{kj} under (n-1, ("diff", j)) and the sum packet under (N, "sum").
-The compilers read only N, K and the field's inverse, and leave every
-reduction to the field, so over Q the same programs hold exactly.
+Each phase is compiled into a coefficient program for the engine in `scheme`.
+A cache keeps W_n^{ij} under (n-1, (i, j)), the difference ending in W_n^{kj}
+under (n-1, ("diff", j)) and the sum packet under (N, "sum"); decoding names
+each W_{d_k}^{ij} by (i, j), recovered or copied from the cache. The compilers
+read only N, K and the field's inverse, and leave every reduction to the
+field, so over Q the same programs hold exactly.
 """
 
 from __future__ import annotations
@@ -75,43 +76,37 @@ def _context(cfg: NetworkConfig, pattern: Demand) -> tuple:
     return counts, coef
 
 
-def _delivery(cfg: NetworkConfig, pattern: Demand) -> tuple:
+def _delivery(cfg: NetworkConfig, pattern: Demand) -> dict:
     _, coef = _context(cfg, pattern)
     users = range(1, cfg.k + 1)
-    return tuple(tuple((coef(k, s), (s - 1, (k, s))) for s in users if s != k) for k in users)
+    return {k - 1: tuple((coef(k, s), (s - 1, (k, s))) for s in users if s != k) for k in users}
 
 
-def _decoding(cfg: NetworkConfig, pattern: Demand, k: int) -> tuple:
+def _decoding(cfg: NetworkConfig, pattern: Demand, k: int) -> dict:
     counts, coef = _context(cfg, pattern)
-    big_k = cfg.k
-    succ = successor(k, big_k)
-    others = [u for u in range(1, big_k + 1) if u != k]
-    steps: list = []
-    found = {}  # a recovered subfile's pair -> the name of the step that yields it
-
-    def emit(step) -> tuple:
-        steps.append(tuple(step))  # slot K: X_d^1..X_d^K, the sum packet, then the steps
-        return (big_k, big_k + len(steps))
+    sent, mixed, own = cfg.k, cfg.k + 1, cfg.k + 2  # the broadcast, the cache's slot N, steps
+    succ = successor(k, cfg.k)
+    others = [u for u in range(1, cfg.k + 1) if u != k]
+    steps = {}
 
     # stage 1: X_d^j minus its known stage-1 terms is coef(j, k) * W^{jk}
     for j in others:
         undo = cfg.field.inv(coef(j, k))
-        found[(j, k)] = emit([(undo, (big_k, j - 1))] + [
-            (-undo * coef(j, s), (s - 1, (j, s))) for s in others if s != j])
+        steps[(j, k)] = ((undo, (sent, j - 1)),) + tuple(
+            (-undo * coef(j, s), (s - 1, (j, s))) for s in others if s != j)
 
     # stage 2: X_d^k plus the weighted diffs is the sum over files != wanted of
     # W_n^{k,succ}, minus W_wanted^{k,succ} whenever some other user also requests
     # the wanted file; the sum packet minus that is W_wanted^{k,succ}, doubled in
     # that case. Only the stage-1 steps above read the broadcast for W^{jk}.
     half = cfg.field.inv(2) if counts[pattern[k - 1]] > 1 else 1
-    head = found[(k, succ)] = emit([(half, (big_k, big_k)), (-half, (big_k, k - 1))] + [
-        (-half * coef(k, j), (j - 1, ("diff", j)))
-        for j in others if j != succ])
+    steps[(k, succ)] = ((half, (mixed, "sum")), (-half, (sent, k - 1))) + tuple(
+        (-half * coef(k, j), (j - 1, ("diff", j))) for j in others if j != succ)
     for j in others:
         if j != succ:
-            found[(k, j)] = emit([(1, head), (-1, (k - 1, ("diff", j)))])
-    return tuple(steps) + tuple(((1, found.get(pair, (k - 1, pair))),)
-                                for pair in pair_order(big_k))
+            steps[(k, j)] = ((1, (own, (k, succ))), (-1, (k - 1, ("diff", j))))
+    uncoded = {pair: ((1, (k - 1, pair)),) for pair in pair_order(cfg.k) if k not in pair}
+    return steps | uncoded
 
 
 NEW = Scheme(keys=lambda cfg: tuple(pair_order(cfg.k)), pattern=_pattern,

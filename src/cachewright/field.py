@@ -19,11 +19,12 @@ from .errors import DivisionByZero, EvenModulus, LengthMismatch, NotPrime, Symbo
 
 Symbol = int
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981  # the least strong pseudoprime to them all
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin; exact for every n below _MR_EXACT_BELOW, about 3.3e24."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -59,7 +60,9 @@ class FieldCtx:
 
 
 def make_field(p: int) -> FieldCtx:
-    """Build a field context, insisting on an odd prime modulus."""
+    """Build a field context, insisting on an odd prime modulus that is_prime decides exactly."""
+    if p >= _MR_EXACT_BELOW:
+        raise NotPrime(f"{p} is not below {_MR_EXACT_BELOW}, so it cannot be proved prime")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p == 2:
@@ -127,7 +130,7 @@ _LANE = next(code for code in "IL" if array(code).itemsize == 4)
 _LOW_BYTE = 0 if sys.byteorder == "little" else 3  # where a lane's low byte sits
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)  # at 1 MiB a file's masks take 2 MiB; a run uses one or two lengths
 def _lane_masks(n: int) -> tuple[int, int, int, int, int, int]:
     """For n lanes, each lane set to 1, 0xFF, 0xFFFF, 257, the bits from 2**9 up, and 2**8."""
     ones = ((1 << 32 * n) - 1) // 0xFFFFFFFF

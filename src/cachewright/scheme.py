@@ -1,16 +1,16 @@
 """One data plane for every linear scheme: coefficient programs and the engine that runs them.
 
-A scheme is its split keys plus three compilers of programs: tuples of steps, each a
-tuple of (coefficient, (slot, key)) terms. Coefficients are plain integers, dividing
-only through cfg.field.inv, and `run` makes one `vec_combine` per step, which alone
-reduces them; a step of one term with coefficient 1 is a copy. In caching(cfg, user),
-a dict from cache name to step, slot f-1 is file f; the cache keeps packets mixing
-files in its slot N. In delivery(cfg, pattern), one step per broadcast packet, and
-decoding(cfg, pattern, user), slot u-1 is the file user u requests. So both read a
-demand only through the scheme's pattern of it, and are kept per (cfg, pattern, user)
-in small LRU caches. Only `Scheme.send` and `Scheme.recover` run them. In recover,
-slot K lists the broadcast, the cache's slot N, then each step's result, and the
-last len(keys) results are the wanted file's pieces in key order.
+A scheme is its split keys plus three compilers of programs, each a dict from a result's
+name to its step, a tuple of (coefficient, (slot, name)) terms. Coefficients are plain
+integers, dividing only through cfg.field.inv; `run` makes one `vec_combine` per step,
+which alone reduces them, copies a step of one term with coefficient 1, and stores each
+result under its name in the last slot, where later steps read it. caching(cfg, user)
+reads file f at slot f-1 and names a packet (f-1, key), or (N, name) if it mixes files.
+delivery(cfg, pattern) reads the file user u requests at slot u-1 and names a packet by
+its position on the wire. decoding(cfg, pattern, user) reads what the user caches of that
+file at slot u-1, the broadcast at K, its cache's slot N at K+1 and its own results at
+K+2, and names each piece of the wanted file by its key. Delivery and decoding read a
+demand only through the scheme's pattern of it, and are kept in small LRU caches.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigMismatch, LengthMismatch
@@ -25,15 +26,15 @@ from .field import FieldCtx, Symbol, join_bytes, vec_combine
 from .model import Demand, NetworkConfig, SubfileGrid, split_file, validate_demand, validate_users
 
 
-def run(program: Iterable[tuple], slots: list, field: FieldCtx) -> list:
-    """Run the steps in order, appending each result to the last slot, and return that slot."""
+def run(program: dict, slots: list, field: FieldCtx) -> dict:
+    """Run the steps in order, storing each under its name in the last slot; return that."""
     out = slots[-1]
-    for step in program:
+    for name, step in program.items():
         if len(step) == 1 and step[0][0] == 1:
             s, key = step[0][1]
-            out.append(slots[s][key])
+            out[name] = slots[s][key]
         else:
-            out.append(vec_combine(field, [(c, slots[s][key]) for c, (s, key) in step]))
+            out[name] = vec_combine(field, [(c, slots[s][key]) for c, (s, key) in step])
     return out
 
 
@@ -69,9 +70,9 @@ class Scheme:
 
     keys: Callable  # cfg -> the keys a file is split under, in file order
     pattern: Callable  # (demand, cfg) -> what the programs read of a demand; raises if unserved
-    caching: Callable  # (cfg, user) -> {cache name: step}
-    delivery: Callable  # (cfg, pattern) -> one step per broadcast packet
-    decoding: Callable  # (cfg, pattern, user) -> steps ending with the wanted file's pieces
+    caching: Callable  # (cfg, user) -> {(slot, key) in the cache: step}
+    delivery: Callable  # (cfg, pattern) -> {position on the wire: step}
+    decoding: Callable  # (cfg, pattern, user) -> {name: step}, naming every key
 
     def __post_init__(self):
         # a sweep over demands grouped by pattern needs one pattern's delivery and its
@@ -103,28 +104,28 @@ class Scheme:
         caches = []
         for user, program in programs:
             parts = tuple({} for _ in range(cfg.n + 1))
-            for (slot, key), packet in zip(program, run(program.values(), [*files, []],
-                                                        cfg.field)):
+            for (slot, key), packet in run(program, [*files, {}], cfg.field).items():
                 parts[slot][key] = packet
             caches.append(Cache(user, parts, lengths, sub_len))
         return caches
 
-    def send(self, cfg: NetworkConfig, pattern, requested: Sequence) -> list:
-        """The broadcast packets, slot u-1 being requested[u-1]: the file user u requests."""
-        return run(self.delivery(cfg, pattern), [*requested, []], cfg.field)
+    def send(self, cfg: NetworkConfig, pattern, requested: Sequence) -> dict:
+        """The broadcast packets by position; slot u-1 is requested[u-1], what user u requests."""
+        return run(self.delivery(cfg, pattern), [*requested, {}], cfg.field)
 
     def recover(self, cfg: NetworkConfig, pattern, user: int, held: Sequence,
-                sent: Iterable, mixed: Iterable) -> list:
+                sent: Sequence | dict, mixed: dict) -> tuple:
         """The wanted file's pieces in key order, decoded by user from the broadcast sent,
         its cache's mixed packets, and held[u-1]: what it caches of the file user u requests."""
-        out = run(self.decoding(cfg, pattern, user), [*held, [*sent, *mixed]], cfg.field)
-        return out[len(out) - len(self.keys(cfg)):]
+        out = run(self.decoding(cfg, pattern, user), [*held, sent, mixed, {}], cfg.field)
+        return itemgetter(*self.keys(cfg))(out)
 
     def deliver(self, library: list[SubfileGrid], demand, cfg: NetworkConfig) -> Broadcast:
         d = validate_demand(demand, cfg)
         pattern = self.pattern(d, cfg)
         self._subfile_len(library, cfg)
-        return Broadcast(d, tuple(self.send(cfg, pattern, [library[f - 1].parts for f in d])))
+        packets = self.send(cfg, pattern, [library[f - 1].parts for f in d])
+        return Broadcast(d, tuple(packets.values()))
 
     def decode(self, cache: Cache, sent: Broadcast, cfg: NetworkConfig) -> bytes:
         d = validate_demand(sent.demand, cfg)
@@ -135,7 +136,7 @@ class Scheme:
         if set(map(len, sent.packets)) != {cache.subfile_len}:
             raise LengthMismatch("broadcast and cache subfile lengths differ")
         pieces = self.recover(cfg, pattern, cache.user, [cache.parts[f - 1] for f in d],
-                              sent.packets, cache.parts[-1].values())
+                              sent.packets, cache.parts[-1])
         return join_bytes(pieces)[: cache.file_lengths[d[cache.user - 1] - 1]]
 
     def point(self, cfg: NetworkConfig, cache: Cache, sent: Broadcast) -> tuple[Fraction, Fraction]:

@@ -86,7 +86,7 @@ def _check_group(scheme, cfg: NetworkConfig, library: dict, caches: list[tuple[C
     sent = scheme.send(cfg, pattern, requested)
     failures = []
     for cache, held in caches:
-        mixed = [packet * len(group) for packet in cache.parts[-1].values()]
+        mixed = {name: packet * len(group) for name, packet in cache.parts[-1].items()}
         # one tuple() per piece, as indexing Lanes per column unpacks it each time; the
         # pieces are compared whole, and only a mismatch is transposed into columns
         pieces = [tuple(piece) for piece in scheme.recover(

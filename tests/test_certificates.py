@@ -36,6 +36,7 @@ from cachewright.converse import (
 )
 from cachewright.converse.tightness import FAMILIES
 from cachewright.errors import (
+    ConfigMismatch,
     MalformedAxiom,
     NegativeMultiplierOnInequality,
     OutOfCaseRange,
@@ -363,3 +364,26 @@ def test_insufficient_constant_fails():
     cert = Certificate(2, 2, 1, ((1, 2), (2, 1)), (), F(1), F(1), F(1))
     rep = check_certificate(cert)
     assert not rep.ok and "constant" in rep.reason
+
+
+@pytest.mark.parametrize("field_name, reason", [
+    ("target_m", "proved M coefficient 4 exceeds target 3"),
+    ("target_r", "proved R coefficient 8 exceeds target 7"),
+])
+def test_a_coefficient_above_its_target_is_the_reason_a_check_fails(field_name, reason):
+    cert = case1_certificate(3, 4)  # proves 4M + 8R >= 11 exactly
+    lowered = dataclasses.replace(cert, **{field_name: getattr(cert, field_name) - 1})
+    rep = check_certificate(lowered)
+    assert (rep.ok, rep.reason) == (False, reason)
+
+
+@pytest.mark.parametrize("demands, reason", [
+    ((), "certificate has an empty demand table"),
+    (((1, 2), (1, 2, 1)), r"demand \(1, 2, 1\) does not have K=2 entries"),
+    (((1, 2), (3, 1)), r"demand \(3, 1\) uses a file outside \[1, 2\]"),
+    (((1, 2), (2, 1), (1, 2)), r"demand \(1, 2\) appears twice in the table"),
+])
+def test_a_malformed_demand_table_is_refused(demands, reason):
+    cert = Certificate(2, 2, 1, demands, (), F(1), F(1), F(0))
+    with pytest.raises(ConfigMismatch, match=f"^{reason}$"):
+        check_certificate(cert)

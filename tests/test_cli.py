@@ -12,7 +12,9 @@ import pytest
 
 from cachewright import cli, scheme
 from cachewright.cli import main
-from cachewright.converse import check_certificate, parse_certificate
+from cachewright.converse import check_certificate, parse_certificate, perturbed
+
+from test_field import PSI_12, PSI_13
 
 
 @pytest.fixture
@@ -99,6 +101,9 @@ def test_verify_budget_guard(capsys):
     (["--n", "0", "--k", "9"], "need 1 <= N <= K"),
     (["--n", "2", "--k", "9", "--prime", "9"], "9 is not prime"),
     (["--n", "2", "--k", "9", "--prime", "7"], "modulus 7 must exceed K=9"),
+    # strong pseudoprimes to every base up to 37, and the second also to 41
+    (["--n", "2", "--k", "9", "--prime", str(PSI_12)], f"{PSI_12} is not prime"),
+    (["--n", "2", "--k", "9", "--prime", str(PSI_13)], f"{PSI_13} is not below {PSI_13}"),
 ])
 def test_verify_reports_a_bad_config_before_the_budget_guard(args, reason, capsys):
     assert main(["verify", *args]) == 2
@@ -347,3 +352,49 @@ def test_both_kernels_decode_the_same_roundtrip(tmp_path, capsys):
                 reports.add(tuple(line for line in lines if line[:4] in ("M = ", "R = ")))
         assert len(reports) == 1
         assert len(next(iter(reports))) == 2
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["--demand", "1,x,2,3"], "demand '1,x,2,3' is not comma-separated integers"),
+    (["--demand", "1,2,3"], "demand '1,2,3' does not list 4 file indices"),
+    (["--demand", "1,2,9,1"], "file index 9 outside [1, 3]"),
+    (["--demand", "1,2,3,1", "--user", "0"], "--user 0 outside [1, 4]"),
+    (["--demand", "1,2,3,1", "--user", "5"], "--user 5 outside [1, 4]"),
+])
+def test_a_malformed_roundtrip_demand_or_user_is_a_usage_error(tmp_path, sample_file, capsys,
+                                                               args, reason):
+    out = tmp_path / "out.bin"
+    assert main(["roundtrip", "--n", "3", "--k", "4", *args, str(sample_file[0]),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {reason}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("prime, reason", [
+    (PSI_12, "is not prime"),
+    (PSI_13, f"is not below {PSI_13}, so it cannot be proved prime"),
+])
+def test_roundtrip_refuses_a_composite_that_fools_miller_rabin(tmp_path, sample_file, capsys,
+                                                              prime, reason):
+    assert main(["roundtrip", "--n", "2", "--k", "3", "--prime", str(prime), "--demand", "1,2,1",
+                 str(sample_file[0]), "--out", str(tmp_path / "out.bin")]) == 2
+    assert capsys.readouterr() == ("", f"error: {prime} {reason}\n")
+
+
+def test_verify_out_holds_exactly_the_printed_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--n", "2", "--k", "3", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+    assert json.loads(out.read_text(encoding="utf-8"))["failures"] == []
+
+
+def test_converse_prints_why_a_certificate_fails_and_exits_1(capsys, monkeypatch):
+    family = cli.FAMILIES[0]
+    broken = dataclasses.replace(
+        family, certificate=lambda n, k: perturbed(family.certificate(n, k), 0, 1))
+    monkeypatch.setattr(cli, "FAMILIES", (broken, *cli.FAMILIES[1:]))
+    assert main(["converse", "--n", "3", "--k", "4", "--theorem", "2"]) == 1
+    captured = capsys.readouterr()
+    reason = check_certificate(broken.certificate(3, 4)).reason
+    assert reason and captured.err == f"  reason: {reason}\n"
+    assert captured.out.startswith("4M+8R >= 11 FAIL; tight at M=")

@@ -57,6 +57,21 @@ def test_is_prime_against_trial_division():
         assert is_prime(n) == slow(n), n
 
 
+# the least strong pseudoprimes to the first 12 and the first 13 prime bases
+PSI_12 = 318_665_857_834_031_151_167_461  # 399,165,290,221 x 798,330,580,441
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def test_the_least_strong_pseudoprimes_to_bases_up_to_37_and_41_are_refused():
+    assert 399_165_290_221 * 798_330_580_441 == PSI_12 and not is_prime(PSI_12)
+    with pytest.raises(NotPrime, match=f"^{PSI_12} is not prime$"):
+        make_field(PSI_12)
+    for p in (PSI_13, 2 ** 89 - 1):  # the Mersenne prime 2**89 - 1 is too large to prove
+        with pytest.raises(NotPrime, match=f"^{p} is not below {PSI_13}, so it cannot be"):
+            make_field(p)
+    assert make_field(2 ** 61 - 1).p == 2 ** 61 - 1
+
+
 def test_default_modulus():
     assert default_modulus(4) == 257
     assert default_modulus(256) == 257

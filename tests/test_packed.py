@@ -235,3 +235,19 @@ def test_a_loose_lane_congruent_to_256_is_not_a_byte():
     with pytest.raises(SymbolOutOfByteRange, match="^symbol 256 is not a byte; content is coded$"):
         join_bytes([_canonical((1,) * 64), loose])
     assert join_bytes([_loose([7 + 257 * 500] * 64)]) == bytes([7] * 64)
+
+
+def test_round_trips_of_many_file_lengths_keep_a_bounded_set_of_lane_masks(tmp_path):
+    # the masks of a 1 MiB file at (3, 4) take about 2 MiB, so one process that
+    # round-trips files of many lengths must not keep one set per length
+    from cachewright import cli
+    source, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    field._lane_masks.cache_clear()
+    for i in range(10):
+        blob = random.Random(f"lane-masks-{i}").randbytes(2 ** 20 + 768 * i)
+        source.write_bytes(blob)
+        assert cli.main(["roundtrip", "--n", "3", "--k", "4", "--demand", "1,2,3,1",
+                         str(source), "--out", str(out)]) == 0
+        assert out.read_bytes() == blob
+        assert field._lane_masks.cache_info().currsize <= 2, i
+    assert field._lane_masks.cache_info().misses == 10

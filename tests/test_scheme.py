@@ -54,19 +54,16 @@ def patterns(k):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_stage1_recovery_reads_only_broadcast_and_uncoded_cache(k):
-    # slot K holds X_d^1..X_d^K at 0..K-1, the sum packet at K, then the steps
     pairs = set(pair_order(k))
     for cfg, pattern in patterns(k):
         for user in range(1, k + 1):
-            steps = NEW.decoding(cfg, pattern, user)
-            pieces = steps[len(steps) - len(pairs):]
-            for (i, j), piece in zip(pair_order(k), pieces):
-                if j != user:
+            program = NEW.decoding(cfg, pattern, user)
+            for i in range(1, k + 1):
+                if i == user:
                     continue
-                ((c, (slot, at)),) = piece  # a copy of the step that recovers W^{i,user}
-                assert (c, slot) == (1, k) and at > k
-                for _, (s, key) in steps[at - k - 1]:
-                    assert key < k if s == k else key in pairs, (pattern, user, i, (s, key))
+                for _, (s, key) in program[(i, user)]:  # the step that recovers W^{i,user}
+                    assert key < k if s == k else s < k and key in pairs, \
+                        (pattern, user, i, (s, key))
 
 
 def test_a_copy_step_passes_the_vector_through():
@@ -83,9 +80,9 @@ def _programs(scheme, cfg, patterns) -> list:
     users = range(1, cfg.k + 1)
     steps = [step for user in users for step in scheme.caching(cfg, user).values()]
     for pattern in patterns:
-        steps += scheme.delivery.__wrapped__(cfg, pattern)
+        steps += scheme.delivery.__wrapped__(cfg, pattern).values()
         for user in users:
-            steps += scheme.decoding.__wrapped__(cfg, pattern, user)
+            steps += scheme.decoding.__wrapped__(cfg, pattern, user).values()
     return steps
 
 
@@ -110,3 +107,38 @@ def test_the_compilers_run_over_q_and_agree_with_f257(name):
                     assert q.numerator * pow(q.denominator, -1, 257) % 257 == c % 257
                     denominators.add(q.denominator)
         assert lcm(*denominators) == (2 * lcm(*range(1, k)) if name == "new" else 1), k
+
+
+def _run_names(program: dict, slots: list[set], where) -> set:
+    """The names program defines, checking that every term reads a name its slot holds
+    when the step runs; slots[-1] collects the program's own results."""
+    for name, step in program.items():
+        for _, (slot, read) in step:
+            assert read in slots[slot], (where, name, (slot, read))
+        slots[-1].add(name)
+    return slots[-1]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_every_program_reads_only_names_that_exist_when_it_runs(name, k):
+    scheme = SCHEMES[name]
+    for n in range(1, k + 1):
+        cfg = NetworkConfig(n, k)
+        keys = set(scheme.keys(cfg))
+        kept = {}  # user -> the names of its cache's slots 0..N
+        for user in range(1, k + 1):
+            names = _run_names(scheme.caching(cfg, user), [keys] * n + [set()], user)
+            assert {slot for slot, _ in names} <= set(range(n + 1))
+            kept[user] = [{key for slot, key in names if slot == f} for f in range(n + 1)]
+        demands = {}  # one demand of each pattern
+        for demand in enumerate_demands(cfg):
+            demands.setdefault(scheme.pattern(demand, cfg), demand)
+        for pattern, demand in demands.items():
+            sent = _run_names(scheme.delivery(cfg, pattern), [keys] * k + [set()], demand)
+            assert sorted(sent) == list(range(len(sent)))  # each packet's position on the wire
+            for user, cached in kept.items():
+                program = scheme.decoding(cfg, pattern, user)
+                held = [cached[f - 1] for f in demand]
+                _run_names(program, [*held, sent, cached[n], set()], (demand, user))
+                assert keys <= set(program), (demand, user)

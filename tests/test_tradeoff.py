@@ -186,6 +186,18 @@ def test_curve_validation():
                        Segment(F(2), F(3), F(1), F(-1), "b")))
 
 
+@pytest.mark.parametrize("segments, reason", [
+    (((0, 0, 1, -1),), r"empty segment \[0, 0\]"),
+    (((0, 1, 1, 1),), "rate must be non-increasing in memory"),
+    (((0, 1, 2, -1), (1, 2, 3, -1)), "segments disagree at a junction"),
+    (((0, 1, 2, "-1/2"), (1, 2, "5/2", -1)), "curve is not convex"),
+])
+def test_curve_validation_names_each_defect(segments, reason):
+    from cachewright.tradeoff import Segment
+    with pytest.raises(DegenerateInput, match=f"^{reason}$"):
+        TradeoffCurve(tuple(Segment(*map(F, s), "a") for s in segments))
+
+
 def test_assemble_3_4():
     curve = assemble_known_curve(3, 4)
     segs = {(s.m_lo, s.m_hi): s for s in curve.segments}

@@ -79,16 +79,17 @@ def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
 
 
 def _mutant(scheme, user: int, term: int, coef: int | None = None, slot: int | None = None):
-    """scheme with term `term` of user `user`'s first decoding step given another
+    """scheme with term `term` of user `user`'s first named decoding step given another
     coefficient or read from another slot."""
     def decoding(cfg, pattern, k):
         steps = scheme.decoding(cfg, pattern, k)
         if k != user:
             return steps
-        first = list(steps[0])
+        name = next(iter(steps))
+        first = list(steps[name])
         c, (s, key) = first[term]
         first[term] = (c if coef is None else coef, (s if slot is None else slot, key))
-        return (tuple(first), *steps[1:])
+        return {**steps, name: tuple(first)}
     return dataclasses.replace(scheme, decoding=decoding)
 
 
