@@ -143,6 +143,10 @@ def cmd_converse(args) -> int:
               or args.theorem == "auto" and f.in_range(args.n, args.k)]
     if not chosen:
         raise CachewrightError(f"({args.n}, {args.k}) fits neither bound family")
+    if args.dump and len(chosen) > 1:
+        picks = " or ".join(f"--theorem {f.theorem}" for f in chosen)
+        raise CachewrightError(f"({args.n}, {args.k}) fits both bound families, which certify "
+                               f"the same line; --dump writes one, so pick it with {picks}")
 
     ok = True
     with _output(args.dump, "w", encoding="utf-8", newline="") as out:

@@ -1,9 +1,9 @@
-"""Prime-field arithmetic Z_p and the lossless byte <-> symbol codec.
+"""Prime-field arithmetic Z_p and its vectors, built only by FieldCtx.split and FieldCtx.combine.
 
 The delivery phase scales subfiles by rationals such as 1/2 and 1/m for
 m <= K-1, so the modulus must be an odd prime larger than the user count.
 The default modulus 257 additionally maps every byte to one symbol, which
-keeps file round trips trivially lossless.
+keeps file round trips trivially lossless; join_bytes reads the symbols back.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from functools import lru_cache, reduce
 from operator import add, iconcat
 from typing import Iterable, Sequence
 
-from .errors import DivisionByZero, EvenModulus, LengthMismatch, NotPrime, SymbolOutOfByteRange
+from .errors import (ConfigMismatch, DivisionByZero, EvenModulus, LengthMismatch, NotPrime,
+                     SymbolOutOfByteRange)
 
 Symbol = int
 
@@ -49,7 +50,7 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldCtx:
-    """The field Z_p for an odd prime p. Immutable, safe to share."""
+    """The field Z_p for an odd prime p, and the owner of its vectors. Immutable, safe to share."""
 
     p: int
 
@@ -57,6 +58,46 @@ class FieldCtx:
         if a % self.p == 0:
             raise DivisionByZero("cannot invert 0")
         return pow(a, self.p - 2, self.p)
+
+    def combine(self, terms: Iterable[tuple[int, Sequence[Symbol]]]) -> Sequence[Symbol]:
+        """Sum of c * v over the (c, v) terms, for any integers c, reduced mod p once at the end.
+
+        Every scheme's placement, delivery and decoding runs through here. At p = 257,
+        a first vector of _PACKED_MIN symbols or more sends the terms to the packed
+        kernel, whose result reads the same, as loose Lanes; else the list path runs.
+        """
+        terms = iter(terms)
+        first = next(terms, None)
+        if first is None:
+            raise LengthMismatch("no vectors to combine")
+        if self.p == 257 and len(first[1]) >= _PACKED_MIN:
+            terms = list(terms)
+            packed = _combine_packed([first, *terms], len(first[1]))
+            if packed is not None:
+                return packed
+        return _combine_list(self.p, *first, terms)
+
+    def split(self, data: bytes | Sequence[Symbol], count: int) -> tuple[list, int]:
+        """data zero-padded and cut into count parts of one length n >= 1; and n.
+
+        bytes are one symbol each, so p must be at least 257; at p = 257, parts of
+        _PACKED_MIN symbols or more are canonical Lanes, written straight from the
+        bytes. Every other part is a tuple, and a symbol outside [0, p) is refused.
+        """
+        n = max(1, -(-len(data) // count))
+        if not isinstance(data, (bytes, bytearray)):
+            bad = next((s for s in data if not 0 <= s < self.p), None)
+            if bad is not None:
+                raise ConfigMismatch(f"symbol {bad} is not in Z_{self.p}, [0, {self.p})")
+        elif self.p < 257:
+            raise SymbolOutOfByteRange(f"p = {self.p} < 257 cannot hold a byte per symbol")
+        elif self.p == 257 and n >= _PACKED_MIN:
+            buf = bytearray(4 * count * n)
+            buf[_LOW_BYTE:4 * len(data):4] = data
+            return [Lanes(int.from_bytes(buf[i:i + 4 * n], sys.byteorder), n)
+                    for i in range(0, len(buf), 4 * n)], n
+        padded = tuple(data) + (0,) * (n * count - len(data))
+        return [padded[i:i + n] for i in range(0, n * count, n)], n
 
 
 def make_field(p: int) -> FieldCtx:
@@ -80,32 +121,9 @@ def default_modulus(k: int) -> int:
     return p
 
 
-def vec_combine(ctx: FieldCtx,
-                terms: Iterable[tuple[int, Sequence[Symbol]]]) -> Sequence[Symbol]:
-    """Sum of c * v over the (c, v) terms, reduced mod p once at the end.
-
-    Coefficients may be any integers; every scheme's placement, delivery and
-    decoding runs through here. At p = 257, a first vector of at least
-    _PACKED_MIN symbols sends the terms to the packed kernel, whose result reads
-    the same, as loosely reduced Lanes; shorter vectors and other primes take the
-    list path.
-    """
-    terms = iter(terms)
-    first = next(terms, None)
-    if first is None:
-        raise LengthMismatch("no vectors to combine")
-    c, v = first
-    if ctx.p == 257 and len(v) >= _PACKED_MIN:
-        terms = list(terms)
-        packed = _combine_packed([first, *terms], len(v))
-        if packed is not None:
-            return packed
-    return _combine_list(ctx.p, c, v, terms)
-
-
 def _combine_list(p: int, c: int, v: Sequence[Symbol],
                   terms: Iterable[tuple[int, Sequence[Symbol]]]) -> tuple[Symbol, ...]:
-    """The list path of vec_combine, given its first term apart from the rest."""
+    """The list path of FieldCtx.combine, given its first term apart from the rest."""
     acc = v if c == 1 else [c * x for x in v]
     for c, v in terms:
         scaled = v if c == 1 else [c * x for x in v]
@@ -140,7 +158,7 @@ def _lane_masks(n: int) -> tuple[int, int, int, int, int, int]:
 class Lanes:
     """n symbols mod 257 in the 32-bit lanes of one int; immutable as a sequence.
 
-    Built only by pack_bytes, whose lanes are canonical, in [0, 257), and by
+    Built only by FieldCtx.split, whose lanes are canonical, in [0, 257), and by
     _reduce_lanes, whose lanes are loose: below 2**17 and congruent mod 257 to
     their symbols. The packed kernel reads the int as it is. Reads as the tuple
     of its symbols (len, iteration, indexing, ==), unpacking on each read; the
@@ -205,9 +223,8 @@ class Lanes:
         return value.to_bytes(4 * self.n, sys.byteorder)[_LOW_BYTE::4]
 
 
-def _combine_packed(terms: list[tuple[int, Sequence[Symbol]]],
-                    n: int) -> Lanes | None:
-    """vec_combine mod 257 on packed lanes; None when the lane invariant would break."""
+def _combine_packed(terms: list[tuple[int, Sequence[Symbol]]], n: int) -> Lanes | None:
+    """FieldCtx.combine mod 257 on packed lanes; None when the lane invariant would break."""
     if len(terms) > _PACKED_MAX_TERMS:
         return None
     high = _lane_masks(n)[4]
@@ -237,26 +254,9 @@ def _reduce_lanes(acc: int, n: int) -> Lanes:
     return Lanes((acc & m16) + (acc >> 16 & m16), n, loose=True)
 
 
-def pack_bytes(data: bytes, ctx: FieldCtx, count: int, n: int) -> list[Lanes] | None:
-    """data, zero-padded to count * n bytes, as count Lanes of n; None unless p = 257, n >= 64."""
-    if ctx.p != 257 or n < _PACKED_MIN:
-        return None
-    buf = bytearray(4 * count * n)
-    buf[_LOW_BYTE:4 * len(data):4] = data
-    return [Lanes(int.from_bytes(buf[i:i + 4 * n], sys.byteorder), n)
-            for i in range(0, len(buf), 4 * n)]
-
-
-def encode_bytes(data: bytes, ctx: FieldCtx) -> tuple[Symbol, ...]:
-    """One byte per symbol; injective because p >= 257."""
-    if ctx.p < 257:
-        raise SymbolOutOfByteRange(f"p = {ctx.p} < 257 cannot hold a byte per symbol")
-    return tuple(data)
-
-
 def join_bytes(pieces: Sequence[Sequence[Symbol]]) -> bytes:
-    """The pieces laid end to end as bytes, inverting encode_bytes; refuses symbols that
-    cannot be plain bytes. Lanes pieces are read from their lanes."""
+    """The pieces laid end to end as bytes, inverting FieldCtx.split of bytes; refuses symbols
+    that cannot be plain bytes. Lanes pieces are read from their lanes."""
     try:
         if pieces and isinstance(pieces[0], Lanes):
             return b"".join(map(bytes, pieces))
@@ -276,8 +276,3 @@ def coded_to_wire(symbols: Iterable[Symbol]) -> bytes:
         out.append(s & 0xFF)
     return bytes(out)
 
-
-def wire_to_coded(data: bytes) -> tuple[Symbol, ...]:
-    if len(data) % 2:
-        raise SymbolOutOfByteRange("coded wire data must have even length")
-    return tuple((data[i] << 8) | data[i + 1] for i in range(0, len(data), 2))

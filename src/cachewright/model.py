@@ -1,8 +1,9 @@
 """Network configuration, file splitting, demand enumeration, and counting.
 
-A file is split into K(K-1) subfiles indexed by ordered user pairs (i, j),
-i != j. Demands assign one file to each of the K users; the demand set D
-contains exactly the assignments that request every file at least once.
+FieldCtx.split cuts a file into K(K-1) subfiles, indexed by ordered user pairs
+(i, j), i != j, in the form FieldCtx.combine reads. Demands assign one file to
+each of the K users; the demand set D contains exactly the assignments that
+request every file at least once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigMismatch, IndexOutOfRange, OutOfRange
-from .field import FieldCtx, Symbol, default_modulus, encode_bytes, make_field, pack_bytes
+from .field import FieldCtx, Symbol, default_modulus, make_field
 
 Demand = tuple[int, ...]
 
@@ -57,34 +58,14 @@ class SubfileGrid:
     original_length: int
 
 
-def split_symbols(symbols: Sequence[Symbol], cfg: NetworkConfig,
-                  original_length: int | None = None,
-                  keys: Sequence[object] | None = None) -> SubfileGrid:
-    """Zero-pad to a multiple of len(keys) (at least one symbol each) and split.
-
-    keys defaults to pair_order(K), which is empty, and refused, when K < 2.
-    """
-    keys = pair_order(cfg.k) if keys is None else keys
-    count = len(keys)
-    if count == 0:
-        raise OutOfRange(f"K = {cfg.k} leaves no subfiles to split into; need K >= 2")
-    subfile_len = max(1, -(-len(symbols) // count))
-    padded = tuple(symbols) + (0,) * (subfile_len * count - len(symbols))
-    parts = {}
-    for idx, key in enumerate(keys):
-        parts[key] = padded[idx * subfile_len:(idx + 1) * subfile_len]
-    kept = len(symbols) if original_length is None else original_length
-    return SubfileGrid(parts=parts, subfile_len=subfile_len, original_length=kept)
-
-
-def split_file(data: bytes, cfg: NetworkConfig,
+def split_file(data: bytes | Sequence[Symbol], cfg: NetworkConfig,
                keys: Sequence[object] | None = None) -> SubfileGrid:
-    """split_symbols of the file's bytes, with subfiles packed as Lanes when pack_bytes can."""
+    """The file's bytes or symbols as one subfile of cfg.field.split per key; keys defaults
+    to pair_order(K), which is empty, and refused, when K < 2."""
     keys = pair_order(cfg.k) if keys is None else keys
-    subfile_len = -(-len(data) // len(keys)) if keys else 0
-    parts = pack_bytes(data, cfg.field, len(keys), subfile_len)
-    if parts is None:
-        return split_symbols(encode_bytes(data, cfg.field), cfg, len(data), keys)
+    if not keys:
+        raise OutOfRange(f"K = {cfg.k} leaves no subfiles to split into; need K >= 2")
+    parts, subfile_len = cfg.field.split(data, len(keys))
     return SubfileGrid(dict(zip(keys, parts)), subfile_len, len(data))
 
 

@@ -1,16 +1,16 @@
 """One data plane for every linear scheme: coefficient programs and the engine that runs them.
 
-A scheme is its split keys plus three compilers of programs, each a dict from a result's
-name to its step, a tuple of (coefficient, (slot, name)) terms. Coefficients are plain
-integers, dividing only through cfg.field.inv; `run` makes one `vec_combine` per step,
-which alone reduces them, copies a step of one term with coefficient 1, and stores each
-result under its name in the last slot, where later steps read it. caching(cfg, user)
-reads file f at slot f-1 and names a packet (f-1, key), or (N, name) if it mixes files.
-delivery(cfg, pattern) reads the file user u requests at slot u-1 and names a packet by
-its position on the wire. decoding(cfg, pattern, user) reads what the user caches of that
-file at slot u-1, the broadcast at K, its cache's slot N at K+1 and its own results at
-K+2, and names each piece of the wanted file by its key. Delivery and decoding read a
-demand only through the scheme's pattern of it, and are kept in small LRU caches.
+A scheme is its split keys, which FieldCtx.split cuts a file by, plus three compilers of
+programs, each a dict from a result's name to its step, a tuple of (coefficient, (slot, name))
+terms. Coefficients are plain integers, dividing only through cfg.field.inv; `run` makes one
+FieldCtx.combine per step, which alone reduces them, copies a step of one term with
+coefficient 1, and stores each result under its name in the last slot, where later steps read
+it. caching(cfg, user) reads file f at slot f-1 and names a packet (f-1, key), or (N, name) if
+it mixes files. delivery(cfg, pattern) reads the file user u requests at slot u-1 and names a
+packet by its position on the wire. decoding(cfg, pattern, user) reads what the user caches of
+that file at slot u-1, the broadcast at K, its cache's slot N at K+1 and its own results at
+K+2, and names each piece of the wanted file by its key. Delivery and decoding read a demand
+only through the scheme's pattern of it, and are kept in small LRU caches.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigMismatch, LengthMismatch
-from .field import FieldCtx, Symbol, join_bytes, vec_combine
+from .field import FieldCtx, Symbol, join_bytes
 from .model import Demand, NetworkConfig, SubfileGrid, split_file, validate_demand, validate_users
 
 
@@ -34,7 +34,7 @@ def run(program: dict, slots: list, field: FieldCtx) -> dict:
             s, key = step[0][1]
             out[name] = slots[s][key]
         else:
-            out[name] = vec_combine(field, [(c, slots[s][key]) for c, (s, key) in step])
+            out[name] = field.combine([(c, slots[s][key]) for c, (s, key) in step])
     return out
 
 

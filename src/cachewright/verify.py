@@ -2,14 +2,14 @@
 
 For a given (N, K) and scheme, every user decodes every demand in D from its
 own data, and any symbol that differs from the file is recorded as a failure.
-Each subfile is one symbol. A scheme's programs read a demand only through its
-pattern, so the sweep groups D by pattern and makes each demand of a group one
-column: a slot's subfile is the tuple of that subfile's symbol over the
-group's demands. A group runs its delivery program once and its decoding
-program once per user, and a group of 64 or more demands at p = 257 runs
-through the packed kernel. The library content is deterministic in (N, K),
-so workers, each given whole patterns, rebuild identical state, and failures
-merge in demand order.
+Each subfile is one symbol, a tuple from FieldCtx.split. A scheme's programs
+read a demand only through its pattern, so the sweep groups D by pattern and
+makes each demand of a group one column: a slot's subfile is the tuple of that
+subfile's symbol over the group's demands. A group runs its delivery program
+once and its decoding program once per user, so a wide group makes long
+vectors, which FieldCtx.combine may keep packed. The library content is
+deterministic in (N, K), so workers, each given whole patterns, rebuild
+identical state, and failures merge in demand order.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _check_group(scheme, cfg: NetworkConfig, library: dict, caches: list[tuple[C
     failures = []
     for cache, held in caches:
         mixed = {name: packet * len(group) for name, packet in cache.parts[-1].items()}
-        # one tuple() per piece, as indexing Lanes per column unpacks it each time; the
+        # one tuple() per piece, as indexing a packed vector per column unpacks it each time; the
         # pieces are compared whole, and only a mismatch is transposed into columns
         pieces = [tuple(piece) for piece in scheme.recover(
             cfg, pattern, cache.user, [_Columns(held, c) for c in columns], sent, mixed)]

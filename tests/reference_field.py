@@ -1,5 +1,5 @@
 """Componentwise vector arithmetic over Z_p, the reference the tests check
-field.vec_combine and the schemes' linear combinations against."""
+FieldCtx.combine and the schemes' linear combinations against."""
 
 from __future__ import annotations
 

@@ -170,6 +170,31 @@ def test_converse_dump_parses_and_checks(tmp_path, capsys):
     assert check_certificate(cert).ok
 
 
+@pytest.mark.parametrize("family", cli.FAMILIES, ids=lambda f: f"theorem-{f.theorem}")
+def test_converse_dump_round_trips_every_certified_pair(tmp_path, capsys, family):
+    pairs = [(n, k) for k in range(2, 9) for n in range(2, k + 1) if family.in_range(n, k)]
+    assert pairs
+    for n, k in pairs:
+        dump = tmp_path / f"cert-{n}-{k}.txt"
+        assert main(["converse", "--n", str(n), "--k", str(k), "--theorem", family.theorem,
+                     "--dump", str(dump)]) == 0, (n, k)
+        cert = parse_certificate(dump.read_text(encoding="utf-8"))
+        assert cert == family.certificate(n, k), (n, k)
+        assert check_certificate(cert).ok, (n, k)
+
+
+def test_converse_refuses_one_dump_of_both_families(tmp_path, capsys, monkeypatch):
+    # at 2N = K + 1 both regimes hold, and one file cannot hold two certificates
+    monkeypatch.setattr(cli, "FAMILIES", tuple(
+        dataclasses.replace(f, certificate=_fail_if_called) for f in cli.FAMILIES))
+    dump = tmp_path / "cert.txt"
+    assert main(["converse", "--n", "3", "--k", "5", "--dump", str(dump)]) == 2
+    err = capsys.readouterr().err
+    assert "both bound families, which certify the same line" in err
+    assert "--theorem 2 or --theorem 4" in err
+    assert not dump.exists()
+
+
 def test_env_var_sets_default_jobs(capsys, monkeypatch):
     monkeypatch.setenv("CACHEWRIGHT_JOBS", "2")
     rc = main(["verify", "--n", "2", "--k", "3"])

@@ -12,7 +12,6 @@ from cachewright.model import (
     enumerate_demands,
     pair_order,
     split_file,
-    split_symbols,
 )
 
 from reference_field import vec_add, vec_scale, vec_sub
@@ -209,7 +208,7 @@ def test_tight_modulus_exercises_every_divisor():
     rng = random.Random(17)
     symbols = [tuple(rng.randrange(11) for _ in range(cfg.subfiles_per_file))
                for _ in range(2)]
-    lib = [split_symbols(s, cfg) for s in symbols]
+    lib = [split_file(s, cfg) for s in symbols]
     caches = place(lib, cfg)
     for demand in enumerate_demands(cfg):
         bc = deliver(lib, demand, cfg)
@@ -221,6 +220,20 @@ def test_tight_modulus_exercises_every_divisor():
                 if j != user:
                     at = pair_order(5).index((j, user))
                     assert tuple(got[at:at + 1]) == lib[wanted - 1].parts[(j, user)]
+
+
+def test_symbols_outside_the_field_are_refused_at_split():
+    # kept raw, symbol 12 at p = 11 came back reduced in coded pieces and raw in copied
+    # ones: user 1 of demand (1, 2, 1) decoded file 1 as [1, 1, 1, 12, 1, 12]
+    cfg = NetworkConfig(2, 3, p=11)
+    with pytest.raises(ConfigMismatch, match=r"^symbol 12 is not in Z_11, \[0, 11\)$"):
+        split_file((12,) * cfg.subfiles_per_file, cfg)
+    for symbols, first in [((3, 11, -1, 4), 11), ((3, -1, 11, 4), -1)]:
+        with pytest.raises(ConfigMismatch, match=f"^symbol {first} "):
+            split_file(symbols, cfg)
+    lib = [split_file((1,) * 6, cfg), split_file(tuple(range(6)), cfg)]
+    cache = place(lib, cfg, users=(1,))[0]
+    assert decode(cache, deliver(lib, (1, 2, 1), cfg), cfg) == bytes([1] * 6)
 
 
 def test_scheme_point_values():

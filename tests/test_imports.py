@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,27 @@ def test_cli_and_tradeoff_reach_the_bound_families_only_through_the_table():
     for module in ("cli.py", "tradeoff.py"):
         source = (SRC / "cachewright" / module).read_text()
         assert [name for name in names if name in source] == [], module
+
+
+# what the rest of the package may take from field; how a vector is stored stays inside it
+_FIELD_NAMES = {"FieldCtx", "Symbol", "make_field", "default_modulus", "join_bytes"}
+
+
+def test_only_the_field_knows_how_its_vectors_are_stored():
+    for path in sorted((SRC / "cachewright").rglob("*.py")):
+        if path.name == "field.py" and path.parent.name == "cachewright":
+            continue
+        source = path.read_text()
+        assert "Lanes" not in source, path.name
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.endswith(".field") for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if (node.module or "").split(".")[-1] == "field":
+                    assert names <= _FIELD_NAMES, (path.name, names - _FIELD_NAMES)
+                elif node.level and node.module is None:  # from . import field
+                    assert "field" not in names, path.name
 
 
 def test_only_the_field_reduces_and_verify_runs_no_program_itself():

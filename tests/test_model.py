@@ -12,7 +12,6 @@ from cachewright.model import (
     in_demand_set,
     pair_order,
     split_file,
-    split_symbols,
     successor,
     surjection_count,
 )
@@ -83,7 +82,7 @@ def test_split_round_trip_random():
 
 def test_split_symbols_small_modulus():
     cfg = NetworkConfig(2, 4, p=5)
-    grid = split_symbols((1, 2, 3, 4), cfg)
+    grid = split_file((1, 2, 3, 4), cfg)
     assert grid.subfile_len == 1
     assert grid.parts[(1, 2)] == (1,)
 

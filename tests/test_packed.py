@@ -13,14 +13,8 @@ from hypothesis import strategies as st
 from cachewright import field
 from cachewright.baselines import MAN
 from cachewright.errors import SymbolOutOfByteRange
-from cachewright.field import (
-    Lanes,
-    encode_bytes,
-    join_bytes,
-    make_field,
-    vec_combine,
-)
-from cachewright.model import NetworkConfig, split_file, split_symbols
+from cachewright.field import Lanes, join_bytes, make_field
+from cachewright.model import NetworkConfig, split_file
 
 from reference_field import vec_add, vec_scale
 
@@ -30,9 +24,9 @@ F257 = make_field(257)
 def _lanes(symbols):
     """Lanes holding the given symbols in [0, 257), built the way the program builds them."""
     data = bytes(min(s, 255) for s in symbols)
-    packed = field.pack_bytes(data, F257, 1, len(symbols))[0]
+    (packed,), _ = F257.split(data, 1)
     bump = tuple(int(s == 256) for s in symbols)
-    return vec_combine(F257, [(1, packed), (1, bump)])
+    return F257.combine([(1, packed), (1, bump)])
 
 
 def man_split(data, cfg):
@@ -56,7 +50,7 @@ def test_split_at_257_equals_the_symbol_split(scheme, split, count, size):
     length = 64 * count - 5 if size == "padded" else size * count
     data = random.Random(f"split-{scheme}-{size}").randbytes(length)
     keys = None if scheme == "new" else range(1, 5)
-    expected = split_symbols(encode_bytes(data, cfg.field), cfg, len(data), keys)
+    expected = split_file(tuple(data), cfg, keys)  # symbols, so tuples at any length
     grid = split(data, cfg)
     assert grid.subfile_len == expected.subfile_len
     assert grid.original_length == expected.original_length == length
@@ -109,7 +103,7 @@ def test_mixed_terms_match_the_list_path(bad):
                   [(1, breaking), (1, packed)]):
         by_list = field._combine_list(257, terms[0][0], tuple(terms[0][1]),
                                       [(c, tuple(v)) for c, v in terms[1:]])
-        assert vec_combine(F257, terms) == by_list == _reference(terms)
+        assert F257.combine(terms) == by_list == _reference(terms)
 
 
 @settings(deadline=None)
@@ -120,7 +114,7 @@ def test_every_packed_result_keeps_its_lanes_below_257(data):
                         st.tuples(*[st.integers(0, 256)] * length).map(_lanes))
     terms = data.draw(st.lists(st.tuples(st.integers(-2 ** 40, 2 ** 40), vectors),
                                min_size=1, max_size=6))
-    result = vec_combine(F257, terms)
+    result = F257.combine(terms)
     assert isinstance(result, Lanes)
     lanes = array(field._LANE)
     lanes.frombytes(result.value.to_bytes(4 * result.n, sys.byteorder))
@@ -176,11 +170,11 @@ def test_packed_kernel_holds_at_its_term_limit_with_loose_lanes():
     column = (131070,) * 64
     by_list = field._combine_list(257, 256, column, [(256, column)] * (len(terms) - 1))
     assert field._combine_packed(terms, 64) == by_list
-    assert vec_combine(F257, terms) == by_list
+    assert F257.combine(terms) == by_list
     # one term more goes to the list path, with the list path's answer
     terms.append((256, top))
     assert field._combine_packed(terms, 64) is None
-    assert vec_combine(F257, terms) == tuple((x + 256 * 131070) % 257 for x in by_list)
+    assert F257.combine(terms) == tuple((x + 256 * 131070) % 257 for x in by_list)
 
 
 def _fresh(lanes):
@@ -204,7 +198,7 @@ def test_chained_loose_results_read_as_the_list_path(data):
         picks = data.draw(st.lists(st.tuples(st.integers(-2 ** 40, 2 ** 40),
                                              st.integers(0, len(pool) - 1)),
                                    min_size=1, max_size=6))
-        result = vec_combine(F257, [(c, pool[i][0]) for c, i in picks])
+        result = F257.combine([(c, pool[i][0]) for c, i in picks])
         assert isinstance(result, Lanes) and result._loose
         assert max(_raw(result)) < 2 ** 17
         (c0, i0), *rest = picks

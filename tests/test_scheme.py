@@ -71,7 +71,7 @@ def test_a_copy_step_passes_the_vector_through():
     library = [NEW.split(bytes(range(6 * n, 6 * n + 6)), cfg) for n in (1, 2)]
     (cache,) = NEW.place(library, cfg, users=(1,))
     assert cache.parts[1][(2, 3)] is library[1].parts[(2, 3)]
-    assert cache.parts[-1] == {"sum": (6 + 12,)}  # W_1^{12} + W_2^{12}, one vec_combine
+    assert cache.parts[-1] == {"sum": (6 + 12,)}  # W_1^{12} + W_2^{12}, one FieldCtx.combine
 
 
 def _programs(scheme, cfg, patterns) -> list:
