@@ -6,7 +6,8 @@ for large caches, and a generator/checker pair for the entropy-inequality
 certificates that establish the matching lower bounds.
 """
 
-from .coded_placement import decode, deliver, place, scheme_point
+from .coded_placement import decode, deliver, place
+from .converse.tightness import scheme_point
 from .model import NetworkConfig, SubfileGrid, enumerate_demands, split_file
 from .scheme import Broadcast, Cache
 from .tradeoff import assemble_known_curve, emit_csv, exact_tradeoff, lower_envelope

@@ -22,13 +22,13 @@ A cache keeps W_n^{ij} under (n-1, (i, j)), the difference ending in W_n^{kj}
 under (n-1, ("diff", j)) and the sum packet under (N, "sum"); decoding names
 each W_{d_k}^{ij} by (i, j), recovered or copied from the cache. The compilers
 read only N, K and the field's inverse, and leave every reduction to the
-field, so over Q the same programs hold exactly.
+field, so over Q the same programs hold exactly. The scheme's closed-form
+point (M_A, 1/(K-1)) is converse.tightness.scheme_point.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from .errors import DemandNotInD, OutOfRange
 from .model import (
@@ -112,13 +112,3 @@ def _decoding(cfg: NetworkConfig, pattern: Demand, k: int) -> dict:
 NEW = Scheme(keys=lambda cfg: tuple(pair_order(cfg.k)), pattern=_pattern,
              caching=_caching, delivery=_delivery, decoding=_decoding)
 place, deliver, decode = NEW.place, NEW.deliver, NEW.decode
-
-
-def scheme_point(n: int, k: int) -> tuple[Fraction, Fraction]:
-    """The scheme's memory-rate pair (M_A, 1/(K-1)) as exact rationals."""
-    if not 1 <= n <= k:
-        raise OutOfRange(f"need 1 <= N <= K, got ({n}, {k})")
-    if k < 2:
-        raise OutOfRange("rate 1/(K-1) needs K >= 2")
-    memory = Fraction(n, k) * ((k - 2) + Fraction((k - 2) * n + 1, n * (k - 1)))
-    return memory, Fraction(1, k - 1)

@@ -39,8 +39,7 @@ def _guard(n: int, k: int) -> None:
 
 def case1_demand_table(n: int, k: int) -> tuple[tuple[Demand, ...], dict[int, int]]:
     """The K shifted demands plus the map l -> id of b_l."""
-    if (n, k) != (1, 1):   # in no regime, but its table backs the trivial certificate
-        _guard(n, k)
+    _guard(n, k)
     return cyclic_table(n, tuple(range(1, n + 1)) + tuple(range(1, k - n + 1)))
 
 

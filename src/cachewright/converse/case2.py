@@ -47,8 +47,7 @@ def _guard(n: int, k: int) -> None:
 
 
 def case2_demand_table(n: int, k: int) -> tuple[tuple[Demand, ...], dict[int, int]]:
-    if (n, k) != (1, 1):   # in no regime, but its table backs the trivial certificate
-        _guard(n, k)
+    _guard(n, k)
     return cyclic_table(n, tuple(range(1, n + 1)) + tuple(range(1, n))
                         + (1,) * (k - 2 * n + 1))
 

@@ -1,17 +1,56 @@
-"""The paper's two bound families, and where their lines meet the achievable corners."""
+"""The paper's two bound families, and the closed-form corners their lines meet.
+
+Every achievable (M, R) the rate-memory curves use is a formula here: the
+coded-placement point, the uncoded-prefetching corners and the small-cache
+line N - NM. Nothing here runs a scheme; verify measures those points.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable
 
-from ..baselines import yu_point
-from ..coded_placement import scheme_point
-from ..errors import OutOfCaseRange
+from ..errors import OutOfCaseRange, OutOfRange
 from .case1 import case1_certificate, case1_target, in_case1_range
 from .case2 import case2_certificate, case2_target, in_case2_range
 from .certificate import Certificate
+
+
+def scheme_point(n: int, k: int) -> tuple[Fraction, Fraction]:
+    """The coded-placement scheme's memory-rate pair (M_A, 1/(K-1)) as exact rationals."""
+    if not 1 <= n <= k:
+        raise OutOfRange(f"need 1 <= N <= K, got ({n}, {k})")
+    if k < 2:
+        raise OutOfRange("rate 1/(K-1) needs K >= 2")
+    memory = Fraction(n, k) * ((k - 2) + Fraction((k - 2) * n + 1, n * (k - 1)))
+    return memory, Fraction(1, k - 1)
+
+
+def rate_yu(n: int, k: int, r: int) -> Fraction:
+    """Corner rate R_r = (C(K, r+1) - C(K-N, r+1)) / C(K, r) at M = Nr/K."""
+    if not 1 <= n <= k:
+        raise OutOfRange(f"need 1 <= N <= K, got ({n}, {k})")
+    if not 0 <= r <= k:
+        raise OutOfRange(f"corner index {r} outside [0, {k}]")
+    return Fraction(comb(k, r + 1) - comb(k - n, r + 1), comb(k, r))
+
+
+def yu_point(n: int, k: int, r: int) -> tuple[Fraction, Fraction]:
+    return Fraction(n * r, k), rate_yu(n, k, r)
+
+
+def rate_chen(n: int, k: int, memory: Fraction) -> Fraction:
+    """N - N*M on [0, 1/K] for N <= K, shown optimal there by Chen, Fan and Letaief,
+    "Fundamental limits of caching: improved bounds for users with small buffers",
+    IET Commun. 2016. Cited, not checked: nothing in this package proves it."""
+    if not 1 <= n <= k:
+        raise OutOfRange(f"need 1 <= N <= K, got ({n}, {k})")
+    memory = Fraction(memory)
+    if not 0 <= memory <= Fraction(1, k):
+        raise OutOfRange(f"M={memory} outside [0, 1/{k}]")
+    return n - n * memory
 
 
 def bound_line(target: tuple[Fraction, Fraction, Fraction]) -> tuple[Fraction, Fraction]:

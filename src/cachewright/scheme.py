@@ -80,7 +80,7 @@ class Scheme:
         for name in ("keys", "delivery", "decoding"):
             object.__setattr__(self, name, lru_cache(maxsize=16)(getattr(self, name)))
 
-    def split(self, data: bytes, cfg: NetworkConfig) -> SubfileGrid:
+    def split(self, data: bytes | Sequence[Symbol], cfg: NetworkConfig) -> SubfileGrid:
         return split_file(data, cfg, keys=self.keys(cfg))
 
     def _subfile_len(self, library: list[SubfileGrid], cfg: NetworkConfig) -> int:

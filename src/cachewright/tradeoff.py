@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .baselines import rate_chen, yu_point
-from .converse.tightness import FAMILIES, bound_line
+from .converse.tightness import FAMILIES, bound_line, rate_chen, yu_point
 from .errors import DegenerateInput, OutOfRange, OutsideCharacterizedRegion
 
 Point = tuple[Fraction, Fraction]

@@ -2,7 +2,8 @@
 
 For a given (N, K) and scheme, every user decodes every demand in D from its
 own data, and any symbol that differs from the file is recorded as a failure.
-Each subfile is one symbol, a tuple from FieldCtx.split. A scheme's programs
+Each subfile is one symbol of Z_p, a seeded byte reduced mod p (at p >= 257 the
+byte itself), so every admissible prime can be swept. A scheme's programs
 read a demand only through its pattern, so the sweep groups D by pattern and
 makes each demand of a group one column: a slot's subfile is the tuple of that
 subfile's symbol over the group's demands. A group runs its delivery program
@@ -105,14 +106,14 @@ def _check_chunk(args) -> tuple[int, list[dict], tuple[Fraction, Fraction]]:
     n, k, p, name, groups = args
     scheme = SCHEMES[name]
     cfg = NetworkConfig(n, k, p)
-    plain = [random.Random(f"cachewright-{n}-{k}-{i}").randbytes(len(scheme.keys(cfg)))
-             for i in range(n)]
-    library = [scheme.split(blob, cfg) for blob in plain]
+    seeds = [random.Random(f"cachewright-{n}-{k}-{i}") for i in range(n)]
+    plain = [tuple(b % p for b in rng.randbytes(len(scheme.keys(cfg)))) for rng in seeds]
+    library = [scheme.split(symbols, cfg) for symbols in plain]
     caches = scheme.place(library, cfg)
     point = scheme.point(cfg, caches[0], scheme.deliver(library, groups[0][0], cfg))
     by_key = _by_key([g.parts for g in library])
     held = [(cache, _by_key(cache.parts[:n])) for cache in caches]
-    wanted = list(zip(*plain))  # each piece's symbol in every file, read from the bytes
+    wanted = list(zip(*plain))  # each piece's symbol in every file
     failures = [f for group in groups
                 for f in _check_group(scheme, cfg, by_key, held, wanted, group)]
     return sum(map(len, groups)), failures, point

@@ -10,8 +10,8 @@ import random
 import time
 from fractions import Fraction
 
-from cachewright.baselines import MAN, rate_yu
-from cachewright.coded_placement import decode, deliver, place, scheme_point
+from cachewright.baselines import MAN
+from cachewright.coded_placement import decode, deliver, place
 from cachewright.converse import (
     case1_certificate,
     case1_demand_table,
@@ -27,6 +27,7 @@ from cachewright.converse import (
     perturbed,
     tightness_check,
 )
+from cachewright.converse.tightness import rate_yu, scheme_point
 from cachewright.errors import OutOfCaseRange
 from cachewright.model import NetworkConfig, split_file
 from cachewright.tradeoff import assemble_known_curve

@@ -5,12 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cachewright.baselines import (
-    MAN,
-    rate_chen,
-    rate_yu,
-    yu_point,
-)
+from cachewright.baselines import MAN
+from cachewright.converse.tightness import rate_chen, rate_yu, yu_point
 from cachewright.errors import ConfigMismatch, OutOfRange
 from cachewright.model import NetworkConfig, enumerate_demands
 

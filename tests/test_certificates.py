@@ -7,8 +7,6 @@ from math import lcm
 import pytest
 import reference_certificate
 
-from cachewright.baselines import yu_point
-from cachewright.coded_placement import scheme_point
 from cachewright.converse import (
     CacheBound,
     Certificate,
@@ -34,7 +32,7 @@ from cachewright.converse import (
     xvar,
     zvar,
 )
-from cachewright.converse.tightness import FAMILIES
+from cachewright.converse.tightness import FAMILIES, scheme_point, yu_point
 from cachewright.errors import (
     ConfigMismatch,
     MalformedAxiom,

@@ -112,6 +112,17 @@ def test_verify_reports_a_bad_config_before_the_budget_guard(args, reason, capsy
     assert "--force" not in err
 
 
+def test_verify_takes_a_prime_below_257_and_roundtrip_does_not(tmp_path, sample_file, capsys):
+    assert main(["verify", "--n", "2", "--k", "4", "--prime", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["p"] == 5 and report["failures"] == []
+    assert report["measured"] == {"M": "17/12", "R": "1/3"}
+    path, _ = sample_file
+    assert main(["roundtrip", "--n", "2", "--k", "4", "--prime", "5", "--demand", "1,2,1,1",
+                 str(path), "--out", str(tmp_path / "x.bin")]) == 2
+    assert "p = 5 < 257 cannot hold a byte per symbol" in capsys.readouterr().err
+
+
 def test_verify_json_stable_ordering(capsys):
     main(["verify", "--n", "2", "--k", "3"])
     text = capsys.readouterr().out

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cachewright.coded_placement import NEW, deliver, decode, place, scheme_point
+from cachewright.coded_placement import NEW, deliver, decode, place
+from cachewright.converse.tightness import scheme_point
 from cachewright.errors import ConfigMismatch, DemandNotInD, LengthMismatch, OutOfRange
 from cachewright.model import (
     NetworkConfig,

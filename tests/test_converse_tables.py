@@ -3,8 +3,10 @@ from __future__ import annotations
 import pytest
 
 from cachewright.converse import (
+    case1_certificate,
     case1_demand_table,
     case1_sets,
+    case2_certificate,
     case2_demand_table,
     case2_sets,
     case2_tail_sets,
@@ -195,3 +197,16 @@ def test_case2_range_guard():
         case2_demand_table(1, 4)   # the bound is false for one file
     with pytest.raises(IndexOutOfRange):
         case2_tail_sets(2, 5, 3)
+
+
+@pytest.mark.parametrize("table", [case1_demand_table, case2_demand_table])
+def test_neither_table_backs_the_trivial_certificate(table):
+    with pytest.raises(OutOfCaseRange, match=r"^\(1, 1\) outside the "):
+        table(1, 1)
+    assert case1_certificate(1, 1).demands == case2_certificate(1, 1).demands == ((1,),)
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_case2_sets_refuses_an_index_outside_the_files(i):
+    with pytest.raises(IndexOutOfRange, match=rf"^i={i} outside \[1, 2\]$"):
+        case2_sets(2, 5, i)

@@ -39,6 +39,20 @@ def _loaded_after(module: str, bare: str = _BARE) -> set[str]:
     return set(result.stdout.split())
 
 
+def test_the_proof_half_loads_nothing_from_the_data_plane():
+    loaded = {m for m in _loaded_after("cachewright.converse, cachewright.tradeoff")
+              if m.startswith("cachewright.")}
+    outside = {m for m in loaded if not m.startswith("cachewright.converse")}
+    assert outside == {"cachewright.tradeoff", "cachewright.errors"}
+
+
+@pytest.mark.parametrize("name", ["field", "model", "scheme", "coded_placement", "baselines",
+                                  "verify"])
+def test_the_data_plane_loads_nothing_from_the_proof_half(name):
+    loaded = _loaded_after(f"cachewright.{name}")
+    assert {"cachewright.converse", "cachewright.tradeoff"} & loaded == set()
+
+
 def test_the_engine_imports_no_scheme():
     loaded = _loaded_after("cachewright.scheme")
     for name in ("coded_placement", "baselines", "verify", "cli"):

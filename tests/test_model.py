@@ -14,6 +14,7 @@ from cachewright.model import (
     split_file,
     successor,
     surjection_count,
+    validate_demand,
 )
 
 
@@ -129,3 +130,9 @@ def test_successor():
     assert successor(3, 4) == 4
     with pytest.raises(IndexOutOfRange):
         successor(5, 4)
+
+
+@pytest.mark.parametrize("demand", [(1, 2), (1, 2, 1, 2)])
+def test_a_demand_of_the_wrong_length_is_refused(demand):
+    with pytest.raises(ConfigMismatch, match=rf"^demand length {len(demand)} != K=3$"):
+        validate_demand(demand, NetworkConfig(2, 3))

@@ -155,3 +155,14 @@ def test_a_variable_set_lists_files_then_caches_then_broadcasts_by_index():
         assert varset_token(frozenset(kinds)) == ",".join(
             f"{v.kind}{v.idx}" for v in sorted(kinds, key=lambda v: v.sort_key()))
     assert varset_token(frozenset()) == "-"
+
+
+def test_an_axiom_line_without_a_multiplier_is_refused():
+    with pytest.raises(ConfigMismatch, match="^line 2: axiom line lacks a multiplier in "):
+        parse_certificate("NK 2 2 CASE 1\nAX CACHE 1 1/1\n")
+
+
+def test_blank_lines_are_skipped():
+    cert = case1_certificate(3, 4)
+    text = serialize_certificate(cert).replace("\n", "\n\n   \n")
+    assert parse_certificate("\n" + text) == cert

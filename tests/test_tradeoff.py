@@ -4,8 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from cachewright.baselines import rate_yu, yu_point
-from cachewright.coded_placement import scheme_point
 from cachewright.converse import (
     case1_target,
     case2_target,
@@ -15,7 +13,7 @@ from cachewright.converse import (
     parse_certificate,
     perturbed,
 )
-from cachewright.converse.tightness import FAMILIES, bound_line
+from cachewright.converse.tightness import FAMILIES, bound_line, rate_yu, scheme_point, yu_point
 from cachewright.errors import DegenerateInput, OutOfRange, OutsideCharacterizedRegion
 from cachewright.tradeoff import (
     CSV_HEADER,
@@ -330,3 +328,29 @@ def test_no_family_line_lies_above_an_achievable_vertex():
                 assert t_m * m + t_r * r == rhs, (n, k, f.case)
                 tag = next(tag for vm, vr, tag in curve.vertices if (vm, vr) == (m, r))
                 assert f.tag(n, k) in tag.split("+"), (n, k, f.case, tag)
+
+
+@pytest.mark.parametrize("m", [F(-1, 4), F(13, 4)])
+def test_evaluate_refuses_memory_outside_the_domain(m):
+    with pytest.raises(OutOfRange) as exc:
+        assemble_known_curve(3, 4).evaluate(m)
+    assert str(exc.value) == f"M={m} outside curve domain [0, 3]"
+
+
+def test_lower_envelope_refuses_labels_of_another_length():
+    with pytest.raises(DegenerateInput, match="^labels and points differ in length$"):
+        lower_envelope([(0, 1), (1, 0)], ["only-one"])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: exact_regions(5, 4), "need 1 <= N <= K, got (5, 4)"),
+    (lambda: exact_regions(0, 4), "need 1 <= N <= K, got (0, 4)"),
+    (lambda: exact_tradeoff(3, 4, F(-1, 2)), "memory cannot be negative"),
+    (lambda: assemble_known_curve(5, 4), "need 1 <= N <= K and K >= 2, got (5, 4)"),
+    (lambda: assemble_known_curve(1, 1), "need 1 <= N <= K and K >= 2, got (1, 1)"),
+], ids=["regions-n-above-k", "regions-no-file", "negative-memory", "curve-n-above-k",
+        "curve-one-user"])
+def test_the_curve_functions_refuse_what_they_do_not_describe(call, message):
+    with pytest.raises(OutOfRange) as exc:
+        call()
+    assert str(exc.value) == message

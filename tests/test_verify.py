@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
 from cachewright import cli, field, scheme as engine, verify
-from cachewright.errors import CachewrightError, SymbolOutOfByteRange
+from cachewright.converse.tightness import scheme_point
+from cachewright.errors import CachewrightError, ConfigMismatch, SymbolOutOfByteRange
 from cachewright.model import NetworkConfig, enumerate_demands
 from cachewright.verify import SCHEMES, run_verification
 
@@ -220,3 +223,33 @@ def test_workers_get_whole_patterns(monkeypatch):
     assert len(chunks) == 3
     assert sorted(d for *_, groups in chunks for g in groups for d in g) == demands
     assert chunks[0][-1][0][0] == demands[0]  # (M, R) comes from D's first demand
+
+
+def _smallest_prime_above(k: int) -> int:
+    return next(p for p in itertools.count(k + 1) if p % 2 and field.is_prime(p))
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_every_pair_verifies_at_the_smallest_prime_above_k(name):
+    for k in range(2, 7):
+        p = _smallest_prime_above(k)
+        for n in range(1, k + 1):
+            report = run_verification(n, k, name, p=p)
+            closed = (scheme_point(n, k) if name == "new"
+                      else (Fraction(n * (k - 1), k), Fraction(1, k)))
+            assert report.ok and report.config["p"] == p, (n, k)
+            assert (report.memory, report.rate) == closed, (n, k)
+
+
+@pytest.mark.parametrize("mutant", ["man-coefficient", "new-coefficient"])
+def test_a_mutated_coefficient_fails_the_sweep_at_a_small_prime(mutant, monkeypatch):
+    name, change = MUTANTS[mutant]
+    monkeypatch.setitem(verify.SCHEMES, name, _mutant(SCHEMES[name], **change))
+    report = run_verification(3, 5, name, p=_smallest_prime_above(5))
+    assert report.config["p"] == 7 and not report.ok
+    assert {f["user"] for f in report.failures} == {change["user"]}
+
+
+def test_an_unknown_scheme_is_refused():
+    with pytest.raises(ConfigMismatch, match="^unknown scheme 'yu'; pick one of "):
+        run_verification(2, 3, "yu")
