@@ -4,13 +4,15 @@ Subcommands: roundtrip (push one file through a scheme end to end), verify
 (exhaustive decode check over D), tradeoff (CSV of the known curve), and
 converse (generate and check a lower-bound certificate). Exit codes: 0 all
 checks passed, 1 a verification or certificate check failed, 2 usage or
-configuration error.
+configuration error, or standard output closed early. main may be called any
+number of times in one process; the parser is built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import random
 import sys
@@ -215,13 +217,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call reuses. argparse keeps no state between parse_args
+    calls, and each cmd_* looks up FAMILIES, SCHEMES, run_verification and _filler
+    when it runs, so replacing one of them later still takes effect."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except CachewrightError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # stdout was closed early (`| head -1`): what is still buffered goes to
+        # devnull, so the interpreter's final flush raises nothing (Python's signal docs)
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_USAGE
 
 

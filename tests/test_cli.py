@@ -13,6 +13,7 @@ import pytest
 from cachewright import cli, scheme
 from cachewright.cli import main
 from cachewright.converse import check_certificate, parse_certificate, perturbed
+from cachewright.errors import CachewrightError
 
 from test_field import PSI_12, PSI_13
 
@@ -434,3 +435,88 @@ def test_converse_prints_why_a_certificate_fails_and_exits_1(capsys, monkeypatch
     reason = check_certificate(broken.certificate(3, 4)).reason
     assert reason and captured.err == f"  reason: {reason}\n"
     assert captured.out.startswith("4M+8R >= 11 FAIL; tight at M=")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The parsers built from here on; main's cached parser is dropped before and after."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+    cli._parser.cache_clear()
+    yield built
+    cli._parser.cache_clear()
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, sample_file, capsys, builds):
+    path, blob = sample_file
+    out = tmp_path / "decoded.bin"
+    work = [["converse", "--n", "3", "--k", "4"],
+            ["tradeoff", "--n", "3", "--k", "4", "--samples", "5"],
+            ["verify", "--n", "3", "--k", "4"],
+            ["roundtrip", "--n", "3", "--k", "4", "--demand", "1,1,2,3", str(path),
+             "--out", str(out)]]
+
+    def call(argv):
+        code, stdout = main(argv), capsys.readouterr().out
+        if argv[0] == "verify":
+            stdout = json.loads(stdout)
+            del stdout["wall_time"]
+        return code, stdout
+
+    first = [call(argv) for argv in work]
+    assert [code for code, _ in first] == [0, 0, 0, 0]
+    with pytest.raises(SystemExit) as bad:
+        main(["verify", "--n", "x", "--k", "4"])
+    assert bad.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["verify", "--n", "4", "--k", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit) as shown:
+        main(["--help"])
+    assert shown.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cachewright")
+    assert [call(argv) for argv in work] == first
+    assert out.read_bytes() == blob
+    assert len(builds) == 1
+
+
+def test_names_replaced_after_the_parser_is_built_still_take_effect(tmp_path, sample_file,
+                                                                    capsys, monkeypatch, builds):
+    def refuse(*args, **kwargs):
+        raise CachewrightError("replaced")
+
+    assert main(["converse", "--n", "3", "--k", "4"]) == 0
+    monkeypatch.setattr(cli, "run_verification", refuse)
+    monkeypatch.setattr(cli, "_filler", refuse)
+    capsys.readouterr()
+    assert main(["verify", "--n", "2", "--k", "2"]) == 2
+    assert main(["roundtrip", "--n", "2", "--k", "3", "--demand", "1,2,1", str(sample_file[0]),
+                 "--out", str(tmp_path / "out.bin")]) == 2
+    assert capsys.readouterr().err == "error: replaced\n" * 2
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("argv, lines", [
+    # the report is one 200-byte write, so its reader is gone before the sweep starts
+    (["verify", "--n", "3", "--k", "5"], 0),
+    # 1.1 MB of CSV outlasts the pipe's buffer, so its reader leaves after one line
+    (["tradeoff", "--n", "3", "--k", "4", "--samples", "20000"], 1),
+])
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, argv, lines):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    # under -u a text write to a closed pipe can stop short without an error
+    env.pop("PYTHONUNBUFFERED", None)
+    read_fd, write_fd = os.pipe()
+    reader = os.fdopen(read_fd, "rb")
+    if not lines:
+        reader.close()
+    with subprocess.Popen([sys.executable, "-m", "cachewright", *argv], cwd=tmp_path, env=env,
+                          stdout=write_fd, stderr=subprocess.PIPE, text=True) as proc:
+        os.close(write_fd)
+        for _ in range(lines):
+            assert reader.readline()
+        reader.close()
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (2, "")
