@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import os
 import random
 import sys
@@ -25,21 +26,6 @@ from .tradeoff import assemble_known_curve, emit_csv
 from .verify import SCHEMES, run_verification
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-
-
-def _jobs(flag: int | None) -> int:
-    """The worker count: --jobs, else CACHEWRIGHT_JOBS, else 1; refused below 1."""
-    source = f"--jobs {flag}"
-    if flag is None:
-        text = os.environ.get("CACHEWRIGHT_JOBS", "1")
-        source = f"CACHEWRIGHT_JOBS={text!r}"
-        try:
-            flag = int(text)
-        except ValueError:
-            raise CachewrightError(f"{source} is not an integer") from None
-    if flag < 1:
-        raise CachewrightError(f"{source} is below 1")
-    return flag
 
 
 def _parse_demand(text: str, k: int) -> tuple[int, ...]:
@@ -83,7 +69,7 @@ def _filler(matching: bytes, index: int) -> bytes:
 
 
 def cmd_roundtrip(args) -> int:
-    cfg = NetworkConfig(args.n, args.k, args.prime or 0)
+    cfg = NetworkConfig(args.n, args.k, args.prime)
     demand = _parse_demand(args.demand, args.k)
     user = args.user
     if not 1 <= user <= args.k:
@@ -118,14 +104,15 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    NetworkConfig(args.n, args.k, args.prime or 0)  # a bad N, K or prime reports itself first
+    NetworkConfig(args.n, args.k, args.prime)  # a bad N, K or prime reports itself first
     if args.k > 8 and not args.force:
         raise CachewrightError(
             f"K = {args.k} would enumerate {surjection_count(args.n, args.k)} demands; "
             "pass --force to run anyway")
-    jobs = _jobs(args.jobs)
+    if args.jobs < 1:
+        raise CachewrightError(f"--jobs {args.jobs} is below 1")
     with _output(args.out, "w", encoding="utf-8") as out:
-        report = run_verification(args.n, args.k, args.scheme, jobs=jobs, p=args.prime)
+        report = run_verification(args.n, args.k, args.scheme, jobs=args.jobs, p=args.prime)
         text = report.to_json()
         if out:
             out.write(text + "\n")
@@ -192,8 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="decode every demand in D, every user")
     common(p, scheme=True)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (default: env CACHEWRIGHT_JOBS, else 1)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default: 1)")
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.add_argument("--force", action="store_true",
                    help="lift the K <= 8 enumeration guard")
@@ -225,7 +211,19 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _buffered_stdout() -> None:
+    """Reopen the interpreter's stdout buffered if python -u left its text layer writing
+    straight to the raw file. That layer drops the short count a write returns when the
+    reader leaves mid-write, so nothing fails; a buffered writer writes the rest, which
+    raises BrokenPipeError. A redirected sys.stdout (StringIO, capsys) is left alone."""
+    out = sys.stdout
+    if out is sys.__stdout__ and isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        sys.stdout = open(out.fileno(), "w", encoding=out.encoding, errors=out.errors,
+                          closefd=False)
+
+
 def main(argv=None) -> int:
+    _buffered_stdout()
     args = _parser().parse_args(argv)
     try:
         code = args.func(args)

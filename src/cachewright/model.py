@@ -20,14 +20,14 @@ Demand = tuple[int, ...]
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """An (N, K) cache network served over the field Z_p."""
+    """An (N, K) cache network served over the field Z_p; p None for default_modulus(K)."""
 
     n: int
     k: int
-    p: int = 0
+    p: int | None = None
 
     def __post_init__(self):
-        if self.p == 0:
+        if self.p is None:
             object.__setattr__(self, "p", default_modulus(self.k))
         if not 1 <= self.n <= self.k:
             raise ConfigMismatch(f"need 1 <= N <= K, got N={self.n}, K={self.k}")

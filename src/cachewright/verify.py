@@ -123,7 +123,7 @@ def run_verification(n: int, k: int, scheme: str = "new", jobs: int = 1,
                      p: int | None = None) -> VerifyReport:
     if scheme not in SCHEMES:
         raise ConfigMismatch(f"unknown scheme {scheme!r}; pick one of {tuple(SCHEMES)}")
-    cfg = NetworkConfig(n, k, p or 0)
+    cfg = NetworkConfig(n, k, p)
     start = time.perf_counter()
     by_pattern: dict = {}
     for demand in enumerate_demands(cfg):

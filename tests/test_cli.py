@@ -207,24 +207,8 @@ def test_converse_refuses_one_dump_of_both_families(tmp_path, capsys, monkeypatc
     assert not dump.exists()
 
 
-def test_env_var_sets_default_jobs(capsys, monkeypatch):
-    monkeypatch.setenv("CACHEWRIGHT_JOBS", "2")
-    rc = main(["verify", "--n", "2", "--k", "3"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["failures"] == []
-
-
-def test_malformed_jobs_env_var_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("CACHEWRIGHT_JOBS", "abc")
-    assert main(["verify", "--n", "2", "--k", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "CACHEWRIGHT_JOBS='abc' is not an integer" in captured.err
-
-
 @pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, jobs):
-    monkeypatch.delenv("CACHEWRIGHT_JOBS", raising=False)
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     out = tmp_path / "report.json"
     assert main(["verify", "--n", "2", "--k", "3", "--jobs", jobs, "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -233,26 +217,20 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, jobs):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3", " -1"])
-def test_jobs_env_var_below_one_is_a_usage_error(capsys, monkeypatch, jobs):
-    monkeypatch.setenv("CACHEWRIGHT_JOBS", jobs)
-    assert main(["verify", "--n", "2", "--k", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"error: CACHEWRIGHT_JOBS={jobs!r} is below 1" in captured.err
-    # an explicit --jobs is read instead of the variable
-    assert main(["verify", "--n", "2", "--k", "3", "--jobs", "1"]) == 0
+def test_prime_0_is_refused_like_any_other_non_prime(tmp_path, sample_file, capsys):
+    out = tmp_path / "out.bin"
+    assert main(["verify", "--n", "2", "--k", "3", "--prime", "0"]) == 2
+    assert main(["roundtrip", "--n", "2", "--k", "3", "--prime", "0", "--demand", "1,2,1",
+                 str(sample_file[0]), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: 0 is not prime\n" * 2)
+    assert not out.exists()
 
 
-def test_malformed_jobs_env_var_leaves_roundtrip_alone(tmp_path, sample_file, capsys,
-                                                       monkeypatch):
-    monkeypatch.setenv("CACHEWRIGHT_JOBS", "abc")
-    path, blob = sample_file
-    out = tmp_path / "decoded.bin"
-    assert main(["roundtrip", "--n", "3", "--k", "4", "--demand", "1,1,2,3",
-                 str(path), "--out", str(out)]) == 0
-    assert out.read_bytes() == blob
-    assert main(["verify", "--n", "2", "--k", "2", "--jobs", "1"]) == 0
+def test_the_package_reads_no_environment_variable():
+    src = Path(cli.__file__).resolve().parent
+    for path in sorted(src.rglob("*.py")):
+        source = path.read_text()
+        assert [text for text in ("os.environ", "getenv") if text in source] == [], path.name
 
 
 @pytest.mark.parametrize("scheme", ["new", "man"])
@@ -505,18 +483,21 @@ def test_names_replaced_after_the_parser_is_built_still_take_effect(tmp_path, sa
 ])
 def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, argv, lines):
     src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    # under -u a text write to a closed pipe can stop short without an error
-    env.pop("PYTHONUNBUFFERED", None)
-    read_fd, write_fd = os.pipe()
-    reader = os.fdopen(read_fd, "rb")
-    if not lines:
-        reader.close()
-    with subprocess.Popen([sys.executable, "-m", "cachewright", *argv], cwd=tmp_path, env=env,
-                          stdout=write_fd, stderr=subprocess.PIPE, text=True) as proc:
-        os.close(write_fd)
-        for _ in range(lines):
-            assert reader.readline()
-        reader.close()
-        _, err = proc.communicate(timeout=120)
-    assert (proc.returncode, err) == (2, "")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    # each case runs with stdout buffered and, under PYTHONUNBUFFERED=1, unbuffered, where
+    # a text write hands the raw file the whole text once
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read_fd, write_fd = os.pipe()
+        reader = os.fdopen(read_fd, "rb")
+        if not lines:
+            reader.close()
+        with subprocess.Popen([sys.executable, "-m", "cachewright", *argv], cwd=tmp_path,
+                              env={**env, **unbuffered}, stdout=write_fd,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            os.close(write_fd)
+            for _ in range(lines):
+                assert reader.readline()
+            reader.close()
+            _, err = proc.communicate(timeout=120)
+        assert (unbuffered, proc.returncode, err) == (unbuffered, 2, "")

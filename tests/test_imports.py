@@ -26,24 +26,24 @@ def test_tightness_does_not_reference_tradeoff():
     assert "tradeoff" not in source
 
 
-# load modules of the package without running its __init__, which imports everything
-_BARE = ("import sys, types; pkg = types.ModuleType('cachewright'); "
-         "pkg.__path__ = ['cachewright']; sys.modules['cachewright'] = pkg; ")
-
-
-def _loaded_after(module: str, bare: str = _BARE) -> set[str]:
-    code = bare + f"import {module}; print(' '.join(sorted(sys.modules)))"
+def _loaded_after(module: str, prelude: str = "") -> set[str]:
+    code = prelude + f"import sys; import {module}; print(' '.join(sorted(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], cwd=SRC,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return set(result.stdout.split())
 
 
+def test_the_package_root_loads_no_submodule():
+    assert {m for m in _loaded_after("cachewright") if m.startswith("cachewright.")} == set()
+
+
 def test_the_proof_half_loads_nothing_from_the_data_plane():
-    loaded = {m for m in _loaded_after("cachewright.converse, cachewright.tradeoff")
-              if m.startswith("cachewright.")}
-    outside = {m for m in loaded if not m.startswith("cachewright.converse")}
+    loaded = _loaded_after("cachewright.converse, cachewright.tradeoff")
+    outside = {m for m in loaded
+               if m.startswith("cachewright.") and not m.startswith("cachewright.converse")}
     assert outside == {"cachewright.tradeoff", "cachewright.errors"}
+    assert "multiprocessing" not in loaded
 
 
 @pytest.mark.parametrize("name", ["field", "model", "scheme", "coded_placement", "baselines",
@@ -65,9 +65,9 @@ def test_each_scheme_runs_on_the_engine(module):
 
 
 def test_the_certificate_checker_loads_only_the_converse_core():
-    bare = _BARE + ("sub = types.ModuleType('cachewright.converse'); "
-                    "sub.__path__ = ['cachewright/converse']; "
-                    "sys.modules['cachewright.converse'] = sub; ")
+    # converse/__init__ re-exports the generators, so a bare package stands in for it
+    bare = ("import sys, types; sub = types.ModuleType('cachewright.converse'); "
+            "sub.__path__ = ['cachewright/converse']; sys.modules['cachewright.converse'] = sub; ")
     loaded = {m for m in _loaded_after("cachewright.converse.certificate", bare)
               if m.startswith("cachewright.")}
     assert loaded == {"cachewright.converse", "cachewright.converse.certificate",

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cachewright.errors import ConfigMismatch, IndexOutOfRange
+from cachewright.errors import ConfigMismatch, IndexOutOfRange, NotPrime
 from cachewright.model import (
     NetworkConfig,
     enumerate_demands,
@@ -39,6 +39,12 @@ def test_config_validation():
         NetworkConfig(0, 4)
     with pytest.raises(ConfigMismatch):
         NetworkConfig(3, 4, p=3)  # p must exceed K
+
+
+def test_only_none_picks_the_default_modulus():
+    assert NetworkConfig(2, 3).p == NetworkConfig(2, 3, None).p == 257
+    with pytest.raises(NotPrime, match="^0 is not prime$"):
+        NetworkConfig(2, 3, 0)
 
 
 def test_pair_order_lexicographic():
