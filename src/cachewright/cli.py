@@ -18,7 +18,7 @@ import os
 import random
 import sys
 
-from .converse import check_certificate, serialize_certificate
+from .converse.certificate import check_certificate, serialize_certificate
 from .converse.tightness import FAMILIES, tightness_check
 from .errors import CachewrightError, SymbolOutOfByteRange
 from .model import NetworkConfig, surjection_count

@@ -1,44 +1,10 @@
-"""Entropy-inequality certificates for cache-network lower bounds."""
+"""Entropy-inequality certificates for cache-network lower bounds.
 
-from .axioms import (
-    CacheBound,
-    Decodability,
-    FileIndependence,
-    FileSymmetry,
-    Monotonicity,
-    PermSymmetry,
-    RateBound,
-    Submodularity,
-    Totality,
-)
-from .case1 import case1_certificate, case1_demand_table, case1_sets, case1_target, in_case1_range
-from .case2 import (
-    case2_certificate,
-    case2_demand_table,
-    case2_sets,
-    case2_tail_sets,
-    case2_target,
-    in_case2_range,
-)
-from .certificate import (
-    Certificate,
-    CheckReport,
-    check_certificate,
-    parse_certificate,
-    perturbed,
-    serialize_certificate,
-)
-from .entropy import Var, varset_token, wset, wvar, xvar, zvar
-from .tightness import TightnessEntry, TightnessReport, tightness_check
+The package names its entry points; every other name is imported from the
+module that defines it.
+"""
 
-__all__ = [
-    "CacheBound", "Decodability", "FileIndependence", "FileSymmetry",
-    "Monotonicity", "PermSymmetry", "RateBound", "Submodularity", "Totality",
-    "case1_certificate", "case1_demand_table", "case1_sets", "case1_target",
-    "in_case1_range", "case2_certificate", "case2_demand_table", "case2_sets",
-    "case2_tail_sets", "case2_target", "in_case2_range",
-    "Certificate", "CheckReport", "check_certificate", "parse_certificate",
-    "perturbed", "serialize_certificate",
-    "Var", "varset_token", "wset", "wvar", "xvar", "zvar",
-    "TightnessEntry", "TightnessReport", "tightness_check",
-]
+from .case1 import case1_certificate
+from .case2 import case2_certificate
+from .certificate import check_certificate, parse_certificate, perturbed, serialize_certificate
+from .tightness import tightness_check

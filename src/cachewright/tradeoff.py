@@ -83,34 +83,26 @@ def _cross(a: Point, b: Point, c: Point) -> Fraction:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def lower_envelope(points: Sequence[Point],
-                   labels: Sequence[str] | None = None) -> TradeoffCurve:
+def lower_envelope(points: Sequence[Point]) -> TradeoffCurve:
     """Lower convex hull of (M, R) points, exact rational arithmetic.
 
     Points strictly above a chord between neighbours are dropped; collinear
     interior points are merged into one segment, so consecutive segment
-    slopes strictly increase.
+    slopes strictly increase. The vertices carry the empty tag.
     """
-    pts = [(Fraction(m), Fraction(r)) for m, r in points]
-    tags = list(labels) if labels is not None else [""] * len(pts)
-    if labels is not None and len(tags) != len(pts):
-        raise DegenerateInput("labels and points differ in length")
-    best: dict[Fraction, tuple[Fraction, str]] = {}
-    for (m, r), tag in zip(pts, tags):
-        if m not in best or r < best[m][0]:
-            best[m] = (r, tag)
-        elif r == best[m][0] and tag and tag not in best[m][1]:
-            joined = f"{best[m][1]}+{tag}" if best[m][1] else tag
-            best[m] = (r, joined)
+    best: dict[Fraction, Fraction] = {}
+    for m, r in points:
+        m, r = Fraction(m), Fraction(r)
+        if m not in best or r < best[m]:
+            best[m] = r
     if len(best) < 2:
         raise DegenerateInput("need at least two distinct memory values")
 
-    ordered = sorted((m, r, tag) for m, (r, tag) in best.items())
     hull: list[tuple[Fraction, Fraction, str]] = []
-    for m, r, tag in ordered:
+    for m, r in sorted(best.items()):
         while len(hull) >= 2 and _cross(hull[-2][:2], hull[-1][:2], (m, r)) <= 0:
             hull.pop()
-        hull.append((m, r, tag))
+        hull.append((m, r, ""))
 
     segments = [_chord(a[:2], b[:2], "memory-sharing") for a, b in zip(hull, hull[1:])]
     if any(seg.slope > 0 for seg in segments):
@@ -162,41 +154,41 @@ def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
     """
     if not 1 <= n <= k or k < 2:
         raise OutOfRange(f"need 1 <= N <= K and K >= 2, got ({n}, {k})")
-    points = [(Fraction(0), Fraction(n)), (Fraction(1, k), rate_chen(n, k, Fraction(1, k)))]
-    labels = ["chen-left", "chen-corner"]
-    for r in range(1, k + 1):
-        points.append(yu_point(n, k, r))
-        labels.append(f"yu-r{r}")
+    chen = [(Fraction(0), Fraction(n)), (Fraction(1, k), rate_chen(n, k, Fraction(1, k)))]
+    named = [(chen[0], "chen-left"), (chen[1], "chen-corner")]
+    named += [(yu_point(n, k, r), f"yu-r{r}") for r in range(1, k + 1)]
     corners = [(f.corner(n, k), f.tag(n, k)) for f in FAMILIES if f.in_range(n, k)]
-    hull = lower_envelope(points + [p for p, _ in corners], labels + [t for _, t in corners])
+    labels: dict[Point, list[str]] = {}
+    for point, label in named + corners:
+        labels.setdefault(point, []).append(label)
+    hull = lower_envelope(list(labels))
 
-    # the breakpoints: hull vertices plus cut points, whose tags join the vertex's
+    # the breakpoints: hull vertices, tagged by their named points, plus cut points
     cuts = {Fraction(1, k): "chen-corner", Fraction(n * (k - 1), k): "man-corner"}
     cuts.update((m, tag) for (m, _), tag in corners)
-    if n == 1:   # the end of the exact line M + R >= 1
+    if n == 1:   # the few-files corner N(K-2)/K at N = 1; M + R >= 1 is exact on all of [0, 1]
         cuts[Fraction(k - 2, k)] = f"yu-r{k - 2}"
     lo, hi = hull.domain
-    vertices = {m: (r, tag) for m, r, tag in hull.vertices}
-    for m, extra in cuts.items():
+    tagged = {m: (r, list(labels[m, r])) for m, r, _ in hull.vertices}
+    for m, cut in cuts.items():
         if lo < m < hi:
-            r, tag = vertices.get(m, (hull.evaluate(m), ""))
-            if extra not in tag:
-                tag = f"{tag}+{extra}" if tag else extra
-            vertices[m] = (r, tag)
+            if m not in tagged:
+                tagged[m] = (hull.evaluate(m), [])
+            tagged[m][1].append(cut)
+    vertices = [(m, r, "+".join(dict.fromkeys(tags))) for m, (r, tags) in sorted(tagged.items())]
 
     yu = [yu_point(n, k, r) for r in range(k + 1)]
-    families = [[_chord(points[0], points[1], "chen")]]
+    families = [[_chord(*chen, "chen")]]
     families += [[region] for region in exact_regions(n, k)]
     families.append([_chord(a, b, "yu") for a, b in zip(yu, yu[1:])])
-    ms = sorted(vertices)
+    ms = [m for m, _, _ in vertices]
     segments = []
     for a, b in zip(ms, ms[1:]):
         line = hull.segment_at(a)
         tag = next((fam[0].provenance for fam in families
                     if _names(fam, a, b, line)), "memory-sharing")
         segments.append(Segment(a, b, line.intercept, line.slope, tag))
-    return TradeoffCurve(tuple(segments),
-                         tuple((m, r, tag) for m, (r, tag) in sorted(vertices.items())))
+    return TradeoffCurve(tuple(segments), tuple(vertices))
 
 
 def _chord(a: Point, b: Point, provenance: str) -> Segment:

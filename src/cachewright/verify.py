@@ -123,6 +123,8 @@ def run_verification(n: int, k: int, scheme: str = "new", jobs: int = 1,
                      p: int | None = None) -> VerifyReport:
     if scheme not in SCHEMES:
         raise ConfigMismatch(f"unknown scheme {scheme!r}; pick one of {tuple(SCHEMES)}")
+    if jobs < 1:
+        raise ConfigMismatch(f"jobs {jobs} is below 1")
     cfg = NetworkConfig(n, k, p)
     start = time.perf_counter()
     by_pattern: dict = {}
@@ -130,7 +132,7 @@ def run_verification(n: int, k: int, scheme: str = "new", jobs: int = 1,
         by_pattern.setdefault(SCHEMES[scheme].pattern(demand, cfg), []).append(demand)
     # in order of first appearance in D, so chunk 0 starts with D's first demand
     groups = list(by_pattern.values())
-    jobs = max(1, min(jobs, len(groups), os.cpu_count() or 1))
+    jobs = min(jobs, len(groups), os.cpu_count() or 1)
     chunks = [(n, k, cfg.p, scheme, groups[i::jobs]) for i in range(jobs)]
     if jobs == 1:
         results = [_check_chunk(chunks[0])]

@@ -14,18 +14,18 @@ from cachewright.baselines import MAN
 from cachewright.coded_placement import decode, deliver, place
 from cachewright.converse import (
     case1_certificate,
-    case1_demand_table,
-    case1_sets,
     case2_certificate,
+    check_certificate,
+    perturbed,
+    tightness_check,
+)
+from cachewright.converse.case1 import case1_demand_table, case1_sets, in_case1_range
+from cachewright.converse.case2 import (
     case2_demand_table,
     case2_sets,
     case2_tail_sets,
     case2_target,
-    check_certificate,
-    in_case1_range,
     in_case2_range,
-    perturbed,
-    tightness_check,
 )
 from cachewright.converse.tightness import rate_yu, scheme_point
 from cachewright.errors import OutOfCaseRange

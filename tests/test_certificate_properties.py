@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachewright.converse import (
+    case1_certificate,
+    case2_certificate,
+    check_certificate,
+    parse_certificate,
+    serialize_certificate,
+)
+from cachewright.converse.axioms import (
     CacheBound,
-    Certificate,
     Decodability,
     FileIndependence,
     FileSymmetry,
@@ -18,14 +24,10 @@ from cachewright.converse import (
     RateBound,
     Submodularity,
     Totality,
-    Var,
-    case1_certificate,
-    case2_certificate,
-    check_certificate,
-    in_case1_range,
-    parse_certificate,
-    serialize_certificate,
 )
+from cachewright.converse.case1 import in_case1_range
+from cachewright.converse.certificate import Certificate
+from cachewright.converse.entropy import Var
 from cachewright.errors import CachewrightError
 
 

@@ -8,8 +8,14 @@ import pytest
 import reference_certificate
 
 from cachewright.converse import (
+    case1_certificate,
+    case2_certificate,
+    check_certificate,
+    perturbed,
+    tightness_check,
+)
+from cachewright.converse.axioms import (
     CacheBound,
-    Certificate,
     Decodability,
     FileIndependence,
     FileSymmetry,
@@ -18,20 +24,11 @@ from cachewright.converse import (
     RateBound,
     Submodularity,
     Totality,
-    Var,
-    case1_certificate,
-    case1_target,
-    case2_certificate,
-    case2_target,
-    check_certificate,
-    in_case1_range,
-    in_case2_range,
-    perturbed,
-    tightness_check,
-    wvar,
-    xvar,
-    zvar,
 )
+from cachewright.converse.case1 import case1_target, in_case1_range
+from cachewright.converse.case2 import case2_target, in_case2_range
+from cachewright.converse.certificate import Certificate
+from cachewright.converse.entropy import Var, wvar, xvar, zvar
 from cachewright.converse.tightness import FAMILIES, scheme_point, yu_point
 from cachewright.errors import (
     ConfigMismatch,

@@ -2,15 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from cachewright.converse import (
-    case1_certificate,
-    case1_demand_table,
-    case1_sets,
-    case2_certificate,
+from cachewright.converse import case1_certificate, case2_certificate
+from cachewright.converse.case1 import case1_demand_table, case1_sets, in_case1_range
+from cachewright.converse.case2 import (
     case2_demand_table,
     case2_sets,
     case2_tail_sets,
-    in_case1_range,
     in_case2_range,
 )
 from cachewright.errors import IndexOutOfRange, OutOfCaseRange

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,33 @@ def test_the_certificate_checker_loads_only_the_converse_core():
     assert loaded == {"cachewright.converse", "cachewright.converse.certificate",
                       "cachewright.converse.axioms", "cachewright.converse.entropy",
                       "cachewright.errors"}
+
+
+ENTRY_POINTS = {"case1_certificate", "case2_certificate", "check_certificate",
+                "parse_certificate", "serialize_certificate", "perturbed", "tightness_check"}
+
+
+def test_the_converse_package_binds_only_its_entry_points():
+    import cachewright.converse as converse
+    public = {name for name, value in vars(converse).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == ENTRY_POINTS
+
+
+def _imported_modules(path: Path):
+    """The absolute name of every module an import statement in path reads from."""
+    package = list(path.relative_to(SRC).parent.parts)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            yield ".".join(base + ([node.module] if node.module else []))
+
+
+def test_no_module_imports_from_the_converse_package_root():
+    for path in sorted((SRC / "cachewright").rglob("*.py")):
+        assert "cachewright.converse" not in set(_imported_modules(path)), path.name
 
 
 def test_cli_and_tradeoff_reach_the_bound_families_only_through_the_table():

@@ -10,12 +10,8 @@ from cachewright.converse import (
     check_certificate,
     parse_certificate,
     serialize_certificate,
-    varset_token,
-    wvar,
-    xvar,
-    zvar,
 )
-from cachewright.converse.entropy import parse_varset
+from cachewright.converse.entropy import parse_varset, varset_token, wvar, xvar, zvar
 from cachewright.errors import CachewrightError, ConfigMismatch
 
 

@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from cachewright.converse import (
-    case1_target,
-    case2_target,
-    check_certificate,
-    in_case1_range,
-    in_case2_range,
-    parse_certificate,
-    perturbed,
+from cachewright.converse import check_certificate, parse_certificate, perturbed
+from cachewright.converse.case1 import case1_target, in_case1_range
+from cachewright.converse.case2 import case2_target, in_case2_range
+from cachewright.converse.tightness import (
+    FAMILIES,
+    bound_line,
+    rate_chen,
+    rate_yu,
+    scheme_point,
+    yu_point,
 )
-from cachewright.converse.tightness import FAMILIES, bound_line, rate_yu, scheme_point, yu_point
 from cachewright.errors import DegenerateInput, OutOfRange, OutsideCharacterizedRegion
 from cachewright.tradeoff import (
     CSV_HEADER,
@@ -337,9 +338,24 @@ def test_evaluate_refuses_memory_outside_the_domain(m):
     assert str(exc.value) == f"M={m} outside curve domain [0, 3]"
 
 
-def test_lower_envelope_refuses_labels_of_another_length():
-    with pytest.raises(DegenerateInput, match="^labels and points differ in length$"):
-        lower_envelope([(0, 1), (1, 0)], ["only-one"])
+@pytest.mark.parametrize("n, k", [(n, k) for k in range(2, 13) for n in range(1, k + 1)])
+def test_vertex_tags_name_only_what_sits_at_the_vertex(n, k):
+    named = [((F(0), F(n)), "chen-left"), ((F(1, k), rate_chen(n, k, F(1, k))), "chen-corner")]
+    named += [(yu_point(n, k, r), f"yu-r{r}") for r in range(1, k + 1)]
+    named += [(f.corner(n, k), f.tag(n, k)) for f in FAMILIES if f.in_range(n, k)]
+    cuts = {(F(1, k), "chen-corner"), (F(n * (k - 1), k), "man-corner")}
+    cuts |= {(f.corner(n, k)[0], f.tag(n, k)) for f in FAMILIES if f.in_range(n, k)}
+    if n == 1:
+        cuts.add((F(k - 2, k), f"yu-r{k - 2}"))
+    curve = assemble_known_curve(n, k)
+    for m, r, tag in curve.vertices:
+        assert r == curve.evaluate(m)
+        labels = tag.split("+")
+        assert len(labels) == len(set(labels)), (m, tag)
+        for label in labels:
+            assert (m, label) in cuts or ((m, r), label) in named, (m, tag, label)
+    hull = lower_envelope([point for point, _ in named])
+    assert {(m, r) for m, r, _ in hull.vertices} <= {(m, r) for m, r, _ in curve.vertices}
 
 
 @pytest.mark.parametrize("call, message", [

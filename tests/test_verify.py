@@ -253,3 +253,9 @@ def test_a_mutated_coefficient_fails_the_sweep_at_a_small_prime(mutant, monkeypa
 def test_an_unknown_scheme_is_refused():
     with pytest.raises(ConfigMismatch, match="^unknown scheme 'yu'; pick one of "):
         run_verification(2, 3, "yu")
+
+
+@pytest.mark.parametrize("jobs", [0, -5])
+def test_jobs_below_one_are_refused_not_clamped(jobs):
+    with pytest.raises(ConfigMismatch, match=f"^jobs {jobs} is below 1$"):
+        run_verification(2, 3, jobs=jobs)
