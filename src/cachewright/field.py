@@ -1,4 +1,4 @@
-"""Prime-field arithmetic Z_p and its vectors, built only by FieldCtx.split and FieldCtx.combine.
+"""Prime-field arithmetic Z_p and its vectors, built only by FieldCtx split, pack and combine.
 
 The delivery phase scales subfiles by rationals such as 1/2 and 1/m for
 m <= K-1, so the modulus must be an odd prime larger than the user count.
@@ -81,23 +81,45 @@ class FieldCtx:
         """data zero-padded and cut into count parts of one length n >= 1; and n.
 
         bytes are one symbol each, so p must be at least 257; at p = 257, parts of
-        _PACKED_MIN symbols or more are canonical Lanes, written straight from the
-        bytes. Every other part is a tuple, and a symbol outside [0, p) is refused.
+        _PACKED_MIN symbols or more are written straight from the bytes as Lanes.
+        Every other part is made by pack, which refuses a symbol outside [0, p).
         """
         n = max(1, -(-len(data) // count))
-        if not isinstance(data, (bytes, bytearray)):
-            bad = next((s for s in data if not 0 <= s < self.p), None)
-            if bad is not None:
-                raise ConfigMismatch(f"symbol {bad} is not in Z_{self.p}, [0, {self.p})")
-        elif self.p < 257:
-            raise SymbolOutOfByteRange(f"p = {self.p} < 257 cannot hold a byte per symbol")
-        elif self.p == 257 and n >= _PACKED_MIN:
-            buf = bytearray(4 * count * n)
-            buf[_LOW_BYTE:4 * len(data):4] = data
-            return [Lanes(int.from_bytes(buf[i:i + 4 * n], sys.byteorder), n)
-                    for i in range(0, len(buf), 4 * n)], n
+        if isinstance(data, (bytes, bytearray)):
+            if self.p < 257:
+                raise SymbolOutOfByteRange(f"p = {self.p} < 257 cannot hold a byte per symbol")
+            if self.p == 257 and n >= _PACKED_MIN:
+                buf = bytearray(4 * count * n)
+                buf[_LOW_BYTE:4 * len(data):4] = data
+                return [Lanes(int.from_bytes(buf[i:i + 4 * n], sys.byteorder), n)
+                        for i in range(0, len(buf), 4 * n)], n
         padded = tuple(data) + (0,) * (n * count - len(data))
-        return [padded[i:i + n] for i in range(0, n * count, n)], n
+        return [self.pack(padded[i:i + n]) for i in range(0, n * count, n)], n
+
+    def pack(self, symbols: Sequence[Symbol]) -> Sequence[Symbol]:
+        """The symbols, each an int in [0, p), as the vector combine reads fastest.
+
+        At p = 257, _PACKED_MIN symbols or more become canonical Lanes, in one
+        conversion whose lane masks find any symbol outside [0, 257); else a tuple.
+        A symbol outside [0, p) is refused.
+        """
+        n = len(symbols)
+        if self.p == 257 and n >= _PACKED_MIN:
+            try:
+                packed = int.from_bytes(array(_LANE, symbols), sys.byteorder)
+            except OverflowError:  # an entry < 0 or >= 2**32
+                pass
+            else:
+                _, m8, _, _, high, _ = _lane_masks(n)
+                # no lane >= 512; then adding 255 carries into bit 9 exactly when a lane is >= 257
+                if not packed & high and not (packed + m8) & high:
+                    return Lanes(packed, n)
+        else:
+            symbols = tuple(symbols)
+            if not symbols or 0 <= min(symbols) and max(symbols) < self.p:
+                return symbols
+        bad = next(s for s in symbols if not 0 <= s < self.p)
+        raise ConfigMismatch(f"symbol {bad} is not in Z_{self.p}, [0, {self.p})")
 
 
 def make_field(p: int) -> FieldCtx:
@@ -142,7 +164,7 @@ def _combine_list(p: int, c: int, v: Sequence[Symbol],
 # next lane; any other input goes to the list path. One 16-bit fold ends each
 # combine, and a Lanes is made canonical, once and in place, only where its
 # symbols are read.
-_PACKED_MIN = 64
+_PACKED_MIN = 6  # from about 6 symbols a four-term combine runs faster packed than listed
 _PACKED_MAX_TERMS = 128
 _LANE = next(code for code in "IL" if array(code).itemsize == 4)
 _LOW_BYTE = 0 if sys.byteorder == "little" else 3  # where a lane's low byte sits
@@ -158,12 +180,12 @@ def _lane_masks(n: int) -> tuple[int, int, int, int, int, int]:
 class Lanes:
     """n symbols mod 257 in the 32-bit lanes of one int; immutable as a sequence.
 
-    Built only by FieldCtx.split, whose lanes are canonical, in [0, 257), and by
-    _reduce_lanes, whose lanes are loose: below 2**17 and congruent mod 257 to
-    their symbols. The packed kernel reads the int as it is. Reads as the tuple
-    of its symbols (len, iteration, indexing, ==), unpacking on each read; the
-    first read of its symbols or of value makes every lane canonical, once, and
-    keeps that int in place of the loose one.
+    Built by FieldCtx.split and FieldCtx.pack, whose lanes are canonical, in
+    [0, 257), and by _reduce_lanes, whose lanes are loose: below 2**17 and
+    congruent mod 257 to their symbols. The packed kernel reads the int as it
+    is. Reads as the tuple of its symbols (len, iteration, indexing, ==),
+    unpacking on each read; the first read of its symbols or of value makes
+    every lane canonical, once, and keeps that int in place of the loose one.
     """
 
     __slots__ = ("_lanes", "_loose", "n")

@@ -5,12 +5,15 @@ own data, and any symbol that differs from the file is recorded as a failure.
 Each subfile is one symbol of Z_p, a seeded byte reduced mod p (at p >= 257 the
 byte itself), so every admissible prime can be swept. A scheme's programs
 read a demand only through its pattern, so the sweep groups D by pattern and
-makes each demand of a group one column: a slot's subfile is the tuple of that
+makes each demand of a group one column: a slot's subfile is the vector of that
 subfile's symbol over the group's demands. A group runs its delivery program
 once and its decoding program once per user, so a wide group makes long
-vectors, which FieldCtx.combine may keep packed. The library content is
-deterministic in (N, K), so workers, each given whole patterns, rebuild
-identical state, and failures merge in demand order.
+vectors, which FieldCtx.combine may keep packed. D lists a pattern's demands in
+one fixed order of its relabellings, so groups share columns: a run gathers
+each subfile of a column once, from the library or from one user's cache, and
+packs it with FieldCtx.pack; the gathers live only as long as the run. The
+library content is deterministic in (N, K), so workers, each given whole
+patterns, rebuild identical state, and failures merge in demand order.
 """
 
 from __future__ import annotations
@@ -61,38 +64,42 @@ def _by_key(files) -> dict:
     return {key: tuple([part[key][0] for part in files]) for key in files[0]}
 
 
-class _Columns(dict):
-    """One slot of a group run: each subfile a program reads, as its symbol per demand.
+class _Memo(dict):
+    """A dict that makes each missing entry once, as make(key), on its first read."""
 
-    symbols maps a key to its symbol in every file, and column gives each demand's
-    file index, so only the keys a program reads are ever gathered.
-    """
-
-    def __init__(self, symbols: dict, column: tuple[int, ...]):
+    def __init__(self, make):
         super().__init__()
-        self.symbols = symbols
-        self.pick = itemgetter(*column) if len(column) > 1 else lambda s: (s[column[0]],)
+        self.make = make
 
     def __missing__(self, key):
-        value = self[key] = self.pick(self.symbols[key])
+        value = self[key] = self.make(key)
         return value
 
 
-def _check_group(scheme, cfg: NetworkConfig, library: dict, caches: list[tuple[Cache, dict]],
-                 wanted: list[tuple], group: list[Demand]) -> list[dict]:
+def _columns(symbols: dict, pack) -> _Memo:
+    """Each column, a file index per demand, mapped to {key: that subfile's symbol per demand,
+    packed}; symbols maps a key to its symbol in every file. A column, and each key a program
+    reads of it, is built once, on its first read."""
+    def column(c: tuple[int, ...]) -> _Memo:
+        pick = itemgetter(*c) if len(c) > 1 else lambda s: (s[c[0]],)
+        return _Memo(lambda key: pack(pick(symbols[key])))
+    return _Memo(column)
+
+
+def _check_group(scheme, cfg: NetworkConfig, library: _Memo,
+                 caches: list[tuple[Cache, _Memo, _Memo]], group: list[Demand]) -> list[dict]:
     """Deliver and decode one pattern's demands together, one column per demand."""
     pattern = scheme.pattern(group[0], cfg)
     columns = [tuple(f - 1 for f in files) for files in zip(*group)]  # slot u-1's, per user u
-    requested = [_Columns(library, c) for c in columns]
+    requested = [library[c] for c in columns]
     sent = scheme.send(cfg, pattern, requested)
+    wanted = itemgetter(*scheme.keys(cfg))  # each piece of a file, in key order
     failures = []
-    for cache, held in caches:
-        mixed = {name: packet * len(group) for name, packet in cache.parts[-1].items()}
-        # one tuple() per piece, as indexing a packed vector per column unpacks it each time; the
-        # pieces are compared whole, and only a mismatch is transposed into columns
-        pieces = [tuple(piece) for piece in scheme.recover(
-            cfg, pattern, cache.user, [_Columns(held, c) for c in columns], sent, mixed)]
-        plain = [requested[cache.user - 1].pick(symbols) for symbols in wanted]
+    for cache, held, mixed in caches:
+        pieces = scheme.recover(cfg, pattern, cache.user, [held[c] for c in columns], sent,
+                                mixed[(0,) * len(group)])
+        plain = wanted(requested[cache.user - 1])
+        # the pieces are compared whole, and only a mismatch is transposed into columns
         if pieces != plain:
             for demand, got, want in zip(group, zip(*pieces), zip(*plain)):
                 if got != want:
@@ -111,11 +118,11 @@ def _check_chunk(args) -> tuple[int, list[dict], tuple[Fraction, Fraction]]:
     library = [scheme.split(symbols, cfg) for symbols in plain]
     caches = scheme.place(library, cfg)
     point = scheme.point(cfg, caches[0], scheme.deliver(library, groups[0][0], cfg))
-    by_key = _by_key([g.parts for g in library])
-    held = [(cache, _by_key(cache.parts[:n])) for cache in caches]
-    wanted = list(zip(*plain))  # each piece's symbol in every file
-    failures = [f for group in groups
-                for f in _check_group(scheme, cfg, by_key, held, wanted, group)]
+    gathered = _columns(_by_key([g.parts for g in library]), cfg.field.pack)
+    # a cache's slot N read as one file, so file 0's column at a group's width repeats each packet
+    held = [(cache, _columns(_by_key(cache.parts[:n]), cfg.field.pack),
+             _columns(_by_key(cache.parts[-1:]), cfg.field.pack)) for cache in caches]
+    failures = [f for group in groups for f in _check_group(scheme, cfg, gathered, held, group)]
     return sum(map(len, groups)), failures, point
 
 

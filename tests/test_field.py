@@ -224,7 +224,7 @@ def test_packed_kernel_holds_at_its_term_limit():
 @settings(deadline=None)
 @given(st.data())
 def test_packed_and_list_paths_agree(data):
-    length = data.draw(st.integers(64, 80))
+    length = data.draw(st.integers(1, 80))
     wide = data.draw(st.booleans())
     entries = st.integers(-2 ** 40, 2 ** 40) if wide else st.integers(0, 511)
     terms = data.draw(st.lists(st.tuples(st.integers(), st.tuples(*[entries] * length)),
@@ -248,7 +248,7 @@ def test_vec_combine_reads_bytes_like_vectors_as_symbols():
     assert fld.combine(terms) == _reference(fld, terms)
 
 
-def test_vec_combine_takes_the_packed_path_only_at_257_and_length_64(monkeypatch):
+def test_vec_combine_takes_the_packed_path_only_at_257_and_packed_min(monkeypatch):
     calls = []
 
     def spy(terms, n):
@@ -259,10 +259,12 @@ def test_vec_combine_takes_the_packed_path_only_at_257_and_length_64(monkeypatch
     long_terms = [(2, tuple(range(200))), (-1, tuple(range(200)))]
     for p in (263, 65537):
         assert make_field(p).combine(long_terms) == _reference(make_field(p), long_terms)
-    assert make_field(257).combine([(1, (5,) * 63)] * 2) == (10,) * 63
+    shortest = field._PACKED_MIN
+    assert shortest == 6
+    assert make_field(257).combine([(1, (5,) * (shortest - 1))] * 2) == (10,) * (shortest - 1)
     assert calls == []
-    assert make_field(257).combine([(1, (5,) * 64)] * 2) == (10,) * 64
-    assert calls == [64]
+    assert make_field(257).combine([(1, (5,) * shortest)] * 2) == (10,) * shortest
+    assert calls == [shortest]
 
 
 def test_vec_combine_rejects_unequal_lengths():

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from cachewright import field
 from cachewright.baselines import MAN
-from cachewright.errors import SymbolOutOfByteRange
+from cachewright.errors import ConfigMismatch, SymbolOutOfByteRange
 from cachewright.field import Lanes, join_bytes, make_field
-from cachewright.model import NetworkConfig, split_file
+from cachewright.model import NetworkConfig, pair_order, split_file
 
 from reference_field import vec_add, vec_scale
 
@@ -44,22 +44,62 @@ def _reference(terms):
     ("new", split_file, 12),
     ("man", man_split, 4),
 ])
-@pytest.mark.parametrize("size", [63, 64, 65, "padded"])
+@pytest.mark.parametrize("size", ["below-min", "at-min", 63, 64, 65, "padded"])
 def test_split_at_257_equals_the_symbol_split(scheme, split, count, size):
     cfg = NetworkConfig(3, 4)
+    size = {"below-min": field._PACKED_MIN - 1, "at-min": field._PACKED_MIN}.get(size, size)
     length = 64 * count - 5 if size == "padded" else size * count
     data = random.Random(f"split-{scheme}-{size}").randbytes(length)
-    keys = None if scheme == "new" else range(1, 5)
-    expected = split_file(tuple(data), cfg, keys)  # symbols, so tuples at any length
+    keys = pair_order(4) if scheme == "new" else range(1, 5)
+    # the symbol split by hand, as tuples, apart from FieldCtx.split and the packed kernel
+    n = -(-length // count)
+    padded = tuple(data) + (0,) * (n * count - length)
+    expected = [padded[i:i + n] for i in range(0, n * count, n)]
     grid = split(data, cfg)
-    assert grid.subfile_len == expected.subfile_len
-    assert grid.original_length == expected.original_length == length
-    assert list(grid.parts) == list(expected.parts)
-    for key, part in grid.parts.items():
-        assert isinstance(part, Lanes) == (grid.subfile_len >= 64)
-        assert part == expected.parts[key]
-        assert expected.parts[key] == part
-        assert list(part) == list(expected.parts[key])
+    assert grid.subfile_len == n
+    assert grid.original_length == length
+    assert list(grid.parts) == list(keys)
+    from_symbols = split_file(tuple(data), cfg, keys)
+    assert (from_symbols.subfile_len, from_symbols.original_length) == (n, length)
+    for part, symbols, want in zip(grid.parts.values(), from_symbols.parts.values(), expected):
+        for got in (part, symbols):
+            assert isinstance(got, Lanes) == (n >= field._PACKED_MIN)
+            assert got == want
+            assert want == got
+            assert list(got) == list(want)
+
+
+@pytest.mark.parametrize("p", [257, 7, 263, 65537])
+def test_pack_round_trips_and_packs_only_at_257_from_packed_min(p):
+    fld, rng = make_field(p), random.Random(f"pack-{p}")
+    for n in (0, 1, field._PACKED_MIN - 1, field._PACKED_MIN, 64, 1000):
+        symbols = tuple([0, p - 1][:n] + [rng.randrange(p) for _ in range(n - 2)])
+        for given in (symbols, list(symbols)):
+            packed = fld.pack(given)
+            assert isinstance(packed, Lanes) == (p == 257 and n >= field._PACKED_MIN)
+            assert len(packed) == n
+            assert packed == symbols and symbols == packed and tuple(packed) == symbols
+            if isinstance(packed, Lanes):
+                assert not packed._loose and _raw(packed) == list(symbols)
+                assert F257.combine([(1, packed), (-1, symbols)]) == (0,) * n
+
+
+@pytest.mark.parametrize("p", [257, 7, 263, 65537])
+@pytest.mark.parametrize("n", [1, "at-min", 100])
+def test_pack_refuses_a_symbol_outside_the_field_and_names_it(p, n):
+    n = field._PACKED_MIN if n == "at-min" else n
+    fld = make_field(p)
+    for bad in (-1, 257, 511, 512, 2 ** 32 - 1, 2 ** 32, p):
+        if 0 <= bad < p:
+            continue
+        for at in sorted({0, n // 2, n - 1}):
+            symbols = [p - 1] * n
+            symbols[at] = bad
+            if at < n - 1:
+                symbols[-1] = -2  # a later symbol outside the field is not the one named
+            message = rf"^symbol {bad} is not in Z_{p}, \[0, {p}\)$"
+            with pytest.raises(ConfigMismatch, match=message):
+                fld.pack(symbols)
 
 
 def test_lanes_read_as_the_tuple_of_their_symbols():
@@ -109,13 +149,14 @@ def test_mixed_terms_match_the_list_path(bad):
 @settings(deadline=None)
 @given(st.data())
 def test_every_packed_result_keeps_its_lanes_below_257(data):
-    length = data.draw(st.integers(64, 90))
+    length = data.draw(st.integers(1, 90))
     vectors = st.one_of(st.tuples(*[st.integers(0, 511)] * length),
-                        st.tuples(*[st.integers(0, 256)] * length).map(_lanes))
+                        st.tuples(*[st.integers(0, 256)] * length).map(_canonical))
     terms = data.draw(st.lists(st.tuples(st.integers(-2 ** 40, 2 ** 40), vectors),
                                min_size=1, max_size=6))
-    result = F257.combine(terms)
+    result = field._combine_packed(terms, length)  # the kernel itself, at any length
     assert isinstance(result, Lanes)
+    assert F257.combine(terms) == result
     lanes = array(field._LANE)
     lanes.frombytes(result.value.to_bytes(4 * result.n, sys.byteorder))
     assert all(0 <= x < 257 for x in lanes)

@@ -81,6 +81,44 @@ def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
     assert len(runs) == len(patterns) * (1 + cfg.k) + cfg.k + 1
 
 
+def test_a_sweep_gathers_each_column_once(monkeypatch):
+    # a group's demands are its pattern's relabellings in one fixed order, so slot u-1's
+    # column depends only on the file user u requests: across the 90 patterns at (3, 6)
+    # each subfile a program reads is gathered and packed once per column, not per pattern
+    scheme, cfg = SCHEMES["new"], NetworkConfig(3, 6)
+    groups = {}
+    for demand in enumerate_demands(cfg):
+        groups.setdefault(scheme.pattern(demand, cfg), []).append(demand)
+    keys = scheme.keys(cfg)
+    reads = set()  # (whose data, column, key) for every subfile a program or the check reads
+    for pattern, group in groups.items():
+        columns = [tuple(files) for files in zip(*group)]
+        reads |= {("library", columns[s], key)
+                  for step in scheme.delivery(cfg, pattern).values() for _, (s, key) in step}
+        for user in range(1, cfg.k + 1):
+            reads |= {("library", columns[user - 1], key) for key in keys}  # what it wants
+            for step in scheme.decoding(cfg, pattern, user).values():
+                for _, (s, key) in step:
+                    if s < cfg.k:
+                        reads.add((("cache", user), columns[s], key))
+                    elif s == cfg.k + 1:
+                        reads.add((("mixed", user), len(group), key))
+    packed = []
+
+    def counted(fld, symbols):
+        if len(symbols) > 1:  # the library's one-symbol subfiles are split through pack too
+            packed.append(tuple(symbols))
+        return pack(fld, symbols)
+
+    pack = field.FieldCtx.pack
+    monkeypatch.setattr(field.FieldCtx, "pack", counted)
+    assert run_verification(3, 6, "new").ok
+    assert len(groups) == 90
+    assert len({column for whose, column, _ in reads if whose == "library"}) == cfg.n
+    assert len(packed) == len(reads) == 519
+    assert len(packed) < len(groups) * cfg.k * len(keys) // 30
+
+
 def _mutant(scheme, user: int, term: int, coef: int | None = None, slot: int | None = None):
     """scheme with term `term` of user `user`'s first named decoding step given another
     coefficient or read from another slot."""
@@ -124,6 +162,24 @@ MUTANTS = {
     "new-coefficient": ("new", dict(user=1, term=1, coef=10)),
     "man-slot": ("man", dict(user=1, term=1, slot=2)),
 }
+
+
+@pytest.mark.parametrize("name, n, k, mutant", [
+    *[(name, n, k, None) for name in sorted(SCHEMES) for n, k in [(2, 4), (3, 5), (5, 5)]],
+    ("new", 3, 5, "new-coefficient"),
+])
+def test_verify_json_is_the_same_at_every_packing_threshold(name, n, k, mutant, monkeypatch):
+    # 1 packs even one-symbol subfiles, 10**9 packs nothing; the failures are compared too
+    if mutant:
+        monkeypatch.setitem(verify.SCHEMES, name, _mutant(SCHEMES[name], **MUTANTS[mutant][1]))
+    reports = []
+    for shortest in (1, field._PACKED_MIN, 10 ** 9):
+        monkeypatch.setattr(field, "_PACKED_MIN", shortest)
+        report = run_verification(n, k, name)
+        report.wall_time = 0.0
+        reports.append(report.to_json())
+    assert reports[0] == reports[1] == reports[2]
+    assert ('"failures": []' in reports[0]) == (mutant is None)
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
