@@ -40,7 +40,7 @@ class Builder:
         self.axioms = []
 
     def add(self, axiom, mult: Fraction = ONE) -> None:
-        self.axioms.append((axiom, Fraction(mult)))
+        self.axioms.append((axiom, mult))
 
     def certificate(self) -> Certificate:
         t_m, t_r, rhs = self.target

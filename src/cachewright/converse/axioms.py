@@ -23,8 +23,8 @@ demand that exists in the table; the checker enforces exactly that.
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, NewType, Sequence
 
-from .entropy import (
-    CONST, M, R, VarSet, natural, parse_varset, varset_token, wset, wvar, xvar, zvar)
+from .entropy import (CONST, M, R, Var, VarSet, index_of, kind_of, natural, parse_varset,
+                      varset_token, wset, wvar, xvar, zvar)
 
 User = NewType("User", int)
 DemandId = NewType("DemandId", int)
@@ -47,13 +47,16 @@ _user = _bounded("user", lambda t: t.k)
 _file = _bounded("file index", lambda t: t.n)
 _demand_id = _bounded("demand id", lambda t: len(t.demands))
 _VAR_RANGE = {"W": _file, "Z": _bounded("cache index", lambda t: t.k), "X": _demand_id}
+_VAR_TYPES = frozenset({Var, int})
 
 
 def _check_vars(vs: VarSet, table) -> None:
-    top = {"W": table.n, "Z": table.k, "X": len(table.demands)}
-    for kind, idx in vs:
-        if not 1 <= idx <= top[kind]:
-            _VAR_RANGE[kind](idx, table)   # raises, naming the range
+    if vs <= table.variables() and {*map(type, vs)} <= _VAR_TYPES:
+        return
+    for v in vs:
+        if type(v) not in _VAR_TYPES:
+            raise ValueError(f"{v!r} is not a variable")
+        _VAR_RANGE[kind_of(v)](index_of(v), table)   # raises for a code the table lacks
 
 
 def _check_perm(perm: Perm, table) -> None:
@@ -204,7 +207,7 @@ class FileIndependence(Axiom):
     def side_conditions(self, table) -> None:
         if not self.files:
             raise ValueError("needs a nonempty file set")
-        if any(v.kind != "W" for v in self.files):
+        if any(kind_of(v) != "W" for v in self.files):
             raise ValueError("only file variables allowed")
 
     def terms(self, table):
@@ -224,19 +227,19 @@ class PermSymmetry(Axiom):
 
     def side_conditions(self, table) -> None:
         for v in self.s:
-            if v.kind == "X":
-                moved = self.permuted_demand(table.demands[v.idx - 1])
+            if kind_of(v) == "X":
+                moved = self.permuted_demand(table.demands[index_of(v) - 1])
                 if table.demand_id(moved) is None:
                     raise OutsideTable(
-                        f"permutation sends demand {v.idx} to {moved}, not in the table")
+                        f"permutation sends demand {index_of(v)} to {moved}, not in the table")
 
     def image(self, table) -> VarSet:
         out = set()
         for v in self.s:
-            if v.kind == "Z":
-                out.add(zvar(self.perm[v.idx - 1]))
-            elif v.kind == "X":
-                out.add(xvar(table.demand_id(self.permuted_demand(table.demands[v.idx - 1]))))
+            if kind_of(v) == "Z":
+                out.add(zvar(self.perm[index_of(v) - 1]))
+            elif kind_of(v) == "X":
+                out.add(xvar(table.demand_id(self.permuted_demand(table.demands[index_of(v) - 1]))))
             else:
                 out.add(v)
         return frozenset(out)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from ..errors import (
@@ -21,7 +22,7 @@ from ..errors import (
     SymmetryOutsideTable,
 )
 from .axioms import Axiom, OutsideTable, axiom_from_tokens
-from .entropy import CONST, M, R, VarSet, natural, varset_token
+from .entropy import CONST, M, R, VarSet, natural, varset_token, wvar, xvar, zvar
 
 Demand = tuple[int, ...]
 
@@ -38,14 +39,17 @@ class Certificate:
     target_rhs: Fraction
 
     def demand_id(self, demand: Demand) -> int | None:
-        return self._lookup().get(tuple(demand))
+        if "_ids" not in self.__dict__:   # tables built once per certificate
+            object.__setattr__(self, "_ids", {d: i for i, d in enumerate(self.demands, start=1)})
+        return self._ids.get(tuple(demand))
 
-    def _lookup(self) -> dict[Demand, int]:
-        cached = getattr(self, "_ids", None)
-        if cached is None:
-            cached = {d: i for i, d in enumerate(self.demands, start=1)}
-            object.__setattr__(self, "_ids", cached)
-        return cached
+    def variables(self) -> VarSet:
+        """Every variable the table admits: W_1..W_N, Z_1..Z_K and X_1..X_|D|."""
+        if "_vars" not in self.__dict__:
+            tops = zip((wvar, zvar, xvar), (self.n, self.k, len(self.demands)))
+            object.__setattr__(self, "_vars", frozenset(
+                var(i) for var, top in tops for i in range(1, top + 1)))
+        return self._vars
 
     def target_text(self) -> str:
         return f"{self.target_m}M+{self.target_r}R >= {self.target_rhs}"
@@ -114,7 +118,7 @@ def check_certificate(cert: Certificate) -> CheckReport:
     m, r, const = (Fraction(residual.pop(key, 0), scale) for key in (M, R, CONST))
     residual = {key: Fraction(total, scale) for key, total in residual.items()}
     if residual:
-        worst = min(residual, key=lambda s: sorted(v.sort_key() for v in s))
+        worst = min(residual, key=sorted)
         reason = (f"{len(residual)} entropy terms do not cancel, "
                   f"e.g. {residual[worst]}*H({varset_token(worst)})")
     elif m > cert.target_m:
@@ -141,6 +145,7 @@ def _frac_token(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+@lru_cache(maxsize=4096)   # a certificate has a few distinct multipliers; Fractions are immutable
 def _parse_frac(token: str) -> Fraction:
     num, den = token.split("/")
     return Fraction(-natural(num[1:]) if num[:1] == "-" else natural(num), natural(den))

@@ -5,17 +5,16 @@ broadcast X_i for the i-th demand of a certificate's demand table. A linear
 combination maps keys to coefficients: a variable set stands for its joint
 entropy, and M, R and CONST for the cache budget, the rate and a constant.
 
-A variable is a named (kind, idx) tuple, so hashing and comparing the
-frozensets that key a combination run in C. Token parsing goes through a
-bounded memo that holds only tokens that parsed: a malformed token raises
-every time it is read.
+A variable is an int, kind << 32 | idx with the kinds ordered W, Z, X, so the
+frozensets that key a combination hash, compare and sort in C, and in the
+order of certificate text. A plain int in a variable set is the variable its
+code names; nothing else is a variable. Constructors, parsing and text go
+through bounded memos; a malformed token is never kept and always raises.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, partial
 
 _KIND_ORDER = {"W": 0, "Z": 1, "X": 2}
 M, R, CONST = "M", "R", "1"
@@ -28,14 +27,32 @@ def natural(token: str) -> int:
     raise ValueError(f"{token!r} is not a plain decimal number")
 
 
-class Var(NamedTuple):
+def kind_of(code: int) -> str:
+    if not 0 <= code < 3 << 32:
+        raise ValueError(f"{code!r} is not a variable code")
+    return "WZX"[code >> 32]
+
+
+def index_of(code: int) -> int:
+    return code & 0xFFFFFFFF
+
+
+class Var(int):
     """One random variable: kind 'W' (file), 'Z' (cache), or 'X' (broadcast)."""
 
-    kind: str
-    idx: int
+    __slots__ = ()
+    kind, idx = property(kind_of), property(index_of)
 
-    def sort_key(self) -> tuple[int, int]:
-        return _KIND_ORDER[self.kind], self.idx
+    def __new__(cls, kind: str, idx: int) -> "Var":
+        if kind not in _KIND_ORDER or not 0 <= idx < 1 << 32:
+            raise ValueError(f"no variable ({kind!r}, {idx!r}): kinds W, Z, X, index below 2**32")
+        return super().__new__(cls, _KIND_ORDER[kind] << 32 | idx)
+
+    def __getnewargs__(self) -> tuple[str, int]:   # pickle and copy rebuild through __new__
+        return self.kind, self.idx
+
+    def __repr__(self) -> str:
+        return f"Var({self.kind!r}, {self.idx})"
 
     @staticmethod
     @lru_cache(maxsize=4096)
@@ -46,32 +63,27 @@ class Var(NamedTuple):
 
 
 VarSet = frozenset
-
-
-def wvar(n: int) -> Var:
-    return Var("W", n)
-
-
-def zvar(l: int) -> Var:
-    return Var("Z", l)
-
-
-def xvar(demand_id: int) -> Var:
-    return Var("X", demand_id)
+wvar, zvar, xvar = (lru_cache(maxsize=4096)(partial(Var, kind)) for kind in _KIND_ORDER)
 
 
 def wset(count: int) -> VarSet:
     """The file collection {W_1, ..., W_count}; empty for count 0."""
-    return frozenset(wvar(i) for i in range(1, count + 1))
+    return frozenset(map(wvar, range(1, count + 1)))
+
+
+class _Texts(dict):
+    """The text of each variable code read so far, up to 4,096 of them."""
+
+    def __missing__(self, code: int) -> str:
+        text = kind_of(code) + str(index_of(code))
+        return self.setdefault(code, text) if len(self) < 4096 else text
+
+
+_TEXT = _Texts()
 
 
 def varset_token(vs: VarSet) -> str:
-    if not vs:
-        return "-"
-    # tuple order runs the kinds W, X, Z; the text lists them W, Z, X
-    ordered = sorted(vs)
-    x, z = bisect_left(ordered, ("X",)), bisect_left(ordered, ("Z",))
-    return ",".join(["%s%d" % v for v in ordered[:x] + ordered[z:] + ordered[x:z]])
+    return ",".join(map(_TEXT.__getitem__, sorted(vs))) if vs else "-"
 
 
 def parse_varset(token: str) -> VarSet:

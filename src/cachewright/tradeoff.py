@@ -72,12 +72,6 @@ class TradeoffCurve:
                 return seg
         return self.segments[-1]
 
-    def vertex_tag(self, m: Fraction) -> str | None:
-        for vm, _, tag in self.vertices:
-            if vm == m and tag:
-                return tag
-        return None
-
 
 def _cross(a: Point, b: Point, c: Point) -> Fraction:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -211,7 +205,13 @@ CSV_HEADER = "M_exact,M_decimal,R_exact,R_decimal,provenance"
 
 
 def emit_csv(curve: TradeoffCurve, sample_count: int) -> str:
-    """CSV rows at segment endpoints plus a uniform sample grid; LF endings."""
+    """CSV rows at segment endpoints plus a uniform sample grid; LF endings.
+
+    A row's tag is the first nonempty tag of a vertex at its M, else the
+    provenance of the segment [m_lo, m_hi) holding M (the last one at the
+    right end). The sorted rows walk the segments once: at a junction both
+    neighbours give the same R, as TradeoffCurve checks.
+    """
     if sample_count < 2:
         raise OutOfRange("need at least two samples")
     lines = [CSV_HEADER]
@@ -220,8 +220,12 @@ def emit_csv(curve: TradeoffCurve, sample_count: int) -> str:
         ms = {seg.m_lo for seg in curve.segments} | {hi}
         ms |= {lo + Fraction(t, sample_count - 1) * (hi - lo)
                for t in range(sample_count)}
+        tags = {m: tag for m, _, tag in reversed(curve.vertices) if tag}
+        segments, i = curve.segments, 0
         for m in sorted(ms):
-            r = curve.evaluate(m)
-            tag = curve.vertex_tag(m) or curve.segment_at(m).provenance
-            lines.append(f"{m},{_decimal(m)},{r},{_decimal(r)},{tag}")
+            while i + 1 < len(segments) and m >= segments[i].m_hi:
+                i += 1
+            seg = segments[i]
+            r = seg.value(m)
+            lines.append(f"{m},{_decimal(m)},{r},{_decimal(r)},{tags.get(m, seg.provenance)}")
     return "\n".join(lines) + "\n"

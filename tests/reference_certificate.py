@@ -22,7 +22,7 @@ def check_certificate(cert: Certificate) -> CheckReport:
     residual = {key: total for key, total in residual.items() if total}
     m, r, const = (residual.pop(key, Fraction(0)) for key in (M, R, CONST))
     if residual:
-        worst = min(residual, key=lambda s: sorted(v.sort_key() for v in s))
+        worst = min(residual, key=lambda s: sorted(("WZX".index(v.kind), v.idx) for v in s))
         reason = (f"{len(residual)} entropy terms do not cancel, "
                   f"e.g. {residual[worst]}*H({varset_token(worst)})")
     elif m > cert.target_m:

@@ -12,6 +12,7 @@ from cachewright.converse import (
     case2_certificate,
     check_certificate,
     perturbed,
+    serialize_certificate,
     tightness_check,
 )
 from cachewright.converse.axioms import (
@@ -336,6 +337,27 @@ def test_checker_range_checks_every_field_and_side_condition(bad):
     with pytest.raises(MalformedAxiom) as info:
         check_certificate(cert)
     assert info.value.index == 1
+
+
+@pytest.mark.parametrize("member", ["W1", ("W", 1), None, 1.0])
+def test_a_set_member_that_is_not_a_variable_is_refused(member):
+    bad = Submodularity(frozenset({member}), fs(zvar(1)))
+    cert = Certificate(2, 2, 1, _TABLE, ((CacheBound(1), F(1)), (bad, F(1))), F(0), F(0), F(0))
+    with pytest.raises(MalformedAxiom, match="is not a variable") as info:
+        check_certificate(cert)
+    assert info.value.index == 1
+
+
+def test_a_plain_int_member_is_the_variable_its_code_names():
+    def as_ints(axiom):
+        return dataclasses.replace(axiom, **{
+            f.name: frozenset(map(int, getattr(axiom, f.name)))
+            for f in dataclasses.fields(axiom) if isinstance(getattr(axiom, f.name), frozenset)})
+    certs = [Certificate(2, 2, 1, _TABLE, tuple((a, F(1)) for a in axioms), F(0), F(0), F(0))
+             for axioms in (_VALID, [as_ints(a) for a in _VALID])]
+    assert all(type(v) is int for a, _ in certs[1].axioms if hasattr(a, "s") for v in a.s)
+    assert check_certificate(certs[1]) == check_certificate(certs[0])
+    assert serialize_certificate(certs[1]) == serialize_certificate(certs[0])
 
 
 def test_symmetry_outside_table_carries_its_index():

@@ -209,7 +209,7 @@ def test_assemble_3_4():
     assert (F(1, 4), F(9, 4)) in verts
     assert (F(9, 4), F(1, 4)) in verts
     assert (F(25, 12), F(1, 3)) in verts
-    assert curve.vertex_tag(F(25, 12)) == "theorem-1-point"
+    assert {m: tag for m, _, tag in curve.vertices}[F(25, 12)] == "theorem-1-point"
     assert curve.domain == (F(0), F(3))
     assert curve.evaluate(F(3)) == 0
 
@@ -260,6 +260,28 @@ def test_emit_csv_endpoints():
     assert any(row.startswith("25/12,") and ",1/3," in row and row.endswith("theorem-1-point")
                for row in lines[1:])
     assert lines[-1].startswith("3,3,0,0,")
+
+
+def _reference_csv(curve: TradeoffCurve, sample_count: int) -> str:
+    """emit_csv row by row: evaluate M, then a vertex's tag or its segment's provenance."""
+    lo, hi = curve.domain
+    ms = {seg.m_lo for seg in curve.segments} | {hi}
+    ms |= {lo + F(t, sample_count - 1) * (hi - lo) for t in range(sample_count)}
+    lines = [CSV_HEADER]
+    for m in sorted(ms):
+        r = curve.evaluate(m)
+        tag = next((t for vm, _, t in curve.vertices if vm == m and t), None)
+        tag = tag or curve.segment_at(m).provenance
+        lines.append(f"{m},{float(m):.10g},{r},{float(r):.10g},{tag}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k", range(2, 20))
+def test_emit_csv_matches_the_row_by_row_reference(k):
+    for n in range(1, k + 1):
+        curve = assemble_known_curve(n, k)
+        for samples in (2, 3, 33, 101):
+            assert emit_csv(curve, samples) == _reference_csv(curve, samples), (n, k, samples)
 
 
 def test_emit_csv_sample_value():
