@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, NewType, Sequence
 
 from .entropy import (CONST, M, R, Var, VarSet, index_of, kind_of, natural, parse_varset,
-                      varset_token, wset, wvar, xvar, zvar)
+                      varset_token, wvar, xvar, zvar)
 
 User = NewType("User", int)
 DemandId = NewType("DemandId", int)
@@ -51,12 +51,14 @@ _VAR_TYPES = frozenset({Var, int})
 
 
 def _check_vars(vs: VarSet, table) -> None:
-    if vs <= table.variables() and {*map(type, vs)} <= _VAR_TYPES:
+    admitted = table.admitted()
+    if vs <= admitted and {*map(type, vs)} <= _VAR_TYPES:
         return
     for v in vs:
         if type(v) not in _VAR_TYPES:
             raise ValueError(f"{v!r} is not a variable")
         _VAR_RANGE[kind_of(v)](index_of(v), table)   # raises for a code the table lacks
+    admitted |= vs
 
 
 def _check_perm(perm: Perm, table) -> None:
@@ -193,7 +195,7 @@ class Totality(Axiom):
     s: VarSet
 
     def side_conditions(self, table) -> None:
-        if not wset(table.n) <= self.s:
+        if sum(kind_of(v) == "W" for v in self.s) != table.n:   # members are distinct, in range
             raise ValueError("set does not contain every file")
 
     def terms(self, table):
@@ -226,12 +228,7 @@ class PermSymmetry(Axiom):
         return tuple(out)
 
     def side_conditions(self, table) -> None:
-        for v in self.s:
-            if kind_of(v) == "X":
-                moved = self.permuted_demand(table.demands[index_of(v) - 1])
-                if table.demand_id(moved) is None:
-                    raise OutsideTable(
-                        f"permutation sends demand {index_of(v)} to {moved}, not in the table")
+        self.image(table)
 
     def image(self, table) -> VarSet:
         out = set()
@@ -239,7 +236,11 @@ class PermSymmetry(Axiom):
             if kind_of(v) == "Z":
                 out.add(zvar(self.perm[index_of(v) - 1]))
             elif kind_of(v) == "X":
-                out.add(xvar(table.demand_id(self.permuted_demand(table.demands[index_of(v) - 1]))))
+                moved = self.permuted_demand(table.demands[index_of(v) - 1])
+                if (moved_id := table.demand_id(moved)) is None:
+                    raise OutsideTable(
+                        f"permutation sends demand {index_of(v)} to {moved}, not in the table")
+                out.add(xvar(moved_id))
             else:
                 out.add(v)
         return frozenset(out)

@@ -22,7 +22,7 @@ from ..errors import (
     SymmetryOutsideTable,
 )
 from .axioms import Axiom, OutsideTable, axiom_from_tokens
-from .entropy import CONST, M, R, VarSet, natural, varset_token, wvar, xvar, zvar
+from .entropy import CONST, M, R, VarSet, natural, varset_token
 
 Demand = tuple[int, ...]
 
@@ -43,13 +43,11 @@ class Certificate:
             object.__setattr__(self, "_ids", {d: i for i, d in enumerate(self.demands, start=1)})
         return self._ids.get(tuple(demand))
 
-    def variables(self) -> VarSet:
-        """Every variable the table admits: W_1..W_N, Z_1..Z_K and X_1..X_|D|."""
-        if "_vars" not in self.__dict__:
-            tops = zip((wvar, zvar, xvar), (self.n, self.k, len(self.demands)))
-            object.__setattr__(self, "_vars", frozenset(
-                var(i) for var, top in tops for i in range(1, top + 1)))
-        return self._vars
+    def admitted(self) -> set:
+        """The variables range-checked against this table so far, grown by the checker."""
+        if "_admitted" not in self.__dict__:
+            object.__setattr__(self, "_admitted", set())
+        return self._admitted
 
     def target_text(self) -> str:
         return f"{self.target_m}M+{self.target_r}R >= {self.target_rhs}"

@@ -11,8 +11,8 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import add, iconcat
+from functools import lru_cache
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import (ConfigMismatch, DivisionByZero, EvenModulus, LengthMismatch, NotPrime,
@@ -280,11 +280,9 @@ def join_bytes(pieces: Sequence[Sequence[Symbol]]) -> bytes:
     """The pieces laid end to end as bytes, inverting FieldCtx.split of bytes; refuses symbols
     that cannot be plain bytes. Lanes pieces are read from their lanes."""
     try:
-        if pieces and isinstance(pieces[0], Lanes):
-            return b"".join(map(bytes, pieces))
-        return bytes(reduce(iconcat, pieces, []))  # one list: bytes() reads it fastest
+        return b"".join(map(bytes, pieces))
     except ValueError:
-        bad = next(s for s in reduce(iconcat, pieces, []) if not 0 <= s < 256)
+        bad = next(s for piece in pieces for s in piece if not 0 <= s < 256)
         raise SymbolOutOfByteRange(f"symbol {bad} is not a byte; content is coded") from None
 
 

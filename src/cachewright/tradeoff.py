@@ -61,10 +61,7 @@ class TradeoffCurve:
         lo, hi = self.domain
         if not lo <= m <= hi:
             raise OutOfRange(f"M={m} outside curve domain [{lo}, {hi}]")
-        for seg in self.segments:
-            if m <= seg.m_hi:
-                return seg.value(m)
-        raise AssertionError("unreachable")
+        return self.segment_at(m).value(m)
 
     def segment_at(self, m: Fraction) -> Segment:
         for seg in self.segments:
@@ -99,8 +96,6 @@ def lower_envelope(points: Sequence[Point]) -> TradeoffCurve:
         hull.append((m, r, ""))
 
     segments = [_chord(a[:2], b[:2], "memory-sharing") for a, b in zip(hull, hull[1:])]
-    if any(seg.slope > 0 for seg in segments):
-        raise DegenerateInput("points do not describe a non-increasing tradeoff")
     return TradeoffCurve(tuple(segments), tuple(hull))
 
 
@@ -114,8 +109,7 @@ def exact_regions(n: int, k: int) -> list[Segment]:
         regions.append(Segment(Fraction(0), man_m, Fraction(1), Fraction(-1), "yu"))
     regions += [Segment(f.corner(n, k)[0], man_m, *bound_line(f.target(n, k)),
                         f"theorem-case{f.case}") for f in FAMILIES if f.in_range(n, k)]
-    if man_m < n:
-        regions.append(Segment(man_m, Fraction(n), Fraction(1), -Fraction(1, n), "man"))
+    regions.append(Segment(man_m, Fraction(n), Fraction(1), -Fraction(1, n), "man"))
     return regions
 
 
@@ -141,10 +135,11 @@ def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
     N - NM line, every uncoded-prefetching corner, the coded-placement
     scheme's point where it applies, and full caching at (N, 0).
 
-    Each piece between breakpoints is named after the first family of known
-    lines that covers it and agrees with its line on every overlapping piece:
-    chen on [0, 1/K], the exact regions in order, then the K chords between
-    uncoded-prefetching corners. A piece no family names is memory-sharing.
+    Each segment is the chord between two consecutive breakpoints, tagged by
+    the first known line whose span holds it and whose line is its own. The
+    lines are tried in one list: the chen chord on [0, 1/K], exact_regions in
+    order, then the K chords between uncoded-prefetching corners. A segment
+    no line holds is memory-sharing.
     """
     if not 1 <= n <= k or k < 2:
         raise OutOfRange(f"need 1 <= N <= K and K >= 2, got ({n}, {k})")
@@ -172,16 +167,15 @@ def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
     vertices = [(m, r, "+".join(dict.fromkeys(tags))) for m, (r, tags) in sorted(tagged.items())]
 
     yu = [yu_point(n, k, r) for r in range(k + 1)]
-    families = [[_chord(*chen, "chen")]]
-    families += [[region] for region in exact_regions(n, k)]
-    families.append([_chord(a, b, "yu") for a, b in zip(yu, yu[1:])])
-    ms = [m for m, _, _ in vertices]
+    lines = [_chord(*chen, "chen"), *exact_regions(n, k)]
+    lines += [_chord(a, b, "yu") for a, b in zip(yu, yu[1:])]
     segments = []
-    for a, b in zip(ms, ms[1:]):
-        line = hull.segment_at(a)
-        tag = next((fam[0].provenance for fam in families
-                    if _names(fam, a, b, line)), "memory-sharing")
-        segments.append(Segment(a, b, line.intercept, line.slope, tag))
+    for (a, ra, _), (b, rb, _) in zip(vertices, vertices[1:]):
+        piece = _chord((a, ra), (b, rb), "memory-sharing")
+        tag = next((line.provenance for line in lines if line.m_lo <= a and b <= line.m_hi
+                    and (line.intercept, line.slope) == (piece.intercept, piece.slope)),
+                   piece.provenance)
+        segments.append(Segment(a, b, piece.intercept, piece.slope, tag))
     return TradeoffCurve(tuple(segments), tuple(vertices))
 
 
@@ -190,18 +184,12 @@ def _chord(a: Point, b: Point, provenance: str) -> Segment:
     return Segment(a[0], b[0], a[1] - slope * a[0], slope, provenance)
 
 
-def _names(family: list[Segment], a: Fraction, b: Fraction, line: Segment) -> bool:
-    """Whether the contiguous pieces of family cover [a, b], each on line there."""
-    over = [piece for piece in family if piece.m_lo < b and a < piece.m_hi]
-    return bool(over) and over[0].m_lo <= a and b <= over[-1].m_hi and all(
-        (piece.intercept, piece.slope) == (line.intercept, line.slope) for piece in over)
-
-
 def _decimal(x: Fraction) -> str:
     return f"{float(x):.10g}"
 
 
 CSV_HEADER = "M_exact,M_decimal,R_exact,R_decimal,provenance"
+MAX_SAMPLES = 10**6   # every row is built in memory before any is written
 
 
 def emit_csv(curve: TradeoffCurve, sample_count: int) -> str:
@@ -214,6 +202,8 @@ def emit_csv(curve: TradeoffCurve, sample_count: int) -> str:
     """
     if sample_count < 2:
         raise OutOfRange("need at least two samples")
+    if sample_count > MAX_SAMPLES:
+        raise OutOfRange(f"need at most {MAX_SAMPLES} samples")
     lines = [CSV_HEADER]
     if curve.segments:
         lo, hi = curve.domain

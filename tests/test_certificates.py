@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -11,6 +13,7 @@ from cachewright.converse import (
     case1_certificate,
     case2_certificate,
     check_certificate,
+    parse_certificate,
     perturbed,
     serialize_certificate,
     tightness_check,
@@ -404,3 +407,30 @@ def test_a_malformed_demand_table_is_refused(demands, reason):
     cert = Certificate(2, 2, 1, demands, (), F(1), F(1), F(0))
     with pytest.raises(ConfigMismatch, match=f"^{reason}$"):
         check_certificate(cert)
+
+
+def _checked(n: int, axiom: str) -> str:
+    """The verdict or error class of a one-axiom certificate whose header says N = n."""
+    text = f"NK {n} 2 CASE 1\nD 1 1 2\nAX {axiom} MUL 1/1\nTARGET 1/1 M + 1/1 R >= 0/1\n"
+    cert = parse_certificate(text)
+    try:
+        return check_certificate(cert).verdict
+    except MalformedAxiom as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("axiom, verdict", [("MONO W1 -", "FAIL"),
+                                            ("TOTAL W1,Z1", "MalformedAxiom")])
+def test_the_header_n_costs_the_checker_nothing(axiom, verdict):
+    # the checker's work follows the variables the text names, not the N it declares;
+    # the small N is measured first, so a checker that builds N files fails before 10**9
+    tracemalloc.start()
+    try:
+        assert _checked(10**5, axiom) == verdict
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    start = time.perf_counter()
+    assert _checked(10**9, axiom) == verdict
+    assert time.perf_counter() - start < 1

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cachewright import cli, scheme
+from cachewright import cli, scheme, tradeoff
 from cachewright.cli import main
 from cachewright.converse import check_certificate, parse_certificate, perturbed
 from cachewright.errors import CachewrightError
@@ -331,6 +331,17 @@ def test_tradeoff_opens_out_before_the_curve(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "missing" / "curve.csv"
     assert main(["tradeoff", "--n", "2", "--k", "3", "--out", str(missing)]) == 2
     _assert_open_error(capsys, missing, "No such file or directory")
+
+
+def test_tradeoff_refuses_more_samples_than_it_can_hold(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("emit_csv sampled the curve")
+
+    curve = tradeoff.assemble_known_curve(2, 3)
+    monkeypatch.setattr(cli, "assemble_known_curve", lambda n, k: curve)
+    monkeypatch.setattr(tradeoff, "Fraction", refuse)   # each sample is one Fraction
+    assert main(["tradeoff", "--n", "2", "--k", "3", "--samples", str(10**6 + 1)]) == 2
+    assert capsys.readouterr().err == "error: need at most 1000000 samples\n"
 
 
 def test_failed_work_removes_only_an_output_it_created(tmp_path, sample_file, capsys):

@@ -23,6 +23,7 @@ from cachewright.tradeoff import (
     exact_regions,
     exact_tradeoff,
     lower_envelope,
+    Segment,
     TradeoffCurve,
 )
 
@@ -179,7 +180,6 @@ def test_lower_envelope_degenerate():
 
 
 def test_curve_validation():
-    from cachewright.tradeoff import Segment
     with pytest.raises(DegenerateInput):
         TradeoffCurve((Segment(F(0), F(1), F(1), F(-1), "a"),
                        Segment(F(2), F(3), F(1), F(-1), "b")))
@@ -192,7 +192,6 @@ def test_curve_validation():
     (((0, 1, 2, "-1/2"), (1, 2, "5/2", -1)), "curve is not convex"),
 ])
 def test_curve_validation_names_each_defect(segments, reason):
-    from cachewright.tradeoff import Segment
     with pytest.raises(DegenerateInput, match=f"^{reason}$"):
         TradeoffCurve(tuple(Segment(*map(F, s), "a") for s in segments))
 
@@ -282,6 +281,33 @@ def test_emit_csv_matches_the_row_by_row_reference(k):
         curve = assemble_known_curve(n, k)
         for samples in (2, 3, 33, 101):
             assert emit_csv(curve, samples) == _reference_csv(curve, samples), (n, k, samples)
+
+
+def _family_tags(n: int, k: int, curve: TradeoffCurve) -> list[str]:
+    """Segment tags by the family rule: the first family of known lines whose contiguous
+    pieces cover the segment, each on the segment's line there; else memory-sharing."""
+    def chord(a, b, provenance):
+        slope = (b[1] - a[1]) / (b[0] - a[0])
+        return Segment(a[0], b[0], a[1] - slope * a[0], slope, provenance)
+
+    def names(family, seg):
+        over = [p for p in family if p.m_lo < seg.m_hi and seg.m_lo < p.m_hi]
+        return bool(over) and over[0].m_lo <= seg.m_lo and seg.m_hi <= over[-1].m_hi and all(
+            (p.intercept, p.slope) == (seg.intercept, seg.slope) for p in over)
+
+    yu = [yu_point(n, k, r) for r in range(k + 1)]
+    families = [[chord((F(0), F(n)), (F(1, k), rate_chen(n, k, F(1, k))), "chen")]]
+    families += [[region] for region in exact_regions(n, k)]
+    families.append([chord(a, b, "yu") for a, b in zip(yu, yu[1:])])
+    return [next((fam[0].provenance for fam in families if names(fam, seg)), "memory-sharing")
+            for seg in curve.segments]
+
+
+@pytest.mark.parametrize("k", range(2, 31))
+def test_segment_tags_match_the_family_rule(k):
+    for n in range(1, k + 1):
+        curve = assemble_known_curve(n, k)
+        assert [seg.provenance for seg in curve.segments] == _family_tags(n, k, curve), (n, k)
 
 
 def test_emit_csv_sample_value():
