@@ -22,17 +22,19 @@ def _caching(cfg: NetworkConfig, k: int) -> dict:
     return {(f, e): ((1, (f, e)),) for f in range(cfg.n) for e in range(1, cfg.k + 1) if e != k}
 
 
-def _delivery(cfg: NetworkConfig, pattern) -> dict:
-    """One packet of F/K symbols; valid for every demand, not only D."""
-    return {0: tuple((1, (u - 1, u)) for u in range(1, cfg.k + 1))}
+def _serving(cfg: NetworkConfig, pattern) -> tuple[dict, tuple[dict, ...]]:
+    """One packet of F/K symbols, valid for every demand, not only D; user k's decoder takes
+    piece k from it, less the cached pieces of the others' files, and copies the rest."""
+    users = range(1, cfg.k + 1)
+    delivery = {0: tuple((1, (u - 1, u)) for u in users)}
+    return delivery, tuple(_decoding(cfg, k) for k in users)
 
 
-def _decoding(cfg: NetworkConfig, pattern, k: int) -> dict:
-    """The packet minus the cached pieces of the others' files; the rest the user caches."""
+def _decoding(cfg: NetworkConfig, k: int) -> dict:
     missing = ((1, (cfg.k, 0)),) + tuple((-1, (j - 1, j)) for j in range(1, cfg.k + 1) if j != k)
     return {e: missing if e == k else ((1, (k - 1, e)),) for e in range(1, cfg.k + 1)}
 
 
 # K pieces keyed 1..K, piece e the one user e does not cache; no program reads the demand
 MAN = Scheme(keys=lambda cfg: tuple(range(1, cfg.k + 1)), pattern=lambda d, cfg: (),
-             caching=_caching, delivery=_delivery, decoding=_decoding)
+             caching=_caching, serving=_serving)

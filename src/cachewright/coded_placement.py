@@ -17,7 +17,8 @@ combines X_d^k with the cached differences and the sum packet to isolate
 W_{d_k}^{k,succ(k)} (halving when somebody else shares user k's file) and
 peels off the remaining W_{d_k}^{kj}.
 
-Each phase is compiled into a coefficient program for the engine in `scheme`.
+Each phase is compiled into a coefficient program for the engine in `scheme`;
+a pattern's delivery and its K decoders share one table of the a_ks / m_ks.
 A cache keeps W_n^{ij} under (n-1, (i, j)), the difference ending in W_n^{kj}
 under (n-1, ("diff", j)) and the sum packet under (N, "sum"); decoding names
 each W_{d_k}^{ij} by (i, j), recovered or copied from the cache. The compilers
@@ -65,35 +66,33 @@ def _caching(cfg: NetworkConfig, k: int) -> dict:
     return program
 
 
-def _context(cfg: NetworkConfig, pattern: Demand) -> tuple:
-    """How many users request each file, and coef(k, s) = a_ks / m_ks, 1/m_ks from cfg.field.inv."""
+def _serving(cfg: NetworkConfig, pattern: Demand) -> tuple[dict, tuple[dict, ...]]:
+    """The delivery and each user's decoder, from one table coef[k][s] = a_ks / m_ks, where
+    1/m_ks comes from cfg.field.inv."""
     counts = Counter(pattern)
     inv = [0] + [cfg.field.inv(m) for m in range(1, cfg.k)]
-
-    def coef(k: int, s: int) -> int:
-        same = pattern[k - 1] == pattern[s - 1]  # then user k is among the requesters of d_s
-        return (-1 if same else 1) * inv[counts[pattern[s - 1]] - same]
-    return counts, coef
-
-
-def _delivery(cfg: NetworkConfig, pattern: Demand) -> dict:
-    _, coef = _context(cfg, pattern)
     users = range(1, cfg.k + 1)
-    return {k - 1: tuple((coef(k, s), (s - 1, (k, s))) for s in users if s != k) for k in users}
+    coef = [[0] * (cfg.k + 1) for _ in range(cfg.k + 1)]
+    for k in users:
+        for s in users:
+            same = pattern[k - 1] == pattern[s - 1]  # then user k is among the requesters of d_s
+            coef[k][s] = (-1 if same else 1) * inv[counts[pattern[s - 1]] - same]
+    delivery = {k - 1: tuple((coef[k][s], (s - 1, (k, s))) for s in users if s != k)
+                for k in users}
+    return delivery, tuple(_decoding(cfg, pattern, counts, coef, k) for k in users)
 
 
-def _decoding(cfg: NetworkConfig, pattern: Demand, k: int) -> dict:
-    counts, coef = _context(cfg, pattern)
+def _decoding(cfg: NetworkConfig, pattern: Demand, counts: Counter, coef: list, k: int) -> dict:
     sent, mixed, own = cfg.k, cfg.k + 1, cfg.k + 2  # the broadcast, the cache's slot N, steps
     succ = successor(k, cfg.k)
     others = [u for u in range(1, cfg.k + 1) if u != k]
     steps = {}
 
-    # stage 1: X_d^j minus its known stage-1 terms is coef(j, k) * W^{jk}
+    # stage 1: X_d^j minus its known stage-1 terms is coef[j][k] * W^{jk}
     for j in others:
-        undo = cfg.field.inv(coef(j, k))
+        undo = cfg.field.inv(coef[j][k])
         steps[(j, k)] = ((undo, (sent, j - 1)),) + tuple(
-            (-undo * coef(j, s), (s - 1, (j, s))) for s in others if s != j)
+            (-undo * coef[j][s], (s - 1, (j, s))) for s in others if s != j)
 
     # stage 2: X_d^k plus the weighted diffs is the sum over files != wanted of
     # W_n^{k,succ}, minus W_wanted^{k,succ} whenever some other user also requests
@@ -101,7 +100,7 @@ def _decoding(cfg: NetworkConfig, pattern: Demand, k: int) -> dict:
     # that case. Only the stage-1 steps above read the broadcast for W^{jk}.
     half = cfg.field.inv(2) if counts[pattern[k - 1]] > 1 else 1
     steps[(k, succ)] = ((half, (mixed, "sum")), (-half, (sent, k - 1))) + tuple(
-        (-half * coef(k, j), (j - 1, ("diff", j))) for j in others if j != succ)
+        (-half * coef[k][j], (j - 1, ("diff", j))) for j in others if j != succ)
     for j in others:
         if j != succ:
             steps[(k, j)] = ((1, (own, (k, succ))), (-1, (k - 1, ("diff", j))))
@@ -110,5 +109,5 @@ def _decoding(cfg: NetworkConfig, pattern: Demand, k: int) -> dict:
 
 
 NEW = Scheme(keys=lambda cfg: tuple(pair_order(cfg.k)), pattern=_pattern,
-             caching=_caching, delivery=_delivery, decoding=_decoding)
+             caching=_caching, serving=_serving)
 place, deliver, decode = NEW.place, NEW.deliver, NEW.decode

@@ -3,12 +3,14 @@
 FieldCtx.split cuts a file into K(K-1) subfiles, indexed by ordered user pairs
 (i, j), i != j, in the form FieldCtx.combine reads. Demands assign one file to
 each of the K users; the demand set D contains exactly the assignments that
-request every file at least once.
+request every file at least once, listed one by one or as orbits under
+relabelling the files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -97,6 +99,32 @@ def enumerate_demands(cfg: NetworkConfig) -> Iterator[Demand]:
             seen[f] -= 1
 
     yield from walk(0, n)
+
+
+def demand_orbits(cfg: NetworkConfig) -> Iterator[list[Demand]]:
+    """Yield D as its orbits under relabelling the files, each a list of N! demands.
+
+    An orbit is one restricted-growth string with exactly N blocks (files numbered in order
+    of first request), the strings in lexicographic order. Its demands are the string under
+    each permutation of the files, in the permutations' lexicographic order, which is also
+    their order in D; so the first orbit starts with D's first demand. The cost is
+    proportional to |D|.
+    """
+    n, k = cfg.n, cfg.k
+    relabel = [(0, *p) for p in permutations(range(1, n + 1))]
+    string = [0] * k
+
+    def walk(pos: int, blocks: int) -> Iterator[list[Demand]]:
+        if n - blocks > k - pos:  # the files still missing cannot all be requested
+            return
+        if pos == k:
+            yield [tuple([label[f] for f in string]) for label in relabel]
+            return
+        for f in range(1, min(blocks + 1, n) + 1):
+            string[pos] = f
+            yield from walk(pos + 1, max(blocks, f))
+
+    yield from walk(0, 0)
 
 
 def validate_demand(demand: Sequence[int], cfg: NetworkConfig) -> Demand:

@@ -1,16 +1,17 @@
 """One data plane for every linear scheme: coefficient programs and the engine that runs them.
 
-A scheme is its split keys, which FieldCtx.split cuts a file by, plus three compilers of
+A scheme is its split keys, which FieldCtx.split cuts a file by, plus two compilers of
 programs, each a dict from a result's name to its step, a tuple of (coefficient, (slot, name))
 terms. Coefficients are plain integers, dividing only through cfg.field.inv; `run` makes one
 FieldCtx.combine per step, which alone reduces them, copies a step of one term with
 coefficient 1, and stores each result under its name in the last slot, where later steps read
 it. caching(cfg, user) reads file f at slot f-1 and names a packet (f-1, key), or (N, name) if
-it mixes files. delivery(cfg, pattern) reads the file user u requests at slot u-1 and names a
-packet by its position on the wire. decoding(cfg, pattern, user) reads what the user caches of
-that file at slot u-1, the broadcast at K, its cache's slot N at K+1 and its own results at
-K+2, and names each piece of the wanted file by its key. Delivery and decoding read a demand
-only through the scheme's pattern of it, and are kept in small LRU caches.
+it mixes files. serving(cfg, pattern) compiles a pattern's delivery and each user's decoder at
+once. Delivery reads the file user u requests at slot u-1 and names a packet by its position
+on the wire. User k's decoder reads what the user caches of that file at slot u-1, the
+broadcast at K, its cache's slot N at K+1 and its own results at K+2, and names each piece of
+the wanted file by its key. Both read a demand only through the scheme's pattern of it, and a
+small LRU cache keeps the last patterns served.
 """
 
 from __future__ import annotations
@@ -66,19 +67,29 @@ class Broadcast:
 
 @dataclass(frozen=True)
 class Scheme:
-    """A linear scheme as its split keys and the compilers of its three programs."""
+    """A linear scheme as its split keys and the compilers of its programs."""
 
     keys: Callable  # cfg -> the keys a file is split under, in file order
-    pattern: Callable  # (demand, cfg) -> what the programs read of a demand; raises if unserved
+    # (demand, cfg) -> what the programs read of a demand; raises if unserved. It must be
+    # constant on each orbit of model.demand_orbits: verify asks only an orbit's first demand
+    pattern: Callable
     caching: Callable  # (cfg, user) -> {(slot, key) in the cache: step}
-    delivery: Callable  # (cfg, pattern) -> {position on the wire: step}
-    decoding: Callable  # (cfg, pattern, user) -> {name: step}, naming every key
+    # (cfg, pattern) -> ({position on the wire: step}, one {name: step} per user 1..K),
+    # each decoder naming every key
+    serving: Callable
 
     def __post_init__(self):
-        # a sweep over demands grouped by pattern needs one pattern's delivery and its
-        # K decoding programs at a time: 16 entries keep them for every K <= 16
-        for name in ("keys", "delivery", "decoding"):
-            object.__setattr__(self, name, lru_cache(maxsize=16)(getattr(self, name)))
+        object.__setattr__(self, "keys", lru_cache(maxsize=16)(self.keys))
+        # a sweep serves one pattern at a time and an entry holds all K decoders, so 4
+        # entries keep a few patterns for repeated decodes; more would keep a finished
+        # sweep's programs alive, and 16 raised a K = 5 sweep's peak RSS by about 0.5 MiB
+        object.__setattr__(self, "serving", lru_cache(maxsize=4)(self.serving))
+
+    def delivery(self, cfg: NetworkConfig, pattern) -> dict:
+        return self.serving(cfg, pattern)[0]
+
+    def decoding(self, cfg: NetworkConfig, pattern, user: int) -> dict:
+        return self.serving(cfg, pattern)[1][user - 1]
 
     def split(self, data: bytes | Sequence[Symbol], cfg: NetworkConfig) -> SubfileGrid:
         return split_file(data, cfg, keys=self.keys(cfg))

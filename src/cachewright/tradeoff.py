@@ -54,6 +54,8 @@ class TradeoffCurve:
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
+        if not self.segments:
+            raise DegenerateInput("the curve is empty: it has no segments")
         return self.segments[0].m_lo, self.segments[-1].m_hi
 
     def evaluate(self, m) -> Fraction:
@@ -67,6 +69,8 @@ class TradeoffCurve:
         for seg in self.segments:
             if seg.m_lo <= m < seg.m_hi:
                 return seg
+        if not self.segments:
+            raise DegenerateInput("the curve is empty: it has no segments")
         return self.segments[-1]
 
 

@@ -4,16 +4,19 @@ For a given (N, K) and scheme, every user decodes every demand in D from its
 own data, and any symbol that differs from the file is recorded as a failure.
 Each subfile is one symbol of Z_p, a seeded byte reduced mod p (at p >= 257 the
 byte itself), so every admissible prime can be swept. A scheme's programs
-read a demand only through its pattern, so the sweep groups D by pattern and
-makes each demand of a group one column: a slot's subfile is the vector of that
-subfile's symbol over the group's demands. A group runs its delivery program
-once and its decoding program once per user, so a wide group makes long
-vectors, which FieldCtx.combine may keep packed. D lists a pattern's demands in
-one fixed order of its relabellings, so groups share columns: a run gathers
-each subfile of a column once, from the library or from one user's cache, and
-packs it with FieldCtx.pack; the gathers live only as long as the run. The
-library content is deterministic in (N, K), so workers, each given whole
-patterns, rebuild identical state, and failures merge in demand order.
+read a demand only through its pattern, which is constant on each orbit of D
+under relabelling the files, so the sweep takes D orbit by orbit from
+model.demand_orbits, asks each orbit its pattern once, and merges orbits of
+equal pattern into one group. A group's demands are its columns: a slot's
+subfile is the vector of that subfile's symbol over the group's demands. A
+group compiles its pattern once, runs its delivery program once and its
+decoding program once per user, so a wide group makes long vectors, which
+FieldCtx.combine may keep packed. An orbit lists its relabellings in one fixed
+order, so groups share columns: a run gathers each subfile of a column once,
+from the library or from one user's cache, and packs it with FieldCtx.pack;
+the gathers live only as long as the run. The library content is
+deterministic in (N, K), so workers, each given whole patterns, rebuild
+identical state, and failures merge in demand order.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from operator import itemgetter
 
 from . import baselines, coded_placement
 from .errors import ConfigMismatch
-from .model import Demand, NetworkConfig, enumerate_demands
+from .model import Demand, NetworkConfig, demand_orbits
 from .scheme import Cache
 
 SCHEMES = {"new": coded_placement.NEW, "man": baselines.MAN}
@@ -135,9 +138,9 @@ def run_verification(n: int, k: int, scheme: str = "new", jobs: int = 1,
     cfg = NetworkConfig(n, k, p)
     start = time.perf_counter()
     by_pattern: dict = {}
-    for demand in enumerate_demands(cfg):
-        by_pattern.setdefault(SCHEMES[scheme].pattern(demand, cfg), []).append(demand)
-    # in order of first appearance in D, so chunk 0 starts with D's first demand
+    for orbit in demand_orbits(cfg):
+        by_pattern.setdefault(SCHEMES[scheme].pattern(orbit[0], cfg), []).extend(orbit)
+    # in order of first appearance, so chunk 0 starts with D's first demand
     groups = list(by_pattern.values())
     jobs = min(jobs, len(groups), os.cpu_count() or 1)
     chunks = [(n, k, cfg.p, scheme, groups[i::jobs]) for i in range(jobs)]

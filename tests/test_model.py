@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from functools import cache
 
 import pytest
 
 from cachewright.errors import ConfigMismatch, IndexOutOfRange, NotPrime
 from cachewright.model import (
     NetworkConfig,
+    demand_orbits,
     enumerate_demands,
     in_demand_set,
     pair_order,
@@ -111,6 +114,32 @@ def test_enumerate_demands_counts():
     # spot checks where the full product would be expensive
     assert len(list(enumerate_demands(NetworkConfig(2, 8)))) == surjection_count(2, 8)
     assert len(list(enumerate_demands(NetworkConfig(7, 7)))) == 5040
+
+
+@cache
+def _stirling(k: int, n: int) -> int:
+    """S(k, n), the ways to split k users into n nonempty blocks, by its recurrence."""
+    if k == n:
+        return 1
+    if n == 0 or n > k:
+        return 0
+    return n * _stirling(k - 1, n) + _stirling(k - 1, n - 1)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_demand_orbits_are_d_in_groups_of_relabellings(k):
+    for n in range(1, k + 1):
+        cfg = NetworkConfig(n, k)
+        demands = list(enumerate_demands(cfg))
+        orbits = list(demand_orbits(cfg))
+        flat = [d for orbit in orbits for d in orbit]
+        assert len(set(flat)) == len(flat) and set(flat) == set(demands), (n, k)
+        assert len(orbits) == _stirling(k, n), (n, k)
+        assert {len(orbit) for orbit in orbits} == {math.factorial(n)}, (n, k)
+        assert flat[0] == demands[0], (n, k)  # the demand whose broadcast verify measures
+        # strings in lexicographic order, each orbit in D's order
+        assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits), (n, k)
+        assert all(orbit == sorted(orbit) for orbit in orbits), (n, k)
 
 
 def test_every_demand_surjective():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from cachewright.coded_placement import NEW
-from cachewright.model import NetworkConfig, enumerate_demands, pair_order
+from cachewright.model import NetworkConfig, demand_orbits, enumerate_demands, pair_order
 from cachewright.verify import SCHEMES
 
 
@@ -42,6 +43,36 @@ def test_every_user_decodes_a_unit_vector_library(name, k):
             for cache in caches:
                 assert scheme.decode(cache, sent, cfg) == files[demand[cache.user - 1] - 1], \
                     (n, demand, cache.user)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_a_pattern_is_constant_on_each_orbit(name):
+    # verify compiles each orbit once, for the pattern of its first demand
+    scheme = SCHEMES[name]
+    for k in range(1, 9):
+        for n in range(1, k + 1):
+            cfg = NetworkConfig(n, k)
+            for orbit in demand_orbits(cfg):
+                pattern = scheme.pattern(orbit[0], cfg)
+                assert all(scheme.pattern(d, cfg) == pattern for d in orbit), (n, k, orbit[0])
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_delivering_to_and_decoding_every_user_compiles_the_pattern_once(name):
+    compiled = []
+
+    def serving(cfg, pattern):
+        compiled.append(pattern)
+        return SCHEMES[name].serving.__wrapped__(cfg, pattern)
+
+    scheme = dataclasses.replace(SCHEMES[name], serving=serving)
+    cfg, demand = NetworkConfig(3, 5), (1, 2, 1, 3, 2)
+    files = unit_vector_files(scheme, cfg)
+    library = [scheme.split(blob, cfg) for blob in files]
+    sent = scheme.deliver(library, demand, cfg)
+    for cache in scheme.place(library, cfg):
+        assert scheme.decode(cache, sent, cfg) == files[demand[cache.user - 1] - 1]
+    assert compiled == [scheme.pattern(demand, cfg)]
 
 
 def patterns(k):
@@ -80,9 +111,11 @@ def _programs(scheme, cfg, patterns) -> list:
     users = range(1, cfg.k + 1)
     steps = [step for user in users for step in scheme.caching(cfg, user).values()]
     for pattern in patterns:
-        steps += scheme.delivery.__wrapped__(cfg, pattern).values()
-        for user in users:
-            steps += scheme.decoding.__wrapped__(cfg, pattern, user).values()
+        delivery, decoders = scheme.serving.__wrapped__(cfg, pattern)
+        assert len(decoders) == cfg.k
+        steps += delivery.values()
+        for decoder in decoders:
+            steps += decoder.values()
     return steps
 
 

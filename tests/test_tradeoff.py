@@ -322,6 +322,14 @@ def test_emit_csv_empty_curve():
         emit_csv(TradeoffCurve(()), 1)
 
 
+@pytest.mark.parametrize("read", [lambda c: c.domain, lambda c: c.evaluate(0),
+                                  lambda c: c.segment_at(F(0))],
+                         ids=["domain", "evaluate", "segment_at"])
+def test_an_empty_curve_is_refused_where_it_is_read(read):
+    with pytest.raises(DegenerateInput, match="^the curve is empty: it has no segments$"):
+        read(TradeoffCurve(()))
+
+
 def test_csv_lf_endings():
     text = emit_csv(assemble_known_curve(2, 2), 3)
     assert "\r" not in text and text.endswith("\n")

@@ -59,9 +59,9 @@ def test_placing_a_user_outside_the_network_is_refused(name, user):
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
-    # D lists a pattern's demands far apart; the sweep takes them together, so a
-    # program cache far smaller than the 540 demands x 6 users still always hits,
-    # and each pattern costs one delivery run and one decoding run per user
+    # the sweep takes a pattern's demands together, so a program cache far smaller than
+    # the 540 demands still always hits: each pattern is compiled once, delivery and all
+    # K decoders together, and costs one delivery run and one decoding run per user
     scheme, cfg = SCHEMES[name], NetworkConfig(3, 6)
     patterns = {scheme.pattern(d, cfg) for d in enumerate_demands(cfg)}
     runs = []
@@ -72,11 +72,9 @@ def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
 
     run = engine.run
     monkeypatch.setattr(engine, "run", counted)
-    scheme.delivery.cache_clear()
-    scheme.decoding.cache_clear()
+    scheme.serving.cache_clear()
     assert run_verification(3, 6, name).ok
-    assert scheme.delivery.cache_info().misses == len(patterns)
-    assert scheme.decoding.cache_info().misses == len(patterns) * cfg.k
+    assert scheme.serving.cache_info().misses == len(patterns)
     # K placement runs and the one delivery that measures (M, R) come on top
     assert len(runs) == len(patterns) * (1 + cfg.k) + cfg.k + 1
 
@@ -122,16 +120,16 @@ def test_a_sweep_gathers_each_column_once(monkeypatch):
 def _mutant(scheme, user: int, term: int, coef: int | None = None, slot: int | None = None):
     """scheme with term `term` of user `user`'s first named decoding step given another
     coefficient or read from another slot."""
-    def decoding(cfg, pattern, k):
-        steps = scheme.decoding(cfg, pattern, k)
-        if k != user:
-            return steps
+    def serving(cfg, pattern):
+        delivery, decoders = scheme.serving(cfg, pattern)
+        steps = decoders[user - 1]
         name = next(iter(steps))
         first = list(steps[name])
         c, (s, key) = first[term]
         first[term] = (c if coef is None else coef, (s if slot is None else slot, key))
-        return {**steps, name: tuple(first)}
-    return dataclasses.replace(scheme, decoding=decoding)
+        mutated = {**steps, name: tuple(first)}
+        return delivery, (*decoders[:user - 1], mutated, *decoders[user:])
+    return dataclasses.replace(scheme, serving=serving)
 
 
 def _per_demand_failures(scheme, cfg) -> tuple[list[dict], int]:
