@@ -21,8 +21,8 @@ import sys
 from .converse.certificate import check_certificate, serialize_certificate
 from .converse.tightness import FAMILIES, tightness_check
 from .errors import CachewrightError, SymbolOutOfByteRange
-from .model import NetworkConfig, surjection_count
-from .tradeoff import assemble_known_curve, emit_csv
+from .model import NetworkConfig
+from .tradeoff import assemble_known_curve, csv_lines
 from .verify import SCHEMES, run_verification
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -107,8 +107,7 @@ def cmd_verify(args) -> int:
     NetworkConfig(args.n, args.k, args.prime)  # a bad N, K or prime reports itself first
     if args.k > 8 and not args.force:
         raise CachewrightError(
-            f"K = {args.k} would enumerate {surjection_count(args.n, args.k)} demands; "
-            "pass --force to run anyway")
+            f"K = {args.k} is above the K <= 8 enumeration guard; pass --force to run anyway")
     if args.jobs < 1:
         raise CachewrightError(f"--jobs {args.jobs} is below 1")
     with _output(args.out, "w", encoding="utf-8") as out:
@@ -123,7 +122,7 @@ def cmd_verify(args) -> int:
 def cmd_tradeoff(args) -> int:
     with _output(args.out, "w", encoding="utf-8", newline="") as out:
         curve = assemble_known_curve(args.n, args.k)
-        (out or sys.stdout).write(emit_csv(curve, args.samples))
+        (out or sys.stdout).writelines(csv_lines(curve, args.samples))
     return EXIT_OK
 
 

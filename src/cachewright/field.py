@@ -1,4 +1,4 @@
-"""Prime-field arithmetic Z_p and its vectors, built only by FieldCtx split, pack and combine.
+"""Prime-field arithmetic Z_p and its vectors, whose form FieldCtx.pack alone decides.
 
 The delivery phase scales subfiles by rationals such as 1/2 and 1/m for
 m <= K-1, so the modulus must be an odd prime larger than the user count.
@@ -62,49 +62,45 @@ class FieldCtx:
     def combine(self, terms: Iterable[tuple[int, Sequence[Symbol]]]) -> Sequence[Symbol]:
         """Sum of c * v over the (c, v) terms, for any integers c, reduced mod p once at the end.
 
-        Every scheme's placement, delivery and decoding runs through here. At p = 257,
-        a first vector of _PACKED_MIN symbols or more sends the terms to the packed
-        kernel, whose result reads the same, as loose Lanes; else the list path runs.
+        Every scheme's placement, delivery and decoding runs through here. Lanes terms,
+        at most _PACKED_MAX_TERMS, combine packed into loose Lanes; others take the list path.
         """
-        terms = iter(terms)
-        first = next(terms, None)
-        if first is None:
+        terms = list(terms)
+        if not terms:
             raise LengthMismatch("no vectors to combine")
-        if self.p == 257 and len(first[1]) >= _PACKED_MIN:
-            terms = list(terms)
-            packed = _combine_packed([first, *terms], len(first[1]))
-            if packed is not None:
-                return packed
-        return _combine_list(self.p, *first, terms)
+        if self.p == 257 and len(terms) <= _PACKED_MAX_TERMS and all(
+                isinstance(v, Lanes) for _, v in terms):
+            return _combine_packed(terms)
+        return _combine_list(self.p, terms)
 
     def split(self, data: bytes | Sequence[Symbol], count: int) -> tuple[list, int]:
-        """data zero-padded and cut into count parts of one length n >= 1; and n.
+        """data zero-padded and cut into count parts of one length n >= 1, each made by pack; and n.
 
-        bytes are one symbol each, so p must be at least 257; at p = 257, parts of
-        _PACKED_MIN symbols or more are written straight from the bytes as Lanes.
-        Every other part is made by pack, which refuses a symbol outside [0, p).
+        bytes are one symbol each, so p must be at least 257. Only the tail is copied to pad it.
         """
-        n = max(1, -(-len(data) // count))
         if isinstance(data, (bytes, bytearray)):
             if self.p < 257:
                 raise SymbolOutOfByteRange(f"p = {self.p} < 257 cannot hold a byte per symbol")
-            if self.p == 257 and n >= _PACKED_MIN:
-                buf = bytearray(4 * count * n)
-                buf[_LOW_BYTE:4 * len(data):4] = data
-                return [Lanes(int.from_bytes(buf[i:i + 4 * n], sys.byteorder), n)
-                        for i in range(0, len(buf), 4 * n)], n
-        padded = tuple(data) + (0,) * (n * count - len(data))
-        return [self.pack(padded[i:i + n]) for i in range(0, n * count, n)], n
+            zero = b"\0"
+        else:
+            data, zero = tuple(data), (0,)
+        n = max(1, -(-len(data) // count))
+        whole = len(data) // n * n
+        rest = data[whole:] + zero * (n * count - len(data))
+        return ([self.pack(data[i:i + n]) for i in range(0, whole, n)]
+                + [self.pack(rest[i:i + n]) for i in range(0, len(rest), n)]), n
 
-    def pack(self, symbols: Sequence[Symbol]) -> Sequence[Symbol]:
-        """The symbols, each an int in [0, p), as the vector combine reads fastest.
-
-        At p = 257, _PACKED_MIN symbols or more become canonical Lanes, in one
-        conversion whose lane masks find any symbol outside [0, 257); else a tuple.
-        A symbol outside [0, p) is refused.
+    def pack(self, symbols: bytes | Sequence[Symbol]) -> Sequence[Symbol]:
+        """The symbols, each an int in [0, p) or refused, in the one form this code decides:
+        at p = 257, _PACKED_MIN symbols or more become canonical Lanes (bytes written into
+        the lanes' low bytes); fewer symbols or another p give a tuple.
         """
         n = len(symbols)
         if self.p == 257 and n >= _PACKED_MIN:
+            if isinstance(symbols, (bytes, bytearray)):  # every byte is below 257
+                lanes = bytearray(4 * n)
+                lanes[_LOW_BYTE::4] = symbols
+                return Lanes(int.from_bytes(lanes, sys.byteorder), n)
             try:
                 packed = int.from_bytes(array(_LANE, symbols), sys.byteorder)
             except OverflowError:  # an entry < 0 or >= 2**32
@@ -143,11 +139,11 @@ def default_modulus(k: int) -> int:
     return p
 
 
-def _combine_list(p: int, c: int, v: Sequence[Symbol],
-                  terms: Iterable[tuple[int, Sequence[Symbol]]]) -> tuple[Symbol, ...]:
-    """The list path of FieldCtx.combine, given its first term apart from the rest."""
+def _combine_list(p: int, terms: list[tuple[int, Sequence[Symbol]]]) -> tuple[Symbol, ...]:
+    """The list path of FieldCtx.combine."""
+    (c, v), *rest = terms
     acc = v if c == 1 else [c * x for x in v]
-    for c, v in terms:
+    for c, v in rest:
         scaled = v if c == 1 else [c * x for x in v]
         if len(scaled) != len(acc):
             raise LengthMismatch(f"cannot combine vectors of lengths {len(acc)} and {len(v)}")
@@ -155,15 +151,13 @@ def _combine_list(p: int, c: int, v: Sequence[Symbol],
     return tuple([a % p for a in acc])
 
 
-# The packed kernel for p = 257. Each vector becomes one Python int holding a
-# 32-bit lane per symbol, so a term costs one big-int multiply and add. Every
-# Lanes is loosely reduced: each lane lies below 2**17 and is congruent mod 257
-# to its symbol. A tuple term must have every entry in [0, 512). Each term adds
-# at most 256 * 131070 to a lane, so with at most _PACKED_MAX_TERMS terms a
-# lane's sum stays below 128 * 256 * 131070 < 2**32 and never carries into the
-# next lane; any other input goes to the list path. One 16-bit fold ends each
-# combine, and a Lanes is made canonical, once and in place, only where its
-# symbols are read.
+# The packed kernel for p = 257. Each Lanes holds one 32-bit lane per symbol in
+# one Python int, so a term costs one big-int multiply and add. Every Lanes is
+# loosely reduced: each lane lies below 2**17 and is congruent mod 257 to its
+# symbol. Each term adds at most 256 * 131070 to a lane, so with at most
+# _PACKED_MAX_TERMS terms a lane's sum stays below 128 * 256 * 131070 < 2**32
+# and never carries into the next lane. One 16-bit fold ends each combine, and
+# a Lanes is made canonical, once and in place, only where its symbols are read.
 _PACKED_MIN = 6  # from about 6 symbols a four-term combine runs faster packed than listed
 _PACKED_MAX_TERMS = 128
 _LANE = next(code for code in "IL" if array(code).itemsize == 4)
@@ -180,10 +174,10 @@ def _lane_masks(n: int) -> tuple[int, int, int, int, int, int]:
 class Lanes:
     """n symbols mod 257 in the 32-bit lanes of one int; immutable as a sequence.
 
-    Built by FieldCtx.split and FieldCtx.pack, whose lanes are canonical, in
-    [0, 257), and by _reduce_lanes, whose lanes are loose: below 2**17 and
-    congruent mod 257 to their symbols. The packed kernel reads the int as it
-    is. Reads as the tuple of its symbols (len, iteration, indexing, ==),
+    Built by FieldCtx.pack, whose lanes are canonical, in [0, 257), and by
+    _reduce_lanes, whose lanes are loose: below 2**17 and congruent mod 257 to
+    their symbols. The packed kernel, which reads nothing else, reads the int as
+    it is. Reads as the tuple of its symbols (len, iteration, indexing, ==),
     unpacking on each read; the first read of its symbols or of value makes
     every lane canonical, once, and keeps that int in place of the loose one.
     """
@@ -245,28 +239,14 @@ class Lanes:
         return value.to_bytes(4 * self.n, sys.byteorder)[_LOW_BYTE::4]
 
 
-def _combine_packed(terms: list[tuple[int, Sequence[Symbol]]], n: int) -> Lanes | None:
-    """FieldCtx.combine mod 257 on packed lanes; None when the lane invariant would break."""
-    if len(terms) > _PACKED_MAX_TERMS:
-        return None
-    high = _lane_masks(n)[4]
+def _combine_packed(terms: list[tuple[int, Lanes]]) -> Lanes:
+    """FieldCtx.combine mod 257 of at most _PACKED_MAX_TERMS Lanes terms, on their lanes."""
+    n = terms[0][1].n
     acc = 0
     for c, v in terms:
-        if len(v) != n:
-            raise LengthMismatch(f"cannot combine vectors of lengths {n} and {len(v)}")
-        if isinstance(v, Lanes):
-            acc += c % 257 * v._lanes
-            continue
-        try:
-            lanes = array(_LANE, v)
-        except OverflowError:  # an entry < 0 or >= 2**32
-            return None
-        if len(lanes) != n:  # array reads a bytes-like vector as raw machine words
-            return None
-        packed = int.from_bytes(lanes, sys.byteorder)
-        if packed & high:
-            return None
-        acc += c % 257 * packed
+        if v.n != n:
+            raise LengthMismatch(f"cannot combine vectors of lengths {n} and {v.n}")
+        acc += c % 257 * v._lanes
     return _reduce_lanes(acc, n)
 
 

@@ -1,4 +1,4 @@
-"""Network configuration, file splitting, demand enumeration, and counting.
+"""Network configuration, file splitting, and demand enumeration.
 
 FieldCtx.split cuts a file into K(K-1) subfiles, indexed by ordered user pairs
 (i, j), i != j, in the form FieldCtx.combine reads. Demands assign one file to
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigMismatch, IndexOutOfRange, OutOfRange
@@ -69,11 +68,6 @@ def split_file(data: bytes | Sequence[Symbol], cfg: NetworkConfig,
         raise OutOfRange(f"K = {cfg.k} leaves no subfiles to split into; need K >= 2")
     parts, subfile_len = cfg.field.split(data, len(keys))
     return SubfileGrid(dict(zip(keys, parts)), subfile_len, len(data))
-
-
-def surjection_count(n: int, k: int) -> int:
-    """|D| by inclusion-exclusion: sum_i (-1)^i C(n,i) (n-i)^k."""
-    return sum((-1) ** i * comb(n, i) * (n - i) ** k for i in range(n + 1))
 
 
 def enumerate_demands(cfg: NetworkConfig) -> Iterator[Demand]:

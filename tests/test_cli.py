@@ -92,9 +92,10 @@ def test_verify_parallel_matches_serial(capsys):
 
 
 def test_verify_budget_guard(capsys):
-    rc = main(["verify", "--n", "2", "--k", "9"])
-    assert rc == 2
-    assert "--force" in capsys.readouterr().err
+    for n, k in [(2, 9), (2, 15000)]:
+        rc = main(["verify", "--n", str(n), "--k", str(k)])
+        assert rc == 2
+        assert "--force" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, reason", [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from array import array
@@ -16,7 +17,8 @@ from cachewright.errors import (
     NotPrime,
     SymbolOutOfByteRange,
 )
-from cachewright.field import coded_to_wire, default_modulus, is_prime, join_bytes, make_field
+from cachewright.field import (Lanes, coded_to_wire, default_modulus, is_prime, join_bytes,
+                               make_field)
 
 from reference_field import vec_add, vec_scale, vec_sub
 
@@ -188,15 +190,24 @@ def test_vec_combine_long_vectors_at_257_match_reference(length):
         expected = _reference(fld, terms)
         assert fld.combine(terms) == expected
         assert fld.combine(iter(terms)) == expected
+        assert fld.combine([(c, fld.pack(v)) for c, v in terms]) == expected
+
+
+def _loose_lanes(lanes):
+    """Loose Lanes whose raw 32-bit lanes are the given values, each at most 2 * 0xFFFF."""
+    return Lanes(int.from_bytes(array(field._LANE, lanes), sys.byteorder), len(lanes), loose=True)
 
 
 @pytest.mark.parametrize("length", [64, 1000])
 @pytest.mark.parametrize("entry", [-1, 512, 2 ** 32 - 1, 2 ** 32])
 def test_entries_outside_the_lane_invariant_take_the_list_path(length, entry):
+    # one tuple term, here with an entry no lane could hold, sends its Lanes neighbours there too
     fld = make_field(257)
-    terms = [(256, (entry,) + (511,) * (length - 1)), (-1, (1,) * length), (256, (3,) * length)]
-    assert field._combine_packed(terms, length) is None
-    assert fld.combine(terms) == _reference(fld, terms)
+    terms = [(-1, fld.pack((1,) * length)), (256, (entry,) + (511,) * (length - 1)),
+             (256, fld.pack((3,) * length))]
+    result = fld.combine(terms)
+    assert not isinstance(result, Lanes)
+    assert result == _reference(fld, terms)
 
 
 def test_lane_reduction_covers_every_folded_value():
@@ -209,34 +220,31 @@ def test_lane_reduction_covers_every_folded_value():
 
 
 def test_packed_kernel_holds_at_its_term_limit():
-    # every lane at its largest: 32767 terms of 256 * 511
+    # every term 256 times loose lanes of 511, in all 128 terms
     fld = make_field(257)
-    terms = [(256, (511,) * 64)] * field._PACKED_MAX_TERMS
+    terms = [(256, _loose_lanes([511] * 64))] * field._PACKED_MAX_TERMS
     expected = (field._PACKED_MAX_TERMS * 256 * 511 % 257,) * 64
-    assert field._combine_packed(terms, 64) == expected
+    assert field._combine_packed(terms) == expected
     assert fld.combine(terms) == expected
     # one term more goes to the list path, with the same answer
-    terms.append((1, (1,) * 64))
-    assert field._combine_packed(terms, 64) is None
-    assert fld.combine(terms) == tuple((e + 1) % 257 for e in expected)
+    terms.append((1, fld.pack((1,) * 64)))
+    result = fld.combine(terms)
+    assert not isinstance(result, Lanes)
+    assert result == tuple((e + 1) % 257 for e in expected)
 
 
 @settings(deadline=None)
 @given(st.data())
 def test_packed_and_list_paths_agree(data):
+    # the raw lanes of each term: canonical symbols, or loose lanes up to 2 * 0xFFFF
     length = data.draw(st.integers(1, 80))
     wide = data.draw(st.booleans())
-    entries = st.integers(-2 ** 40, 2 ** 40) if wide else st.integers(0, 511)
-    terms = data.draw(st.lists(st.tuples(st.integers(), st.tuples(*[entries] * length)),
-                               min_size=1, max_size=6))
-    c, v = terms[0]
-    by_list = field._combine_list(257, c, v, terms[1:])
-    packed = field._combine_packed(terms, length)
-    if all(0 <= x < 512 for _, v in terms for x in v):
-        assert packed == by_list
-    else:
-        assert packed is None
-    assert make_field(257).combine(terms) == by_list
+    entries = st.integers(0, 2 * 0xFFFF) if wide else st.integers(0, 256)
+    raw = data.draw(st.lists(st.tuples(st.integers(), st.tuples(*[entries] * length)),
+                             min_size=1, max_size=6))
+    by_list = field._combine_list(257, raw)
+    assert field._combine_packed([(c, _loose_lanes(v)) for c, v in raw]) == by_list
+    assert make_field(257).combine([(c, _loose_lanes(v)) for c, v in raw]) == by_list
 
 
 def test_vec_combine_reads_bytes_like_vectors_as_symbols():
@@ -251,20 +259,37 @@ def test_vec_combine_reads_bytes_like_vectors_as_symbols():
 def test_vec_combine_takes_the_packed_path_only_at_257_and_packed_min(monkeypatch):
     calls = []
 
-    def spy(terms, n):
-        calls.append(n)
-        return None  # hand the terms on to the list path
+    def spy(terms):
+        calls.append(len(terms[0][1]))
+        return kernel(terms)
 
+    kernel = field._combine_packed
     monkeypatch.setattr(field, "_combine_packed", spy)
-    long_terms = [(2, tuple(range(200))), (-1, tuple(range(200)))]
     for p in (263, 65537):
-        assert make_field(p).combine(long_terms) == _reference(make_field(p), long_terms)
-    shortest = field._PACKED_MIN
+        fld = make_field(p)
+        long_terms = [(2, fld.pack(range(200))), (-1, fld.pack(range(200)))]
+        assert fld.combine(long_terms) == _reference(fld, long_terms)
+    shortest, f257 = field._PACKED_MIN, make_field(257)
     assert shortest == 6
-    assert make_field(257).combine([(1, (5,) * (shortest - 1))] * 2) == (10,) * (shortest - 1)
+    assert f257.combine([(1, f257.pack((5,) * (shortest - 1)))] * 2) == (10,) * (shortest - 1)
     assert calls == []
-    assert make_field(257).combine([(1, (5,) * shortest)] * 2) == (10,) * shortest
+    assert f257.combine([(1, f257.pack((5,) * shortest))] * 2) == (10,) * shortest
     assert calls == [shortest]
+
+
+@pytest.mark.parametrize("length", ["below-min", "at-min", 1000])
+def test_combine_returns_lanes_exactly_when_every_term_is_lanes(length):
+    fld = make_field(257)
+    n = {"below-min": field._PACKED_MIN - 1, "at-min": field._PACKED_MIN}.get(length, length)
+    rng = random.Random(f"lanes-rule-{n}")
+    symbols = [tuple(rng.choices(range(257), k=n)) for _ in range(3)]
+    packed = [fld.pack(v) for v in symbols]
+    assert all(isinstance(v, Lanes) for v in packed) == (n >= field._PACKED_MIN)
+    for forms in itertools.product((packed, symbols), repeat=3):
+        terms = [(c, form[i]) for i, (c, form) in enumerate(zip((3, -1, 256), forms))]
+        result = fld.combine(terms)
+        assert isinstance(result, Lanes) == all(isinstance(v, Lanes) for _, v in terms)
+        assert result == _reference(fld, terms)
 
 
 def test_vec_combine_rejects_unequal_lengths():
@@ -278,9 +303,10 @@ def test_vec_combine_rejects_unequal_lengths():
 def test_vec_combine_rejects_unequal_lengths_on_the_packed_path():
     fld = make_field(257)
     with pytest.raises(LengthMismatch, match="lengths 100 and 99"):
-        fld.combine([(1, (1,) * 100), (2, (3,) * 100), (1, (1,) * 99)])
+        fld.combine([(1, fld.pack((1,) * 100)), (2, fld.pack((3,) * 100)),
+                     (1, fld.pack((1,) * 99))])
     with pytest.raises(LengthMismatch, match="lengths 64 and 65"):
-        fld.combine(iter([(1, (1,) * 64), (1, (1,) * 65)]))
+        fld.combine(iter([(1, fld.pack((1,) * 64)), (1, fld.pack((1,) * 65))]))
 
 
 def test_vec_combine_needs_a_term():

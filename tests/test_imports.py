@@ -139,3 +139,22 @@ def test_only_the_field_reduces_and_verify_runs_no_program_itself():
         assert [text for text in ("cfg.p", "% p") if text in source] == [], module
     source = (SRC / "cachewright" / "verify.py").read_text()
     assert [text for text in ("run(", ".delivery(", ".decoding(") if text in source] == []
+
+
+def _names_by_scope(tree: ast.AST, name: str, scope: tuple[str, ...] = ()):
+    """(the dotted def/class scope, Load or Store) of each use of the bare name under tree."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.Name) and child.id == name:
+            yield ".".join(scope), type(child.ctx).__name__
+        inner = (*scope, child.name) if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
+        yield from _names_by_scope(child, name, inner)
+
+
+def test_only_pack_decides_whether_a_vector_is_packed():
+    tree = ast.parse((SRC / "cachewright" / "field.py").read_text())
+    assert sorted(_names_by_scope(tree, "_PACKED_MIN")) == [("", "Store"),
+                                                            ("FieldCtx.pack", "Load")]
+    for path in sorted((SRC / "cachewright").rglob("*.py")):
+        if path.name != "field.py":
+            assert "_PACKED_MIN" not in path.read_text(), path.name

@@ -21,14 +21,6 @@ from reference_field import vec_add, vec_scale
 F257 = make_field(257)
 
 
-def _lanes(symbols):
-    """Lanes holding the given symbols in [0, 257), built the way the program builds them."""
-    data = bytes(min(s, 255) for s in symbols)
-    (packed,), _ = F257.split(data, 1)
-    bump = tuple(int(s == 256) for s in symbols)
-    return F257.combine([(1, packed), (1, bump)])
-
-
 def man_split(data, cfg):
     return MAN.split(data, cfg)
 
@@ -84,6 +76,16 @@ def test_pack_round_trips_and_packs_only_at_257_from_packed_min(p):
                 assert F257.combine([(1, packed), (-1, symbols)]) == (0,) * n
 
 
+@pytest.mark.parametrize("n", [1, "at-min", 5462])
+def test_pack_reads_bytes_as_one_symbol_each(n):
+    n = field._PACKED_MIN if n == "at-min" else n
+    data = random.Random(f"pack-bytes-{n}").randbytes(n)
+    for given in (data, bytearray(data)):
+        packed = F257.pack(given)
+        assert isinstance(packed, Lanes) == (n >= field._PACKED_MIN)
+        assert packed == tuple(data) and bytes(packed) == data
+
+
 @pytest.mark.parametrize("p", [257, 7, 263, 65537])
 @pytest.mark.parametrize("n", [1, "at-min", 100])
 def test_pack_refuses_a_symbol_outside_the_field_and_names_it(p, n):
@@ -104,7 +106,7 @@ def test_pack_refuses_a_symbol_outside_the_field_and_names_it(p, n):
 
 def test_lanes_read_as_the_tuple_of_their_symbols():
     symbols = tuple(random.Random(5).choices(range(257), k=100))
-    lanes = _lanes(symbols)
+    lanes = F257.pack(symbols)
     assert isinstance(lanes, Lanes)
     assert lanes == symbols and symbols == lanes
     assert not (lanes != symbols) and not (symbols != lanes)
@@ -112,37 +114,36 @@ def test_lanes_read_as_the_tuple_of_their_symbols():
     assert tuple(iter(lanes)) == symbols
     assert [lanes[i] for i in (0, 17, 99, -1)] == [symbols[i] for i in (0, 17, 99, -1)]
     assert lanes[10:20] == symbols[10:20]
-    assert lanes == _lanes(symbols)
+    assert lanes == F257.pack(symbols)
     shorter, changed = symbols[:-1], symbols[:50] + ((symbols[50] + 1) % 257,) + symbols[51:]
-    for other in (shorter, changed, _lanes(shorter), _lanes(changed)):
+    for other in (shorter, changed, F257.pack(shorter), F257.pack(changed)):
         assert lanes != other and other != lanes
         assert not (lanes == other) and not (other == lanes)
     assert lanes != list(symbols)
     # a trailing zero lane leaves the packed int as it is; only the length differs
-    padded = _lanes(symbols + (0,))
+    padded = F257.pack(symbols + (0,))
     assert padded.value == lanes.value
     assert padded != lanes and lanes != padded
 
 
 def test_lanes_bytes_are_the_low_bytes_and_refuse_256():
     symbols = tuple(random.Random(6).choices(range(256), k=300))
-    assert bytes(_lanes(symbols)) == bytes(symbols)
+    assert bytes(F257.pack(symbols)) == bytes(symbols)
     with pytest.raises(ValueError):
-        bytes(_lanes(symbols[:299] + (256,)))
+        bytes(F257.pack(symbols[:299] + (256,)))
 
 
 @pytest.mark.parametrize("bad", [-1, 512])
 def test_mixed_terms_match_the_list_path(bad):
     rng = random.Random(f"mixed-{bad}")
-    packed = _lanes(tuple(rng.choices(range(257), k=200)))
+    packed = F257.pack(tuple(rng.choices(range(257), k=200)))
     plain = tuple(rng.choices(range(512), k=200))
     breaking = (bad,) + plain[1:]
     for terms in ([(3, packed), (-1, plain), (256, packed)],
                   [(1, plain), (2, packed)],
                   [(5, packed), (7, breaking), (-2, packed)],
                   [(1, breaking), (1, packed)]):
-        by_list = field._combine_list(257, terms[0][0], tuple(terms[0][1]),
-                                      [(c, tuple(v)) for c, v in terms[1:]])
+        by_list = field._combine_list(257, [(c, tuple(v)) for c, v in terms])
         assert F257.combine(terms) == by_list == _reference(terms)
 
 
@@ -150,11 +151,12 @@ def test_mixed_terms_match_the_list_path(bad):
 @given(st.data())
 def test_every_packed_result_keeps_its_lanes_below_257(data):
     length = data.draw(st.integers(1, 90))
-    vectors = st.one_of(st.tuples(*[st.integers(0, 511)] * length),
+    vectors = st.one_of(st.lists(st.integers(0, 2 ** 32 - 1), min_size=length,
+                                 max_size=length).map(_loose),
                         st.tuples(*[st.integers(0, 256)] * length).map(_canonical))
     terms = data.draw(st.lists(st.tuples(st.integers(-2 ** 40, 2 ** 40), vectors),
                                min_size=1, max_size=6))
-    result = field._combine_packed(terms, length)  # the kernel itself, at any length
+    result = field._combine_packed(terms)  # the kernel itself, at any length
     assert isinstance(result, Lanes)
     assert F257.combine(terms) == result
     lanes = array(field._LANE)
@@ -168,7 +170,7 @@ def test_join_bytes_names_the_first_lane_outside_a_byte():
     symbols = [rng.randrange(256) for _ in range(5000)]
     symbols[4321] = 256
     symbols[4500] = 1000
-    pieces = [_lanes(tuple(symbols[:2000])), _lanes(tuple(symbols[2000:4400])),
+    pieces = [F257.pack(tuple(symbols[:2000])), F257.pack(tuple(symbols[2000:4400])),
               tuple(symbols[4400:])]
     with pytest.raises(SymbolOutOfByteRange) as from_symbols:
         join_bytes((symbols,))
@@ -177,7 +179,7 @@ def test_join_bytes_names_the_first_lane_outside_a_byte():
         join_bytes(pieces)
     assert str(from_lanes.value) == str(from_symbols.value)
     symbols[4321] = symbols[4500] = 7  # and with every symbol a byte, the bytes themselves
-    assert join_bytes([_lanes(tuple(symbols[:2000])), tuple(symbols[2000:])]) == bytes(symbols)
+    assert join_bytes([F257.pack(tuple(symbols[:2000])), tuple(symbols[2000:])]) == bytes(symbols)
 
 
 def _loose(lanes):
@@ -209,13 +211,14 @@ def test_packed_kernel_holds_at_its_term_limit_with_loose_lanes():
     assert _loose([2 ** 32 - 1] * 64) == _canonical((0,) * 64)  # 131070 = 510 * 257
     terms = [(256, top)] * field._PACKED_MAX_TERMS
     column = (131070,) * 64
-    by_list = field._combine_list(257, 256, column, [(256, column)] * (len(terms) - 1))
-    assert field._combine_packed(terms, 64) == by_list
+    by_list = field._combine_list(257, [(256, column)] * len(terms))
+    assert field._combine_packed(terms) == by_list
     assert F257.combine(terms) == by_list
     # one term more goes to the list path, with the list path's answer
     terms.append((256, top))
-    assert field._combine_packed(terms, 64) is None
-    assert F257.combine(terms) == tuple((x + 256 * 131070) % 257 for x in by_list)
+    result = F257.combine(terms)
+    assert not isinstance(result, Lanes)
+    assert result == tuple((x + 256 * 131070) % 257 for x in by_list)
 
 
 def _fresh(lanes):
@@ -233,7 +236,7 @@ def test_chained_loose_results_read_as_the_list_path(data):
     symbols = tuple(rng.choices(range(257), k=length))
     # the program's vectors, and beside each the list path's tuple of its symbols
     loose = _loose([rng.randrange(2 ** 32) for _ in range(length)])
-    pool = [(plain, plain), (_canonical(symbols), symbols),
+    pool = [(_loose(plain), plain), (_canonical(symbols), symbols),
             (loose, tuple(x % 257 for x in _raw(loose)))]
     for _ in range(data.draw(st.integers(3, 6))):
         picks = data.draw(st.lists(st.tuples(st.integers(-2 ** 40, 2 ** 40),
@@ -242,8 +245,7 @@ def test_chained_loose_results_read_as_the_list_path(data):
         result = F257.combine([(c, pool[i][0]) for c, i in picks])
         assert isinstance(result, Lanes) and result._loose
         assert max(_raw(result)) < 2 ** 17
-        (c0, i0), *rest = picks
-        expected = field._combine_list(257, c0, pool[i0][1], [(c, pool[i][1]) for c, i in rest])
+        expected = field._combine_list(257, [(c, pool[i][1]) for c, i in picks])
         pool.append((result, expected))
     for result, expected in pool[3:]:
         assert _fresh(result) == _canonical(expected)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from cachewright.errors import DegenerateInput, OutOfRange, OutsideCharacterized
 from cachewright.tradeoff import (
     CSV_HEADER,
     assemble_known_curve,
+    csv_lines,
     emit_csv,
     exact_regions,
     exact_tradeoff,
@@ -308,6 +310,19 @@ def test_segment_tags_match_the_family_rule(k):
     for n in range(1, k + 1):
         curve = assemble_known_curve(n, k)
         assert [seg.provenance for seg in curve.segments] == _family_tags(n, k, curve), (n, k)
+
+
+def test_csv_lines_stream_in_memory_that_does_not_grow_with_the_samples():
+    curve, samples = assemble_known_curve(3, 4), 2 * 10**4
+    lines = csv_lines(curve, samples)
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows > samples
+    assert peak < 2 * 2**20, peak
 
 
 def test_emit_csv_sample_value():

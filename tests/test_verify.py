@@ -220,20 +220,24 @@ def test_a_roundtrip_decoding_a_symbol_outside_a_byte_fails_with_exit_1(demand, 
 def test_wide_groups_take_the_packed_kernel_only_at_257(monkeypatch):
     # at (5, 6) every coded-scheme pattern has 5! = 120 demands, so its vectors are
     # 120 symbols wide: packed at p = 257, the list path at p = 263
-    packed = []
+    packed, listed = [], []
 
-    def spy(terms, n):
-        out = combine(terms, n)
-        packed.append(out is not None)
-        return out
+    def spy(terms):
+        packed.append(terms[0][1].n)
+        return kernel(terms)
 
-    combine = field._combine_packed
+    def list_spy(p, terms):
+        listed.append(len(terms[0][1]))
+        return by_list(p, terms)
+
+    kernel, by_list = field._combine_packed, field._combine_list
     monkeypatch.setattr(field, "_combine_packed", spy)
+    monkeypatch.setattr(field, "_combine_list", list_spy)
     default = run_verification(5, 6, "new")
-    assert default.ok and packed and all(packed)
+    assert default.ok and set(packed) == {120} and max(listed) < field._PACKED_MIN
     packed.clear()
     other = run_verification(5, 6, "new", p=263)
-    assert other.ok and not packed
+    assert other.ok and not packed and 120 in listed
     assert default.demands_checked == other.demands_checked == 1800
     assert (default.memory, default.rate) == (other.memory, other.rate)
 
