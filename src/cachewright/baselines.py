@@ -10,6 +10,9 @@ curves use, lives in converse.tightness.
 
 from __future__ import annotations
 
+from functools import cache, partial
+from typing import Callable
+
 from .errors import ConfigMismatch
 from .model import NetworkConfig
 from .scheme import Scheme
@@ -22,12 +25,11 @@ def _caching(cfg: NetworkConfig, k: int) -> dict:
     return {(f, e): ((1, (f, e)),) for f in range(cfg.n) for e in range(1, cfg.k + 1) if e != k}
 
 
-def _serving(cfg: NetworkConfig, pattern) -> tuple[dict, tuple[dict, ...]]:
+def _serving(cfg: NetworkConfig, pattern) -> tuple[dict, Callable[[int], dict]]:
     """One packet of F/K symbols, valid for every demand, not only D; user k's decoder takes
     piece k from it, less the cached pieces of the others' files, and copies the rest."""
-    users = range(1, cfg.k + 1)
-    delivery = {0: tuple((1, (u - 1, u)) for u in users)}
-    return delivery, tuple(_decoding(cfg, k) for k in users)
+    delivery = {0: tuple((1, (u - 1, u)) for u in range(1, cfg.k + 1))}
+    return delivery, cache(partial(_decoding, cfg))
 
 
 def _decoding(cfg: NetworkConfig, k: int) -> dict:

@@ -18,7 +18,7 @@ W_{d_k}^{k,succ(k)} (halving when somebody else shares user k's file) and
 peels off the remaining W_{d_k}^{kj}.
 
 Each phase is compiled into a coefficient program for the engine in `scheme`;
-a pattern's delivery and its K decoders share one table of the a_ks / m_ks.
+a pattern's delivery and each user's decoder share one table of the a_ks / m_ks.
 A cache keeps W_n^{ij} under (n-1, (i, j)), the difference ending in W_n^{kj}
 under (n-1, ("diff", j)) and the sum packet under (N, "sum"); decoding names
 each W_{d_k}^{ij} by (i, j), recovered or copied from the cache. The compilers
@@ -30,6 +30,8 @@ point (M_A, 1/(K-1)) is converse.tightness.scheme_point.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache, partial
+from typing import Callable
 
 from .errors import DemandNotInD, OutOfRange
 from .model import (
@@ -66,9 +68,9 @@ def _caching(cfg: NetworkConfig, k: int) -> dict:
     return program
 
 
-def _serving(cfg: NetworkConfig, pattern: Demand) -> tuple[dict, tuple[dict, ...]]:
-    """The delivery and each user's decoder, from one table coef[k][s] = a_ks / m_ks, where
-    1/m_ks comes from cfg.field.inv."""
+def _serving(cfg: NetworkConfig, pattern: Demand) -> tuple[dict, Callable[[int], dict]]:
+    """The delivery and each user's decoder, compiled on its first call, from one table
+    coef[k][s] = a_ks / m_ks, where 1/m_ks comes from cfg.field.inv."""
     counts = Counter(pattern)
     inv = [0] + [cfg.field.inv(m) for m in range(1, cfg.k)]
     users = range(1, cfg.k + 1)
@@ -79,7 +81,7 @@ def _serving(cfg: NetworkConfig, pattern: Demand) -> tuple[dict, tuple[dict, ...
             coef[k][s] = (-1 if same else 1) * inv[counts[pattern[s - 1]] - same]
     delivery = {k - 1: tuple((coef[k][s], (s - 1, (k, s))) for s in users if s != k)
                 for k in users}
-    return delivery, tuple(_decoding(cfg, pattern, counts, coef, k) for k in users)
+    return delivery, cache(partial(_decoding, cfg, pattern, counts, coef))
 
 
 def _decoding(cfg: NetworkConfig, pattern: Demand, counts: Counter, coef: list, k: int) -> dict:

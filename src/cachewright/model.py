@@ -3,8 +3,7 @@
 FieldCtx.split cuts a file into K(K-1) subfiles, indexed by ordered user pairs
 (i, j), i != j, in the form FieldCtx.combine reads. Demands assign one file to
 each of the K users; the demand set D contains exactly the assignments that
-request every file at least once, listed one by one or as orbits under
-relabelling the files.
+request every file at least once, as orbits under relabelling the files.
 """
 
 from __future__ import annotations
@@ -68,31 +67,6 @@ def split_file(data: bytes | Sequence[Symbol], cfg: NetworkConfig,
         raise OutOfRange(f"K = {cfg.k} leaves no subfiles to split into; need K >= 2")
     parts, subfile_len = cfg.field.split(data, len(keys))
     return SubfileGrid(dict(zip(keys, parts)), subfile_len, len(data))
-
-
-def enumerate_demands(cfg: NetworkConfig) -> Iterator[Demand]:
-    """Yield the demand set D in lexicographic order.
-
-    Backtracking with a feasibility prune (files still missing cannot exceed
-    positions left), so the cost is proportional to |D|, not N^K.
-    """
-    n, k = cfg.n, cfg.k
-    demand = [0] * k
-    seen = [0] * (n + 1)
-
-    def walk(pos: int, missing: int) -> Iterator[Demand]:
-        if missing > k - pos:
-            return
-        if pos == k:
-            yield tuple(demand)
-            return
-        for f in range(1, n + 1):
-            demand[pos] = f
-            seen[f] += 1
-            yield from walk(pos + 1, missing - (seen[f] == 1))
-            seen[f] -= 1
-
-    yield from walk(0, n)
 
 
 def demand_orbits(cfg: NetworkConfig) -> Iterator[list[Demand]]:

@@ -6,12 +6,12 @@ terms. Coefficients are plain integers, dividing only through cfg.field.inv; `ru
 FieldCtx.combine per step, which alone reduces them, copies a step of one term with
 coefficient 1, and stores each result under its name in the last slot, where later steps read
 it. caching(cfg, user) reads file f at slot f-1 and names a packet (f-1, key), or (N, name) if
-it mixes files. serving(cfg, pattern) compiles a pattern's delivery and each user's decoder at
-once. Delivery reads the file user u requests at slot u-1 and names a packet by its position
-on the wire. User k's decoder reads what the user caches of that file at slot u-1, the
-broadcast at K, its cache's slot N at K+1 and its own results at K+2, and names each piece of
-the wanted file by its key. Both read a demand only through the scheme's pattern of it, and a
-small LRU cache keeps the last patterns served.
+it mixes files. serving(cfg, pattern) compiles a pattern's delivery, and each user's decoder
+when that user decodes. Delivery reads the file user u requests at slot u-1 and names a packet
+by its position on the wire. User k's decoder reads what the user caches of that file at slot
+u-1, the broadcast at K, its cache's slot N at K+1 and its own results at K+2, and names each
+piece of the wanted file by its key. Both read a demand only through the scheme's pattern of
+it, and a small LRU cache keeps the last patterns served.
 """
 
 from __future__ import annotations
@@ -74,22 +74,22 @@ class Scheme:
     # constant on each orbit of model.demand_orbits: verify asks only an orbit's first demand
     pattern: Callable
     caching: Callable  # (cfg, user) -> {(slot, key) in the cache: step}
-    # (cfg, pattern) -> ({position on the wire: step}, one {name: step} per user 1..K),
-    # each decoder naming every key
+    # (cfg, pattern) -> ({position on the wire: step}, user -> {name: step}); a decoder
+    # names every key and is compiled on its user's first call
     serving: Callable
 
     def __post_init__(self):
         object.__setattr__(self, "keys", lru_cache(maxsize=16)(self.keys))
-        # a sweep serves one pattern at a time and an entry holds all K decoders, so 4
-        # entries keep a few patterns for repeated decodes; more would keep a finished
-        # sweep's programs alive, and 16 raised a K = 5 sweep's peak RSS by about 0.5 MiB
+        # a sweep serves one pattern at a time and an entry holds the delivery and each decoder
+        # compiled so far, so 4 entries keep a few patterns for repeated decodes; more would keep
+        # a finished sweep's programs alive, and 16 raised a K = 5 sweep's peak RSS by 0.5 MiB
         object.__setattr__(self, "serving", lru_cache(maxsize=4)(self.serving))
 
     def delivery(self, cfg: NetworkConfig, pattern) -> dict:
         return self.serving(cfg, pattern)[0]
 
     def decoding(self, cfg: NetworkConfig, pattern, user: int) -> dict:
-        return self.serving(cfg, pattern)[1][user - 1]
+        return self.serving(cfg, pattern)[1](user)
 
     def split(self, data: bytes | Sequence[Symbol], cfg: NetworkConfig) -> SubfileGrid:
         return split_file(data, cfg, keys=self.keys(cfg))

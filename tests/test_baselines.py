@@ -8,7 +8,9 @@ import pytest
 from cachewright.baselines import MAN
 from cachewright.converse.tightness import rate_chen, rate_yu, yu_point
 from cachewright.errors import ConfigMismatch, OutOfRange
-from cachewright.model import NetworkConfig, enumerate_demands
+from cachewright.model import NetworkConfig
+
+from demand_set import all_demands
 
 
 def man_library(cfg, seed=0, length=40):
@@ -31,7 +33,7 @@ def test_man_decodes_every_demand_3_4():
     plain, lib = man_library(cfg)
     caches = MAN.place(lib, cfg)
     f_sym = cfg.k * lib[0].subfile_len
-    for demand in enumerate_demands(cfg):
+    for demand in all_demands(cfg):
         sent = MAN.deliver(lib, demand, cfg)
         (packet,) = sent.packets
         assert Fraction(len(packet)) == Fraction(f_sym, cfg.k)

@@ -8,13 +8,9 @@ import pytest
 from cachewright.coded_placement import NEW, deliver, decode, place
 from cachewright.converse.tightness import scheme_point
 from cachewright.errors import ConfigMismatch, DemandNotInD, LengthMismatch, OutOfRange
-from cachewright.model import (
-    NetworkConfig,
-    enumerate_demands,
-    pair_order,
-    split_file,
-)
+from cachewright.model import NetworkConfig, pair_order, split_file
 
+from demand_set import all_demands
 from reference_field import vec_add, vec_scale, vec_sub
 
 
@@ -134,7 +130,7 @@ def test_broadcast_budget():
         cfg = NetworkConfig(n, k)
         lib = make_library(cfg)
         f_sym = cfg.subfiles_per_file * lib[0].subfile_len
-        demand = next(iter(enumerate_demands(cfg)))
+        demand = all_demands(cfg)[0]
         bc = deliver(lib, demand, cfg)
         assert Fraction(bc.symbol_count) == Fraction(f_sym, k - 1)
 
@@ -151,7 +147,7 @@ def test_a_pattern_compiles_once_for_all_its_demands():
     plain = [random.Random(f"ctx-{n}").randbytes(3000) for n in range(3)]
     lib = [split_file(blob, cfg) for blob in plain]
     caches = place(lib, cfg)
-    for demand in enumerate_demands(cfg):
+    for demand in all_demands(cfg):
         moved = tuple(f % 3 + 1 for f in demand)  # the same pattern, other files
         pattern = NEW.pattern(demand, cfg)
         assert NEW.pattern(moved, cfg) == pattern
@@ -171,7 +167,7 @@ def test_decode_exhaustive_3_4():
     lib = [split_file(blob, cfg) for blob in plain]
     caches = place(lib, cfg)
     checked = 0
-    for demand in enumerate_demands(cfg):
+    for demand in all_demands(cfg):
         bc = deliver(lib, demand, cfg)
         for user in range(1, 5):
             assert decode(caches[user - 1], bc, cfg) == plain[demand[user - 1] - 1]
@@ -197,7 +193,7 @@ def test_smallest_network_2_2():
     caches = place(lib, cfg)
     for cache in caches:
         assert packet_count(cache) == 1  # only the sum packet survives at K=2
-    for demand in enumerate_demands(cfg):
+    for demand in all_demands(cfg):
         bc = deliver(lib, demand, cfg)
         for user in (1, 2):
             assert decode(caches[user - 1], bc, cfg) == plain[demand[user - 1] - 1]
@@ -211,7 +207,7 @@ def test_tight_modulus_exercises_every_divisor():
                for _ in range(2)]
     lib = [split_file(s, cfg) for s in symbols]
     caches = place(lib, cfg)
-    for demand in enumerate_demands(cfg):
+    for demand in all_demands(cfg):
         bc = deliver(lib, demand, cfg)
         for user in range(1, 6):
             cache = caches[user - 1]

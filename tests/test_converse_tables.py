@@ -11,7 +11,9 @@ from cachewright.converse.case2 import (
     in_case2_range,
 )
 from cachewright.errors import IndexOutOfRange, OutOfCaseRange
-from cachewright.model import NetworkConfig, enumerate_demands
+from cachewright.model import NetworkConfig
+
+from demand_set import all_demands
 
 
 def case1_pairs(k_max):
@@ -49,7 +51,7 @@ def test_case1_b_requests_last_file():
 def test_case1_demands_in_d():
     for n, k in case1_pairs(7):
         cfg = NetworkConfig(n, k)
-        all_d = set(enumerate_demands(cfg))
+        all_d = set(all_demands(cfg))
         demands, _ = case1_demand_table(n, k)
         assert set(demands) <= all_d
         assert len(set(demands)) == k
@@ -130,7 +132,7 @@ def test_case2_b_requests_last_file():
 
 def test_case2_demands_in_d():
     cfg = NetworkConfig(2, 4)
-    all_d = set(enumerate_demands(cfg))
+    all_d = set(all_demands(cfg))
     demands, _ = case2_demand_table(2, 4)
     assert len(all_d) == 14
     assert set(demands) <= all_d

@@ -1,8 +1,11 @@
-"""The package's import graph runs one way: tradeoff uses converse, schemes use the engine."""
+"""The package's import graph runs one way: tradeoff uses converse, schemes use the engine;
+and every top-level name under src/ is read there or is an entry point with its reason."""
 
 from __future__ import annotations
 
 import ast
+import random
+import re
 import subprocess
 import sys
 import types
@@ -158,3 +161,85 @@ def test_only_pack_decides_whether_a_vector_is_packed():
     for path in sorted((SRC / "cachewright").rglob("*.py")):
         if path.name != "field.py":
             assert "_PACKED_MIN" not in path.read_text(), path.name
+
+
+def _module_name(path: Path, root: Path) -> str:
+    parts = path.relative_to(root.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _defined(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each name a module's top-level def, class or assignment binds, with its statement;
+    dunder names such as __version__ are the interpreter's, not the package's."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                defined.update((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name: node for name, node in defined.items() if not name.startswith("__")}
+
+
+def _unread(root: Path) -> set[str]:
+    """The dotted name of each top-level name defined in the package at root that no code
+    there reads: no other module imports it or reads it as module.name, and its own module
+    loads it nowhere outside its own definition."""
+    paths = {_module_name(path, root): path for path in sorted(root.rglob("*.py"))}
+    trees = {module: ast.parse(path.read_text()) for module, path in paths.items()}
+    defined = {module: _defined(tree) for module, tree in trees.items()}
+    read = set()
+    for module, tree in trees.items():
+        package = list(paths[module].relative_to(root.parent).parent.parts)
+        modules = {}  # a local name bound to a module of the package -> that module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = package[:len(package) - node.level + 1] if node.level else []
+                source = ".".join(base + ([node.module] if node.module else []))
+                for alias in node.names:
+                    if f"{source}.{alias.name}" in trees:
+                        modules[alias.asname or alias.name] = f"{source}.{alias.name}"
+                    else:
+                        read.add(f"{source}.{alias.name}")
+        read |= {f"{modules[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules}
+        for statement in tree.body:
+            loaded = {n.id for n in ast.walk(statement)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            read |= {f"{module}.{name}" for name, node in defined[module].items()
+                     if name in loaded and node is not statement}
+    return {f"{module}.{name}" for module, names in defined.items() for name in names} - read
+
+
+# top-level names that nothing under src/ reads, each with the reason it stays
+UNREAD_BY_DESIGN = {
+    "cachewright.coded_placement.place": "a library entry point README documents",
+    "cachewright.coded_placement.deliver": "a library entry point README documents",
+    "cachewright.coded_placement.decode": "a library entry point README documents",
+    "cachewright.tradeoff.exact_tradeoff": "a library entry point README documents: R*(M)",
+    "cachewright.field.coded_to_wire": "only perfbench reads it; moves in ROADMAP item 14",
+    "cachewright.tradeoff.emit_csv": "only perfbench reads it; moves in ROADMAP item 14",
+}
+
+
+def test_every_top_level_name_is_read_by_the_package_or_is_an_entry_point():
+    assert _unread(SRC / "cachewright") == set(UNREAD_BY_DESIGN)
+
+
+def test_the_scan_flags_exactly_a_name_nothing_reads(tmp_path):
+    root = tmp_path / "pkg"
+    root.mkdir()
+    (root / "__init__.py").write_text("from .b import exported\n")
+    (root / "a.py").write_text("def unused():\n    return unused\n\n\ndef imported():\n"
+                               "    pass\n")
+    (root / "b.py").write_text("from .a import imported\n\n\ndef exported():\n"
+                               "    return imported()\n")
+    assert _unread(root) == {"pkg.a.unused"}
+
+
+def test_the_readme_library_example_runs():
+    readme = (SRC.parent / "README.md").read_text()
+    block = re.search(r"^## Library\n.*?^```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    rng = random.Random("readme-library")
+    exec(compile(block, "README.md", "exec"), {"blobs": [rng.randbytes(200) for _ in range(3)]})

@@ -9,9 +9,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from cachewright import baselines, cli, coded_placement
 from cachewright.coded_placement import NEW
-from cachewright.model import NetworkConfig, demand_orbits, enumerate_demands, pair_order
+from cachewright.model import NetworkConfig, demand_orbits, pair_order
 from cachewright.verify import SCHEMES
+
+from demand_set import all_demands
 
 
 def unit_vector_files(scheme, cfg):
@@ -38,7 +41,7 @@ def test_every_user_decodes_a_unit_vector_library(name, k):
         files = unit_vector_files(scheme, cfg)
         library = [scheme.split(blob, cfg) for blob in files]
         caches = scheme.place(library, cfg)
-        for demand in enumerate_demands(cfg):
+        for demand in all_demands(cfg):
             sent = scheme.deliver(library, demand, cfg)
             for cache in caches:
                 assert scheme.decode(cache, sent, cfg) == files[demand[cache.user - 1] - 1], \
@@ -75,10 +78,30 @@ def test_delivering_to_and_decoding_every_user_compiles_the_pattern_once(name):
     assert compiled == [scheme.pattern(demand, cfg)]
 
 
+@pytest.mark.parametrize("name, module", [("new", coded_placement), ("man", baselines)])
+def test_a_roundtrip_compiles_only_its_users_decoder(name, module, tmp_path, monkeypatch):
+    compiled = []
+
+    def decoding(cfg, *args):
+        compiled.append(args[-1])
+        return compile_one(cfg, *args)
+
+    compile_one = module._decoding
+    monkeypatch.setattr(module, "_decoding", decoding)
+    SCHEMES[name].serving.cache_clear()
+    source = tmp_path / "in.bin"
+    source.write_bytes(b"hello world")
+    assert cli.main(["roundtrip", "--n", "3", "--k", "5", "--scheme", name, "--demand",
+                     "1,2,1,3,2", "--user", "4", str(source), "--out",
+                     str(tmp_path / "out.bin")]) == 0
+    SCHEMES[name].serving.cache_clear()  # drop the entry that holds the counting compiler
+    assert compiled == [4]
+
+
 def patterns(k):
     for n in range(1, k + 1):
         cfg = NetworkConfig(n, k)
-        for demand in enumerate_demands(cfg):
+        for demand in all_demands(cfg):
             if NEW.pattern(demand, cfg) == demand:
                 yield cfg, demand
 
@@ -111,11 +134,12 @@ def _programs(scheme, cfg, patterns) -> list:
     users = range(1, cfg.k + 1)
     steps = [step for user in users for step in scheme.caching(cfg, user).values()]
     for pattern in patterns:
-        delivery, decoders = scheme.serving.__wrapped__(cfg, pattern)
-        assert len(decoders) == cfg.k
+        delivery, decoder = scheme.serving.__wrapped__(cfg, pattern)
         steps += delivery.values()
-        for decoder in decoders:
-            steps += decoder.values()
+        for user in users:
+            program = decoder(user)
+            assert program is decoder(user)  # each user's decoder is compiled once
+            steps += program.values()
     return steps
 
 
@@ -131,7 +155,7 @@ def test_the_compilers_run_over_q_and_agree_with_f257(name):
         for n in range(1, k + 1):
             cfg = NetworkConfig(n, k)
             exact = SimpleNamespace(n=n, k=k, field=rational)
-            patterns = sorted({scheme.pattern(d, cfg) for d in enumerate_demands(cfg)})
+            patterns = sorted({scheme.pattern(d, cfg) for d in all_demands(cfg)})
             for over_q, over_p in zip(_programs(scheme, exact, patterns),
                                       _programs(scheme, cfg, patterns), strict=True):
                 assert [key for _, key in over_q] == [key for _, key in over_p]
@@ -165,7 +189,7 @@ def test_every_program_reads_only_names_that_exist_when_it_runs(name, k):
             assert {slot for slot, _ in names} <= set(range(n + 1))
             kept[user] = [{key for slot, key in names if slot == f} for f in range(n + 1)]
         demands = {}  # one demand of each pattern
-        for demand in enumerate_demands(cfg):
+        for demand in all_demands(cfg):
             demands.setdefault(scheme.pattern(demand, cfg), demand)
         for pattern, demand in demands.items():
             sent = _run_names(scheme.delivery(cfg, pattern), [keys] * k + [set()], demand)

@@ -12,8 +12,10 @@ import pytest
 from cachewright import cli, field, scheme as engine, verify
 from cachewright.converse.tightness import scheme_point
 from cachewright.errors import CachewrightError, ConfigMismatch, SymbolOutOfByteRange
-from cachewright.model import NetworkConfig, enumerate_demands
+from cachewright.model import NetworkConfig
 from cachewright.verify import SCHEMES, run_verification
+
+from demand_set import all_demands
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch):
@@ -60,10 +62,10 @@ def test_placing_a_user_outside_the_network_is_refused(name, user):
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
     # the sweep takes a pattern's demands together, so a program cache far smaller than
-    # the 540 demands still always hits: each pattern is compiled once, delivery and all
-    # K decoders together, and costs one delivery run and one decoding run per user
+    # the 540 demands still always hits: each pattern is compiled once, its delivery and
+    # each user's decoder, and costs one delivery run and one decoding run per user
     scheme, cfg = SCHEMES[name], NetworkConfig(3, 6)
-    patterns = {scheme.pattern(d, cfg) for d in enumerate_demands(cfg)}
+    patterns = {scheme.pattern(d, cfg) for d in all_demands(cfg)}
     runs = []
 
     def counted(program, slots, fld):
@@ -85,7 +87,7 @@ def test_a_sweep_gathers_each_column_once(monkeypatch):
     # each subfile a program reads is gathered and packed once per column, not per pattern
     scheme, cfg = SCHEMES["new"], NetworkConfig(3, 6)
     groups = {}
-    for demand in enumerate_demands(cfg):
+    for demand in all_demands(cfg):
         groups.setdefault(scheme.pattern(demand, cfg), []).append(demand)
     keys = scheme.keys(cfg)
     reads = set()  # (whose data, column, key) for every subfile a program or the check reads
@@ -121,14 +123,18 @@ def _mutant(scheme, user: int, term: int, coef: int | None = None, slot: int | N
     """scheme with term `term` of user `user`'s first named decoding step given another
     coefficient or read from another slot."""
     def serving(cfg, pattern):
-        delivery, decoders = scheme.serving(cfg, pattern)
-        steps = decoders[user - 1]
-        name = next(iter(steps))
-        first = list(steps[name])
-        c, (s, key) = first[term]
-        first[term] = (c if coef is None else coef, (s if slot is None else slot, key))
-        mutated = {**steps, name: tuple(first)}
-        return delivery, (*decoders[:user - 1], mutated, *decoders[user:])
+        delivery, decoder = scheme.serving(cfg, pattern)
+
+        def mutated(k: int) -> dict:
+            steps = decoder(k)
+            if k != user:
+                return steps
+            name = next(iter(steps))
+            first = list(steps[name])
+            c, (s, key) = first[term]
+            first[term] = (c if coef is None else coef, (s if slot is None else slot, key))
+            return {**steps, name: tuple(first)}
+        return delivery, mutated
     return dataclasses.replace(scheme, serving=serving)
 
 
@@ -140,7 +146,7 @@ def _per_demand_failures(scheme, cfg) -> tuple[list[dict], int]:
     library = [scheme.split(blob, cfg) for blob in plain]
     caches = scheme.place(library, cfg)
     failures, outside = [], 0
-    for demand in enumerate_demands(cfg):
+    for demand in all_demands(cfg):
         sent = scheme.deliver(library, demand, cfg)
         for cache in caches:
             try:
@@ -189,7 +195,7 @@ def test_the_batched_sweep_fails_what_a_per_demand_loop_fails(mutant, monkeypatc
     monkeypatch.setitem(verify.SCHEMES, name, broken)
     report = run_verification(3, 5, name)
     assert report.failures == sorted(expected, key=lambda f: (f["demand"], f["user"]))
-    assert report.demands_checked == len(list(enumerate_demands(cfg)))
+    assert report.demands_checked == len(all_demands(cfg))
 
 
 def test_a_decoded_symbol_outside_a_byte_is_a_failure_not_a_usage_error(monkeypatch, capsys):
@@ -272,7 +278,7 @@ def test_workers_get_whole_patterns(monkeypatch):
     monkeypatch.setattr(verify, "Pool", InlinePool)
     scheme, cfg = SCHEMES["new"], NetworkConfig(3, 5)
     assert run_verification(3, 5, "new", jobs=3).ok
-    demands = list(enumerate_demands(cfg))
+    demands = all_demands(cfg)
     owner = {}
     for i, (*_, groups) in enumerate(chunks):
         for group in groups:
