@@ -10,7 +10,7 @@ curves use, lives in converse.tightness.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 from typing import Callable
 
 from .errors import ConfigMismatch
@@ -29,7 +29,7 @@ def _serving(cfg: NetworkConfig, pattern) -> tuple[dict, Callable[[int], dict]]:
     """One packet of F/K symbols, valid for every demand, not only D; user k's decoder takes
     piece k from it, less the cached pieces of the others' files, and copies the rest."""
     delivery = {0: tuple((1, (u - 1, u)) for u in range(1, cfg.k + 1))}
-    return delivery, cache(partial(_decoding, cfg))
+    return delivery, partial(_decoding, cfg)
 
 
 def _decoding(cfg: NetworkConfig, k: int) -> dict:

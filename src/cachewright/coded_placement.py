@@ -30,7 +30,7 @@ point (M_A, 1/(K-1)) is converse.tightness.scheme_point.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, partial
+from functools import partial
 from typing import Callable
 
 from .errors import DemandNotInD, OutOfRange
@@ -69,7 +69,7 @@ def _caching(cfg: NetworkConfig, k: int) -> dict:
 
 
 def _serving(cfg: NetworkConfig, pattern: Demand) -> tuple[dict, Callable[[int], dict]]:
-    """The delivery and each user's decoder, compiled on its first call, from one table
+    """The delivery, and a decoder that compiles one user's program per call, from one table
     coef[k][s] = a_ks / m_ks, where 1/m_ks comes from cfg.field.inv."""
     counts = Counter(pattern)
     inv = [0] + [cfg.field.inv(m) for m in range(1, cfg.k)]
@@ -81,7 +81,7 @@ def _serving(cfg: NetworkConfig, pattern: Demand) -> tuple[dict, Callable[[int],
             coef[k][s] = (-1 if same else 1) * inv[counts[pattern[s - 1]] - same]
     delivery = {k - 1: tuple((coef[k][s], (s - 1, (k, s))) for s in users if s != k)
                 for k in users}
-    return delivery, cache(partial(_decoding, cfg, pattern, counts, coef))
+    return delivery, partial(_decoding, cfg, pattern, counts, coef)
 
 
 def _decoding(cfg: NetworkConfig, pattern: Demand, counts: Counter, coef: list, k: int) -> dict:

@@ -6,19 +6,19 @@ terms. Coefficients are plain integers, dividing only through cfg.field.inv; `ru
 FieldCtx.combine per step, which alone reduces them, copies a step of one term with
 coefficient 1, and stores each result under its name in the last slot, where later steps read
 it. caching(cfg, user) reads file f at slot f-1 and names a packet (f-1, key), or (N, name) if
-it mixes files. serving(cfg, pattern) compiles a pattern's delivery, and each user's decoder
-when that user decodes. Delivery reads the file user u requests at slot u-1 and names a packet
-by its position on the wire. User k's decoder reads what the user caches of that file at slot
-u-1, the broadcast at K, its cache's slot N at K+1 and its own results at K+2, and names each
-piece of the wanted file by its key. Both read a demand only through the scheme's pattern of
-it, and a small LRU cache keeps the last patterns served.
+it mixes files. serving(cfg, pattern) compiles a pattern's delivery, and returns a decoder
+that compiles one user's program per call. Delivery reads the file user u requests at slot u-1
+and names a packet by its position on the wire. User k's decoder reads what the user caches of
+that file at slot u-1, the broadcast at K, its cache's slot N at K+1 and its own results at
+K+2, and names each piece of the wanted file by its key. Both read a demand only through the
+scheme's pattern of it. A Scheme keeps no programs: a caller that runs one pattern's programs
+many times compiles them once and holds them itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -75,21 +75,8 @@ class Scheme:
     pattern: Callable
     caching: Callable  # (cfg, user) -> {(slot, key) in the cache: step}
     # (cfg, pattern) -> ({position on the wire: step}, user -> {name: step}); a decoder
-    # names every key and is compiled on its user's first call
+    # names every key and compiles its user's program on each call
     serving: Callable
-
-    def __post_init__(self):
-        object.__setattr__(self, "keys", lru_cache(maxsize=16)(self.keys))
-        # a sweep serves one pattern at a time and an entry holds the delivery and each decoder
-        # compiled so far, so 4 entries keep a few patterns for repeated decodes; more would keep
-        # a finished sweep's programs alive, and 16 raised a K = 5 sweep's peak RSS by 0.5 MiB
-        object.__setattr__(self, "serving", lru_cache(maxsize=4)(self.serving))
-
-    def delivery(self, cfg: NetworkConfig, pattern) -> dict:
-        return self.serving(cfg, pattern)[0]
-
-    def decoding(self, cfg: NetworkConfig, pattern, user: int) -> dict:
-        return self.serving(cfg, pattern)[1](user)
 
     def split(self, data: bytes | Sequence[Symbol], cfg: NetworkConfig) -> SubfileGrid:
         return split_file(data, cfg, keys=self.keys(cfg))
@@ -120,34 +107,35 @@ class Scheme:
             caches.append(Cache(user, parts, lengths, sub_len))
         return caches
 
-    def send(self, cfg: NetworkConfig, pattern, requested: Sequence) -> dict:
+    def send(self, cfg: NetworkConfig, delivery: dict, requested: Sequence) -> dict:
         """The broadcast packets by position; slot u-1 is requested[u-1], what user u requests."""
-        return run(self.delivery(cfg, pattern), [*requested, {}], cfg.field)
+        return run(delivery, [*requested, {}], cfg.field)
 
-    def recover(self, cfg: NetworkConfig, pattern, user: int, held: Sequence,
-                sent: Sequence | dict, mixed: dict) -> tuple:
-        """The wanted file's pieces in key order, decoded by user from the broadcast sent,
-        its cache's mixed packets, and held[u-1]: what it caches of the file user u requests."""
-        out = run(self.decoding(cfg, pattern, user), [*held, sent, mixed, {}], cfg.field)
-        return itemgetter(*self.keys(cfg))(out)
+    def recover(self, cfg: NetworkConfig, decoding: dict, held: Sequence,
+                sent: Sequence | dict, mixed: dict) -> dict:
+        """One user's results by name, the wanted file's pieces under its keys, decoded from the
+        broadcast sent, its cache's mixed packets, and held[u-1]: what it caches of the file
+        user u requests."""
+        return run(decoding, [*held, sent, mixed, {}], cfg.field)
 
     def deliver(self, library: list[SubfileGrid], demand, cfg: NetworkConfig) -> Broadcast:
         d = validate_demand(demand, cfg)
-        pattern = self.pattern(d, cfg)
+        delivery, _ = self.serving(cfg, self.pattern(d, cfg))
         self._subfile_len(library, cfg)
-        packets = self.send(cfg, pattern, [library[f - 1].parts for f in d])
+        packets = self.send(cfg, delivery, [library[f - 1].parts for f in d])
         return Broadcast(d, tuple(packets.values()))
 
     def decode(self, cache: Cache, sent: Broadcast, cfg: NetworkConfig) -> bytes:
         d = validate_demand(sent.demand, cfg)
-        pattern = self.pattern(d, cfg)
-        count = len(self.delivery(cfg, pattern))
-        if len(sent.packets) != count:
-            raise ConfigMismatch(f"broadcast holds {len(sent.packets)} packets, not {count}")
+        delivery, decoder = self.serving(cfg, self.pattern(d, cfg))
+        if len(sent.packets) != len(delivery):
+            raise ConfigMismatch(
+                f"broadcast holds {len(sent.packets)} packets, not {len(delivery)}")
         if set(map(len, sent.packets)) != {cache.subfile_len}:
             raise LengthMismatch("broadcast and cache subfile lengths differ")
-        pieces = self.recover(cfg, pattern, cache.user, [cache.parts[f - 1] for f in d],
-                              sent.packets, cache.parts[-1])
+        out = self.recover(cfg, decoder(cache.user), [cache.parts[f - 1] for f in d],
+                           sent.packets, cache.parts[-1])
+        pieces = itemgetter(*self.keys(cfg))(out)
         return join_bytes(pieces)[: cache.file_lengths[d[cache.user - 1] - 1]]
 
     def point(self, cfg: NetworkConfig, cache: Cache, sent: Broadcast) -> tuple[Fraction, Fraction]:

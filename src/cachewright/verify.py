@@ -9,14 +9,14 @@ under relabelling the files, so the sweep takes D orbit by orbit from
 model.demand_orbits, asks each orbit its pattern once, and merges orbits of
 equal pattern into one group. A group's demands are its columns: a slot's
 subfile is the vector of that subfile's symbol over the group's demands. A
-group compiles its pattern once, runs its delivery program once and its
-decoding program once per user, so a wide group makes long vectors, which
-FieldCtx.combine may keep packed. An orbit lists its relabellings in one fixed
-order, so groups share columns: a run gathers each subfile of a column once,
-from the library or from one user's cache, and packs it with FieldCtx.pack;
-the gathers live only as long as the run. The library content is
-deterministic in (N, K), so workers, each given whole patterns, rebuild
-identical state, and failures merge in demand order.
+group compiles its pattern's programs itself and drops them when it ends; it
+runs the delivery once and each user's decoder once, so a wide group makes
+long vectors, which FieldCtx.combine may keep packed. An orbit lists its
+relabellings in one fixed order, so groups share columns: a run gathers each
+subfile of a column once, from the library or from one user's cache, and
+packs it with FieldCtx.pack; the gathers live only as long as the run. The
+library content is deterministic in (N, K), so workers, each given whole
+patterns, rebuild identical state, and failures merge in demand order.
 """
 
 from __future__ import annotations
@@ -92,15 +92,15 @@ def _columns(symbols: dict, pack) -> _Memo:
 def _check_group(scheme, cfg: NetworkConfig, library: _Memo,
                  caches: list[tuple[Cache, _Memo, _Memo]], group: list[Demand]) -> list[dict]:
     """Deliver and decode one pattern's demands together, one column per demand."""
-    pattern = scheme.pattern(group[0], cfg)
+    delivery, decoder = scheme.serving(cfg, scheme.pattern(group[0], cfg))
     columns = [tuple(f - 1 for f in files) for files in zip(*group)]  # slot u-1's, per user u
     requested = [library[c] for c in columns]
-    sent = scheme.send(cfg, pattern, requested)
+    sent = scheme.send(cfg, delivery, requested)
     wanted = itemgetter(*scheme.keys(cfg))  # each piece of a file, in key order
     failures = []
     for cache, held, mixed in caches:
-        pieces = scheme.recover(cfg, pattern, cache.user, [held[c] for c in columns], sent,
-                                mixed[(0,) * len(group)])
+        pieces = wanted(scheme.recover(cfg, decoder(cache.user), [held[c] for c in columns],
+                                       sent, mixed[(0,) * len(group)]))
         plain = wanted(requested[cache.user - 1])
         # the pieces are compared whole, and only a mismatch is transposed into columns
         if pieces != plain:

@@ -151,8 +151,10 @@ def test_a_pattern_compiles_once_for_all_its_demands():
         moved = tuple(f % 3 + 1 for f in demand)  # the same pattern, other files
         pattern = NEW.pattern(demand, cfg)
         assert NEW.pattern(moved, cfg) == pattern
-        assert NEW.delivery(cfg, pattern) is NEW.delivery(cfg, NEW.pattern(moved, cfg))
-        assert NEW.decoding(cfg, pattern, 2) is NEW.decoding(cfg, NEW.pattern(moved, cfg), 2)
+        delivery, decoder = NEW.serving(cfg, pattern)
+        again, moved_decoder = NEW.serving(cfg, NEW.pattern(moved, cfg))
+        assert delivery == again
+        assert decoder(2) == moved_decoder(2)
         sent = deliver(lib, demand, cfg)
         for user in range(1, 5):
             assert decode(caches[user - 1], sent, cfg) == plain[demand[user - 1] - 1]

@@ -142,6 +142,16 @@ def test_only_the_field_reduces_and_verify_runs_no_program_itself():
         assert [text for text in ("cfg.p", "% p") if text in source] == [], module
     source = (SRC / "cachewright" / "verify.py").read_text()
     assert [text for text in ("run(", ".delivery(", ".decoding(") if text in source] == []
+    # the engine and its schemes keep no programs between calls: no functools cache, and no
+    # attribute set behind a frozen dataclass's back; a caller that reuses programs holds them
+    for module in ("scheme.py", "coded_placement.py", "baselines.py"):
+        source = (SRC / "cachewright" / module).read_text()
+        assert "object.__setattr__" not in source, module
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                assert "functools" not in {alias.name for alias in node.names}, module
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert {alias.name for alias in node.names} <= {"partial"}, module
 
 
 def _names_by_scope(tree: ast.AST, name: str, scope: tuple[str, ...] = ()):

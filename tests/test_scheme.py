@@ -11,7 +11,7 @@ import pytest
 
 from cachewright import baselines, cli, coded_placement
 from cachewright.coded_placement import NEW
-from cachewright.model import NetworkConfig, demand_orbits, pair_order
+from cachewright.model import NetworkConfig, SubfileGrid, demand_orbits, pair_order
 from cachewright.verify import SCHEMES
 
 from demand_set import all_demands
@@ -61,21 +61,31 @@ def test_a_pattern_is_constant_on_each_orbit(name):
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
-def test_delivering_to_and_decoding_every_user_compiles_the_pattern_once(name):
+def test_each_deliver_and_decode_compiles_its_pattern_once(name):
+    # a Scheme keeps no programs: deliver compiles the pattern's delivery, and each decode
+    # compiles the pattern again with only its own user's decoder
     compiled = []
 
     def serving(cfg, pattern):
         compiled.append(pattern)
-        return SCHEMES[name].serving.__wrapped__(cfg, pattern)
+        delivery, decoder = SCHEMES[name].serving(cfg, pattern)
+
+        def counted(user):
+            compiled.append(user)
+            return decoder(user)
+        return delivery, counted
 
     scheme = dataclasses.replace(SCHEMES[name], serving=serving)
     cfg, demand = NetworkConfig(3, 5), (1, 2, 1, 3, 2)
+    pattern = scheme.pattern(demand, cfg)
     files = unit_vector_files(scheme, cfg)
     library = [scheme.split(blob, cfg) for blob in files]
     sent = scheme.deliver(library, demand, cfg)
+    assert compiled == [pattern]
     for cache in scheme.place(library, cfg):
+        compiled.clear()
         assert scheme.decode(cache, sent, cfg) == files[demand[cache.user - 1] - 1]
-    assert compiled == [scheme.pattern(demand, cfg)]
+        assert compiled == [pattern, cache.user]
 
 
 @pytest.mark.parametrize("name, module", [("new", coded_placement), ("man", baselines)])
@@ -88,13 +98,11 @@ def test_a_roundtrip_compiles_only_its_users_decoder(name, module, tmp_path, mon
 
     compile_one = module._decoding
     monkeypatch.setattr(module, "_decoding", decoding)
-    SCHEMES[name].serving.cache_clear()
     source = tmp_path / "in.bin"
     source.write_bytes(b"hello world")
     assert cli.main(["roundtrip", "--n", "3", "--k", "5", "--scheme", name, "--demand",
                      "1,2,1,3,2", "--user", "4", str(source), "--out",
                      str(tmp_path / "out.bin")]) == 0
-    SCHEMES[name].serving.cache_clear()  # drop the entry that holds the counting compiler
     assert compiled == [4]
 
 
@@ -110,8 +118,9 @@ def patterns(k):
 def test_stage1_recovery_reads_only_broadcast_and_uncoded_cache(k):
     pairs = set(pair_order(k))
     for cfg, pattern in patterns(k):
+        _, decoder = NEW.serving(cfg, pattern)
         for user in range(1, k + 1):
-            program = NEW.decoding(cfg, pattern, user)
+            program = decoder(user)
             for i in range(1, k + 1):
                 if i == user:
                     continue
@@ -130,16 +139,14 @@ def test_a_copy_step_passes_the_vector_through():
 
 def _programs(scheme, cfg, patterns) -> list:
     """Every step compiled at cfg: each user's placement, then per pattern the delivery
-    and each user's decoding, from the compilers themselves rather than their caches."""
+    and each user's decoding."""
     users = range(1, cfg.k + 1)
     steps = [step for user in users for step in scheme.caching(cfg, user).values()]
     for pattern in patterns:
-        delivery, decoder = scheme.serving.__wrapped__(cfg, pattern)
+        delivery, decoder = scheme.serving(cfg, pattern)
         steps += delivery.values()
         for user in users:
-            program = decoder(user)
-            assert program is decoder(user)  # each user's decoder is compiled once
-            steps += program.values()
+            steps += decoder(user).values()
     return steps
 
 
@@ -164,6 +171,40 @@ def test_the_compilers_run_over_q_and_agree_with_f257(name):
                     assert q.numerator * pow(q.denominator, -1, 257) % 257 == c % 257
                     denominators.add(q.denominator)
         assert lcm(*denominators) == (2 * lcm(*range(1, k)) if name == "new" else 1), k
+
+
+def _combine_over_q(terms) -> tuple:
+    """The sum of each coefficient times its vector, exactly."""
+    return tuple(sum(c * v[i] for c, v in terms) for i in range(len(terms[0][1])))
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_send_and_recover_run_over_q_on_an_unhashable_cfg(name):
+    # the engine itself over Q, with a cfg no cache could key on: subfile t of file f is the
+    # unit vector e_(f,t), so a user that gets back exactly its file's unit vectors decodes
+    # every library, for every pattern at every K <= 4
+    scheme = SCHEMES[name]
+    rational = SimpleNamespace(inv=lambda a: 1 / Fraction(a), combine=_combine_over_q)
+    for k in range(2, 5):
+        for n in range(1, k + 1):
+            cfg = SimpleNamespace(n=n, k=k, field=rational)
+            keys = scheme.keys(cfg)
+            width = n * len(keys)
+            library = [SubfileGrid({key: tuple(int(i == f * len(keys) + t) for i in range(width))
+                                    for t, key in enumerate(keys)}, width, 0) for f in range(n)]
+            caches = scheme.place(library, cfg)
+            demands = {}  # one demand of each pattern
+            for demand in all_demands(cfg):
+                demands.setdefault(scheme.pattern(demand, cfg), demand)
+            for pattern, demand in demands.items():
+                delivery, decoder = scheme.serving(cfg, pattern)
+                sent = scheme.send(cfg, delivery, [library[f - 1].parts for f in demand])
+                for cache in caches:
+                    got = scheme.recover(cfg, decoder(cache.user),
+                                         [cache.parts[f - 1] for f in demand], sent,
+                                         cache.parts[-1])
+                    assert {key: got[key] for key in keys} == \
+                        library[demand[cache.user - 1] - 1].parts, (n, k, demand, cache.user)
 
 
 def _run_names(program: dict, slots: list[set], where) -> set:
@@ -192,10 +233,11 @@ def test_every_program_reads_only_names_that_exist_when_it_runs(name, k):
         for demand in all_demands(cfg):
             demands.setdefault(scheme.pattern(demand, cfg), demand)
         for pattern, demand in demands.items():
-            sent = _run_names(scheme.delivery(cfg, pattern), [keys] * k + [set()], demand)
+            delivery, decoder = scheme.serving(cfg, pattern)
+            sent = _run_names(delivery, [keys] * k + [set()], demand)
             assert sorted(sent) == list(range(len(sent)))  # each packet's position on the wire
             for user, cached in kept.items():
-                program = scheme.decoding(cfg, pattern, user)
+                program = decoder(user)
                 held = [cached[f - 1] for f in demand]
                 _run_names(program, [*held, sent, cached[n], set()], (demand, user))
                 assert keys <= set(program), (demand, user)

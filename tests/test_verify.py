@@ -61,12 +61,21 @@ def test_placing_a_user_outside_the_network_is_refused(name, user):
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
-    # the sweep takes a pattern's demands together, so a program cache far smaller than
-    # the 540 demands still always hits: each pattern is compiled once, its delivery and
-    # each user's decoder, and costs one delivery run and one decoding run per user
+    # the sweep takes a pattern's demands together, so each pattern of the 540 demands is
+    # compiled once, its delivery and each user's decoder, and costs one delivery run and
+    # one decoding run per user
     scheme, cfg = SCHEMES[name], NetworkConfig(3, 6)
     patterns = {scheme.pattern(d, cfg) for d in all_demands(cfg)}
-    runs = []
+    served, decoded, runs = [], [], []
+
+    def serving(cfg, pattern):
+        served.append(pattern)
+        delivery, decoder = scheme.serving(cfg, pattern)
+
+        def counted_decoder(user):
+            decoded.append((pattern, user))
+            return decoder(user)
+        return delivery, counted_decoder
 
     def counted(program, slots, fld):
         runs.append(program)
@@ -74,10 +83,13 @@ def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
 
     run = engine.run
     monkeypatch.setattr(engine, "run", counted)
-    scheme.serving.cache_clear()
+    monkeypatch.setitem(verify.SCHEMES, name, dataclasses.replace(scheme, serving=serving))
     assert run_verification(3, 6, name).ok
-    assert scheme.serving.cache_info().misses == len(patterns)
-    # K placement runs and the one delivery that measures (M, R) come on top
+    # the one delivery that measures (M, R) compiles its pattern once more
+    assert len(served) == len(patterns) + 1
+    assert set(served) == patterns
+    assert len(decoded) == len(set(decoded)) == len(patterns) * cfg.k
+    # K placement runs and that delivery come on top
     assert len(runs) == len(patterns) * (1 + cfg.k) + cfg.k + 1
 
 
@@ -93,11 +105,12 @@ def test_a_sweep_gathers_each_column_once(monkeypatch):
     reads = set()  # (whose data, column, key) for every subfile a program or the check reads
     for pattern, group in groups.items():
         columns = [tuple(files) for files in zip(*group)]
+        delivery, decoder = scheme.serving(cfg, pattern)
         reads |= {("library", columns[s], key)
-                  for step in scheme.delivery(cfg, pattern).values() for _, (s, key) in step}
+                  for step in delivery.values() for _, (s, key) in step}
         for user in range(1, cfg.k + 1):
             reads |= {("library", columns[user - 1], key) for key in keys}  # what it wants
-            for step in scheme.decoding(cfg, pattern, user).values():
+            for step in decoder(user).values():
                 for _, (s, key) in step:
                     if s < cfg.k:
                         reads.add((("cache", user), columns[s], key))
