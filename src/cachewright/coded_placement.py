@@ -18,7 +18,9 @@ W_{d_k}^{k,succ(k)} (halving when somebody else shares user k's file) and
 peels off the remaining W_{d_k}^{kj}.
 
 Each phase is compiled into a coefficient program for the engine in `scheme`;
-a pattern's delivery and each user's decoder share one table of the a_ks / m_ks.
+a pattern's delivery and each user's decoder share one table that holds each
+a_ks / m_ks beside its inverse a_ks * m_ks, so decoding divides by no
+coefficient, and the split keys are listed once per pattern, not per user.
 A cache keeps W_n^{ij} under (n-1, (i, j)), the difference ending in W_n^{kj}
 under (n-1, ("diff", j)) and the sum packet under (N, "sum"); decoding names
 each W_{d_k}^{ij} by (i, j), recovered or copied from the cache. The compilers
@@ -70,21 +72,30 @@ def _caching(cfg: NetworkConfig, k: int) -> dict:
 
 def _serving(cfg: NetworkConfig, pattern: Demand) -> tuple[dict, Callable[[int], dict]]:
     """The delivery, and a decoder that compiles one user's program per call, from one table
-    coef[k][s] = a_ks / m_ks, where 1/m_ks comes from cfg.field.inv."""
+    coef[k][s] = a_ks / m_ks, where 1/m_ks comes from cfg.field.inv, and its inverse
+    undo[k][s] = a_ks * m_ks."""
     counts = Counter(pattern)
     inv = [0] + [cfg.field.inv(m) for m in range(1, cfg.k)]
+    # (a/m, a*m) by m, for a = 1 and a = -1: each pair is made once and shared by the table
+    plus = [(inv[m], m) for m in range(cfg.k)]
+    minus = [(-c, -m) for c, m in plus]
     users = range(1, cfg.k + 1)
     coef = [[0] * (cfg.k + 1) for _ in range(cfg.k + 1)]
+    undo = [[0] * (cfg.k + 1) for _ in range(cfg.k + 1)]
     for k in users:
         for s in users:
             same = pattern[k - 1] == pattern[s - 1]  # then user k is among the requesters of d_s
-            coef[k][s] = (-1 if same else 1) * inv[counts[pattern[s - 1]] - same]
+            coef[k][s], undo[k][s] = (minus if same else plus)[counts[pattern[s - 1]] - same]
     delivery = {k - 1: tuple((coef[k][s], (s - 1, (k, s))) for s in users if s != k)
                 for k in users}
-    return delivery, partial(_decoding, cfg, pattern, counts, coef)
+    # user k halves its stage-2 sum exactly when somebody else shares its file
+    half = cfg.field.inv(2)
+    halves = [0] + [half if counts[f] > 1 else 1 for f in pattern]
+    return delivery, partial(_decoding, cfg, halves, coef, undo, pair_order(cfg.k))
 
 
-def _decoding(cfg: NetworkConfig, pattern: Demand, counts: Counter, coef: list, k: int) -> dict:
+def _decoding(cfg: NetworkConfig, halves: list, coef: list, undo: list, keys: list,
+              k: int) -> dict:
     sent, mixed, own = cfg.k, cfg.k + 1, cfg.k + 2  # the broadcast, the cache's slot N, steps
     succ = successor(k, cfg.k)
     others = [u for u in range(1, cfg.k + 1) if u != k]
@@ -92,21 +103,21 @@ def _decoding(cfg: NetworkConfig, pattern: Demand, counts: Counter, coef: list, 
 
     # stage 1: X_d^j minus its known stage-1 terms is coef[j][k] * W^{jk}
     for j in others:
-        undo = cfg.field.inv(coef[j][k])
-        steps[(j, k)] = ((undo, (sent, j - 1)),) + tuple(
-            (-undo * coef[j][s], (s - 1, (j, s))) for s in others if s != j)
+        back = undo[j][k]
+        steps[(j, k)] = ((back, (sent, j - 1)),) + tuple(
+            (-back * coef[j][s], (s - 1, (j, s))) for s in others if s != j)
 
     # stage 2: X_d^k plus the weighted diffs is the sum over files != wanted of
     # W_n^{k,succ}, minus W_wanted^{k,succ} whenever some other user also requests
     # the wanted file; the sum packet minus that is W_wanted^{k,succ}, doubled in
     # that case. Only the stage-1 steps above read the broadcast for W^{jk}.
-    half = cfg.field.inv(2) if counts[pattern[k - 1]] > 1 else 1
+    half = halves[k]
     steps[(k, succ)] = ((half, (mixed, "sum")), (-half, (sent, k - 1))) + tuple(
         (-half * coef[k][j], (j - 1, ("diff", j))) for j in others if j != succ)
     for j in others:
         if j != succ:
             steps[(k, j)] = ((1, (own, (k, succ))), (-1, (k - 1, ("diff", j))))
-    uncoded = {pair: ((1, (k - 1, pair)),) for pair in pair_order(cfg.k) if k not in pair}
+    uncoded = {pair: ((1, (k - 1, pair)),) for pair in keys if k not in pair}
     return steps | uncoded
 
 

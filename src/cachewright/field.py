@@ -68,9 +68,12 @@ class FieldCtx:
         terms = list(terms)
         if not terms:
             raise LengthMismatch("no vectors to combine")
-        if self.p == 257 and len(terms) <= _PACKED_MAX_TERMS and all(
-                isinstance(v, Lanes) for _, v in terms):
-            return _combine_packed(terms)
+        if self.p == 257 and len(terms) <= _PACKED_MAX_TERMS:
+            for _, v in terms:  # a plain loop costs less per call than all() over a generator
+                if not isinstance(v, Lanes):
+                    break
+            else:
+                return _combine_packed(terms)
         return _combine_list(self.p, terms)
 
     def split(self, data: bytes | Sequence[Symbol], count: int) -> tuple[list, int]:

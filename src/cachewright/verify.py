@@ -14,7 +14,12 @@ runs the delivery once and each user's decoder once, so a wide group makes
 long vectors, which FieldCtx.combine may keep packed. An orbit lists its
 relabellings in one fixed order, so groups share columns: a run gathers each
 subfile of a column once, from the library or from one user's cache, and
-packs it with FieldCtx.pack; the gathers live only as long as the run. The
+packs it with FieldCtx.pack; the gathers live only as long as the run. A key
+whose cached packet is the library's own packet object in every file (run
+copies a one-term, coefficient-1 step by reference) reads the library's
+column instead, so a copied piece decodes to the very column it is checked
+against and compares on identity; only combined pieces compare by value. A
+packet that is merely equal is gathered from the cache. The
 library content is deterministic in (N, K), so workers, each given whole
 patterns, rebuild identical state, and failures merge in demand order.
 """
@@ -79,14 +84,22 @@ class _Memo(dict):
         return value
 
 
-def _columns(symbols: dict, pack) -> _Memo:
+def _columns(symbols: dict, pack, copied: frozenset = frozenset(),
+             library: _Memo | None = None) -> _Memo:
     """Each column, a file index per demand, mapped to {key: that subfile's symbol per demand,
     packed}; symbols maps a key to its symbol in every file. A column, and each key a program
-    reads of it, is built once, on its first read."""
+    reads of it, is built once, on its first read; a copied key's is library's own object."""
     def column(c: tuple[int, ...]) -> _Memo:
         pick = itemgetter(*c) if len(c) > 1 else lambda s: (s[c[0]],)
-        return _Memo(lambda key: pack(pick(symbols[key])))
+        return _Memo(lambda key: library[c][key] if key in copied else pack(pick(symbols[key])))
     return _Memo(column)
+
+
+def _copied(parts: tuple[dict, ...], files: list[dict]) -> frozenset:
+    """The keys whose packet in parts is, as an object, files' subfile of that key in every
+    file: what run copied from the library unchanged. Equal content is not enough."""
+    return frozenset(key for key in parts[0]
+                     if all(key in f and part[key] is f[key] for part, f in zip(parts, files)))
 
 
 def _check_group(scheme, cfg: NetworkConfig, library: _Memo,
@@ -121,9 +134,12 @@ def _check_chunk(args) -> tuple[int, list[dict], tuple[Fraction, Fraction]]:
     library = [scheme.split(symbols, cfg) for symbols in plain]
     caches = scheme.place(library, cfg)
     point = scheme.point(cfg, caches[0], scheme.deliver(library, groups[0][0], cfg))
-    gathered = _columns(_by_key([g.parts for g in library]), cfg.field.pack)
-    # a cache's slot N read as one file, so file 0's column at a group's width repeats each packet
-    held = [(cache, _columns(_by_key(cache.parts[:n]), cfg.field.pack),
+    files = [g.parts for g in library]
+    gathered = _columns(_by_key(files), cfg.field.pack)
+    # a cache's copies read the library's columns; its slot N is read as one file, so file
+    # 0's column at a group's width repeats each packet
+    held = [(cache, _columns(_by_key(cache.parts[:n]), cfg.field.pack,
+                             _copied(cache.parts[:n], files), gathered),
              _columns(_by_key(cache.parts[-1:]), cfg.field.pack)) for cache in caches]
     failures = [f for group in groups for f in _check_group(scheme, cfg, gathered, held, group)]
     return sum(map(len, groups)), failures, point

@@ -93,17 +93,26 @@ def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
     assert len(runs) == len(patterns) * (1 + cfg.k) + cfg.k + 1
 
 
-def test_a_sweep_gathers_each_column_once(monkeypatch):
-    # a group's demands are its pattern's relabellings in one fixed order, so slot u-1's
-    # column depends only on the file user u requests: across the 90 patterns at (3, 6)
-    # each subfile a program reads is gathered and packed once per column, not per pattern
-    scheme, cfg = SCHEMES["new"], NetworkConfig(3, 6)
+def _groups(scheme, cfg) -> dict:
+    """D split by pattern, each pattern's demands in D's order."""
     groups = {}
     for demand in all_demands(cfg):
         groups.setdefault(scheme.pattern(demand, cfg), []).append(demand)
+    return groups
+
+
+def _expected_gathers(scheme, cfg) -> set:
+    """(whose data, column, key) for every subfile a sweep's programs or its check read. A key
+    whose caching step is run's copy of the library's subfile of that key, in every file, is
+    read from the library's column."""
     keys = scheme.keys(cfg)
-    reads = set()  # (whose data, column, key) for every subfile a program or the check reads
-    for pattern, group in groups.items():
+    copied = {}
+    for user in range(1, cfg.k + 1):
+        program = scheme.caching(cfg, user)
+        copied[user] = {key for key in keys
+                        if all(program.get((f, key)) == ((1, (f, key)),) for f in range(cfg.n))}
+    reads = set()
+    for pattern, group in _groups(scheme, cfg).items():
         columns = [tuple(files) for files in zip(*group)]
         delivery, decoder = scheme.serving(cfg, pattern)
         reads |= {("library", columns[s], key)
@@ -113,9 +122,15 @@ def test_a_sweep_gathers_each_column_once(monkeypatch):
             for step in decoder(user).values():
                 for _, (s, key) in step:
                     if s < cfg.k:
-                        reads.add((("cache", user), columns[s], key))
+                        whose = "library" if key in copied[user] else ("cache", user)
+                        reads.add((whose, columns[s], key))
                     elif s == cfg.k + 1:
                         reads.add((("mixed", user), len(group), key))
+    return reads
+
+
+def _packed_by_a_sweep(monkeypatch, cfg, name: str) -> list:
+    """The vectors of more than one symbol that FieldCtx.pack makes in one sweep, which passes."""
     packed = []
 
     def counted(fld, symbols):
@@ -125,11 +140,76 @@ def test_a_sweep_gathers_each_column_once(monkeypatch):
 
     pack = field.FieldCtx.pack
     monkeypatch.setattr(field.FieldCtx, "pack", counted)
-    assert run_verification(3, 6, "new").ok
+    assert run_verification(cfg.n, cfg.k, name).ok
+    monkeypatch.setattr(field.FieldCtx, "pack", pack)
+    return packed
+
+
+def test_a_sweep_gathers_each_column_once(monkeypatch):
+    # a group's demands are its pattern's relabellings in one fixed order, so slot u-1's
+    # column depends only on the file user u requests: across the 90 patterns at (3, 6)
+    # each subfile a program reads is gathered and packed once per column, not per pattern,
+    # and a cache's copy of a library subfile is the library's column
+    scheme, cfg = SCHEMES["new"], NetworkConfig(3, 6)
+    groups, reads = _groups(scheme, cfg), _expected_gathers(scheme, cfg)
+    packed = _packed_by_a_sweep(monkeypatch, cfg, "new")
     assert len(groups) == 90
     assert len({column for whose, column, _ in reads if whose == "library"}) == cfg.n
-    assert len(packed) == len(reads) == 519
-    assert len(packed) < len(groups) * cfg.k * len(keys) // 30
+    assert len(packed) == len(reads)
+    assert len(packed) < len(groups) * cfg.k * len(scheme.keys(cfg)) // 30
+
+
+def _recaching(scheme, user: int, make):
+    """scheme with each step of user `user`'s caching program that copies a subfile of the
+    library, ((1, (f, key)),) under (f, key), replaced by make(f, key)."""
+    def caching(cfg, k):
+        program = scheme.caching(cfg, k)
+        if k != user:
+            return program
+        return {name: make(*name) if step == ((1, name),) else step
+                for name, step in program.items()}
+    return dataclasses.replace(scheme, caching=caching)
+
+
+def test_a_cache_copy_that_is_another_subfile_fails_its_user(monkeypatch):
+    # user 2 caches W^{13} of every file as a copy of W^{14}: a copy of the library, but
+    # not of the subfile its key names, so the sweep reads it from the cache and fails user 2
+    cfg = NetworkConfig(3, 5)
+    broken = _recaching(SCHEMES["new"], 2, lambda f, key: (
+        ((1, (f, (1, 4))),) if key == (1, 3) else ((1, (f, key)),)))
+    expected, _ = _per_demand_failures(broken, cfg)
+    monkeypatch.setitem(verify.SCHEMES, "new", broken)
+    report = run_verification(3, 5, "new")
+    assert report.failures and {f["user"] for f in report.failures} == {2}
+    assert report.failures == sorted(expected, key=lambda f: (f["demand"], f["user"]))
+
+
+def test_an_equal_copy_that_is_not_the_library_subfile_is_read_from_the_cache(monkeypatch):
+    # user 3 caches every uncoded subfile as 1 * W + 0 * W: equal to the library's subfile but
+    # another object, so each is gathered from user 3's cache; reuse follows `is`, not content
+    scheme, cfg = SCHEMES["new"], NetworkConfig(3, 5)
+    equal = _recaching(scheme, 3, lambda f, key: ((1, (f, key)), (0, (f, key))))
+    plain = _packed_by_a_sweep(monkeypatch, cfg, "new")
+    monkeypatch.setitem(verify.SCHEMES, "new", equal)
+    again = _packed_by_a_sweep(monkeypatch, cfg, "new")
+    assert len(plain) == len(_expected_gathers(scheme, cfg))
+    assert len(again) == len(_expected_gathers(equal, cfg)) > len(plain)
+
+
+def test_only_combined_pieces_are_compared_by_value(monkeypatch):
+    # a user's 2K-2 decoded pieces that are combinations compare by value, one Lanes.__eq__
+    # each; its copies are the library's own columns and pass on identity
+    scheme, cfg = SCHEMES["new"], NetworkConfig(3, 6)
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return eq(self, other)
+
+    eq = field.Lanes.__eq__
+    monkeypatch.setattr(field.Lanes, "__eq__", counted)
+    assert run_verification(3, 6, "new").ok
+    assert 0 < len(calls) <= len(_groups(scheme, cfg)) * cfg.k * (2 * cfg.k - 2) == 5400
 
 
 def _mutant(scheme, user: int, term: int, coef: int | None = None, slot: int | None = None):
