@@ -17,11 +17,14 @@ import io
 import os
 import random
 import sys
+from operator import itemgetter
 
 from .converse.certificate import check_certificate, serialize_certificate
 from .converse.tightness import FAMILIES, tightness_check
 from .errors import CachewrightError, SymbolOutOfByteRange
-from .model import NetworkConfig
+from .field import join_bytes
+from .model import NetworkConfig, split_file, validate_demand
+from .scheme import Broadcast
 from .tradeoff import assemble_known_curve, csv_lines
 from .verify import SCHEMES, run_verification
 
@@ -82,12 +85,18 @@ def cmd_roundtrip(args) -> int:
     with _output(args.out, "wb") as out:
         blobs = [payload if n == wanted else _filler(payload, n) for n in range(1, args.n + 1)]
         scheme = SCHEMES[args.scheme]
-        library = [scheme.split(b, cfg) for b in blobs]
+        keys = scheme.keys(cfg)
+        library = [split_file(b, cfg, keys=keys) for b in blobs]
         cache = scheme.place(library, cfg, users=(user,))[0]
-        sent = scheme.deliver(library, demand, cfg)
-        memory, rate = scheme.point(cfg, cache, sent)
+        # Scheme.deliver and Scheme.decode each compile the pattern; one compile serves both
+        d = validate_demand(demand, cfg)
+        delivery, decoder = scheme.serving(cfg, scheme.pattern(d, cfg))
+        packets = scheme.send(cfg, delivery, [library[f - 1].parts for f in d])
+        memory, rate = scheme.point(cfg, cache, Broadcast(d, tuple(packets.values())))
         try:
-            decoded = scheme.decode(cache, sent, cfg)
+            pieces = itemgetter(*keys)(scheme.recover(
+                cfg, decoder(user), [cache.parts[f - 1] for f in d], packets, cache.parts[-1]))
+            decoded = join_bytes(pieces)[:len(payload)]
         except SymbolOutOfByteRange as exc:  # a wrong decode, not a usage error
             decoded, reason = None, str(exc)
         else:

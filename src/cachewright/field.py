@@ -4,6 +4,9 @@ The delivery phase scales subfiles by rationals such as 1/2 and 1/m for
 m <= K-1, so the modulus must be an odd prime larger than the user count.
 The default modulus 257 additionally maps every byte to one symbol, which
 keeps file round trips trivially lossless; join_bytes reads the symbols back.
+A vector packed from bytes keeps them and becomes lanes only where the packed
+kernel or Lanes.value reads it, so a subfile that is only copied is never
+packed and joins back as its own bytes.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class FieldCtx:
         """Sum of c * v over the (c, v) terms, for any integers c, reduced mod p once at the end.
 
         Every scheme's placement, delivery and decoding runs through here. Lanes terms,
-        at most _PACKED_MAX_TERMS, combine packed into loose Lanes; others take the list path.
+        at most _PACKED_MAX_TERMS, combine packed into Lanes; others take the list path.
         """
         terms = list(terms)
         if not terms:
@@ -95,15 +98,13 @@ class FieldCtx:
 
     def pack(self, symbols: bytes | Sequence[Symbol]) -> Sequence[Symbol]:
         """The symbols, each an int in [0, p) or refused, in the one form this code decides:
-        at p = 257, _PACKED_MIN symbols or more become canonical Lanes (bytes written into
-        the lanes' low bytes); fewer symbols or another p give a tuple.
+        at p = 257, _PACKED_MIN symbols or more become canonical Lanes (bytes kept as they
+        are, to be packed on first use); fewer symbols or another p give a tuple.
         """
         n = len(symbols)
         if self.p == 257 and n >= _PACKED_MIN:
             if isinstance(symbols, (bytes, bytearray)):  # every byte is below 257
-                lanes = bytearray(4 * n)
-                lanes[_LOW_BYTE::4] = symbols
-                return Lanes(int.from_bytes(lanes, sys.byteorder), n)
+                return Lanes(None, n, data=bytes(symbols))
             try:
                 packed = int.from_bytes(array(_LANE, symbols), sys.byteorder)
             except OverflowError:  # an entry < 0 or >= 2**32
@@ -155,12 +156,15 @@ def _combine_list(p: int, terms: list[tuple[int, Sequence[Symbol]]]) -> tuple[Sy
 
 
 # The packed kernel for p = 257. Each Lanes holds one 32-bit lane per symbol in
-# one Python int, so a term costs one big-int multiply and add. Every Lanes is
-# loosely reduced: each lane lies below 2**17 and is congruent mod 257 to its
-# symbol. Each term adds at most 256 * 131070 to a lane, so with at most
-# _PACKED_MAX_TERMS terms a lane's sum stays below 128 * 256 * 131070 < 2**32
-# and never carries into the next lane. One 16-bit fold ends each combine, and
-# a Lanes is made canonical, once and in place, only where its symbols are read.
+# one Python int, so a term costs one big-int multiply and add, and carries an
+# exact bound on every lane: 256 from pack, and sum (c mod 257) * bound for a
+# combine, summed beside the multiply-adds. A sum whose bound stays below
+# 2**32 cannot carry from one lane into the next, so the kernel keeps it as it
+# is, congruent mod 257 to its symbols. Only a sum whose bound reaches 2**32 is
+# thrown away: each term of bound 2**17 or more then folds its own lanes in
+# place (2**16 = 1 mod 257) to at most 0xFFFF + 0xFFFF, and the terms are summed
+# again, at most _PACKED_MAX_TERMS of them, so 128 * 256 * 131071 < 2**32. A
+# Lanes is made canonical, once and in place, only where its symbols are read.
 _PACKED_MIN = 6  # from about 6 symbols a four-term combine runs faster packed than listed
 _PACKED_MAX_TERMS = 128
 _LANE = next(code for code in "IL" if array(code).itemsize == 4)
@@ -174,31 +178,46 @@ def _lane_masks(n: int) -> tuple[int, int, int, int, int, int]:
     return ones, 0xFF * ones, 0xFFFF * ones, 257 * ones, 0xFFFFFE00 * ones, ones << 8
 
 
+def _spread(data: bytes) -> int:
+    """The bytes written into the low bytes of as many 32-bit lanes, as one int."""
+    lanes = bytearray(4 * len(data))
+    lanes[_LOW_BYTE::4] = data
+    return int.from_bytes(lanes, sys.byteorder)
+
+
 class Lanes:
     """n symbols mod 257 in the 32-bit lanes of one int; immutable as a sequence.
 
-    Built by FieldCtx.pack, whose lanes are canonical, in [0, 257), and by
-    _reduce_lanes, whose lanes are loose: below 2**17 and congruent mod 257 to
-    their symbols. The packed kernel, which reads nothing else, reads the int as
-    it is. Reads as the tuple of its symbols (len, iteration, indexing, ==),
-    unpacking on each read; the first read of its symbols or of value makes
-    every lane canonical, once, and keeps that int in place of the loose one.
+    bound is at least every lane and below 2**32, and each lane is congruent mod
+    257 to its symbol. FieldCtx.pack builds canonical Lanes, bound 256: from
+    bytes it keeps the bytes and leaves the int unbuilt, and bytes(), iteration,
+    indexing and == between two such Lanes read the bytes; only the packed
+    kernel and value build the int, once. _combine_packed builds the others with
+    the bound of their sum, and may fold a term's lanes in place. Reads as the
+    tuple of its symbols (len, iteration, indexing, ==), unpacking on each read;
+    the first read of value makes every lane canonical, once, in place.
     """
 
-    __slots__ = ("_lanes", "_loose", "n")
+    __slots__ = ("_lanes", "_bytes", "bound", "n")
 
-    def __init__(self, lanes: int, n: int, loose: bool = False):
+    def __init__(self, lanes: int | None, n: int, bound: int = 256, *,
+                 data: bytes | None = None):
         self._lanes = lanes
-        self._loose = loose
+        self._bytes = data
+        self.bound = bound
         self.n = n
 
     @property
     def value(self) -> int:
         """The lanes as one int, every lane in [0, 257)."""
-        if self._loose:
+        if self._lanes is None:
+            self._lanes = _spread(self._bytes)
+        elif self.bound > 256:
             ones, m8, m16, b257, _, _ = _lane_masks(self.n)
             # each step drops the int it replaces, so few lane-wide temporaries live at once
             acc, self._lanes = self._lanes, None
+            if self.bound >> 17:
+                acc = (acc & m16) + (acc >> 16 & m16)
             # 2**8 = -1 (mod 257), twice, with biases of 2 * 257 and 257 keeping every
             # lane non-negative: lanes below 2**17 land in [3, 769], then in [254, 512]
             high = acc >> 8 & m16
@@ -212,13 +231,15 @@ class Lanes:
             del high
             # adding 255 carries into bit 9 exactly when a lane is >= 257
             self._lanes = acc - 257 * ((acc + m8) >> 9 & ones)
-            self._loose = False
+            self.bound = 256
         return self._lanes
 
     def __len__(self) -> int:
         return self.n
 
     def _symbols(self) -> tuple[Symbol, ...]:
+        if self._bytes is not None:
+            return tuple(self._bytes)
         out = array(_LANE)
         out.frombytes(self.value.to_bytes(4 * self.n, sys.byteorder))
         return tuple(out)
@@ -231,10 +252,14 @@ class Lanes:
 
     def __eq__(self, other):
         if isinstance(other, Lanes):
+            if self._bytes is not None and other._bytes is not None:
+                return self._bytes == other._bytes
             return self.n == other.n and self.value == other.value
         return self._symbols() == other if isinstance(other, tuple) else NotImplemented
 
     def __bytes__(self) -> bytes:
+        if self._bytes is not None:
+            return self._bytes
         value = self.value
         # below 257, only a lane of 256 has bit 8 set
         if value & _lane_masks(self.n)[5]:
@@ -245,23 +270,32 @@ class Lanes:
 def _combine_packed(terms: list[tuple[int, Lanes]]) -> Lanes:
     """FieldCtx.combine mod 257 of at most _PACKED_MAX_TERMS Lanes terms, on their lanes."""
     n = terms[0][1].n
-    acc = 0
+    acc = bound = 0
     for c, v in terms:
         if v.n != n:
             raise LengthMismatch(f"cannot combine vectors of lengths {n} and {v.n}")
-        acc += c % 257 * v._lanes
-    return _reduce_lanes(acc, n)
-
-
-def _reduce_lanes(acc: int, n: int) -> Lanes:
-    """The n 32-bit lanes of acc as loose Lanes: 2**16 = 1 (mod 257) drops each below 2**17."""
-    m16 = _lane_masks(n)[2]
-    return Lanes((acc & m16) + (acc >> 16 & m16), n, loose=True)
+        c %= 257
+        lanes = v._lanes
+        if lanes is None:
+            lanes = v._lanes = _spread(v._bytes)
+        acc += c * lanes
+        bound += c * v.bound
+    if bound >> 32:  # lanes may have carried: fold the terms and sum again
+        m16 = _lane_masks(n)[2]
+        acc = bound = 0
+        for c, v in terms:
+            c %= 257
+            if v.bound >> 17:
+                v._lanes = (v._lanes & m16) + (v._lanes >> 16 & m16)
+                v.bound = 0xFFFF + (v.bound >> 16)
+            acc += c * v._lanes
+            bound += c * v.bound
+    return Lanes(acc, n, bound)
 
 
 def join_bytes(pieces: Sequence[Sequence[Symbol]]) -> bytes:
     """The pieces laid end to end as bytes, inverting FieldCtx.split of bytes; refuses symbols
-    that cannot be plain bytes. Lanes pieces are read from their lanes."""
+    that cannot be plain bytes. A Lanes piece packed from bytes is those bytes."""
     try:
         return b"".join(map(bytes, pieces))
     except ValueError:

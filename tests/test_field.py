@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
-from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +19,7 @@ from cachewright.field import (Lanes, coded_to_wire, default_modulus, is_prime, 
                                make_field)
 
 from reference_field import vec_add, vec_scale, vec_sub
+from test_packed import _assert_bounded, _bounded
 
 
 def test_make_field_accepts_odd_primes():
@@ -193,11 +192,6 @@ def test_vec_combine_long_vectors_at_257_match_reference(length):
         assert fld.combine([(c, fld.pack(v)) for c, v in terms]) == expected
 
 
-def _loose_lanes(lanes):
-    """Loose Lanes whose raw 32-bit lanes are the given values, each at most 2 * 0xFFFF."""
-    return Lanes(int.from_bytes(array(field._LANE, lanes), sys.byteorder), len(lanes), loose=True)
-
-
 @pytest.mark.parametrize("length", [64, 1000])
 @pytest.mark.parametrize("entry", [-1, 512, 2 ** 32 - 1, 2 ** 32])
 def test_entries_outside_the_lane_invariant_take_the_list_path(length, entry):
@@ -210,24 +204,51 @@ def test_entries_outside_the_lane_invariant_take_the_list_path(length, entry):
     assert result == _reference(fld, terms)
 
 
-def test_lane_reduction_covers_every_folded_value():
-    # after the first fold a lane holds hi + lo for its 16-bit halves, any
-    # value up to 2 * 0xFFFF; one lane per such value exercises every later step
+def _every_folded_value():
+    """Lanes that the 16-bit fold takes to hi + lo, one lane per value up to 2 * 0xFFFF, so
+    they exercise every later step; and 0, a 128-term sum of 256 * 511 and 2**32 - 1."""
     lanes = [(t - min(t, 0xFFFF) << 16) + min(t, 0xFFFF) for t in range(2 * 0xFFFF + 1)]
-    lanes += [0, 256 * 511 * field._PACKED_MAX_TERMS, 2 ** 32 - 1]
-    packed = int.from_bytes(array(field._LANE, lanes), sys.byteorder)
-    assert field._reduce_lanes(packed, len(lanes)) == tuple(x % 257 for x in lanes)
+    return lanes + [0, 256 * 511 * field._PACKED_MAX_TERMS, 2 ** 32 - 1]
+
+
+def test_lane_reduction_covers_every_folded_value():
+    lanes = _every_folded_value()
+    assert _bounded(lanes) == tuple(x % 257 for x in lanes)
+
+
+def test_a_sum_whose_bound_crosses_2_32_folds_its_terms_and_matches_the_list_path():
+    fld, lanes = make_field(257), _every_folded_value()
+    big, small = _bounded(lanes), _bounded([x % 65537 for x in lanes])
+    symbols = tuple(i % 257 for i in range(len(lanes)))
+    terms = [(1, big), (-3, small), (2 ** 40 + 3, big), (1, fld.pack(symbols))]
+    assert sum(c % 257 * v.bound for c, v in terms) >= 2 ** 32  # the first sum may carry
+    result = field._combine_packed(terms)
+    _assert_bounded(result)
+    # the terms folded in place, each below 2**17, and still read as their symbols
+    assert big.bound < 2 ** 17 and small.bound < 2 ** 17
+    _assert_bounded(big)
+    _assert_bounded(small)
+    assert big == tuple(x % 257 for x in lanes)
+    by_list = field._combine_list(257, [(1, lanes), (-3, [x % 65537 for x in lanes]),
+                                        (2 ** 40 + 3, lanes), (1, symbols)])
+    assert result == by_list
+    assert fld.combine(terms) == by_list
 
 
 def test_packed_kernel_holds_at_its_term_limit():
-    # every term 256 times loose lanes of 511, in all 128 terms
+    # every term 256 times lanes spread over the folded values, at the largest bound any
+    # Lanes carries, in all 128 terms
     fld = make_field(257)
-    terms = [(256, _loose_lanes([511] * 64))] * field._PACKED_MAX_TERMS
-    expected = (field._PACKED_MAX_TERMS * 256 * 511 % 257,) * 64
-    assert field._combine_packed(terms) == expected
+    lanes = _every_folded_value()[::1000] + [2 ** 32 - 1]
+    terms = [(256, _bounded(lanes))] * field._PACKED_MAX_TERMS
+    expected = tuple(field._PACKED_MAX_TERMS * 256 * x % 257 for x in lanes)
+    result = field._combine_packed(terms)
+    assert isinstance(result, Lanes)
+    _assert_bounded(result)
+    assert result == expected
     assert fld.combine(terms) == expected
     # one term more goes to the list path, with the same answer
-    terms.append((1, fld.pack((1,) * 64)))
+    terms.append((1, fld.pack((1,) * len(lanes))))
     result = fld.combine(terms)
     assert not isinstance(result, Lanes)
     assert result == tuple((e + 1) % 257 for e in expected)
@@ -236,15 +257,17 @@ def test_packed_kernel_holds_at_its_term_limit():
 @settings(deadline=None)
 @given(st.data())
 def test_packed_and_list_paths_agree(data):
-    # the raw lanes of each term: canonical symbols, or loose lanes up to 2 * 0xFFFF
+    # the raw lanes of each term: canonical symbols, or any lanes below 2**32
     length = data.draw(st.integers(1, 80))
     wide = data.draw(st.booleans())
-    entries = st.integers(0, 2 * 0xFFFF) if wide else st.integers(0, 256)
+    entries = st.integers(0, 2 ** 32 - 1) if wide else st.integers(0, 256)
     raw = data.draw(st.lists(st.tuples(st.integers(), st.tuples(*[entries] * length)),
                              min_size=1, max_size=6))
     by_list = field._combine_list(257, raw)
-    assert field._combine_packed([(c, _loose_lanes(v)) for c, v in raw]) == by_list
-    assert make_field(257).combine([(c, _loose_lanes(v)) for c, v in raw]) == by_list
+    result = field._combine_packed([(c, _bounded(v)) for c, v in raw])
+    _assert_bounded(result)
+    assert result == by_list
+    assert make_field(257).combine([(c, _bounded(v)) for c, v in raw]) == by_list
 
 
 def test_vec_combine_reads_bytes_like_vectors_as_symbols():

@@ -154,23 +154,41 @@ def test_only_the_field_reduces_and_verify_runs_no_program_itself():
                 assert {alias.name for alias in node.names} <= {"partial"}, module
 
 
-def _names_by_scope(tree: ast.AST, name: str, scope: tuple[str, ...] = ()):
-    """(the dotted def/class scope, Load or Store) of each use of the bare name under tree."""
+def _by_scope(tree: ast.AST, keep, scope: tuple[str, ...] = ()):
+    """(the dotted def/class scope, node) of each node under tree that keep accepts."""
     for child in ast.iter_child_nodes(tree):
-        if isinstance(child, ast.Name) and child.id == name:
-            yield ".".join(scope), type(child.ctx).__name__
+        if keep(child):
+            yield ".".join(scope), child
         inner = (*scope, child.name) if isinstance(
             child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
-        yield from _names_by_scope(child, name, inner)
+        yield from _by_scope(child, keep, inner)
+
+
+def _names_by_scope(tree: ast.AST, name: str):
+    """(the dotted def/class scope, Load or Store) of each use of the bare name under tree."""
+    return [(scope, type(node.ctx).__name__) for scope, node in
+            _by_scope(tree, lambda n: isinstance(n, ast.Name) and n.id == name)]
 
 
 def test_only_pack_decides_whether_a_vector_is_packed():
     tree = ast.parse((SRC / "cachewright" / "field.py").read_text())
     assert sorted(_names_by_scope(tree, "_PACKED_MIN")) == [("", "Store"),
                                                             ("FieldCtx.pack", "Load")]
+    # only pack builds a Lanes that keeps bytes, which it can name only by keyword ...
+    init = next(node for _, node in _by_scope(tree, lambda n: isinstance(n, ast.FunctionDef))
+                if node.name == "__init__")
+    assert [arg.arg for arg in init.args.kwonlyargs] == ["data"]
+    assert sorted(scope for scope, call in _by_scope(
+        tree, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Lanes")
+        if any(k.arg in ("data", None) for k in call.keywords)) == ["FieldCtx.pack"]
+    # ... and only the packed kernel and Lanes.value turn those bytes into lanes
+    assert sorted(_names_by_scope(tree, "_spread")) == [("Lanes.value", "Load"),
+                                                        ("_combine_packed", "Load")]
     for path in sorted((SRC / "cachewright").rglob("*.py")):
         if path.name != "field.py":
-            assert "_PACKED_MIN" not in path.read_text(), path.name
+            text = path.read_text()
+            for name in ("_PACKED_MIN", "_spread", "Lanes("):
+                assert name not in text, (path.name, name)
 
 
 def _module_name(path: Path, root: Path) -> str:

@@ -72,7 +72,7 @@ def test_pack_round_trips_and_packs_only_at_257_from_packed_min(p):
             assert len(packed) == n
             assert packed == symbols and symbols == packed and tuple(packed) == symbols
             if isinstance(packed, Lanes):
-                assert not packed._loose and _raw(packed) == list(symbols)
+                assert packed.bound == 256 and _raw(packed) == list(symbols)
                 assert F257.combine([(1, packed), (-1, symbols)]) == (0,) * n
 
 
@@ -126,6 +126,89 @@ def test_lanes_read_as_the_tuple_of_their_symbols():
     assert padded != lanes and lanes != padded
 
 
+def _count_spreads(monkeypatch):
+    """The byte-backed Lanes that get lanes from here on, each counted as it is packed."""
+    packed = []
+
+    def spread(data):
+        packed.append(data)
+        return spread_bytes(data)
+
+    spread_bytes = field._spread
+    monkeypatch.setattr(field, "_spread", spread)
+    return packed
+
+
+def test_lanes_from_bytes_read_their_bytes_without_packing(monkeypatch):
+    packed = _count_spreads(monkeypatch)
+    data = random.Random(7).randbytes(100)
+    lanes, twin = F257.pack(data), F257.pack(bytes(data))
+    assert bytes(lanes) is data
+    assert lanes == twin and lanes != F257.pack(data[:-1] + bytes([data[-1] ^ 1]))
+    assert lanes == tuple(data) and tuple(data) == lanes and tuple(lanes) == tuple(data)
+    assert [lanes[i] for i in (0, 57, -1)] == [data[i] for i in (0, 57, -1)]
+    assert lanes[10:20] == tuple(data[10:20])
+    assert packed == []
+    # value packs once, and the kernel then reads those lanes
+    assert lanes.value == _canonical(tuple(data)).value and packed == [data]
+    assert F257.combine([(2, lanes), (-1, lanes)]) == tuple(data)
+    assert F257.combine([(1, twin), (-1, lanes)]) == (0,) * 100
+    assert packed == [data, data]
+    assert lanes == twin and bytes(lanes) is data
+    # a bytearray is copied, so a later write to it leaves the Lanes as it was
+    buffer = bytearray(data)
+    copy = F257.pack(buffer)
+    buffer[0] ^= 1
+    assert bytes(copy) == data
+
+
+@pytest.mark.parametrize("name, packs", [("new", 18), ("man", 4)])
+def test_a_roundtrip_packs_only_the_subfiles_its_kernel_reads(name, packs, tmp_path,
+                                                              monkeypatch):
+    # at (3, 4) a new roundtrip splits 36 subfiles and combines 18 of them; man splits 12
+    # and combines K = 4, those its one packet sums
+    from cachewright import cli
+    packed = _count_spreads(monkeypatch)
+    source, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    source.write_bytes(random.Random(f"lazy-{name}").randbytes(65536))
+    for demand in ("1,2,3,1", "3,3,1,2", "2,1,3,3"):
+        for user in range(1, 5):
+            packed.clear()
+            assert cli.main(["roundtrip", "--n", "3", "--k", "4", "--scheme", name,
+                             "--demand", demand, "--user", str(user), str(source),
+                             "--out", str(out)]) == 0
+            assert out.read_bytes() == source.read_bytes()
+            assert len(packed) == packs, (demand, user)
+            assert len({id(data) for data in packed}) == packs
+
+
+@pytest.mark.parametrize("name", ["new", "man"])
+def test_decode_returns_uncoded_pieces_as_the_splits_own_bytes(name, monkeypatch):
+    from cachewright import scheme as engine
+    from cachewright.verify import SCHEMES
+    chosen, cfg = SCHEMES[name], NetworkConfig(3, 4)
+    rng = random.Random(f"own-bytes-{name}")
+    files = [rng.randbytes(12 * 100) for _ in range(3)]
+    library = [chosen.split(blob, cfg) for blob in files]
+    joined = []
+    monkeypatch.setattr(engine, "join_bytes", lambda pieces: joined.append(pieces)
+                        or join_bytes(pieces))
+    demand = (2, 1, 3, 2)
+    sent = chosen.deliver(library, demand, cfg)
+    for cache in chosen.place(library, cfg):
+        joined.clear()
+        wanted = library[demand[cache.user - 1] - 1]
+        assert chosen.decode(cache, sent, cfg) == files[demand[cache.user - 1] - 1]
+        [pieces] = joined
+        own = [bytes(piece) is bytes(part) for piece, part in zip(pieces, wanted.parts.values())]
+        # every piece the user caches uncoded is the split's bytes object, not a copy
+        cached = [key for key, part in wanted.parts.items()
+                  if any(part is packet for packet in cache.parts[demand[cache.user - 1] - 1]
+                         .values())]
+        assert own == [key in cached for key in wanted.parts]
+        assert sum(own) == (6 if name == "new" else 3)
+
+
 def test_lanes_bytes_are_the_low_bytes_and_refuse_256():
     symbols = tuple(random.Random(6).choices(range(256), k=300))
     assert bytes(F257.pack(symbols)) == bytes(symbols)
@@ -152,12 +235,13 @@ def test_mixed_terms_match_the_list_path(bad):
 def test_every_packed_result_keeps_its_lanes_below_257(data):
     length = data.draw(st.integers(1, 90))
     vectors = st.one_of(st.lists(st.integers(0, 2 ** 32 - 1), min_size=length,
-                                 max_size=length).map(_loose),
+                                 max_size=length).map(_bounded),
                         st.tuples(*[st.integers(0, 256)] * length).map(_canonical))
     terms = data.draw(st.lists(st.tuples(st.integers(-2 ** 40, 2 ** 40), vectors),
                                min_size=1, max_size=6))
     result = field._combine_packed(terms)  # the kernel itself, at any length
     assert isinstance(result, Lanes)
+    _assert_bounded(result)
     assert F257.combine(terms) == result
     lanes = array(field._LANE)
     lanes.frombytes(result.value.to_bytes(4 * result.n, sys.byteorder))
@@ -182,10 +266,11 @@ def test_join_bytes_names_the_first_lane_outside_a_byte():
     assert join_bytes([F257.pack(tuple(symbols[:2000])), tuple(symbols[2000:])]) == bytes(symbols)
 
 
-def _loose(lanes):
-    """Lanes whose raw 32-bit lanes are the given values folded once, as the kernel leaves them."""
-    return field._reduce_lanes(int.from_bytes(array(field._LANE, lanes), sys.byteorder),
-                               len(lanes))
+def _bounded(lanes):
+    """Lanes whose raw 32-bit lanes are the given values, each below 2**32, bound by the
+    largest of them."""
+    return Lanes(int.from_bytes(array(field._LANE, lanes), sys.byteorder), len(lanes),
+                 max(lanes))
 
 
 def _raw(lanes):
@@ -199,20 +284,28 @@ def _canonical(symbols):
     return Lanes(int.from_bytes(array(field._LANE, symbols), sys.byteorder), len(symbols))
 
 
+def _assert_bounded(lanes):
+    """Every lane of lanes, as stored, is at most its bound, which is below 2**32."""
+    assert max(_raw(lanes)) <= lanes.bound < 2 ** 32
+
+
 def test_the_term_limit_is_the_largest_that_cannot_carry():
     largest = 256 * 2 * 0xFFFF  # a coefficient below 257 times a folded lane below 2**17
     assert field._PACKED_MAX_TERMS * largest < 2 ** 32 <= (field._PACKED_MAX_TERMS + 1) * largest
 
 
 def test_packed_kernel_holds_at_its_term_limit_with_loose_lanes():
-    # every lane at the largest folded value, 0xFFFF + 0xFFFF
-    top = _loose([2 ** 32 - 1] * 64)
-    assert _raw(top) == [131070] * 64
-    assert _loose([2 ** 32 - 1] * 64) == _canonical((0,) * 64)  # 131070 = 510 * 257
+    # every lane at the largest value, and bound, a Lanes may carry
+    top = _bounded([2 ** 32 - 1] * 64)
+    assert _bounded([2 ** 32 - 1] * 64) == _canonical((0,) * 64)  # 2**32 = 1 (mod 257)
     terms = [(256, top)] * field._PACKED_MAX_TERMS
-    column = (131070,) * 64
+    column = (2 ** 32 - 1,) * 64
     by_list = field._combine_list(257, [(256, column)] * len(terms))
-    assert field._combine_packed(terms) == by_list
+    result = field._combine_packed(terms)
+    _assert_bounded(result)
+    assert result == by_list
+    # the sum of 128 * 256 * (2**32 - 1) carried, so top folded once, in place, to 0xFFFF * 2
+    assert _raw(top) == [131070] * 64 and top.bound == 131070
     assert F257.combine(terms) == by_list
     # one term more goes to the list path, with the list path's answer
     terms.append((256, top))
@@ -221,10 +314,25 @@ def test_packed_kernel_holds_at_its_term_limit_with_loose_lanes():
     assert result == tuple((x + 256 * 131070) % 257 for x in by_list)
 
 
+def test_a_sum_that_cannot_carry_is_kept_as_it_is():
+    # no fold: each lane is its exact sum, the bound is sum (c mod 257) * bound, and the
+    # terms are left as they were
+    rng = random.Random(11)
+    raws = [[rng.randrange(2 ** 16) for _ in range(64)] for _ in range(3)]
+    terms = [(c, _bounded(raw)) for c, raw in zip((-1, 2 ** 40 + 5, 300), raws)]
+    result = F257.combine(terms)
+    assert result.bound == sum(c % 257 * v.bound for c, v in terms) < 2 ** 32
+    assert _raw(result) == [sum(c % 257 * raw[i] for (c, _), raw in zip(terms, raws))
+                            for i in range(64)]
+    assert [(_raw(v), v.bound) for _, v in terms] == [(raw, max(raw)) for raw in raws]
+    assert result == field._combine_list(257, [(c, raw) for (c, _), raw in zip(terms, raws)])
+
+
 def _fresh(lanes):
-    """A loose copy of loose Lanes, so each read below is the first that copy sees."""
-    assert lanes._loose
-    return Lanes(lanes._lanes, lanes.n, loose=True)
+    """A copy of a combine's Lanes, lanes and bound, so each read below is the first that
+    copy sees."""
+    assert lanes._bytes is None
+    return Lanes(lanes._lanes, lanes.n, lanes.bound)
 
 
 @settings(deadline=None)
@@ -234,20 +342,24 @@ def test_chained_loose_results_read_as_the_list_path(data):
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     plain = tuple(rng.choices(range(512), k=length))
     symbols = tuple(rng.choices(range(257), k=length))
+    data_bytes = rng.randbytes(length)
     # the program's vectors, and beside each the list path's tuple of its symbols
-    loose = _loose([rng.randrange(2 ** 32) for _ in range(length)])
-    pool = [(_loose(plain), plain), (_canonical(symbols), symbols),
-            (loose, tuple(x % 257 for x in _raw(loose)))]
+    wide = _bounded([rng.randrange(2 ** 32) for _ in range(length)])
+    pool = [(_bounded(plain), plain), (_canonical(symbols), symbols),
+            (wide, tuple(x % 257 for x in _raw(wide))), (F257.pack(data_bytes), tuple(data_bytes))]
     for _ in range(data.draw(st.integers(3, 6))):
         picks = data.draw(st.lists(st.tuples(st.integers(-2 ** 40, 2 ** 40),
                                              st.integers(0, len(pool) - 1)),
                                    min_size=1, max_size=6))
         result = F257.combine([(c, pool[i][0]) for c, i in picks])
-        assert isinstance(result, Lanes) and result._loose
-        assert max(_raw(result)) < 2 ** 17
+        assert isinstance(result, Lanes)
+        _assert_bounded(result)
         expected = field._combine_list(257, [(c, pool[i][1]) for c, i in picks])
         pool.append((result, expected))
-    for result, expected in pool[3:]:
+    for vector, _ in pool:  # a term a combine folded in place keeps the bound invariant
+        if vector._lanes is not None:
+            _assert_bounded(vector)
+    for result, expected in pool[4:]:
         assert _fresh(result) == _canonical(expected)
         assert _canonical(expected) == _fresh(result)
         assert _fresh(result) == expected and expected == _fresh(result)
@@ -259,19 +371,19 @@ def test_chained_loose_results_read_as_the_list_path(data):
                 bytes(_fresh(result))
         else:
             assert bytes(_fresh(result)) == bytes(expected)
-        # reading once leaves the canonical lanes in place of the loose ones
-        assert result == expected and not result._loose
+        # reading once leaves the canonical lanes in place of the others
+        assert result == expected and result.bound <= 256
         assert _raw(result) == list(expected)
 
 
 def test_a_loose_lane_congruent_to_256_is_not_a_byte():
     lanes = [7] * 100
     lanes[42] = (0xFFFF << 16) + 130812 - 0xFFFF  # folds to 256 + 508 * 257
-    loose = _loose(lanes)
-    assert _raw(loose)[42] == 130812 and 130812 % 257 == 256
+    loose = _bounded(lanes)
+    assert _raw(loose)[42] % 257 == 256
     with pytest.raises(SymbolOutOfByteRange, match="^symbol 256 is not a byte; content is coded$"):
         join_bytes([_canonical((1,) * 64), loose])
-    assert join_bytes([_loose([7 + 257 * 500] * 64)]) == bytes([7] * 64)
+    assert join_bytes([_bounded([7 + 257 * 500] * 64)]) == bytes([7] * 64)
 
 
 def test_round_trips_of_many_file_lengths_keep_a_bounded_set_of_lane_masks(tmp_path):

@@ -88,6 +88,28 @@ def test_each_deliver_and_decode_compiles_its_pattern_once(name):
         assert compiled == [pattern, cache.user]
 
 
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_a_roundtrip_compiles_its_pattern_once(name, tmp_path, monkeypatch):
+    # cachewright roundtrip hands one compile to both its delivery and its decode
+    compiled, chosen = [], SCHEMES[name]
+
+    def serving(cfg, pattern):
+        compiled.append(pattern)
+        return chosen.serving(cfg, pattern)
+
+    monkeypatch.setitem(cli.SCHEMES, name, dataclasses.replace(chosen, serving=serving))
+    source = tmp_path / "in.bin"
+    source.write_bytes(b"hello world, twice over")
+    for demand, user in (("1,2,1,3,2", "4"), ("3,3,1,2,1", "1")):
+        compiled.clear()
+        assert cli.main(["roundtrip", "--n", "3", "--k", "5", "--scheme", name, "--demand",
+                         demand, "--user", user, str(source), "--out",
+                         str(tmp_path / "out.bin")]) == 0
+        assert (tmp_path / "out.bin").read_bytes() == source.read_bytes()
+        cfg = NetworkConfig(3, 5)
+        assert compiled == [chosen.pattern(tuple(map(int, demand.split(","))), cfg)]
+
+
 @pytest.mark.parametrize("name, module", [("new", coded_placement), ("man", baselines)])
 def test_a_roundtrip_compiles_only_its_users_decoder(name, module, tmp_path, monkeypatch):
     compiled = []
