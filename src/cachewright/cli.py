@@ -17,14 +17,12 @@ import io
 import os
 import random
 import sys
-from operator import itemgetter
 
 from .converse.certificate import check_certificate, serialize_certificate
 from .converse.tightness import FAMILIES, tightness_check
 from .errors import CachewrightError, SymbolOutOfByteRange
 from .field import join_bytes
 from .model import NetworkConfig, split_file, validate_demand
-from .scheme import Broadcast
 from .tradeoff import assemble_known_curve, csv_lines
 from .verify import SCHEMES, run_verification
 
@@ -91,11 +89,10 @@ def cmd_roundtrip(args) -> int:
         # Scheme.deliver and Scheme.decode each compile the pattern; one compile serves both
         d = validate_demand(demand, cfg)
         delivery, decoder = scheme.serving(cfg, scheme.pattern(d, cfg))
-        packets = scheme.send(cfg, delivery, [library[f - 1].parts for f in d])
-        memory, rate = scheme.point(cfg, cache, Broadcast(d, tuple(packets.values())))
+        packets = scheme.send(cfg, delivery, library, d)
+        memory, rate = scheme.point(cfg, cache, packets.values())
         try:
-            pieces = itemgetter(*keys)(scheme.recover(
-                cfg, decoder(user), [cache.parts[f - 1] for f in d], packets, cache.parts[-1]))
+            pieces = scheme.recover(cfg, decoder(user), cache, d, packets)
             decoded = join_bytes(pieces)[:len(payload)]
         except SymbolOutOfByteRange as exc:  # a wrong decode, not a usage error
             decoded, reason = None, str(exc)

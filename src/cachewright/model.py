@@ -69,17 +69,23 @@ def split_file(data: bytes | Sequence[Symbol], cfg: NetworkConfig,
     return SubfileGrid(dict(zip(keys, parts)), subfile_len, len(data))
 
 
+def relabellings(n: int) -> list[tuple[int, ...]]:
+    """Every relabelling s of the files 1..n as (0, s(1), ..., s(n)), so label[f] is s(f), in
+    the lexicographic order of permutations, which starts with the identity. The i-th demand
+    of each orbit of demand_orbits is its first demand under the i-th of these."""
+    return [(0, *p) for p in permutations(range(1, n + 1))]
+
+
 def demand_orbits(cfg: NetworkConfig) -> Iterator[list[Demand]]:
     """Yield D as its orbits under relabelling the files, each a list of N! demands.
 
     An orbit is one restricted-growth string with exactly N blocks (files numbered in order
     of first request), the strings in lexicographic order. Its demands are the string under
-    each permutation of the files, in the permutations' lexicographic order, which is also
-    their order in D; so the first orbit starts with D's first demand. The cost is
-    proportional to |D|.
+    each of relabellings(N), in that order, which is also their order in D; so the first
+    orbit starts with D's first demand. The cost is proportional to |D|.
     """
     n, k = cfg.n, cfg.k
-    relabel = [(0, *p) for p in permutations(range(1, n + 1))]
+    relabel = relabellings(n)
     string = [0] * k
 
     def walk(pos: int, blocks: int) -> Iterator[list[Demand]]:

@@ -11,8 +11,9 @@ that compiles one user's program per call. Delivery reads the file user u reques
 and names a packet by its position on the wire. User k's decoder reads what the user caches of
 that file at slot u-1, the broadcast at K, its cache's slot N at K+1 and its own results at
 K+2, and names each piece of the wanted file by its key. Both read a demand only through the
-scheme's pattern of it. A Scheme keeps no programs: a caller that runs one pattern's programs
-many times compiles them once and holds them itself.
+scheme's pattern of it. Scheme.send and Scheme.recover lay out those slots from a library, a
+cache and a demand, and run compiled programs: a Scheme keeps no programs, so a caller that
+runs one pattern's programs many times compiles them once and holds them itself.
 """
 
 from __future__ import annotations
@@ -73,7 +74,11 @@ class Scheme:
     # (demand, cfg) -> what the programs read of a demand; raises if unserved. It must be
     # constant on each orbit of model.demand_orbits: verify asks only an orbit's first demand
     pattern: Callable
-    caching: Callable  # (cfg, user) -> {(slot, key) in the cache: step}
+    # (cfg, user) -> {(slot, key) in the cache: step}. Placement must commute with relabelling
+    # files: placed on the library relabelled by s, a cache holds in slot f-1 what it holds in
+    # slot s(f)-1 placed on the library itself, and the same slot N; verify places once on a
+    # library whose lanes are every relabelling of one library
+    caching: Callable
     # (cfg, pattern) -> ({position on the wire: step}, user -> {name: step}); a decoder
     # names every key and compiles its user's program on each call
     serving: Callable
@@ -107,23 +112,24 @@ class Scheme:
             caches.append(Cache(user, parts, lengths, sub_len))
         return caches
 
-    def send(self, cfg: NetworkConfig, delivery: dict, requested: Sequence) -> dict:
-        """The broadcast packets by position; slot u-1 is requested[u-1], what user u requests."""
-        return run(delivery, [*requested, {}], cfg.field)
+    def send(self, cfg: NetworkConfig, delivery: dict, library: list[SubfileGrid],
+             demand: Demand) -> dict:
+        """The broadcast packets by position for demand, a delivery of its pattern."""
+        return run(delivery, [library[f - 1].parts for f in demand] + [{}], cfg.field)
 
-    def recover(self, cfg: NetworkConfig, decoding: dict, held: Sequence,
-                sent: Sequence | dict, mixed: dict) -> dict:
-        """One user's results by name, the wanted file's pieces under its keys, decoded from the
-        broadcast sent, its cache's mixed packets, and held[u-1]: what it caches of the file
-        user u requests."""
-        return run(decoding, [*held, sent, mixed, {}], cfg.field)
+    def recover(self, cfg: NetworkConfig, decoding: dict, cache: Cache, demand: Demand,
+                sent: Sequence | dict) -> tuple:
+        """The pieces of the file cache's user wants, in key order, decoded by one user's
+        decoding of demand's pattern from the broadcast sent, by position, and the cache."""
+        held = [cache.parts[f - 1] for f in demand]
+        out = run(decoding, [*held, sent, cache.parts[-1], {}], cfg.field)
+        return itemgetter(*self.keys(cfg))(out)
 
     def deliver(self, library: list[SubfileGrid], demand, cfg: NetworkConfig) -> Broadcast:
         d = validate_demand(demand, cfg)
         delivery, _ = self.serving(cfg, self.pattern(d, cfg))
         self._subfile_len(library, cfg)
-        packets = self.send(cfg, delivery, [library[f - 1].parts for f in d])
-        return Broadcast(d, tuple(packets.values()))
+        return Broadcast(d, tuple(self.send(cfg, delivery, library, d).values()))
 
     def decode(self, cache: Cache, sent: Broadcast, cfg: NetworkConfig) -> bytes:
         d = validate_demand(sent.demand, cfg)
@@ -133,12 +139,11 @@ class Scheme:
                 f"broadcast holds {len(sent.packets)} packets, not {len(delivery)}")
         if set(map(len, sent.packets)) != {cache.subfile_len}:
             raise LengthMismatch("broadcast and cache subfile lengths differ")
-        out = self.recover(cfg, decoder(cache.user), [cache.parts[f - 1] for f in d],
-                           sent.packets, cache.parts[-1])
-        pieces = itemgetter(*self.keys(cfg))(out)
+        pieces = self.recover(cfg, decoder(cache.user), cache, d, sent.packets)
         return join_bytes(pieces)[: cache.file_lengths[d[cache.user - 1] - 1]]
 
-    def point(self, cfg: NetworkConfig, cache: Cache, sent: Broadcast) -> tuple[Fraction, Fraction]:
-        """(M, R) occupied by one cache and one broadcast, in file units."""
+    def point(self, cfg: NetworkConfig, cache: Cache,
+              packets: Iterable[Sequence[Symbol]]) -> tuple[Fraction, Fraction]:
+        """(M, R) occupied by one cache and one broadcast's packets, in file units."""
         f_sym = len(self.keys(cfg)) * cache.subfile_len
-        return Fraction(cache.symbol_count, f_sym), Fraction(sent.symbol_count, f_sym)
+        return Fraction(cache.symbol_count, f_sym), Fraction(sum(map(len, packets)), f_sym)

@@ -121,12 +121,13 @@ def exact_regions(n: int, k: int) -> list[Segment]:
 
 def exact_tradeoff(n: int, k: int, memory) -> Fraction:
     """R*(M) where it is characterized; clamped at 0 for M >= N."""
+    regions = exact_regions(n, k)  # refuses an (N, K) outside 1 <= N <= K first
     m = Fraction(memory)
-    if m >= n:
-        return Fraction(0)
     if m < 0:
         raise OutOfRange("memory cannot be negative")
-    values = [reg.value(m) for reg in exact_regions(n, k)
+    if m >= n:
+        return Fraction(0)
+    values = [reg.value(m) for reg in regions
               if reg.m_lo <= m <= reg.m_hi]
     if not values:
         raise OutsideCharacterizedRegion(

@@ -13,6 +13,7 @@ from cachewright.model import (
     demand_orbits,
     in_demand_set,
     pair_order,
+    relabellings,
     split_file,
     successor,
     validate_demand,
@@ -145,6 +146,12 @@ def test_demand_orbits_are_d_in_groups_of_relabellings(k):
         # strings in lexicographic order, each orbit in D's order
         assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits), (n, k)
         assert all(orbit == sorted(orbit) for orbit in orbits), (n, k)
+        # lane i of verify's relabelled library is demand orbit[i]: the first demand under the
+        # i-th of model's relabellings
+        labels = relabellings(n)
+        assert labels[0] == tuple(range(n + 1)), (n, k)
+        for orbit in orbits:
+            assert orbit == [tuple([s[f] for f in orbit[0]]) for s in labels], (n, k, orbit[0])
 
 
 def test_every_demand_surjective():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
@@ -11,7 +12,8 @@ import pytest
 
 from cachewright import baselines, cli, coded_placement
 from cachewright.coded_placement import NEW
-from cachewright.model import NetworkConfig, SubfileGrid, demand_orbits, pair_order
+from cachewright.model import (NetworkConfig, SubfileGrid, demand_orbits, pair_order,
+                               relabellings)
 from cachewright.verify import SCHEMES
 
 from demand_set import all_demands
@@ -58,6 +60,47 @@ def test_a_pattern_is_constant_on_each_orbit(name):
             for orbit in demand_orbits(cfg):
                 pattern = scheme.pattern(orbit[0], cfg)
                 assert all(scheme.pattern(d, cfg) == pattern for d in orbit), (n, k, orbit[0])
+
+
+def _where_relabelling_breaks_placement(scheme, cfg):
+    """The first (relabelling s, user, slot) where the cache placed on the library relabelled
+    by s, whose file f is file s(f), differs from the cache placed on the library itself, read
+    at slot s(f)-1 for slot f-1 and as it is at slot N; None where every cache agrees."""
+    rng = random.Random(f"relabel-{cfg.n}-{cfg.k}")
+    library = [scheme.split(rng.randbytes(8 * len(scheme.keys(cfg))), cfg) for _ in range(cfg.n)]
+    caches = scheme.place(library, cfg)
+    for s in relabellings(cfg.n):
+        moved = scheme.place([library[s[f] - 1] for f in range(1, cfg.n + 1)], cfg)
+        for cache, plain in zip(moved, caches, strict=True):
+            read = [plain.parts[s[f] - 1] for f in range(1, cfg.n + 1)] + [plain.parts[cfg.n]]
+            for slot, (got, want) in enumerate(zip(cache.parts, read, strict=True)):
+                if got != want:
+                    return s, cache.user, slot
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_placement_commutes_with_relabelling_files(name):
+    # verify places every cache once on a library whose lanes are every relabelling of one
+    # library, and reads lane i as the cache placed on that lane's library
+    for k in range(2, 6):
+        for n in range(1, k + 1):
+            cfg = NetworkConfig(n, k)
+            assert _where_relabelling_breaks_placement(SCHEMES[name], cfg) is None, (n, k)
+
+
+def test_a_placement_that_singles_out_a_file_breaks_the_contract():
+    # user 1 keeps each difference of file 2 alone as W^{12} - 2 W^{1j}
+    def caching(cfg, user):
+        program = NEW.caching(cfg, user)
+        if user == 1:
+            program.update({(f, key): (step[0], (-2, step[1][1]))
+                            for (f, key), step in program.items() if f == 1 and key[0] == "diff"})
+        return program
+
+    broken = dataclasses.replace(NEW, caching=caching)
+    assert _where_relabelling_breaks_placement(broken, NetworkConfig(2, 3)) == ((0, 2, 1), 1, 0)
+    assert _where_relabelling_breaks_placement(broken, NetworkConfig(3, 5)) == ((0, 1, 3, 2), 1, 1)
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -220,12 +263,10 @@ def test_send_and_recover_run_over_q_on_an_unhashable_cfg(name):
                 demands.setdefault(scheme.pattern(demand, cfg), demand)
             for pattern, demand in demands.items():
                 delivery, decoder = scheme.serving(cfg, pattern)
-                sent = scheme.send(cfg, delivery, [library[f - 1].parts for f in demand])
+                sent = scheme.send(cfg, delivery, library, demand)
                 for cache in caches:
-                    got = scheme.recover(cfg, decoder(cache.user),
-                                         [cache.parts[f - 1] for f in demand], sent,
-                                         cache.parts[-1])
-                    assert {key: got[key] for key in keys} == \
+                    got = scheme.recover(cfg, decoder(cache.user), cache, demand, sent)
+                    assert dict(zip(keys, got, strict=True)) == \
                         library[demand[cache.user - 1] - 1].parts, (n, k, demand, cache.user)
 
 

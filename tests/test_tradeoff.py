@@ -433,10 +433,13 @@ def test_vertex_tags_name_only_what_sits_at_the_vertex(n, k):
     (lambda: exact_regions(5, 4), "need 1 <= N <= K, got (5, 4)"),
     (lambda: exact_regions(0, 4), "need 1 <= N <= K, got (0, 4)"),
     (lambda: exact_tradeoff(3, 4, F(-1, 2)), "memory cannot be negative"),
+    (lambda: exact_tradeoff(5, 3, 10), "need 1 <= N <= K, got (5, 3)"),
+    (lambda: exact_tradeoff(0, 0, 5), "need 1 <= N <= K, got (0, 0)"),
+    (lambda: exact_tradeoff(-1, 3, F(-1, 2)), "need 1 <= N <= K, got (-1, 3)"),
     (lambda: assemble_known_curve(5, 4), "need 1 <= N <= K and K >= 2, got (5, 4)"),
     (lambda: assemble_known_curve(1, 1), "need 1 <= N <= K and K >= 2, got (1, 1)"),
-], ids=["regions-n-above-k", "regions-no-file", "negative-memory", "curve-n-above-k",
-        "curve-one-user"])
+], ids=["regions-n-above-k", "regions-no-file", "negative-memory", "tradeoff-n-above-k",
+        "tradeoff-no-user", "tradeoff-negative-n", "curve-n-above-k", "curve-one-user"])
 def test_the_curve_functions_refuse_what_they_do_not_describe(call, message):
     with pytest.raises(OutOfRange) as exc:
         call()

@@ -12,7 +12,7 @@ import pytest
 from cachewright import cli, field, scheme as engine, verify
 from cachewright.converse.tightness import scheme_point
 from cachewright.errors import CachewrightError, ConfigMismatch, SymbolOutOfByteRange
-from cachewright.model import NetworkConfig
+from cachewright.model import NetworkConfig, demand_orbits
 from cachewright.verify import SCHEMES, run_verification
 
 from demand_set import all_demands
@@ -61,11 +61,13 @@ def test_placing_a_user_outside_the_network_is_refused(name, user):
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
-    # the sweep takes a pattern's demands together, so each pattern of the 540 demands is
-    # compiled once, its delivery and each user's decoder, and costs one delivery run and
-    # one decoding run per user
+    # the sweep compiles the pattern of each orbit's first demand once per orbit: the coded
+    # scheme's 90 orbits at (3, 6) are its 90 patterns, and the corner scheme compiles its one
+    # pattern for each orbit. An orbit costs one delivery run and one decoding run per user,
+    # and (M, R) is read off the first orbit's broadcast, with no compile or run of its own
     scheme, cfg = SCHEMES[name], NetworkConfig(3, 6)
-    patterns = {scheme.pattern(d, cfg) for d in all_demands(cfg)}
+    orbits = list(demand_orbits(cfg))
+    patterns = [scheme.pattern(orbit[0], cfg) for orbit in orbits]
     served, decoded, runs = [], [], []
 
     def serving(cfg, pattern):
@@ -85,78 +87,11 @@ def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
     monkeypatch.setattr(engine, "run", counted)
     monkeypatch.setitem(verify.SCHEMES, name, dataclasses.replace(scheme, serving=serving))
     assert run_verification(3, 6, name).ok
-    # the one delivery that measures (M, R) compiles its pattern once more
-    assert len(served) == len(patterns) + 1
-    assert set(served) == patterns
-    assert len(decoded) == len(set(decoded)) == len(patterns) * cfg.k
-    # K placement runs and that delivery come on top
-    assert len(runs) == len(patterns) * (1 + cfg.k) + cfg.k + 1
-
-
-def _groups(scheme, cfg) -> dict:
-    """D split by pattern, each pattern's demands in D's order."""
-    groups = {}
-    for demand in all_demands(cfg):
-        groups.setdefault(scheme.pattern(demand, cfg), []).append(demand)
-    return groups
-
-
-def _expected_gathers(scheme, cfg) -> set:
-    """(whose data, column, key) for every subfile a sweep's programs or its check read. A key
-    whose caching step is run's copy of the library's subfile of that key, in every file, is
-    read from the library's column."""
-    keys = scheme.keys(cfg)
-    copied = {}
-    for user in range(1, cfg.k + 1):
-        program = scheme.caching(cfg, user)
-        copied[user] = {key for key in keys
-                        if all(program.get((f, key)) == ((1, (f, key)),) for f in range(cfg.n))}
-    reads = set()
-    for pattern, group in _groups(scheme, cfg).items():
-        columns = [tuple(files) for files in zip(*group)]
-        delivery, decoder = scheme.serving(cfg, pattern)
-        reads |= {("library", columns[s], key)
-                  for step in delivery.values() for _, (s, key) in step}
-        for user in range(1, cfg.k + 1):
-            reads |= {("library", columns[user - 1], key) for key in keys}  # what it wants
-            for step in decoder(user).values():
-                for _, (s, key) in step:
-                    if s < cfg.k:
-                        whose = "library" if key in copied[user] else ("cache", user)
-                        reads.add((whose, columns[s], key))
-                    elif s == cfg.k + 1:
-                        reads.add((("mixed", user), len(group), key))
-    return reads
-
-
-def _packed_by_a_sweep(monkeypatch, cfg, name: str) -> list:
-    """The vectors of more than one symbol that FieldCtx.pack makes in one sweep, which passes."""
-    packed = []
-
-    def counted(fld, symbols):
-        if len(symbols) > 1:  # the library's one-symbol subfiles are split through pack too
-            packed.append(tuple(symbols))
-        return pack(fld, symbols)
-
-    pack = field.FieldCtx.pack
-    monkeypatch.setattr(field.FieldCtx, "pack", counted)
-    assert run_verification(cfg.n, cfg.k, name).ok
-    monkeypatch.setattr(field.FieldCtx, "pack", pack)
-    return packed
-
-
-def test_a_sweep_gathers_each_column_once(monkeypatch):
-    # a group's demands are its pattern's relabellings in one fixed order, so slot u-1's
-    # column depends only on the file user u requests: across the 90 patterns at (3, 6)
-    # each subfile a program reads is gathered and packed once per column, not per pattern,
-    # and a cache's copy of a library subfile is the library's column
-    scheme, cfg = SCHEMES["new"], NetworkConfig(3, 6)
-    groups, reads = _groups(scheme, cfg), _expected_gathers(scheme, cfg)
-    packed = _packed_by_a_sweep(monkeypatch, cfg, "new")
-    assert len(groups) == 90
-    assert len({column for whose, column, _ in reads if whose == "library"}) == cfg.n
-    assert len(packed) == len(reads)
-    assert len(packed) < len(groups) * cfg.k * len(scheme.keys(cfg)) // 30
+    assert len(orbits) == 90 and len(set(patterns)) == (90 if name == "new" else 1)
+    assert served == patterns
+    assert decoded == [(pattern, user) for pattern in patterns for user in range(1, cfg.k + 1)]
+    # the K placement runs come on top
+    assert len(runs) == len(orbits) * (1 + cfg.k) + cfg.k
 
 
 def _recaching(scheme, user: int, make):
@@ -173,7 +108,7 @@ def _recaching(scheme, user: int, make):
 
 def test_a_cache_copy_that_is_another_subfile_fails_its_user(monkeypatch):
     # user 2 caches W^{13} of every file as a copy of W^{14}: a copy of the library, but
-    # not of the subfile its key names, so the sweep reads it from the cache and fails user 2
+    # not of the subfile its key names, so the piece it yields differs and fails user 2
     cfg = NetworkConfig(3, 5)
     broken = _recaching(SCHEMES["new"], 2, lambda f, key: (
         ((1, (f, (1, 4))),) if key == (1, 3) else ((1, (f, key)),)))
@@ -184,22 +119,10 @@ def test_a_cache_copy_that_is_another_subfile_fails_its_user(monkeypatch):
     assert report.failures == sorted(expected, key=lambda f: (f["demand"], f["user"]))
 
 
-def test_an_equal_copy_that_is_not_the_library_subfile_is_read_from_the_cache(monkeypatch):
-    # user 3 caches every uncoded subfile as 1 * W + 0 * W: equal to the library's subfile but
-    # another object, so each is gathered from user 3's cache; reuse follows `is`, not content
-    scheme, cfg = SCHEMES["new"], NetworkConfig(3, 5)
-    equal = _recaching(scheme, 3, lambda f, key: ((1, (f, key)), (0, (f, key))))
-    plain = _packed_by_a_sweep(monkeypatch, cfg, "new")
-    monkeypatch.setitem(verify.SCHEMES, "new", equal)
-    again = _packed_by_a_sweep(monkeypatch, cfg, "new")
-    assert len(plain) == len(_expected_gathers(scheme, cfg))
-    assert len(again) == len(_expected_gathers(equal, cfg)) > len(plain)
-
-
 def test_only_combined_pieces_are_compared_by_value(monkeypatch):
     # a user's 2K-2 decoded pieces that are combinations compare by value, one Lanes.__eq__
-    # each; its copies are the library's own columns and pass on identity
-    scheme, cfg = SCHEMES["new"], NetworkConfig(3, 6)
+    # each; its copies are the relabelled library's own subfiles and pass on identity
+    cfg = NetworkConfig(3, 6)
     calls = []
 
     def counted(self, other):
@@ -209,7 +132,7 @@ def test_only_combined_pieces_are_compared_by_value(monkeypatch):
     eq = field.Lanes.__eq__
     monkeypatch.setattr(field.Lanes, "__eq__", counted)
     assert run_verification(3, 6, "new").ok
-    assert 0 < len(calls) <= len(_groups(scheme, cfg)) * cfg.k * (2 * cfg.k - 2) == 5400
+    assert 0 < len(calls) <= len(list(demand_orbits(cfg))) * cfg.k * (2 * cfg.k - 2) == 5400
 
 
 def _mutant(scheme, user: int, term: int, coef: int | None = None, slot: int | None = None):
@@ -317,8 +240,8 @@ def test_a_roundtrip_decoding_a_symbol_outside_a_byte_fails_with_exit_1(demand, 
     assert out.read_bytes() == b""  # no bytes to write, and no usage error to remove it
 
 def test_wide_groups_take_the_packed_kernel_only_at_257(monkeypatch):
-    # at (5, 6) every coded-scheme pattern has 5! = 120 demands, so its vectors are
-    # 120 symbols wide: packed at p = 257, the list path at p = 263
+    # at (5, 6) every orbit has 5! = 120 demands, so the relabelled library's vectors are
+    # 120 symbols wide: every combine is packed at p = 257, and takes the list path at 263
     packed, listed = [], []
 
     def spy(terms):
@@ -333,7 +256,7 @@ def test_wide_groups_take_the_packed_kernel_only_at_257(monkeypatch):
     monkeypatch.setattr(field, "_combine_packed", spy)
     monkeypatch.setattr(field, "_combine_list", list_spy)
     default = run_verification(5, 6, "new")
-    assert default.ok and set(packed) == {120} and max(listed) < field._PACKED_MIN
+    assert default.ok and set(packed) == {120} and not listed
     packed.clear()
     other = run_verification(5, 6, "new", p=263)
     assert other.ok and not packed and 120 in listed
@@ -350,7 +273,8 @@ def test_two_jobs_report_what_one_job_reports(name, monkeypatch):
     assert parallel.to_json() == serial.to_json()
 
 
-def test_workers_get_whole_patterns(monkeypatch):
+def test_workers_get_whole_orbits(monkeypatch):
+    # workers take whole orbits, so the corner scheme's sweep, all of one pattern, splits too
     chunks = []
 
     class InlinePool:
@@ -369,17 +293,14 @@ def test_workers_get_whole_patterns(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(verify, "Pool", InlinePool)
-    scheme, cfg = SCHEMES["new"], NetworkConfig(3, 5)
-    assert run_verification(3, 5, "new", jobs=3).ok
-    demands = all_demands(cfg)
-    owner = {}
-    for i, (*_, groups) in enumerate(chunks):
-        for group in groups:
-            for d in group:
-                assert owner.setdefault(scheme.pattern(d, cfg), i) == i
-    assert len(chunks) == 3
-    assert sorted(d for *_, groups in chunks for g in groups for d in g) == demands
-    assert chunks[0][-1][0][0] == demands[0]  # (M, R) comes from D's first demand
+    cfg = NetworkConfig(3, 5)
+    orbits = list(demand_orbits(cfg))
+    for name in sorted(SCHEMES):
+        chunks.clear()
+        assert run_verification(3, 5, name, jobs=3).ok
+        assert len(chunks) == 3 and all(chunk for *_, chunk in chunks)
+        assert sorted(orbit for *_, chunk in chunks for orbit in chunk) == sorted(orbits)
+        assert chunks[0][-1][0][0] == all_demands(cfg)[0]  # (M, R) comes from D's first demand
 
 
 def _smallest_prime_above(k: int) -> int:
