@@ -16,6 +16,7 @@ import functools
 import io
 import os
 import random
+import stat
 import sys
 
 from .converse.certificate import check_certificate, serialize_certificate
@@ -49,16 +50,25 @@ def _open(path: str, mode: str, **kwargs):
 
 @contextlib.contextmanager
 def _output(path: str | None, mode: str, **kwargs):
-    """path opened before the work, so that a bad path fails at once; None for no path.
-    If the work raises, a file that this call created is removed again."""
+    """path opened before the work, so that a bad path fails at once, but not truncated; None
+    for no path. A regular file is cut to what the work wrote once the work is done or raises
+    after writing. If the work raises, a file this call created is removed."""
     if not path:
         yield None
         return
     created = not os.path.lexists(path)
-    fh = _open(path, mode, **kwargs)
+    fh = _open(path, mode, opener=lambda p, f: os.open(p, f & ~os.O_TRUNC, 0o666), **kwargs)
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # not a device, pipe or FIFO
     try:
         with fh:
-            yield fh
+            try:
+                yield fh
+            except BaseException:
+                if regular and fh.tell():
+                    fh.truncate()
+                raise
+            if regular:
+                fh.truncate()
     except BaseException:
         if created:
             os.unlink(path)

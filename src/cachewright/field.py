@@ -98,11 +98,9 @@ class FieldCtx:
 
     def pack(self, symbols: bytes | Sequence[Symbol]) -> Sequence[Symbol]:
         """The symbols, each an int in [0, p) or refused, in the one form this code decides:
-        at p = 257, _PACKED_MIN symbols or more become canonical Lanes (bytes kept as they
-        are, to be packed on first use); fewer symbols or another p give a tuple.
-        """
+        at p = 257 canonical Lanes of any length (from bytes, packed on first use), else a tuple."""
         n = len(symbols)
-        if self.p == 257 and n >= _PACKED_MIN:
+        if self.p == 257:
             if isinstance(symbols, (bytes, bytearray)):  # every byte is below 257
                 return Lanes(None, n, data=bytes(symbols))
             try:
@@ -158,15 +156,11 @@ def _combine_list(p: int, terms: list[tuple[int, Sequence[Symbol]]]) -> tuple[Sy
 # The packed kernel for p = 257. Each Lanes holds one 32-bit lane per symbol in
 # one Python int, so a term costs one big-int multiply and add, and carries an
 # exact bound on every lane: 256 from pack, and sum (c mod 257) * bound for a
-# combine, summed beside the multiply-adds. A sum whose bound stays below
-# 2**32 cannot carry from one lane into the next, so the kernel keeps it as it
-# is, congruent mod 257 to its symbols. Only a sum whose bound reaches 2**32 is
-# thrown away: each term of bound 2**17 or more then folds its own lanes in
-# place (2**16 = 1 mod 257) to at most 0xFFFF + 0xFFFF, and the terms are summed
-# again, at most _PACKED_MAX_TERMS of them, so 128 * 256 * 131071 < 2**32. A
-# Lanes is made canonical, once and in place, only where its symbols are read.
-_PACKED_MIN = 6  # from about 6 symbols a four-term combine runs faster packed than listed
-_PACKED_MAX_TERMS = 128
+# combine, summed beside the multiply-adds. A sum whose bound stays below 2**32
+# cannot carry from one lane into the next, so the kernel keeps it, congruent
+# mod 257 to its symbols; one whose bound reaches 2**32 is summed again from the
+# terms' canonical values (Lanes.value), bound 256 each: 65535 * 256 * 256 < 2**32.
+_PACKED_MAX_TERMS = 2 ** 16 - 1
 _LANE = next(code for code in "IL" if array(code).itemsize == 4)
 _LOW_BYTE = 0 if sys.byteorder == "little" else 3  # where a lane's low byte sits
 
@@ -188,14 +182,13 @@ def _spread(data: bytes) -> int:
 class Lanes:
     """n symbols mod 257 in the 32-bit lanes of one int; immutable as a sequence.
 
-    bound is at least every lane and below 2**32, and each lane is congruent mod
-    257 to its symbol. FieldCtx.pack builds canonical Lanes, bound 256: from
-    bytes it keeps the bytes and leaves the int unbuilt, and bytes(), iteration,
-    indexing and == between two such Lanes read the bytes; only the packed
-    kernel and value build the int, once. _combine_packed builds the others with
-    the bound of their sum, and may fold a term's lanes in place. Reads as the
-    tuple of its symbols (len, iteration, indexing, ==), unpacking on each read;
-    the first read of value makes every lane canonical, once, in place.
+    bound is at least every lane and below 2**32, and each lane is congruent mod 257
+    to its symbol. FieldCtx.pack builds canonical Lanes, bound 256; from bytes it keeps
+    the bytes, which bytes(), iteration, indexing and == between two such Lanes read,
+    and only the packed kernel and value build the int, once. _combine_packed builds
+    the others with the bound of their sum. Reads as the tuple of its symbols (len,
+    iteration, indexing, ==), unpacking on each read; the first read of value makes
+    every lane canonical, once, in place.
     """
 
     __slots__ = ("_lanes", "_bytes", "bound", "n")
@@ -280,16 +273,9 @@ def _combine_packed(terms: list[tuple[int, Lanes]]) -> Lanes:
             lanes = v._lanes = _spread(v._bytes)
         acc += c * lanes
         bound += c * v.bound
-    if bound >> 32:  # lanes may have carried: fold the terms and sum again
-        m16 = _lane_masks(n)[2]
-        acc = bound = 0
-        for c, v in terms:
-            c %= 257
-            if v.bound >> 17:
-                v._lanes = (v._lanes & m16) + (v._lanes >> 16 & m16)
-                v.bound = 0xFFFF + (v.bound >> 16)
-            acc += c * v._lanes
-            bound += c * v.bound
+    if bound >> 32:  # lanes may have carried: sum again from canonical terms
+        acc = sum(c % 257 * v.value for c, v in terms)
+        bound = 256 * sum(c % 257 for c, _ in terms)
     return Lanes(acc, n, bound)
 
 

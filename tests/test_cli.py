@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -356,9 +357,106 @@ def test_failed_work_removes_only_an_output_it_created(tmp_path, sample_file, ca
     assert not out.exists()
     out.write_bytes(b"kept")
     assert main(args) == 2
-    assert out.exists()
+    assert out.read_bytes() == b"kept"
     assert main(["verify", "--n", "4", "--k", "3", "--out", str(tmp_path / "r.json")]) == 2
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "1", "--k", "1", "--scheme", "man", "--out"],
+    ["tradeoff", "--n", "2", "--k", "3", "--samples", "1", "--out"],
+    ["converse", "--n", "3", "--k", "4", "--theorem", "4", "--dump"],
+    ["roundtrip", "--n", "2", "--k", "3", "--demand", "1,1,1", "INPUT", "--out"],
+], ids=lambda argv: argv[0])
+def test_failed_work_leaves_an_existing_output_as_it_was(tmp_path, sample_file, capsys, argv):
+    path, blob = sample_file
+    out = tmp_path / "kept.bin"
+    out.write_bytes(b"8 bytes.")
+    argv = [str(path) if arg == "INPUT" else arg for arg in argv]
+    # roundtrip --out naming its own input must not destroy it either
+    for target in (out, path) if argv[0] == "roundtrip" else (out,):
+        assert main([*argv, str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == b"8 bytes."
+        assert path.read_bytes() == blob
+
+
+def test_work_that_is_done_replaces_all_of_an_existing_output(tmp_path, sample_file, capsys):
+    path, blob = sample_file
+    out = tmp_path / "out"
+    for argv in (["verify", "--n", "2", "--k", "3", "--out", str(out)],
+                 ["roundtrip", "--n", "2", "--k", "3", "--demand", "1,2,1", str(path),
+                  "--out", str(out)],
+                 ["converse", "--n", "3", "--k", "4", "--theorem", "2", "--dump", str(out)]):
+        out.write_bytes(b"x" * 100_000)  # longer than anything written
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        if argv[0] == "verify":
+            assert out.read_text(encoding="utf-8") == printed
+        elif argv[0] == "roundtrip":
+            assert out.read_bytes() == blob
+        else:
+            assert check_certificate(parse_certificate(out.read_text(encoding="utf-8"))).ok
+    # the output of a roundtrip may be its own input
+    assert main(["roundtrip", "--n", "2", "--k", "3", "--demand", "2,1,2", str(path),
+                 "--out", str(path)]) == 0
+    assert path.read_bytes() == blob
+
+
+@pytest.mark.parametrize("error", [CachewrightError, KeyboardInterrupt])
+def test_work_that_raises_after_writing_leaves_only_what_it_wrote(tmp_path, monkeypatch, error):
+    def broken(curve, samples):
+        yield "N,K\n"
+        raise error("stopped")
+
+    monkeypatch.setattr(cli, "csv_lines", broken)
+    out = tmp_path / "curve.csv"
+    out.write_bytes(b"x" * 100_000)  # longer than anything written
+    argv = ["tradeoff", "--n", "2", "--k", "3", "--out", str(out)]
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 2
+    assert out.read_bytes() == b"N,K\n"
+
+
+def test_a_created_output_has_the_mode_that_open_gives(tmp_path):
+    made = tmp_path / "made"
+    made.open("w").close()
+    out = tmp_path / "r.json"
+    assert main(["verify", "--n", "2", "--k", "2", "--out", str(out)]) == 0
+    assert out.stat().st_mode == made.stat().st_mode
+
+
+def test_an_output_that_cannot_seek_still_takes_the_output(tmp_path):
+    # a character device can seek but not be truncated
+    for argv in (["verify", "--n", "2", "--k", "2", "--out"],
+                 ["tradeoff", "--n", "2", "--k", "3", "--samples", "2", "--out"],
+                 ["converse", "--n", "3", "--k", "4", "--theorem", "2", "--dump"]):
+        assert main([*argv, os.devnull]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    assert main(["tradeoff", "--n", "2", "--k", "3", "--samples", "2", "--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert got[0].decode().splitlines()[0] == tradeoff.CSV_HEADER
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-m", "cachewright", "verify", "--n", "2", "--k", "2",
+                          "--out", "/dev/stdout"], cwd=tmp_path, env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == ""
+    # the report, once from --out and once printed
+    half = len(run.stdout) // 2
+    assert run.stdout[:half] == run.stdout[half:]
+    assert json.loads(run.stdout[:half])["failures"] == []
+    run = subprocess.run([sys.executable, "-m", "cachewright", "verify", "--n", "2", "--k", "2",
+                          "--out", "/dev/stdout"], cwd=tmp_path, env=env,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120)
+    assert run.returncode == 0 and run.stderr == b""
 
 
 def test_both_kernels_decode_the_same_roundtrip(tmp_path, capsys):

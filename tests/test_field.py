@@ -19,7 +19,7 @@ from cachewright.field import (Lanes, coded_to_wire, default_modulus, is_prime, 
                                make_field)
 
 from reference_field import vec_add, vec_scale, vec_sub
-from test_packed import _assert_bounded, _bounded
+from test_packed import _assert_bounded, _bounded, _raw
 
 
 def test_make_field_accepts_odd_primes():
@@ -206,9 +206,9 @@ def test_entries_outside_the_lane_invariant_take_the_list_path(length, entry):
 
 def _every_folded_value():
     """Lanes that the 16-bit fold takes to hi + lo, one lane per value up to 2 * 0xFFFF, so
-    they exercise every later step; and 0, a 128-term sum of 256 * 511 and 2**32 - 1."""
+    they exercise every later step; and 0, a sum of 128 terms of 256 * 511, and 2**32 - 1."""
     lanes = [(t - min(t, 0xFFFF) << 16) + min(t, 0xFFFF) for t in range(2 * 0xFFFF + 1)]
-    return lanes + [0, 256 * 511 * field._PACKED_MAX_TERMS, 2 ** 32 - 1]
+    return lanes + [0, 256 * 511 * 128, 2 ** 32 - 1]
 
 
 def test_lane_reduction_covers_every_folded_value():
@@ -224,10 +224,11 @@ def test_a_sum_whose_bound_crosses_2_32_folds_its_terms_and_matches_the_list_pat
     assert sum(c % 257 * v.bound for c, v in terms) >= 2 ** 32  # the first sum may carry
     result = field._combine_packed(terms)
     _assert_bounded(result)
-    # the terms folded in place, each below 2**17, and still read as their symbols
-    assert big.bound < 2 ** 17 and small.bound < 2 ** 17
-    _assert_bounded(big)
-    _assert_bounded(small)
+    # summed again from canonical terms: each term was made canonical in place, bound 256,
+    # so the sum's bound is 256 * sum (c mod 257)
+    assert result.bound == 256 * sum(c % 257 for c, _ in terms)
+    assert _raw(big) == [x % 257 for x in lanes] and big.bound == 256
+    assert _raw(small) == [x % 65537 % 257 for x in lanes] and small.bound == 256
     assert big == tuple(x % 257 for x in lanes)
     by_list = field._combine_list(257, [(1, lanes), (-3, [x % 65537 for x in lanes]),
                                         (2 ** 40 + 3, lanes), (1, symbols)])
@@ -237,9 +238,9 @@ def test_a_sum_whose_bound_crosses_2_32_folds_its_terms_and_matches_the_list_pat
 
 def test_packed_kernel_holds_at_its_term_limit():
     # every term 256 times lanes spread over the folded values, at the largest bound any
-    # Lanes carries, in all 128 terms
+    # Lanes carries, in all 65,535 terms
     fld = make_field(257)
-    lanes = _every_folded_value()[::1000] + [2 ** 32 - 1]
+    lanes = _every_folded_value()[::10000] + [2 ** 32 - 1]
     terms = [(256, _bounded(lanes))] * field._PACKED_MAX_TERMS
     expected = tuple(field._PACKED_MAX_TERMS * 256 * x % 257 for x in lanes)
     result = field._combine_packed(terms)
@@ -279,7 +280,7 @@ def test_vec_combine_reads_bytes_like_vectors_as_symbols():
     assert fld.combine(terms) == _reference(fld, terms)
 
 
-def test_vec_combine_takes_the_packed_path_only_at_257_and_packed_min(monkeypatch):
+def test_vec_combine_takes_the_packed_path_at_257_at_every_length(monkeypatch):
     calls = []
 
     def spy(terms):
@@ -292,22 +293,20 @@ def test_vec_combine_takes_the_packed_path_only_at_257_and_packed_min(monkeypatc
         fld = make_field(p)
         long_terms = [(2, fld.pack(range(200))), (-1, fld.pack(range(200)))]
         assert fld.combine(long_terms) == _reference(fld, long_terms)
-    shortest, f257 = field._PACKED_MIN, make_field(257)
-    assert shortest == 6
-    assert f257.combine([(1, f257.pack((5,) * (shortest - 1)))] * 2) == (10,) * (shortest - 1)
     assert calls == []
-    assert f257.combine([(1, f257.pack((5,) * shortest))] * 2) == (10,) * shortest
-    assert calls == [shortest]
+    f257 = make_field(257)
+    for n in (0, 1, 5, 6, 200):
+        assert f257.combine([(1, f257.pack((5,) * n))] * 2) == (10,) * n
+    assert calls == [0, 1, 5, 6, 200]
 
 
-@pytest.mark.parametrize("length", ["below-min", "at-min", 1000])
-def test_combine_returns_lanes_exactly_when_every_term_is_lanes(length):
+@pytest.mark.parametrize("n", [0, 1, 5, 6, 1000])
+def test_combine_returns_lanes_exactly_when_every_term_is_lanes(n):
     fld = make_field(257)
-    n = {"below-min": field._PACKED_MIN - 1, "at-min": field._PACKED_MIN}.get(length, length)
     rng = random.Random(f"lanes-rule-{n}")
     symbols = [tuple(rng.choices(range(257), k=n)) for _ in range(3)]
     packed = [fld.pack(v) for v in symbols]
-    assert all(isinstance(v, Lanes) for v in packed) == (n >= field._PACKED_MIN)
+    assert all(isinstance(v, Lanes) for v in packed)
     for forms in itertools.product((packed, symbols), repeat=3):
         terms = [(c, form[i]) for i, (c, form) in enumerate(zip((3, -1, 256), forms))]
         result = fld.combine(terms)

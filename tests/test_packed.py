@@ -36,15 +36,14 @@ def _reference(terms):
     ("new", split_file, 12),
     ("man", man_split, 4),
 ])
-@pytest.mark.parametrize("size", ["below-min", "at-min", 63, 64, 65, "padded"])
+@pytest.mark.parametrize("size", [0, 1, 5, 6, 63, 64, 65, "padded"])
 def test_split_at_257_equals_the_symbol_split(scheme, split, count, size):
     cfg = NetworkConfig(3, 4)
-    size = {"below-min": field._PACKED_MIN - 1, "at-min": field._PACKED_MIN}.get(size, size)
     length = 64 * count - 5 if size == "padded" else size * count
     data = random.Random(f"split-{scheme}-{size}").randbytes(length)
     keys = pair_order(4) if scheme == "new" else range(1, 5)
     # the symbol split by hand, as tuples, apart from FieldCtx.split and the packed kernel
-    n = -(-length // count)
+    n = max(1, -(-length // count))
     padded = tuple(data) + (0,) * (n * count - length)
     expected = [padded[i:i + n] for i in range(0, n * count, n)]
     grid = split(data, cfg)
@@ -55,20 +54,20 @@ def test_split_at_257_equals_the_symbol_split(scheme, split, count, size):
     assert (from_symbols.subfile_len, from_symbols.original_length) == (n, length)
     for part, symbols, want in zip(grid.parts.values(), from_symbols.parts.values(), expected):
         for got in (part, symbols):
-            assert isinstance(got, Lanes) == (n >= field._PACKED_MIN)
+            assert isinstance(got, Lanes)
             assert got == want
             assert want == got
             assert list(got) == list(want)
 
 
 @pytest.mark.parametrize("p", [257, 7, 263, 65537])
-def test_pack_round_trips_and_packs_only_at_257_from_packed_min(p):
+def test_pack_round_trips_and_packs_every_length_only_at_257(p):
     fld, rng = make_field(p), random.Random(f"pack-{p}")
-    for n in (0, 1, field._PACKED_MIN - 1, field._PACKED_MIN, 64, 1000):
+    for n in (0, 1, 5, 6, 64, 1000):
         symbols = tuple([0, p - 1][:n] + [rng.randrange(p) for _ in range(n - 2)])
         for given in (symbols, list(symbols)):
             packed = fld.pack(given)
-            assert isinstance(packed, Lanes) == (p == 257 and n >= field._PACKED_MIN)
+            assert isinstance(packed, Lanes) == (p == 257)
             assert len(packed) == n
             assert packed == symbols and symbols == packed and tuple(packed) == symbols
             if isinstance(packed, Lanes):
@@ -76,20 +75,18 @@ def test_pack_round_trips_and_packs_only_at_257_from_packed_min(p):
                 assert F257.combine([(1, packed), (-1, symbols)]) == (0,) * n
 
 
-@pytest.mark.parametrize("n", [1, "at-min", 5462])
+@pytest.mark.parametrize("n", [0, 1, 5, 6, 5462])
 def test_pack_reads_bytes_as_one_symbol_each(n):
-    n = field._PACKED_MIN if n == "at-min" else n
     data = random.Random(f"pack-bytes-{n}").randbytes(n)
     for given in (data, bytearray(data)):
         packed = F257.pack(given)
-        assert isinstance(packed, Lanes) == (n >= field._PACKED_MIN)
+        assert isinstance(packed, Lanes)
         assert packed == tuple(data) and bytes(packed) == data
 
 
 @pytest.mark.parametrize("p", [257, 7, 263, 65537])
-@pytest.mark.parametrize("n", [1, "at-min", 100])
+@pytest.mark.parametrize("n", [1, 5, 6, 100])
 def test_pack_refuses_a_symbol_outside_the_field_and_names_it(p, n):
-    n = field._PACKED_MIN if n == "at-min" else n
     fld = make_field(p)
     for bad in (-1, 257, 511, 512, 2 ** 32 - 1, 2 ** 32, p):
         if 0 <= bad < p:
@@ -180,6 +177,25 @@ def test_a_roundtrip_packs_only_the_subfiles_its_kernel_reads(name, packs, tmp_p
             assert out.read_bytes() == source.read_bytes()
             assert len(packed) == packs, (demand, user)
             assert len({id(data) for data in packed}) == packs
+
+
+@pytest.mark.parametrize("name", ["new", "man"])
+def test_no_scheme_program_at_257_takes_the_list_path(name, tmp_path, monkeypatch):
+    # at (3, 130) a step sums up to K = 130 terms, and verify at N = 2 combines vectors of
+    # two lanes, one per relabelling of the files
+    from cachewright import cli
+    from cachewright.verify import run_verification
+    kernel, listed = field._combine_list, []
+    monkeypatch.setattr(field, "_combine_list",
+                        lambda p, terms: listed.append(len(terms)) or kernel(p, terms))
+    source, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    source.write_bytes(random.Random(f"no-list-{name}").randbytes(100))
+    demand = ",".join(str(i % 3 + 1) for i in range(130))
+    assert cli.main(["roundtrip", "--n", "3", "--k", "130", "--scheme", name, "--demand",
+                     demand, "--user", "130", str(source), "--out", str(out)]) == 0
+    assert out.read_bytes() == source.read_bytes()
+    assert run_verification(2, 4, name).ok
+    assert listed == []
 
 
 @pytest.mark.parametrize("name", ["new", "man"])
@@ -290,28 +306,30 @@ def _assert_bounded(lanes):
 
 
 def test_the_term_limit_is_the_largest_that_cannot_carry():
-    largest = 256 * 2 * 0xFFFF  # a coefficient below 257 times a folded lane below 2**17
+    largest = 256 * 256  # a coefficient below 257 times a canonical lane
+    assert field._PACKED_MAX_TERMS == 2 ** 16 - 1
     assert field._PACKED_MAX_TERMS * largest < 2 ** 32 <= (field._PACKED_MAX_TERMS + 1) * largest
 
 
 def test_packed_kernel_holds_at_its_term_limit_with_loose_lanes():
-    # every lane at the largest value, and bound, a Lanes may carry
-    top = _bounded([2 ** 32 - 1] * 64)
-    assert _bounded([2 ** 32 - 1] * 64) == _canonical((0,) * 64)  # 2**32 = 1 (mod 257)
+    # lanes at and just below the largest value, and bound, a Lanes may carry
+    column = tuple(2 ** 32 - 1 - i for i in range(8))
+    top = _bounded(column)
+    assert _bounded(column) == tuple(-i % 257 for i in range(8))  # 2**32 = 1 (mod 257)
     terms = [(256, top)] * field._PACKED_MAX_TERMS
-    column = (2 ** 32 - 1,) * 64
     by_list = field._combine_list(257, [(256, column)] * len(terms))
     result = field._combine_packed(terms)
     _assert_bounded(result)
+    # the first sum carried, so top was made canonical in place and the terms summed again
+    assert _raw(top) == [-i % 257 for i in range(8)] and top.bound == 256
+    assert result.bound == field._PACKED_MAX_TERMS * 256 * 256
     assert result == by_list
-    # the sum of 128 * 256 * (2**32 - 1) carried, so top folded once, in place, to 0xFFFF * 2
-    assert _raw(top) == [131070] * 64 and top.bound == 131070
     assert F257.combine(terms) == by_list
     # one term more goes to the list path, with the list path's answer
     terms.append((256, top))
     result = F257.combine(terms)
     assert not isinstance(result, Lanes)
-    assert result == tuple((x + 256 * 131070) % 257 for x in by_list)
+    assert result == tuple((x + 256 * -i) % 257 for i, x in enumerate(by_list))
 
 
 def test_a_sum_that_cannot_carry_is_kept_as_it_is():

@@ -189,16 +189,22 @@ MUTANTS = {
     ("new", 3, 5, "new-coefficient"),
 ])
 def test_verify_json_is_the_same_at_every_packing_threshold(name, n, k, mutant, monkeypatch):
-    # 1 packs even one-symbol subfiles, 10**9 packs nothing; the failures are compared too
+    # the default term limit runs every combine packed, a limit of 0 runs none; the
+    # failures are compared too
     if mutant:
         monkeypatch.setitem(verify.SCHEMES, name, _mutant(SCHEMES[name], **MUTANTS[mutant][1]))
-    reports = []
-    for shortest in (1, field._PACKED_MIN, 10 ** 9):
-        monkeypatch.setattr(field, "_PACKED_MIN", shortest)
+    kernel, packed = field._combine_packed, []
+    monkeypatch.setattr(field, "_combine_packed", lambda terms: packed.append(1) or kernel(terms))
+    reports, counts = [], []
+    for limit in (field._PACKED_MAX_TERMS, 0):
+        monkeypatch.setattr(field, "_PACKED_MAX_TERMS", limit)
+        packed.clear()
         report = run_verification(n, k, name)
         report.wall_time = 0.0
         reports.append(report.to_json())
-    assert reports[0] == reports[1] == reports[2]
+        counts.append(len(packed))
+    assert reports[0] == reports[1]
+    assert counts[0] > 0 and counts[1] == 0
     assert ('"failures": []' in reports[0]) == (mutant is None)
 
 
@@ -238,6 +244,10 @@ def test_a_roundtrip_decoding_a_symbol_outside_a_byte_fails_with_exit_1(demand, 
     assert captured.err == "roundtrip FAILED: symbol 256 is not a byte; content is coded\n"
     assert captured.out == "M = 12/5\nR = 1/5\n"
     assert out.read_bytes() == b""  # no bytes to write, and no usage error to remove it
+    out.write_bytes(b"8 bytes.")  # a file that was there is emptied too
+    assert cli.main(["roundtrip", "--n", "3", "--k", "5", "--scheme", "man", "--demand", demand,
+                     str(source), "--out", str(out)]) == 1
+    assert out.read_bytes() == b""
 
 def test_wide_groups_take_the_packed_kernel_only_at_257(monkeypatch):
     # at (5, 6) every orbit has 5! = 120 demands, so the relabelled library's vectors are
