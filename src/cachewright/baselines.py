@@ -2,9 +2,9 @@
 
 Each file is cut into K pieces indexed by the excluded user, every cache
 stores the K-1 pieces that mention its owner, and delivery is the single
-packet summing W_{d_k}^{[K] minus k} over k. User k's decoder names each
-piece by its key e: piece k from that packet, the others copied from the
-cache. The corner's closed form, and every other rate formula the tradeoff
+packet summing W_{d_k}^{[K] minus k} over k. User k's decoder names only
+piece k, which it takes from that packet; the cache holds the others under
+their keys. The corner's closed form, and every other rate formula the tradeoff
 curves use, lives in converse.tightness.
 """
 
@@ -27,14 +27,14 @@ def _caching(cfg: NetworkConfig, k: int) -> dict:
 
 def _serving(cfg: NetworkConfig, pattern) -> tuple[dict, Callable[[int], dict]]:
     """One packet of F/K symbols, valid for every demand, not only D; user k's decoder takes
-    piece k from it, less the cached pieces of the others' files, and copies the rest."""
+    piece k from it, less the cached pieces of the others' files."""
     delivery = {0: tuple((1, (u - 1, u)) for u in range(1, cfg.k + 1))}
     return delivery, partial(_decoding, cfg)
 
 
 def _decoding(cfg: NetworkConfig, k: int) -> dict:
     missing = ((1, (cfg.k, 0)),) + tuple((-1, (j - 1, j)) for j in range(1, cfg.k + 1) if j != k)
-    return {e: missing if e == k else ((1, (k - 1, e)),) for e in range(1, cfg.k + 1)}
+    return {k: missing}
 
 
 # K pieces keyed 1..K, piece e the one user e does not cache; no program reads the demand

@@ -20,10 +20,10 @@ peels off the remaining W_{d_k}^{kj}.
 Each phase is compiled into a coefficient program for the engine in `scheme`;
 a pattern's delivery and each user's decoder share one table that holds each
 a_ks / m_ks beside its inverse a_ks * m_ks, so decoding divides by no
-coefficient, and the split keys are listed once per pattern, not per user.
-A cache keeps W_n^{ij} under (n-1, (i, j)), the difference ending in W_n^{kj}
-under (n-1, ("diff", j)) and the sum packet under (N, "sum"); decoding names
-each W_{d_k}^{ij} by (i, j), recovered or copied from the cache. The compilers
+coefficient. A cache keeps W_n^{ij} under (n-1, (i, j)), the difference
+ending in W_n^{kj} under (n-1, ("diff", j)) and the sum packet under
+(N, "sum"); decoding names the 2K-2 pieces W_{d_k}^{ij} that mention user k by
+(i, j), and the cache holds the others under the same keys. The compilers
 read only N, K and the field's inverse, and leave every reduction to the
 field, so over Q the same programs hold exactly. The scheme's closed-form
 point (M_A, 1/(K-1)) is converse.tightness.scheme_point.
@@ -36,13 +36,7 @@ from functools import partial
 from typing import Callable
 
 from .errors import DemandNotInD, OutOfRange
-from .model import (
-    Demand,
-    NetworkConfig,
-    in_demand_set,
-    pair_order,
-    successor,
-)
+from .model import Demand, NetworkConfig, in_demand_set, pair_order, successor
 from .scheme import Scheme
 
 
@@ -91,11 +85,10 @@ def _serving(cfg: NetworkConfig, pattern: Demand) -> tuple[dict, Callable[[int],
     # user k halves its stage-2 sum exactly when somebody else shares its file
     half = cfg.field.inv(2)
     halves = [0] + [half if counts[f] > 1 else 1 for f in pattern]
-    return delivery, partial(_decoding, cfg, halves, coef, undo, pair_order(cfg.k))
+    return delivery, partial(_decoding, cfg, halves, coef, undo)
 
 
-def _decoding(cfg: NetworkConfig, halves: list, coef: list, undo: list, keys: list,
-              k: int) -> dict:
+def _decoding(cfg: NetworkConfig, halves: list, coef: list, undo: list, k: int) -> dict:
     sent, mixed, own = cfg.k, cfg.k + 1, cfg.k + 2  # the broadcast, the cache's slot N, steps
     succ = successor(k, cfg.k)
     others = [u for u in range(1, cfg.k + 1) if u != k]
@@ -104,21 +97,20 @@ def _decoding(cfg: NetworkConfig, halves: list, coef: list, undo: list, keys: li
     # stage 1: X_d^j minus its known stage-1 terms is coef[j][k] * W^{jk}
     for j in others:
         back = undo[j][k]
-        steps[(j, k)] = ((back, (sent, j - 1)),) + tuple(
-            (-back * coef[j][s], (s - 1, (j, s))) for s in others if s != j)
+        steps[(j, k)] = tuple([(back, (sent, j - 1))] + [
+            (-back * coef[j][s], (s - 1, (j, s))) for s in others if s != j])
 
     # stage 2: X_d^k plus the weighted diffs is the sum over files != wanted of
     # W_n^{k,succ}, minus W_wanted^{k,succ} whenever some other user also requests
     # the wanted file; the sum packet minus that is W_wanted^{k,succ}, doubled in
     # that case. Only the stage-1 steps above read the broadcast for W^{jk}.
     half = halves[k]
-    steps[(k, succ)] = ((half, (mixed, "sum")), (-half, (sent, k - 1))) + tuple(
-        (-half * coef[k][j], (j - 1, ("diff", j))) for j in others if j != succ)
+    steps[(k, succ)] = tuple([(half, (mixed, "sum")), (-half, (sent, k - 1))] + [
+        (-half * coef[k][j], (j - 1, ("diff", j))) for j in others if j != succ])
     for j in others:
         if j != succ:
             steps[(k, j)] = ((1, (own, (k, succ))), (-1, (k - 1, ("diff", j))))
-    uncoded = {pair: ((1, (k - 1, pair)),) for pair in keys if k not in pair}
-    return steps | uncoded
+    return steps
 
 
 NEW = Scheme(keys=lambda cfg: tuple(pair_order(cfg.k)), pattern=_pattern,

@@ -65,18 +65,14 @@ class FieldCtx:
     def combine(self, terms: Iterable[tuple[int, Sequence[Symbol]]]) -> Sequence[Symbol]:
         """Sum of c * v over the (c, v) terms, for any integers c, reduced mod p once at the end.
 
-        Every scheme's placement, delivery and decoding runs through here. Lanes terms,
-        at most _PACKED_MAX_TERMS, combine packed into Lanes; others take the list path.
+        Every scheme's placement, delivery and decoding runs through here. At p = 257 the packed
+        kernel reads up to _PACKED_MAX_TERMS terms once; others take the list path.
         """
-        terms = list(terms)
+        terms = terms if isinstance(terms, list) else list(terms)  # a list is read, not copied
         if not terms:
             raise LengthMismatch("no vectors to combine")
         if self.p == 257 and len(terms) <= _PACKED_MAX_TERMS:
-            for _, v in terms:  # a plain loop costs less per call than all() over a generator
-                if not isinstance(v, Lanes):
-                    break
-            else:
-                return _combine_packed(terms)
+            return _combine_packed(terms)
         return _combine_list(self.p, terms)
 
     def split(self, data: bytes | Sequence[Symbol], count: int) -> tuple[list, int]:
@@ -261,10 +257,12 @@ class Lanes:
 
 
 def _combine_packed(terms: list[tuple[int, Lanes]]) -> Lanes:
-    """FieldCtx.combine mod 257 of at most _PACKED_MAX_TERMS Lanes terms, on their lanes."""
-    n = terms[0][1].n
+    """FieldCtx.combine mod 257 of up to _PACKED_MAX_TERMS terms, on lanes if all are Lanes."""
+    n = getattr(terms[0][1], "n", None)
     acc = bound = 0
     for c, v in terms:
+        if not isinstance(v, Lanes):  # a term the kernel cannot read: all take the list path
+            return _combine_list(257, terms)
         if v.n != n:
             raise LengthMismatch(f"cannot combine vectors of lengths {n} and {v.n}")
         c %= 257

@@ -46,7 +46,7 @@ class NetworkConfig:
 
 def pair_order(k: int) -> list[tuple[int, int]]:
     """Canonical lexicographic order of the ordered pairs (i, j), i != j."""
-    return [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
+    return list(permutations(range(1, k + 1), 2))
 
 
 @dataclass

@@ -10,10 +10,10 @@ it mixes files. serving(cfg, pattern) compiles a pattern's delivery, and returns
 that compiles one user's program per call. Delivery reads the file user u requests at slot u-1
 and names a packet by its position on the wire. User k's decoder reads what the user caches of
 that file at slot u-1, the broadcast at K, its cache's slot N at K+1 and its own results at
-K+2, and names each piece of the wanted file by its key. Both read a demand only through the
-scheme's pattern of it. Scheme.send and Scheme.recover lay out those slots from a library, a
-cache and a demand, and run compiled programs: a Scheme keeps no programs, so a caller that
-runs one pattern's programs many times compiles them once and holds them itself.
+K+2, and names each piece it computes by its key; the user caches the rest of the wanted file.
+Both read a demand only through the scheme's pattern of it. Scheme.send and Scheme.recover lay
+out those slots from a library, a cache and a demand, and run compiled programs: a Scheme keeps
+no programs, so a caller that runs one pattern's programs many times compiles them once.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class Scheme:
     # slot s(f)-1 placed on the library itself, and the same slot N; verify places once on a
     # library whose lanes are every relabelling of one library
     caching: Callable
-    # (cfg, pattern) -> ({position on the wire: step}, user -> {name: step}); a decoder
-    # names every key and compiles its user's program on each call
+    # (cfg, pattern) -> ({position on the wire: step}, user -> {name: step}); a decoder names
+    # each key whose piece it computes, not those cached, and compiles one user per call
     serving: Callable
 
     def split(self, data: bytes | Sequence[Symbol], cfg: NetworkConfig) -> SubfileGrid:
@@ -119,11 +119,15 @@ class Scheme:
 
     def recover(self, cfg: NetworkConfig, decoding: dict, cache: Cache, demand: Demand,
                 sent: Sequence | dict) -> tuple:
-        """The pieces of the file cache's user wants, in key order, decoded by one user's
-        decoding of demand's pattern from the broadcast sent, by position, and the cache."""
+        """The pieces of the file cache's user wants, in key order: each piece one user's
+        decoding of demand's pattern names, decoded from the broadcast sent, by position, and
+        the cache; else the piece the user caches of that file under the key."""
         held = [cache.parts[f - 1] for f in demand]
-        out = run(decoding, [*held, sent, cache.parts[-1], {}], cfg.field)
-        return itemgetter(*self.keys(cfg))(out)
+        try:
+            out = run(decoding, [*held, sent, cache.parts[-1], {}], cfg.field)
+            return itemgetter(*self.keys(cfg))(held[cache.user - 1] | out)
+        except KeyError as key:  # its str is the key's repr
+            raise ConfigMismatch(f"user {cache.user} neither decodes nor caches {key}") from None
 
     def deliver(self, library: list[SubfileGrid], demand, cfg: NetworkConfig) -> Broadcast:
         d = validate_demand(demand, cfg)

@@ -9,11 +9,12 @@ of the files, and demand s(d) on a library is demand d on the library
 relabelled by s. So a run places every cache once on one relabelled library,
 whose subfiles have a lane per relabelling (placement commutes with relabelling
 files), and checks each orbit with one delivery and one decoding per user of d,
-through Scheme.send and Scheme.recover; a user's pieces are compared whole with
-the file it wants, and only a mismatch is read lane by lane. A piece that a
-decoder copies is the library's own subfile, so only combined pieces compare by
-value. Workers, each given whole orbits, rebuild the same library; failures
-merge in demand order.
+through Scheme.send and Scheme.recover, compiled only where an orbit's pattern
+differs from the last one's (the corner scheme's once per worker). A user's
+pieces are compared whole with the file it wants, and only a mismatch is read
+lane by lane; a piece the user caches is the library's own subfile, so only
+decoded pieces compare by value. Workers, each given whole orbits, rebuild the
+same library; failures merge in demand order.
 """
 
 from __future__ import annotations
@@ -74,18 +75,19 @@ def _check_chunk(args) -> tuple[int, list[dict], tuple[Fraction, Fraction]]:
         library.append(scheme.split(data if cfg.p >= 257 else tuple(data), cfg))
     files = [tuple(g.parts.values()) for g in library]  # each file's pieces in key order
     caches = scheme.place(library, cfg)
-    failures = []
+    failures, last = [], None
     for orbit in orbits:  # lane i is demand orbit[i], the first demand relabelled by s_i
         first = orbit[0]
-        delivery, decoder = scheme.serving(cfg, scheme.pattern(first, cfg))
+        if (pattern := scheme.pattern(first, cfg)) != last:  # hold only this pattern's programs
+            delivery, decoder = scheme.serving(cfg, pattern)
+            decodings, last = [decoder(cache.user) for cache in caches], pattern
         sent = scheme.send(cfg, delivery, library, first)
         if orbit is orbits[0]:
             point = scheme.point(cfg, caches[0], sent.values())
-        for cache in caches:
-            pieces = scheme.recover(cfg, decoder(cache.user), cache, first, sent)
+        for cache, decoding in zip(caches, decodings):
+            pieces = scheme.recover(cfg, decoding, cache, first, sent)
             wanted = files[first[cache.user - 1] - 1]
-            # the pieces are compared whole, and only a mismatch is read lane by lane
-            if pieces != wanted:
+            if pieces != wanted:  # only a mismatch is read lane by lane
                 failures += [{"demand": list(demand), "user": cache.user,
                               "reason": "decoded bytes differ"} for demand, got, want
                              in zip(orbit, zip(*pieces), zip(*wanted)) if got != want]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cachewright import field
 from cachewright.baselines import MAN
-from cachewright.errors import ConfigMismatch, SymbolOutOfByteRange
+from cachewright.errors import ConfigMismatch, LengthMismatch, SymbolOutOfByteRange
 from cachewright.field import Lanes, join_bytes, make_field
 from cachewright.model import NetworkConfig, pair_order, split_file
 
@@ -244,6 +244,33 @@ def test_mixed_terms_match_the_list_path(bad):
                   [(1, breaking), (1, packed)]):
         by_list = field._combine_list(257, [(c, tuple(v)) for c, v in terms])
         assert F257.combine(terms) == by_list == _reference(terms)
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_a_tuple_term_among_lanes_sends_every_term_down_the_list_path(where, monkeypatch):
+    # the packed kernel checks each term as it sums, and a tuple first, in the middle or last
+    # hands the whole list to the list path, whose answer is the reference's
+    rng = random.Random(f"tuple-among-lanes-{where}")
+    terms = [(rng.randrange(-600, 600), F257.pack(tuple(rng.choices(range(257), k=90))))
+             for _ in range(5)]
+    terms[where] = (rng.randrange(-600, 600), tuple(rng.choices(range(257), k=90)))
+    listed = []
+    by_list = field._combine_list
+    monkeypatch.setattr(field, "_combine_list",
+                        lambda p, terms: listed.append(terms) or by_list(p, terms))
+    result = F257.combine(terms)
+    assert listed == [terms]
+    assert not isinstance(result, Lanes)
+    assert result == _reference(terms)
+
+
+@pytest.mark.parametrize("where", [None, 0, 2, 4])
+def test_terms_of_unequal_length_are_refused_on_either_path(where):
+    terms = [(1, F257.pack((7,) * (90 if i != 3 else 91))) for i in range(5)]
+    if where is not None:
+        terms[where] = (1, tuple(terms[where][1]))
+    with pytest.raises(LengthMismatch, match="cannot combine vectors of lengths"):
+        F257.combine(terms)
 
 
 @settings(deadline=None)

@@ -303,4 +303,22 @@ def test_every_program_reads_only_names_that_exist_when_it_runs(name, k):
                 program = decoder(user)
                 held = [cached[f - 1] for f in demand]
                 _run_names(program, [*held, sent, cached[n], set()], (demand, user))
-                assert keys <= set(program), (demand, user)
+                # recover hands back each key's decoded piece, else the cached one
+                assert keys <= set(program) | held[user - 1], (demand, user)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_no_decoding_step_copies_a_cached_piece(name, k):
+    # a decoder names only the pieces it computes; the user's cached pieces are handed back
+    # by Scheme.recover, so no step is one term of coefficient 1 read from a cache slot
+    scheme = SCHEMES[name]
+    for n in range(1, k + 1):
+        cfg = NetworkConfig(n, k)
+        for pattern in {scheme.pattern(demand, cfg) for demand in all_demands(cfg)}:
+            _, decoder = scheme.serving(cfg, pattern)
+            for user in range(1, k + 1):
+                for key, step in decoder(user).items():
+                    copies = len(step) == 1 and step[0][0] == 1
+                    assert not (copies and step[0][1][0] in (*range(k), k + 1)), \
+                        (n, pattern, user, key, step)

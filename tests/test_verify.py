@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -61,13 +62,14 @@ def test_placing_a_user_outside_the_network_is_refused(name, user):
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
-    # the sweep compiles the pattern of each orbit's first demand once per orbit: the coded
-    # scheme's 90 orbits at (3, 6) are its 90 patterns, and the corner scheme compiles its one
-    # pattern for each orbit. An orbit costs one delivery run and one decoding run per user,
-    # and (M, R) is read off the first orbit's broadcast, with no compile or run of its own
+    # a chunk of orbits compiles a delivery and K decoders only where an orbit's pattern
+    # differs from the last one's: the coded scheme's 90 orbits at (3, 6) are its 90
+    # patterns, so it compiles once per orbit, and the corner scheme's one pattern compiles
+    # once per chunk, on a whole run and on every second orbit, as a --jobs 2 worker gets.
+    # An orbit costs one delivery run and one decoding run per user, and (M, R) is read off
+    # the first orbit's broadcast, with no compile or run of its own
     scheme, cfg = SCHEMES[name], NetworkConfig(3, 6)
     orbits = list(demand_orbits(cfg))
-    patterns = [scheme.pattern(orbit[0], cfg) for orbit in orbits]
     served, decoded, runs = [], [], []
 
     def serving(cfg, pattern):
@@ -86,12 +88,19 @@ def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
     run = engine.run
     monkeypatch.setattr(engine, "run", counted)
     monkeypatch.setitem(verify.SCHEMES, name, dataclasses.replace(scheme, serving=serving))
-    assert run_verification(3, 6, name).ok
-    assert len(orbits) == 90 and len(set(patterns)) == (90 if name == "new" else 1)
-    assert served == patterns
-    assert decoded == [(pattern, user) for pattern in patterns for user in range(1, cfg.k + 1)]
-    # the K placement runs come on top
-    assert len(runs) == len(orbits) * (1 + cfg.k) + cfg.k
+    assert len(orbits) == 90
+    for chunk in (orbits, orbits[1::2]):
+        served.clear(), decoded.clear(), runs.clear()
+        if chunk is orbits:
+            assert run_verification(3, 6, name).ok
+        else:
+            assert verify._check_chunk((3, 6, cfg.p, name, chunk))[1] == []
+        patterns = [scheme.pattern(orbit[0], cfg) for orbit in chunk]
+        assert served == (patterns if name == "new" else [()])
+        assert len(set(served)) == len(served)
+        assert decoded == [(pattern, user) for pattern in served for user in range(1, cfg.k + 1)]
+        # the K placement runs come on top
+        assert len(runs) == len(chunk) * (1 + cfg.k) + cfg.k
 
 
 def _recaching(scheme, user: int, make):
@@ -311,6 +320,36 @@ def test_workers_get_whole_orbits(monkeypatch):
         assert len(chunks) == 3 and all(chunk for *_, chunk in chunks)
         assert sorted(orbit for *_, chunk in chunks for orbit in chunk) == sorted(orbits)
         assert chunks[0][-1][0][0] == all_demands(cfg)[0]  # (M, R) comes from D's first demand
+
+
+def _without_stage2_head(scheme):
+    """scheme with each user k's decoder missing its stage-2 step (k, succ(k))."""
+    def serving(cfg, pattern):
+        delivery, decoder = scheme.serving(cfg, pattern)
+        return delivery, lambda k: {key: step for key, step in decoder(k).items()
+                                    if key != (k, k % cfg.k + 1)}
+    return dataclasses.replace(scheme, serving=serving)
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 5)])
+def test_a_key_neither_decoded_nor_cached_is_a_usage_error(n, k, monkeypatch, capsys, tmp_path):
+    # at K = 2 no other step reads W^{k,succ(k)}, so only its key is missing from the pieces;
+    # at K = 5 the stage-2 steps that peel off W^{kj} read it first
+    monkeypatch.setitem(verify.SCHEMES, "new", _without_stage2_head(SCHEMES["new"]))
+    message = "user 1 neither decodes nor caches (1, 2)"
+    with pytest.raises(ConfigMismatch, match=f"^{re.escape(message)}$"):
+        run_verification(n, k, "new")
+    source = tmp_path / "in.bin"
+    source.write_bytes(b"hello world")
+    demand = ",".join(str(i % n + 1) for i in range(k))
+    for argv in (["verify", "--n", str(n), "--k", str(k)],
+                 ["roundtrip", "--n", str(n), "--k", str(k), "--demand", demand, "--user", "1",
+                  str(source), "--out", str(tmp_path / "out.bin")]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not (tmp_path / "out.bin").exists()
 
 
 def _smallest_prime_above(k: int) -> int:
