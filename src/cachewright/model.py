@@ -3,7 +3,8 @@
 FieldCtx.split cuts a file into K(K-1) subfiles, indexed by ordered user pairs
 (i, j), i != j, in the form FieldCtx.combine reads. Demands assign one file to
 each of the K users; the demand set D contains exactly the assignments that
-request every file at least once, as orbits under relabelling the files.
+request every file at least once. demand_orbits yields each of D's orbits under
+relabelling the files as its first demand; relabellings expands it into the orbit.
 """
 
 from __future__ import annotations
@@ -71,28 +72,27 @@ def split_file(data: bytes | Sequence[Symbol], cfg: NetworkConfig,
 
 def relabellings(n: int) -> list[tuple[int, ...]]:
     """Every relabelling s of the files 1..n as (0, s(1), ..., s(n)), so label[f] is s(f), in
-    the lexicographic order of permutations, which starts with the identity. The i-th demand
-    of each orbit of demand_orbits is its first demand under the i-th of these."""
+    the lexicographic order of permutations, which starts with the identity. The orbit of a
+    first demand d of demand_orbits is [s[f] for f in d] for each s of these, in D's order."""
     return [(0, *p) for p in permutations(range(1, n + 1))]
 
 
-def demand_orbits(cfg: NetworkConfig) -> Iterator[list[Demand]]:
-    """Yield D as its orbits under relabelling the files, each a list of N! demands.
+def demand_orbits(cfg: NetworkConfig) -> Iterator[Demand]:
+    """Yield D's orbits under relabelling the files, each as its first demand.
 
-    An orbit is one restricted-growth string with exactly N blocks (files numbered in order
-    of first request), the strings in lexicographic order. Its demands are the string under
-    each of relabellings(N), in that order, which is also their order in D; so the first
-    orbit starts with D's first demand. The cost is proportional to |D|.
+    A first demand is a restricted-growth string with exactly N blocks (files numbered in
+    order of first request), the strings in lexicographic order, so the first is D's first
+    demand. Its orbit is the string under each of relabellings(N), in that order, which is
+    also their order in D. The cost is proportional to the S(K, N) orbits, not to |D|.
     """
     n, k = cfg.n, cfg.k
-    relabel = relabellings(n)
     string = [0] * k
 
-    def walk(pos: int, blocks: int) -> Iterator[list[Demand]]:
+    def walk(pos: int, blocks: int) -> Iterator[Demand]:
         if n - blocks > k - pos:  # the files still missing cannot all be requested
             return
         if pos == k:
-            yield [tuple([label[f] for f in string]) for label in relabel]
+            yield tuple(string)
             return
         for f in range(1, min(blocks + 1, n) + 1):
             string[pos] = f

@@ -72,7 +72,7 @@ class Scheme:
 
     keys: Callable  # cfg -> the keys a file is split under, in file order
     # (demand, cfg) -> what the programs read of a demand; raises if unserved. It must be
-    # constant on each orbit of model.demand_orbits: verify asks only an orbit's first demand
+    # constant on each orbit: verify asks only the first demand model.demand_orbits yields
     pattern: Callable
     # (cfg, user) -> {(slot, key) in the cache: step}. Placement must commute with relabelling
     # files: placed on the library relabelled by s, a cache holds in slot f-1 what it holds in

@@ -4,17 +4,18 @@ For a given (N, K) and scheme, every user decodes every demand in D from its
 own data, and any symbol that differs from the file is recorded as a failure.
 Each subfile of the seeded library is one symbol of Z_p, a seeded byte reduced
 mod p (at p >= 257 the byte itself), so every admissible prime can be swept.
-An orbit of model.demand_orbits is its first demand d under each relabelling s
-of the files, and demand s(d) on a library is demand d on the library
-relabelled by s. So a run places every cache once on one relabelled library,
-whose subfiles have a lane per relabelling (placement commutes with relabelling
-files), and checks each orbit with one delivery and one decoding per user of d,
-through Scheme.send and Scheme.recover, compiled only where an orbit's pattern
-differs from the last one's (the corner scheme's once per worker). A user's
-pieces are compared whole with the file it wants, and only a mismatch is read
-lane by lane; a piece the user caches is the library's own subfile, so only
-decoded pieces compare by value. Workers, each given whole orbits, rebuild the
-same library; failures merge in demand order.
+model.demand_orbits yields each orbit of D as its first demand d; the orbit is
+d under each relabelling s of the files, and demand s(d) on a library is demand
+d on the library relabelled by s. So a run places every cache once on one
+relabelled library, whose subfiles have a lane per relabelling (placement
+commutes with relabelling files), and checks each orbit with one delivery and
+one decoding per user of d, through Scheme.send and Scheme.recover, compiled
+only where an orbit's pattern differs from the last one's (the corner scheme's
+once per worker). A user's pieces are compared whole with the file it wants;
+only a mismatch is read lane by lane, and only a failing lane i builds its
+demand s_i(d), to name it. A piece the user caches is the library's own
+subfile, so only decoded pieces compare by value. Workers, each given first
+demands, rebuild the same library; failures merge in demand order.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class VerifyReport:
 
 
 def _check_chunk(args) -> tuple[int, list[dict], tuple[Fraction, Fraction]]:
-    """Check whole orbits; also (M, R) of cache 1 and the broadcast of the first orbit."""
+    """Check the orbit of each first demand; also (M, R) of cache 1 and the first broadcast."""
     n, k, p, name, orbits = args
     scheme = SCHEMES[name]
     cfg = NetworkConfig(n, k, p)
@@ -76,22 +77,21 @@ def _check_chunk(args) -> tuple[int, list[dict], tuple[Fraction, Fraction]]:
     files = [tuple(g.parts.values()) for g in library]  # each file's pieces in key order
     caches = scheme.place(library, cfg)
     failures, last = [], None
-    for orbit in orbits:  # lane i is demand orbit[i], the first demand relabelled by s_i
-        first = orbit[0]
+    for first in orbits:  # lane i is the first demand relabelled by labels[i]
         if (pattern := scheme.pattern(first, cfg)) != last:  # hold only this pattern's programs
             delivery, decoder = scheme.serving(cfg, pattern)
             decodings, last = [decoder(cache.user) for cache in caches], pattern
         sent = scheme.send(cfg, delivery, library, first)
-        if orbit is orbits[0]:
+        if first is orbits[0]:
             point = scheme.point(cfg, caches[0], sent.values())
         for cache, decoding in zip(caches, decodings):
             pieces = scheme.recover(cfg, decoding, cache, first, sent)
             wanted = files[first[cache.user - 1] - 1]
             if pieces != wanted:  # only a mismatch is read lane by lane
-                failures += [{"demand": list(demand), "user": cache.user,
-                              "reason": "decoded bytes differ"} for demand, got, want
-                             in zip(orbit, zip(*pieces), zip(*wanted)) if got != want]
-    return sum(map(len, orbits)), failures, point
+                failures += [{"demand": [s[f] for f in first], "user": cache.user,
+                              "reason": "decoded bytes differ"} for s, got, want
+                             in zip(labels, zip(*pieces), zip(*wanted)) if got != want]
+    return len(orbits) * len(labels), failures, point
 
 
 def run_verification(n: int, k: int, scheme: str = "new", jobs: int = 1,

@@ -96,9 +96,21 @@ def test_split_symbols_small_modulus():
     assert grid.parts[(1, 2)] == (1,)
 
 
+def _orbit(first, labels):
+    """The orbit of a first demand: the first demand under each relabelling, in that order."""
+    return [tuple([s[f] for f in first]) for s in labels]
+
+
 def _flat(cfg):
-    """D as model.demand_orbits yields it: the orbits in order, flattened."""
-    return [d for orbit in demand_orbits(cfg) for d in orbit]
+    """D as model.demand_orbits yields it: each first demand's orbit in order, flattened."""
+    labels = relabellings(cfg.n)
+    return [d for first in demand_orbits(cfg) for d in _orbit(first, labels)]
+
+
+def _first_request_order(demand):
+    """The demand with its files renumbered in order of first request."""
+    order = {}
+    return tuple([order.setdefault(f, len(order) + 1) for f in demand])
 
 
 def test_demand_orbits_match_brute_force():
@@ -109,7 +121,10 @@ def test_demand_orbits_match_brute_force():
 
 
 def test_demand_orbits_counts():
+    assert list(demand_orbits(NetworkConfig(2, 2))) == [(1, 2)]
     assert _flat(NetworkConfig(2, 2)) == [(1, 2), (2, 1)]
+    assert len(list(demand_orbits(NetworkConfig(3, 5)))) == 25
+    assert len(_flat(NetworkConfig(3, 5))) == 150
     assert len(brute_force_demands(3, 4)) == 36
     assert len(brute_force_demands(2, 4)) == 14
     assert len(_flat(NetworkConfig(3, 4))) == 36
@@ -132,26 +147,36 @@ def _stirling(k: int, n: int) -> int:
 def test_demand_orbits_are_d_in_groups_of_relabellings(k):
     for n in range(1, k + 1):
         cfg = NetworkConfig(n, k)
-        orbits = list(demand_orbits(cfg))
+        firsts = list(demand_orbits(cfg))
+        labels = relabellings(n)
+        orbits = [_orbit(first, labels) for first in firsts]
         flat = [d for orbit in orbits for d in orbit]
         assert len(set(flat)) == len(flat), (n, k)
         if k <= 7:  # about 1.2 million tuples at k = 7, and 24 million at 8
-            assert set(flat) == set(brute_force_demands(n, k)), (n, k)
+            brute = brute_force_demands(n, k)
+            assert set(flat) == set(brute), (n, k)
         else:  # n! S(k, n) distinct demands of D, so all of D
             assert len(flat) == math.factorial(n) * _stirling(k, n), (n, k)
             assert all(len(d) == k and set(d) == set(range(1, n + 1)) for d in flat), (n, k)
-        assert len(orbits) == _stirling(k, n), (n, k)
+        assert len(firsts) == _stirling(k, n), (n, k)
+        assert all(type(first) is tuple and len(first) == k for first in firsts), (n, k)
         assert {len(orbit) for orbit in orbits} == {math.factorial(n)}, (n, k)
         assert flat[0] == min(flat), (n, k)  # the demand whose broadcast verify measures
-        # strings in lexicographic order, each orbit in D's order
-        assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits), (n, k)
+        # restricted-growth strings in lexicographic order, each orbit in D's order
+        assert all(first == _first_request_order(first) for first in firsts), (n, k)
+        assert firsts == sorted(firsts), (n, k)
         assert all(orbit == sorted(orbit) for orbit in orbits), (n, k)
-        # lane i of verify's relabelled library is demand orbit[i]: the first demand under the
-        # i-th of model's relabellings
-        labels = relabellings(n)
+        # lane i of verify's relabelled library is the first demand under the i-th of model's
+        # relabellings, which must be the i-th demand of its orbit: of the demands of D that
+        # request files in the first demand's order of first request, taken in D's order
         assert labels[0] == tuple(range(n + 1)), (n, k)
-        for orbit in orbits:
-            assert orbit == [tuple([s[f] for f in orbit[0]]) for s in labels], (n, k, orbit[0])
+        if k <= 7:
+            groups = {}
+            for d in brute:  # the product's order is D's order
+                groups.setdefault(_first_request_order(d), []).append(d)
+            assert list(groups) == firsts, (n, k)
+            for first, orbit in zip(firsts, orbits):
+                assert groups[first] == orbit, (n, k, first)
 
 
 def test_every_demand_surjective():

@@ -51,15 +51,39 @@ def test_every_user_decodes_a_unit_vector_library(name, k):
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
+@pytest.mark.parametrize("k", range(2, 8))
+def test_every_user_decodes_each_first_demand_of_a_unit_vector_library(name, k):
+    """Decoding the unit vectors exactly proves the decoder right for every file content over
+    F_257 at each orbit's first demand, as the per-demand test above does for every demand of
+    K <= 5. Two contracts carry it to the rest of each orbit: every demand of an orbit runs
+    the same programs (test_a_pattern_is_constant_on_each_orbit), and the relabelled demand on
+    a library is the first demand on the relabelled library, whose caches are the same caches
+    relabelled (test_placement_commutes_with_relabelling_files)."""
+    scheme = SCHEMES[name]
+    for n in range(1, k + 1):
+        cfg = NetworkConfig(n, k)
+        files = unit_vector_files(scheme, cfg)
+        library = [scheme.split(blob, cfg) for blob in files]
+        caches = scheme.place(library, cfg)
+        for first in demand_orbits(cfg):
+            sent = scheme.deliver(library, first, cfg)
+            for cache in caches:
+                assert scheme.decode(cache, sent, cfg) == files[first[cache.user - 1] - 1], \
+                    (n, first, cache.user)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_a_pattern_is_constant_on_each_orbit(name):
     # verify compiles each orbit once, for the pattern of its first demand
     scheme = SCHEMES[name]
     for k in range(1, 9):
         for n in range(1, k + 1):
             cfg = NetworkConfig(n, k)
-            for orbit in demand_orbits(cfg):
-                pattern = scheme.pattern(orbit[0], cfg)
-                assert all(scheme.pattern(d, cfg) == pattern for d in orbit), (n, k, orbit[0])
+            labels = relabellings(n)
+            for first in demand_orbits(cfg):
+                pattern = scheme.pattern(first, cfg)
+                assert all(scheme.pattern(tuple([s[f] for f in first]), cfg) == pattern
+                           for s in labels), (n, k, first)
 
 
 def _where_relabelling_breaks_placement(scheme, cfg):

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -95,7 +96,7 @@ def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
             assert run_verification(3, 6, name).ok
         else:
             assert verify._check_chunk((3, 6, cfg.p, name, chunk))[1] == []
-        patterns = [scheme.pattern(orbit[0], cfg) for orbit in chunk]
+        patterns = [scheme.pattern(first, cfg) for first in chunk]
         assert served == (patterns if name == "new" else [()])
         assert len(set(served)) == len(served)
         assert decoded == [(pattern, user) for pattern in served for user in range(1, cfg.k + 1)]
@@ -319,7 +320,20 @@ def test_workers_get_whole_orbits(monkeypatch):
         assert run_verification(3, 5, name, jobs=3).ok
         assert len(chunks) == 3 and all(chunk for *_, chunk in chunks)
         assert sorted(orbit for *_, chunk in chunks for orbit in chunk) == sorted(orbits)
-        assert chunks[0][-1][0][0] == all_demands(cfg)[0]  # (M, R) comes from D's first demand
+        assert chunks[0][-1][0] == all_demands(cfg)[0]  # (M, R) comes from D's first demand
+
+
+def test_a_sweep_holds_first_demands_not_d():
+    # a run holds the S(K, N) first demands, not the |D| demands of their orbits: (6, 8) has
+    # 266 orbits of 720 demands, and the corner scheme's library is one symbol per subfile
+    tracemalloc.start()
+    try:
+        report = run_verification(6, 8, "man")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.demands_checked == 191520
+    assert peak < 2 * 2**20, peak
 
 
 def _without_stage2_head(scheme):
