@@ -93,27 +93,18 @@ class FieldCtx:
                 + [self.pack(rest[i:i + n]) for i in range(0, len(rest), n)]), n
 
     def pack(self, symbols: bytes | Sequence[Symbol]) -> Sequence[Symbol]:
-        """The symbols, each an int in [0, p) or refused, in the one form this code decides:
-        at p = 257 canonical Lanes of any length (from bytes, packed on first use), else a tuple."""
+        """The symbols, each in [0, p) by one min/max test at every prime, in the one form this
+        code decides: at 257 canonical Lanes (bytes all pass; packed on first use), else a tuple."""
         n = len(symbols)
+        if self.p == 257 and isinstance(symbols, (bytes, bytearray)):
+            return Lanes(None, n, data=bytes(symbols))
+        symbols = tuple(symbols)
+        if symbols and not (0 <= min(symbols) and max(symbols) < self.p):
+            bad = next(s for s in symbols if not 0 <= s < self.p)
+            raise ConfigMismatch(f"symbol {bad} is not in Z_{self.p}, [0, {self.p})")
         if self.p == 257:
-            if isinstance(symbols, (bytes, bytearray)):  # every byte is below 257
-                return Lanes(None, n, data=bytes(symbols))
-            try:
-                packed = int.from_bytes(array(_LANE, symbols), sys.byteorder)
-            except OverflowError:  # an entry < 0 or >= 2**32
-                pass
-            else:
-                _, m8, _, _, high, _ = _lane_masks(n)
-                # no lane >= 512; then adding 255 carries into bit 9 exactly when a lane is >= 257
-                if not packed & high and not (packed + m8) & high:
-                    return Lanes(packed, n)
-        else:
-            symbols = tuple(symbols)
-            if not symbols or 0 <= min(symbols) and max(symbols) < self.p:
-                return symbols
-        bad = next(s for s in symbols if not 0 <= s < self.p)
-        raise ConfigMismatch(f"symbol {bad} is not in Z_{self.p}, [0, {self.p})")
+            return Lanes(int.from_bytes(array(_LANE, symbols), sys.byteorder), n)
+        return symbols
 
 
 def make_field(p: int) -> FieldCtx:
@@ -162,10 +153,10 @@ _LOW_BYTE = 0 if sys.byteorder == "little" else 3  # where a lane's low byte sit
 
 
 @lru_cache(maxsize=2)  # at 1 MiB a file's masks take 2 MiB; a run uses one or two lengths
-def _lane_masks(n: int) -> tuple[int, int, int, int, int, int]:
-    """For n lanes, each lane set to 1, 0xFF, 0xFFFF, 257, the bits from 2**9 up, and 2**8."""
+def _lane_masks(n: int) -> tuple[int, int, int, int, int]:
+    """For n lanes, each lane set to 1, 0xFF, 0xFFFF, 257, and 2**8."""
     ones = ((1 << 32 * n) - 1) // 0xFFFFFFFF
-    return ones, 0xFF * ones, 0xFFFF * ones, 257 * ones, 0xFFFFFE00 * ones, ones << 8
+    return ones, 0xFF * ones, 0xFFFF * ones, 257 * ones, ones << 8
 
 
 def _spread(data: bytes) -> int:
@@ -202,7 +193,7 @@ class Lanes:
         if self._lanes is None:
             self._lanes = _spread(self._bytes)
         elif self.bound > 256:
-            ones, m8, m16, b257, _, _ = _lane_masks(self.n)
+            ones, m8, m16, b257, _ = _lane_masks(self.n)
             # each step drops the int it replaces, so few lane-wide temporaries live at once
             acc, self._lanes = self._lanes, None
             if self.bound >> 17:
@@ -251,7 +242,7 @@ class Lanes:
             return self._bytes
         value = self.value
         # below 257, only a lane of 256 has bit 8 set
-        if value & _lane_masks(self.n)[5]:
+        if value & _lane_masks(self.n)[4]:
             raise ValueError("bytes must be in range(0, 256)")
         return value.to_bytes(4 * self.n, sys.byteorder)[_LOW_BYTE::4]
 

@@ -199,6 +199,31 @@ def test_no_scheme_program_at_257_takes_the_list_path(name, tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("name", ["new", "man"])
+def test_the_cli_hot_paths_pack_only_bytes_at_257(name, tmp_path, monkeypatch):
+    # pack of ints at 257 builds a tuple, tests its range and converts it through an array;
+    # a roundtrip and a verify sweep split bytes, which pack keeps as they are
+    from cachewright import cli
+    from cachewright.verify import run_verification
+    pack, given = field.FieldCtx.pack, []
+
+    def spy(self, symbols):
+        if self.p == 257:
+            given.append(type(symbols))
+        return pack(self, symbols)
+
+    monkeypatch.setattr(field.FieldCtx, "pack", spy)
+    source, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    source.write_bytes(random.Random(f"bytes-only-{name}").randbytes(1000))
+    assert cli.main(["roundtrip", "--n", "3", "--k", "4", "--scheme", name, "--demand",
+                     "1,2,3,1", str(source), "--out", str(out)]) == 0
+    assert out.read_bytes() == source.read_bytes()
+    roundtrip = len(given)
+    assert run_verification(3, 5, name).ok
+    assert 0 < roundtrip < len(given)
+    assert set(given) == {bytes}
+
+
+@pytest.mark.parametrize("name", ["new", "man"])
 def test_decode_returns_uncoded_pieces_as_the_splits_own_bytes(name, monkeypatch):
     from cachewright import scheme as engine
     from cachewright.verify import SCHEMES
@@ -371,6 +396,16 @@ def test_a_sum_that_cannot_carry_is_kept_as_it_is():
                             for i in range(64)]
     assert [(_raw(v), v.bound) for _, v in terms] == [(raw, max(raw)) for raw in raws]
     assert result == field._combine_list(257, [(c, raw) for (c, _), raw in zip(terms, raws)])
+
+
+def test_a_sum_whose_bound_just_reaches_2_32_is_summed_again():
+    # lanes of 2**32 - 1 and 1 carry into the next lane; a bound of exactly 2**32 sends the
+    # sum back to the canonical terms, where 2**32 - 1 = 0 (mod 257)
+    top, one = _bounded([2 ** 32 - 1] * 8), _bounded([1] * 8)
+    result = F257.combine([(1, top), (1, one)])
+    _assert_bounded(result)
+    assert result.bound == 2 * 256
+    assert result == (1,) * 8
 
 
 def _fresh(lanes):

@@ -10,11 +10,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from cachewright import baselines, cli, coded_placement
+from cachewright import baselines, cli, coded_placement, verify
 from cachewright.coded_placement import NEW
 from cachewright.model import (NetworkConfig, SubfileGrid, demand_orbits, pair_order,
                                relabellings)
-from cachewright.verify import SCHEMES
+from cachewright.verify import SCHEMES, run_verification
 
 from demand_set import all_demands
 
@@ -30,6 +30,41 @@ def unit_vector_files(scheme, cfg):
             blob[t * length + n * count + t] = 1
         files.append(bytes(blob))
     return files
+
+
+def _man_with_user_1_coefficient(coef):
+    """MAN with user 1's term (-1, (2, 3)), file slot 2 under key 3, scaled by coef instead."""
+    def serving(cfg, pattern):
+        delivery, decoder = baselines.MAN.serving(cfg, pattern)
+
+        def mutated(k: int) -> dict:
+            if k != 1:
+                return decoder(k)
+            return {name: tuple((coef, ref) if (c, ref) == (-1, (2, 3)) else (c, ref)
+                                for c, ref in terms) for name, terms in decoder(k).items()}
+        return delivery, mutated
+    return dataclasses.replace(baselines.MAN, serving=serving)
+
+
+def test_a_coefficient_one_random_symbol_misses_fails_the_unit_vector_proof(monkeypatch):
+    """At (1, 5) and p = 7, verify's seeded symbols for MAN keys 3 and 4 are 0 mod 7, so a
+    decoder whose coefficient on key 3 is off still decodes them and the seeded sweep reports
+    ok; at 257 the same sweep fails it. The unit-vector library has a 1 under every key, so
+    decoding it fails the mutant at p = 7 too. The assertion that the seeded sweep misses the
+    mutant pins the gap ROADMAP item 1 closes: the change that makes verify prove decoding on
+    unit vectors flips it on purpose."""
+    broken, cfg = _man_with_user_1_coefficient(-2), NetworkConfig(1, 5, 7)
+    seed = random.Random("cachewright-1-5-0").randbytes(len(broken.keys(cfg)))
+    assert [b % 7 for b in seed[2:4]] == [0, 0]
+    monkeypatch.setitem(verify.SCHEMES, "man", broken)
+    assert run_verification(1, 5, "man", p=7).ok
+    assert not run_verification(1, 5, "man").ok
+    files = [tuple(blob) for blob in unit_vector_files(broken, cfg)]
+    library = [broken.split(symbols, cfg) for symbols in files]
+    sent = broken.deliver(library, (1,) * 5, cfg)
+    right = [broken.decode(cache, sent, cfg) == bytes(files[0])
+             for cache in broken.place(library, cfg)]
+    assert right == [False, True, True, True, True]
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
