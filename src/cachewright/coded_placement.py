@@ -80,25 +80,28 @@ def _serving(cfg: NetworkConfig, pattern: Demand) -> tuple[dict, Callable[[int],
         for s in users:
             same = pattern[k - 1] == pattern[s - 1]  # then user k is among the requesters of d_s
             coef[k][s], undo[k][s] = (minus if same else plus)[counts[pattern[s - 1]] - same]
-    delivery = {k - 1: tuple((coef[k][s], (s - 1, (k, s))) for s in users if s != k)
+    # row k, the packet X_d^k, is built once: the delivery sends it and stage 1 reads its terms
+    delivery = {k - 1: tuple([(coef[k][s], (s - 1, (k, s))) for s in users if s != k])
                 for k in users}
     # user k halves its stage-2 sum exactly when somebody else shares its file
     half = cfg.field.inv(2)
     halves = [0] + [half if counts[f] > 1 else 1 for f in pattern]
-    return delivery, partial(_decoding, cfg, halves, coef, undo)
+    return delivery, partial(_decoding, cfg, halves, coef, undo, delivery)
 
 
-def _decoding(cfg: NetworkConfig, halves: list, coef: list, undo: list, k: int) -> dict:
+def _decoding(cfg: NetworkConfig, halves: list, coef: list, undo: list, delivery: dict,
+              k: int) -> dict:
     sent, mixed, own = cfg.k, cfg.k + 1, cfg.k + 2  # the broadcast, the cache's slot N, steps
-    succ = successor(k, cfg.k)
+    succ = k % cfg.k + 1
     others = [u for u in range(1, cfg.k + 1) if u != k]
     steps = {}
 
-    # stage 1: X_d^j minus its known stage-1 terms is coef[j][k] * W^{jk}
+    # stage 1: X_d^j minus its known stage-1 terms, row j less its term s = k, read at slot
+    # s - 1, is coef[j][k] * W^{jk}
     for j in others:
         back = undo[j][k]
         steps[(j, k)] = tuple([(back, (sent, j - 1))] + [
-            (-back * coef[j][s], (s - 1, (j, s))) for s in others if s != j])
+            (-back * c, read) for c, read in delivery[j - 1] if read[0] != k - 1])
 
     # stage 2: X_d^k plus the weighted diffs is the sum over files != wanted of
     # W_n^{k,succ}, minus W_wanted^{k,succ} whenever some other user also requests

@@ -4,6 +4,8 @@ The delivery phase scales subfiles by rationals such as 1/2 and 1/m for
 m <= K-1, so the modulus must be an odd prime larger than the user count.
 The default modulus 257 additionally maps every byte to one symbol, which
 keeps file round trips trivially lossless; join_bytes reads the symbols back.
+FieldCtx.combine sums a step of (c, (slot, key)) terms, reading each vector
+as slots[slot][key].
 A vector packed from bytes keeps them and becomes lanes only where the packed
 kernel or Lanes.value reads it, so a subfile that is only copied is never
 packed and joins back as its own bytes.
@@ -62,18 +64,19 @@ class FieldCtx:
             raise DivisionByZero("cannot invert 0")
         return pow(a, self.p - 2, self.p)
 
-    def combine(self, terms: Iterable[tuple[int, Sequence[Symbol]]]) -> Sequence[Symbol]:
-        """Sum of c * v over the (c, v) terms, for any integers c, reduced mod p once at the end.
+    def combine(self, step: Sequence[tuple[int, tuple]], slots: Sequence) -> Sequence[Symbol]:
+        """Sum of c * slots[slot][key] over the step's (c, (slot, key)) terms, for any integers
+        c, reduced mod p once at the end.
 
         Every scheme's placement, delivery and decoding runs through here. At p = 257 the packed
-        kernel reads up to _PACKED_MAX_TERMS terms once; others take the list path.
+        kernel reads each of up to _PACKED_MAX_TERMS terms' vectors from the slots once; others
+        take the list path, given the vectors.
         """
-        terms = terms if isinstance(terms, list) else list(terms)  # a list is read, not copied
-        if not terms:
+        if not step:
             raise LengthMismatch("no vectors to combine")
-        if self.p == 257 and len(terms) <= _PACKED_MAX_TERMS:
-            return _combine_packed(terms)
-        return _combine_list(self.p, terms)
+        if self.p == 257 and len(step) <= _PACKED_MAX_TERMS:
+            return _combine_packed(step, slots)
+        return _combine_list(self.p, _read(step, slots))
 
     def split(self, data: bytes | Sequence[Symbol], count: int) -> tuple[list, int]:
         """data zero-padded and cut into count parts of one length n >= 1, each made by pack; and n.
@@ -128,8 +131,13 @@ def default_modulus(k: int) -> int:
     return p
 
 
+def _read(step: Sequence[tuple[int, tuple]], slots: Sequence) -> list[tuple[int, Sequence]]:
+    """The step's terms as (c, vector) pairs, each vector read from its slot."""
+    return [(c, slots[s][key]) for c, (s, key) in step]
+
+
 def _combine_list(p: int, terms: list[tuple[int, Sequence[Symbol]]]) -> tuple[Symbol, ...]:
-    """The list path of FieldCtx.combine."""
+    """The list path of FieldCtx.combine, on (c, vector) pairs."""
     (c, v), *rest = terms
     acc = v if c == 1 else [c * x for x in v]
     for c, v in rest:
@@ -247,13 +255,16 @@ class Lanes:
         return value.to_bytes(4 * self.n, sys.byteorder)[_LOW_BYTE::4]
 
 
-def _combine_packed(terms: list[tuple[int, Lanes]]) -> Lanes:
-    """FieldCtx.combine mod 257 of up to _PACKED_MAX_TERMS terms, on lanes if all are Lanes."""
-    n = getattr(terms[0][1], "n", None)
+def _combine_packed(step: Sequence[tuple[int, tuple]], slots: Sequence) -> Lanes:
+    """FieldCtx.combine mod 257 of up to _PACKED_MAX_TERMS terms, on lanes if every vector
+    the step reads from the slots is Lanes; one pass, each vector read where it is summed."""
+    _, (s, key) = step[0]
+    n = getattr(slots[s][key], "n", None)
     acc = bound = 0
-    for c, v in terms:
+    for c, (s, key) in step:
+        v = slots[s][key]
         if not isinstance(v, Lanes):  # a term the kernel cannot read: all take the list path
-            return _combine_list(257, terms)
+            return _combine_list(257, _read(step, slots))
         if v.n != n:
             raise LengthMismatch(f"cannot combine vectors of lengths {n} and {v.n}")
         c %= 257
@@ -263,8 +274,8 @@ def _combine_packed(terms: list[tuple[int, Lanes]]) -> Lanes:
         acc += c * lanes
         bound += c * v.bound
     if bound >> 32:  # lanes may have carried: sum again from canonical terms
-        acc = sum(c % 257 * v.value for c, v in terms)
-        bound = 256 * sum(c % 257 for c, _ in terms)
+        acc = sum(c % 257 * v.value for c, v in _read(step, slots))
+        bound = 256 * sum(c % 257 for c, _ in step)
     return Lanes(acc, n, bound)
 
 

@@ -2,9 +2,10 @@
 
 A scheme is its split keys, which FieldCtx.split cuts a file by, plus two compilers of
 programs, each a dict from a result's name to its step, a tuple of (coefficient, (slot, name))
-terms. Coefficients are plain integers, dividing only through cfg.field.inv; `run` makes one
-FieldCtx.combine per step, which alone reduces them, copies a step of one term with
-coefficient 1, and stores each result under its name in the last slot, where later steps read
+terms. Coefficients are plain integers, dividing only through cfg.field.inv; `run` copies a
+step of one term with coefficient 1, hands every other step with the slots to one
+FieldCtx.combine, which reads each term's vector from its slot and alone reduces the
+coefficients, and stores each result under its name in the last slot, where later steps read
 it. caching(cfg, user) reads file f at slot f-1 and names a packet (f-1, key), or (N, name) if
 it mixes files. serving(cfg, pattern) compiles a pattern's delivery, and returns a decoder
 that compiles one user's program per call. Delivery reads the file user u requests at slot u-1
@@ -36,18 +37,20 @@ def run(program: dict, slots: list, field: FieldCtx) -> dict:
             s, key = step[0][1]
             out[name] = slots[s][key]
         else:
-            out[name] = field.combine([(c, slots[s][key]) for c, (s, key) in step])
+            out[name] = field.combine(step, slots)
     return out
 
 
 @dataclass
 class Cache:
-    """One user's cache: parts[f-1] maps key to packet for file f alone, parts[N] mixes files."""
+    """One user's cache: parts[f-1] maps key to packet for file f alone, parts[N] mixes files;
+    keys are the scheme's split keys, in the order a file's pieces are recovered."""
 
     user: int
     parts: tuple[dict, ...]
     file_lengths: tuple[int, ...]
     subfile_len: int
+    keys: tuple
 
     @property
     def symbol_count(self) -> int:
@@ -102,6 +105,7 @@ class Scheme:
         """The caches of the listed users, in the order given; all K by default."""
         programs = [(user, self.caching(cfg, user)) for user in validate_users(users, cfg)]
         sub_len = self._subfile_len(library, cfg)
+        keys = tuple(self.keys(cfg))
         files = [g.parts for g in library]
         lengths = tuple(g.original_length for g in library)
         caches = []
@@ -109,7 +113,7 @@ class Scheme:
             parts = tuple({} for _ in range(cfg.n + 1))
             for (slot, key), packet in run(program, [*files, {}], cfg.field).items():
                 parts[slot][key] = packet
-            caches.append(Cache(user, parts, lengths, sub_len))
+            caches.append(Cache(user, parts, lengths, sub_len, keys))
         return caches
 
     def send(self, cfg: NetworkConfig, delivery: dict, library: list[SubfileGrid],
@@ -125,7 +129,7 @@ class Scheme:
         held = [cache.parts[f - 1] for f in demand]
         try:
             out = run(decoding, [*held, sent, cache.parts[-1], {}], cfg.field)
-            return itemgetter(*self.keys(cfg))(held[cache.user - 1] | out)
+            return itemgetter(*cache.keys)(held[cache.user - 1] | out)
         except KeyError as key:  # its str is the key's repr
             raise ConfigMismatch(f"user {cache.user} neither decodes nor caches {key}") from None
 

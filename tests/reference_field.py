@@ -21,3 +21,10 @@ def vec_scale(ctx, a: Sequence[int], c: int) -> tuple[int, ...]:
         return tuple(a)
     p = ctx.p
     return tuple(x * c % p for x in a)
+
+
+def in_one_slot(terms) -> tuple[tuple, list]:
+    """(c, vector) terms as the arguments of FieldCtx.combine: a step of (c, (0, i)) terms and
+    the slots it reads, one slot holding the vectors in order."""
+    terms = list(terms)
+    return tuple((c, (0, i)) for i, (c, _) in enumerate(terms)), [[v for _, v in terms]]

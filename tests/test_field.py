@@ -18,7 +18,7 @@ from cachewright.errors import (
 from cachewright.field import (Lanes, coded_to_wire, default_modulus, is_prime, join_bytes,
                                make_field)
 
-from reference_field import vec_add, vec_scale, vec_sub
+from reference_field import in_one_slot, vec_add, vec_scale, vec_sub
 from test_packed import _assert_bounded, _bounded, _raw
 
 
@@ -174,8 +174,8 @@ def test_vec_combine_matches_reference(p):
         terms = [(rng.choice(_coefs(p)) if trial % 2 else rng.randrange(-3 * p, 3 * p),
                   tuple(rng.randrange(p) for _ in range(length))) for _ in range(count)]
         expected = _reference(fld, terms)
-        assert fld.combine(terms) == expected
-        assert fld.combine(iter(terms)) == expected
+        assert fld.combine(*in_one_slot(terms)) == expected
+        assert fld.combine(*in_one_slot(iter(terms))) == expected
 
 
 @pytest.mark.parametrize("length", [63, 64, 65, 1000, 5462])
@@ -187,9 +187,9 @@ def test_vec_combine_long_vectors_at_257_match_reference(length):
                   tuple(rng.choices((0, 256, *range(257)), k=length)))
                  for i in range(count)]
         expected = _reference(fld, terms)
-        assert fld.combine(terms) == expected
-        assert fld.combine(iter(terms)) == expected
-        assert fld.combine([(c, fld.pack(v)) for c, v in terms]) == expected
+        assert fld.combine(*in_one_slot(terms)) == expected
+        assert fld.combine(*in_one_slot(iter(terms))) == expected
+        assert fld.combine(*in_one_slot([(c, fld.pack(v)) for c, v in terms])) == expected
 
 
 @pytest.mark.parametrize("length", [64, 1000])
@@ -199,7 +199,7 @@ def test_entries_outside_the_lane_invariant_take_the_list_path(length, entry):
     fld = make_field(257)
     terms = [(-1, fld.pack((1,) * length)), (256, (entry,) + (511,) * (length - 1)),
              (256, fld.pack((3,) * length))]
-    result = fld.combine(terms)
+    result = fld.combine(*in_one_slot(terms))
     assert not isinstance(result, Lanes)
     assert result == _reference(fld, terms)
 
@@ -222,7 +222,7 @@ def test_a_sum_whose_bound_crosses_2_32_folds_its_terms_and_matches_the_list_pat
     symbols = tuple(i % 257 for i in range(len(lanes)))
     terms = [(1, big), (-3, small), (2 ** 40 + 3, big), (1, fld.pack(symbols))]
     assert sum(c % 257 * v.bound for c, v in terms) >= 2 ** 32  # the first sum may carry
-    result = field._combine_packed(terms)
+    result = field._combine_packed(*in_one_slot(terms))
     _assert_bounded(result)
     # summed again from canonical terms: each term was made canonical in place, bound 256,
     # so the sum's bound is 256 * sum (c mod 257)
@@ -233,7 +233,7 @@ def test_a_sum_whose_bound_crosses_2_32_folds_its_terms_and_matches_the_list_pat
     by_list = field._combine_list(257, [(1, lanes), (-3, [x % 65537 for x in lanes]),
                                         (2 ** 40 + 3, lanes), (1, symbols)])
     assert result == by_list
-    assert fld.combine(terms) == by_list
+    assert fld.combine(*in_one_slot(terms)) == by_list
 
 
 def test_packed_kernel_holds_at_its_term_limit():
@@ -243,14 +243,14 @@ def test_packed_kernel_holds_at_its_term_limit():
     lanes = _every_folded_value()[::10000] + [2 ** 32 - 1]
     terms = [(256, _bounded(lanes))] * field._PACKED_MAX_TERMS
     expected = tuple(field._PACKED_MAX_TERMS * 256 * x % 257 for x in lanes)
-    result = field._combine_packed(terms)
+    result = field._combine_packed(*in_one_slot(terms))
     assert isinstance(result, Lanes)
     _assert_bounded(result)
     assert result == expected
-    assert fld.combine(terms) == expected
+    assert fld.combine(*in_one_slot(terms)) == expected
     # one term more goes to the list path, with the same answer
     terms.append((1, fld.pack((1,) * len(lanes))))
-    result = fld.combine(terms)
+    result = fld.combine(*in_one_slot(terms))
     assert not isinstance(result, Lanes)
     assert result == tuple((e + 1) % 257 for e in expected)
 
@@ -265,38 +265,39 @@ def test_packed_and_list_paths_agree(data):
     raw = data.draw(st.lists(st.tuples(st.integers(), st.tuples(*[entries] * length)),
                              min_size=1, max_size=6))
     by_list = field._combine_list(257, raw)
-    result = field._combine_packed([(c, _bounded(v)) for c, v in raw])
+    result = field._combine_packed(*in_one_slot([(c, _bounded(v)) for c, v in raw]))
     _assert_bounded(result)
     assert result == by_list
-    assert make_field(257).combine([(c, _bounded(v)) for c, v in raw]) == by_list
+    assert make_field(257).combine(*in_one_slot([(c, _bounded(v)) for c, v in raw])) == by_list
 
 
 def test_vec_combine_reads_bytes_like_vectors_as_symbols():
     fld = make_field(257)
     terms = [(3, bytes(range(100, 200))), (-1, bytearray(range(100))), (1, (256,) * 100)]
-    assert fld.combine(terms) == _reference(fld, terms)
+    assert fld.combine(*in_one_slot(terms)) == _reference(fld, terms)
     # four bytes per machine word, so a packed read would see 25 small lanes
     terms = [(1, (256,) * 100), (2, b"\x07\x00\x00\x00" * 25)]
-    assert fld.combine(terms) == _reference(fld, terms)
+    assert fld.combine(*in_one_slot(terms)) == _reference(fld, terms)
 
 
 def test_vec_combine_takes_the_packed_path_at_257_at_every_length(monkeypatch):
     calls = []
 
-    def spy(terms):
-        calls.append(len(terms[0][1]))
-        return kernel(terms)
+    def spy(step, slots):
+        _, (slot, key) = step[0]
+        calls.append(len(slots[slot][key]))
+        return kernel(step, slots)
 
     kernel = field._combine_packed
     monkeypatch.setattr(field, "_combine_packed", spy)
     for p in (263, 65537):
         fld = make_field(p)
         long_terms = [(2, fld.pack(range(200))), (-1, fld.pack(range(200)))]
-        assert fld.combine(long_terms) == _reference(fld, long_terms)
+        assert fld.combine(*in_one_slot(long_terms)) == _reference(fld, long_terms)
     assert calls == []
     f257 = make_field(257)
     for n in (0, 1, 5, 6, 200):
-        assert f257.combine([(1, f257.pack((5,) * n))] * 2) == (10,) * n
+        assert f257.combine(*in_one_slot([(1, f257.pack((5,) * n))] * 2)) == (10,) * n
     assert calls == [0, 1, 5, 6, 200]
 
 
@@ -309,7 +310,7 @@ def test_combine_returns_lanes_exactly_when_every_term_is_lanes(n):
     assert all(isinstance(v, Lanes) for v in packed)
     for forms in itertools.product((packed, symbols), repeat=3):
         terms = [(c, form[i]) for i, (c, form) in enumerate(zip((3, -1, 256), forms))]
-        result = fld.combine(terms)
+        result = fld.combine(*in_one_slot(terms))
         assert isinstance(result, Lanes) == all(isinstance(v, Lanes) for _, v in terms)
         assert result == _reference(fld, terms)
 
@@ -317,20 +318,20 @@ def test_combine_returns_lanes_exactly_when_every_term_is_lanes(n):
 def test_vec_combine_rejects_unequal_lengths():
     fld = make_field(5)
     with pytest.raises(LengthMismatch):
-        fld.combine([(1, (1, 2)), (2, (3,))])
+        fld.combine(*in_one_slot([(1, (1, 2)), (2, (3,))]))
     with pytest.raises(LengthMismatch):
-        fld.combine([(1, (1,)), (-1, (1,)), (3, (1, 2))])
+        fld.combine(*in_one_slot([(1, (1,)), (-1, (1,)), (3, (1, 2))]))
 
 
 def test_vec_combine_rejects_unequal_lengths_on_the_packed_path():
     fld = make_field(257)
     with pytest.raises(LengthMismatch, match="lengths 100 and 99"):
-        fld.combine([(1, fld.pack((1,) * 100)), (2, fld.pack((3,) * 100)),
-                     (1, fld.pack((1,) * 99))])
+        fld.combine(*in_one_slot([(1, fld.pack((1,) * 100)), (2, fld.pack((3,) * 100)),
+                                  (1, fld.pack((1,) * 99))]))
     with pytest.raises(LengthMismatch, match="lengths 64 and 65"):
-        fld.combine(iter([(1, fld.pack((1,) * 64)), (1, fld.pack((1,) * 65))]))
+        fld.combine(*in_one_slot(iter([(1, fld.pack((1,) * 64)), (1, fld.pack((1,) * 65))])))
 
 
 def test_vec_combine_needs_a_term():
     with pytest.raises(LengthMismatch, match="no vectors"):
-        make_field(257).combine(iter(()))
+        make_field(257).combine(*in_one_slot(iter(())))

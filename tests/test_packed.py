@@ -16,7 +16,7 @@ from cachewright.errors import ConfigMismatch, LengthMismatch, SymbolOutOfByteRa
 from cachewright.field import Lanes, join_bytes, make_field
 from cachewright.model import NetworkConfig, pair_order, split_file
 
-from reference_field import vec_add, vec_scale
+from reference_field import in_one_slot, vec_add, vec_scale
 
 F257 = make_field(257)
 
@@ -72,7 +72,7 @@ def test_pack_round_trips_and_packs_every_length_only_at_257(p):
             assert packed == symbols and symbols == packed and tuple(packed) == symbols
             if isinstance(packed, Lanes):
                 assert packed.bound == 256 and _raw(packed) == list(symbols)
-                assert F257.combine([(1, packed), (-1, symbols)]) == (0,) * n
+                assert F257.combine(*in_one_slot([(1, packed), (-1, symbols)])) == (0,) * n
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 6, 5462])
@@ -148,8 +148,8 @@ def test_lanes_from_bytes_read_their_bytes_without_packing(monkeypatch):
     assert packed == []
     # value packs once, and the kernel then reads those lanes
     assert lanes.value == _canonical(tuple(data)).value and packed == [data]
-    assert F257.combine([(2, lanes), (-1, lanes)]) == tuple(data)
-    assert F257.combine([(1, twin), (-1, lanes)]) == (0,) * 100
+    assert F257.combine(*in_one_slot([(2, lanes), (-1, lanes)])) == tuple(data)
+    assert F257.combine(*in_one_slot([(1, twin), (-1, lanes)])) == (0,) * 100
     assert packed == [data, data]
     assert lanes == twin and bytes(lanes) is data
     # a bytearray is copied, so a later write to it leaves the Lanes as it was
@@ -268,7 +268,7 @@ def test_mixed_terms_match_the_list_path(bad):
                   [(5, packed), (7, breaking), (-2, packed)],
                   [(1, breaking), (1, packed)]):
         by_list = field._combine_list(257, [(c, tuple(v)) for c, v in terms])
-        assert F257.combine(terms) == by_list == _reference(terms)
+        assert F257.combine(*in_one_slot(terms)) == by_list == _reference(terms)
 
 
 @pytest.mark.parametrize("where", [0, 2, 4])
@@ -283,7 +283,7 @@ def test_a_tuple_term_among_lanes_sends_every_term_down_the_list_path(where, mon
     by_list = field._combine_list
     monkeypatch.setattr(field, "_combine_list",
                         lambda p, terms: listed.append(terms) or by_list(p, terms))
-    result = F257.combine(terms)
+    result = F257.combine(*in_one_slot(terms))
     assert listed == [terms]
     assert not isinstance(result, Lanes)
     assert result == _reference(terms)
@@ -295,7 +295,7 @@ def test_terms_of_unequal_length_are_refused_on_either_path(where):
     if where is not None:
         terms[where] = (1, tuple(terms[where][1]))
     with pytest.raises(LengthMismatch, match="cannot combine vectors of lengths"):
-        F257.combine(terms)
+        F257.combine(*in_one_slot(terms))
 
 
 @settings(deadline=None)
@@ -307,10 +307,10 @@ def test_every_packed_result_keeps_its_lanes_below_257(data):
                         st.tuples(*[st.integers(0, 256)] * length).map(_canonical))
     terms = data.draw(st.lists(st.tuples(st.integers(-2 ** 40, 2 ** 40), vectors),
                                min_size=1, max_size=6))
-    result = field._combine_packed(terms)  # the kernel itself, at any length
+    result = field._combine_packed(*in_one_slot(terms))  # the kernel itself, at any length
     assert isinstance(result, Lanes)
     _assert_bounded(result)
-    assert F257.combine(terms) == result
+    assert F257.combine(*in_one_slot(terms)) == result
     lanes = array(field._LANE)
     lanes.frombytes(result.value.to_bytes(4 * result.n, sys.byteorder))
     assert all(0 <= x < 257 for x in lanes)
@@ -370,16 +370,16 @@ def test_packed_kernel_holds_at_its_term_limit_with_loose_lanes():
     assert _bounded(column) == tuple(-i % 257 for i in range(8))  # 2**32 = 1 (mod 257)
     terms = [(256, top)] * field._PACKED_MAX_TERMS
     by_list = field._combine_list(257, [(256, column)] * len(terms))
-    result = field._combine_packed(terms)
+    result = field._combine_packed(*in_one_slot(terms))
     _assert_bounded(result)
     # the first sum carried, so top was made canonical in place and the terms summed again
     assert _raw(top) == [-i % 257 for i in range(8)] and top.bound == 256
     assert result.bound == field._PACKED_MAX_TERMS * 256 * 256
     assert result == by_list
-    assert F257.combine(terms) == by_list
+    assert F257.combine(*in_one_slot(terms)) == by_list
     # one term more goes to the list path, with the list path's answer
     terms.append((256, top))
-    result = F257.combine(terms)
+    result = F257.combine(*in_one_slot(terms))
     assert not isinstance(result, Lanes)
     assert result == tuple((x + 256 * -i) % 257 for i, x in enumerate(by_list))
 
@@ -390,7 +390,7 @@ def test_a_sum_that_cannot_carry_is_kept_as_it_is():
     rng = random.Random(11)
     raws = [[rng.randrange(2 ** 16) for _ in range(64)] for _ in range(3)]
     terms = [(c, _bounded(raw)) for c, raw in zip((-1, 2 ** 40 + 5, 300), raws)]
-    result = F257.combine(terms)
+    result = F257.combine(*in_one_slot(terms))
     assert result.bound == sum(c % 257 * v.bound for c, v in terms) < 2 ** 32
     assert _raw(result) == [sum(c % 257 * raw[i] for (c, _), raw in zip(terms, raws))
                             for i in range(64)]
@@ -402,7 +402,7 @@ def test_a_sum_whose_bound_just_reaches_2_32_is_summed_again():
     # lanes of 2**32 - 1 and 1 carry into the next lane; a bound of exactly 2**32 sends the
     # sum back to the canonical terms, where 2**32 - 1 = 0 (mod 257)
     top, one = _bounded([2 ** 32 - 1] * 8), _bounded([1] * 8)
-    result = F257.combine([(1, top), (1, one)])
+    result = F257.combine(*in_one_slot([(1, top), (1, one)]))
     _assert_bounded(result)
     assert result.bound == 2 * 256
     assert result == (1,) * 8
@@ -431,7 +431,7 @@ def test_chained_loose_results_read_as_the_list_path(data):
         picks = data.draw(st.lists(st.tuples(st.integers(-2 ** 40, 2 ** 40),
                                              st.integers(0, len(pool) - 1)),
                                    min_size=1, max_size=6))
-        result = F257.combine([(c, pool[i][0]) for c, i in picks])
+        result = F257.combine(*in_one_slot([(c, pool[i][0]) for c, i in picks]))
         assert isinstance(result, Lanes)
         _assert_bounded(result)
         expected = field._combine_list(257, [(c, pool[i][1]) for c, i in picks])

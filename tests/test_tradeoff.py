@@ -164,6 +164,16 @@ def test_lower_envelope_drops_dominated_point():
     assert [v[:2] for v in curve.vertices] == [(F(1), F(2, 3)), (F(3, 2), F(1, 4))]
 
 
+@pytest.mark.parametrize("count", [3, 4, 7])
+def test_lower_envelope_merges_collinear_points_into_one_segment(count):
+    # count points on R = 2 - M/2, given out of order: one segment, its vertices the two ends
+    pts = [(F(i, 3), 2 - F(i, 6)) for i in range(count)]
+    curve = lower_envelope(pts[1:] + pts[:1])
+    assert len(curve.segments) == 1
+    assert (curve.segments[0].intercept, curve.segments[0].slope) == (F(2), -F(1, 2))
+    assert [v[:2] for v in curve.vertices] == [pts[0], pts[-1]]
+
+
 def test_lower_envelope_strictly_convex_slopes():
     pts = [(F(0), F(3)), (F(1, 4), F(9, 4)), (F(3, 4), F(3, 2)),
            (F(3, 2), F(2, 3)), (F(25, 12), F(1, 3)), (F(9, 4), F(1, 4)), (F(3), F(0))]

@@ -200,11 +200,12 @@ MUTANTS = {
 ])
 def test_verify_json_is_the_same_at_every_packing_threshold(name, n, k, mutant, monkeypatch):
     # the default term limit runs every combine packed, a limit of 0 runs none; the
-    # failures are compared too
+    # failures are compared too, counted first and then in full, so a difference fails fast
     if mutant:
         monkeypatch.setitem(verify.SCHEMES, name, _mutant(SCHEMES[name], **MUTANTS[mutant][1]))
     kernel, packed = field._combine_packed, []
-    monkeypatch.setattr(field, "_combine_packed", lambda terms: packed.append(1) or kernel(terms))
+    monkeypatch.setattr(field, "_combine_packed",
+                        lambda step, slots: packed.append(1) or kernel(step, slots))
     reports, counts = [], []
     for limit in (field._PACKED_MAX_TERMS, 0):
         monkeypatch.setattr(field, "_PACKED_MAX_TERMS", limit)
@@ -213,7 +214,11 @@ def test_verify_json_is_the_same_at_every_packing_threshold(name, n, k, mutant, 
         report.wall_time = 0.0
         reports.append(report.to_json())
         counts.append(len(packed))
-    assert reports[0] == reports[1]
+    packed_run, listed_run = map(json.loads, reports)
+    assert packed_run["demands_checked"] == listed_run["demands_checked"]
+    assert len(packed_run["failures"]) == len(listed_run["failures"])
+    assert packed_run["failures"] == listed_run["failures"]
+    assert packed_run == listed_run
     assert counts[0] > 0 and counts[1] == 0
     assert ('"failures": []' in reports[0]) == (mutant is None)
 
@@ -264,9 +269,10 @@ def test_wide_groups_take_the_packed_kernel_only_at_257(monkeypatch):
     # 120 symbols wide: every combine is packed at p = 257, and takes the list path at 263
     packed, listed = [], []
 
-    def spy(terms):
-        packed.append(terms[0][1].n)
-        return kernel(terms)
+    def spy(step, slots):
+        _, (slot, key) = step[0]
+        packed.append(slots[slot][key].n)
+        return kernel(step, slots)
 
     def list_spy(p, terms):
         listed.append(len(terms[0][1]))
