@@ -4,8 +4,8 @@ Subcommands: roundtrip (push one file through a scheme end to end), verify
 (exhaustive decode check over D), tradeoff (CSV of the known curve), and
 converse (generate and check a lower-bound certificate). Exit codes: 0 all
 checks passed, 1 a verification or certificate check failed, 2 usage or
-configuration error, or standard output closed early. main may be called any
-number of times in one process; the parser is built on the first call.
+configuration error, a failed write, or standard output closed early. main may
+be called any number of times in one process; the parser is built on the first call.
 """
 
 from __future__ import annotations
@@ -247,13 +247,14 @@ def main(argv=None) -> int:
     except CachewrightError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:
-        # stdout was closed early (`| head -1`): what is still buffered goes to
-        # devnull, so the interpreter's final flush raises nothing (Python's signal docs)
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    except OSError as exc:  # a failed write (a full disk), or stdout closed early (`| head -1`)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # what stdout still buffers goes to devnull, so the interpreter's final flush
+            # raises nothing (Python's signal docs)
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

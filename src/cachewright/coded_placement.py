@@ -36,22 +36,23 @@ from functools import partial
 from typing import Callable
 
 from .errors import DemandNotInD, OutOfRange
-from .model import Demand, NetworkConfig, in_demand_set, pair_order, successor
+from .model import Demand, NetworkConfig, pair_order
 from .scheme import Scheme
 
 
 def _pattern(d: Demand, cfg: NetworkConfig) -> Demand:
-    """d with its files renumbered 1, 2, ... in order of first request."""
-    if not in_demand_set(d, cfg):
-        raise DemandNotInD(f"demand {d} does not request every file")
+    """d with its files renumbered 1, 2, ... in order of first request; d must be in D."""
     seen: dict[int, int] = {}
-    return tuple([seen.setdefault(f, len(seen) + 1) for f in d])
+    pattern = tuple([seen.setdefault(f, len(seen) + 1) for f in d])
+    if len(seen) != cfg.n:
+        raise DemandNotInD(f"demand {d} does not request every file")
+    return pattern
 
 
 def _caching(cfg: NetworkConfig, k: int) -> dict:
     if cfg.k < 2:
         raise OutOfRange("placement needs K >= 2")
-    succ = successor(k, cfg.k)
+    succ = k % cfg.k + 1
     program = {}
     for f in range(cfg.n):
         for pair in pair_order(cfg.k):

@@ -139,5 +139,4 @@ def transposition(a: int, b: int, k: int) -> tuple[int, ...]:
 
 
 def close_with_independence(bld: Builder) -> None:
-    if bld.n >= 2:
-        bld.add(FileIndependence(wset(bld.n - 1)))
+    bld.add(FileIndependence(wset(bld.n - 1)))

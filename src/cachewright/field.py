@@ -6,8 +6,8 @@ The default modulus 257 additionally maps every byte to one symbol, which
 keeps file round trips trivially lossless; join_bytes reads the symbols back.
 FieldCtx.combine sums a step of (c, (slot, key)) terms, reading each vector
 as slots[slot][key].
-A vector packed from bytes keeps them and becomes lanes only where the packed
-kernel or Lanes.value reads it, so a subfile that is only copied is never
+A vector packed from bytes keeps them for bytes() alone and becomes lanes the
+first time its symbols are read, so a subfile that is only copied is never
 packed and joins back as its own bytes.
 """
 
@@ -179,9 +179,9 @@ class Lanes:
 
     bound is at least every lane and below 2**32, and each lane is congruent mod 257
     to its symbol. FieldCtx.pack builds canonical Lanes, bound 256; from bytes it keeps
-    the bytes, which bytes(), iteration, indexing and == between two such Lanes read,
-    and only the packed kernel and value build the int, once. _combine_packed builds
-    the others with the bound of their sum. Reads as the tuple of its symbols (len,
+    the bytes for bytes() alone, and the first read of its symbols (the packed kernel,
+    value, iteration, indexing, ==) builds the int, once. _combine_packed builds the
+    others with the bound of their sum. Reads as the tuple of its symbols (len,
     iteration, indexing, ==), unpacking on each read; the first read of value makes
     every lane canonical, once, in place.
     """
@@ -204,10 +204,9 @@ class Lanes:
             ones, m8, m16, b257, _ = _lane_masks(self.n)
             # each step drops the int it replaces, so few lane-wide temporaries live at once
             acc, self._lanes = self._lanes, None
-            if self.bound >> 17:
-                acc = (acc & m16) + (acc >> 16 & m16)
-            # 2**8 = -1 (mod 257), twice, with biases of 2 * 257 and 257 keeping every
-            # lane non-negative: lanes below 2**17 land in [3, 769], then in [254, 512]
+            acc = (acc & m16) + (acc >> 16 & m16)
+            # 2**16 = 1 (mod 257) took every lane below 2**17; 2**8 = -1, twice, with biases
+            # of 2 * 257 and 257 keeping lanes non-negative: [3, 769], then [254, 512]
             high = acc >> 8 & m16
             acc &= m8
             acc += b257 << 1
@@ -226,8 +225,6 @@ class Lanes:
         return self.n
 
     def _symbols(self) -> tuple[Symbol, ...]:
-        if self._bytes is not None:
-            return tuple(self._bytes)
         out = array(_LANE)
         out.frombytes(self.value.to_bytes(4 * self.n, sys.byteorder))
         return tuple(out)
@@ -240,8 +237,6 @@ class Lanes:
 
     def __eq__(self, other):
         if isinstance(other, Lanes):
-            if self._bytes is not None and other._bytes is not None:
-                return self._bytes == other._bytes
             return self.n == other.n and self.value == other.value
         return self._symbols() == other if isinstance(other, tuple) else NotImplemented
 

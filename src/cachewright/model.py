@@ -1,10 +1,10 @@
 """Network configuration, file splitting, and demand enumeration.
 
-FieldCtx.split cuts a file into K(K-1) subfiles, indexed by ordered user pairs
-(i, j), i != j, in the form FieldCtx.combine reads. Demands assign one file to
-each of the K users; the demand set D contains exactly the assignments that
-request every file at least once. demand_orbits yields each of D's orbits under
-relabelling the files as its first demand; relabellings expands it into the orbit.
+FieldCtx.split cuts a file into K(K-1) subfiles, keyed by ordered user pairs (i, j),
+i != j, in the form FieldCtx.pack decides. Demands give each of the K users one file;
+D holds those requesting every file, which a scheme's pattern tests. demand_orbits
+yields each of D's orbits under relabelling the files as its first demand;
+relabellings expands it into the orbit.
 """
 
 from __future__ import annotations
@@ -119,15 +119,3 @@ def validate_users(users: Iterable[int] | None, cfg: NetworkConfig) -> tuple[int
         if not 1 <= k <= cfg.k:
             raise IndexOutOfRange(f"user {k} outside [1, {cfg.k}]")
     return users
-
-
-def in_demand_set(demand: Sequence[int], cfg: NetworkConfig) -> bool:
-    """True iff every one of the N files is requested at least once."""
-    return len(set(demand)) == cfg.n
-
-
-def successor(k: int, users: int) -> int:
-    """Next user index with wraparound: k+1 for k < K, 1 for k = K."""
-    if not 1 <= k <= users:
-        raise IndexOutOfRange(f"user {k} outside [1, {users}]")
-    return k % users + 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import os
 import random
@@ -612,3 +613,60 @@ def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, argv, lines):
             reader.close()
             _, err = proc.communicate(timeout=120)
         assert (unbuffered, proc.returncode, err) == (unbuffered, 2, "")
+
+
+NO_SPACE = f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    ["tradeoff", "--n", "2", "--k", "4", "--out"],
+    ["verify", "--n", "2", "--k", "3", "--out"],
+    ["converse", "--n", "2", "--k", "4", "--dump"],
+    ["roundtrip", "--n", "2", "--k", "3", "--demand", "1,2,1", "INPUT", "--out"],
+], ids=lambda argv: argv[0])
+def test_an_output_that_takes_no_more_exits_2_with_one_error_line(sample_file, capsys, argv):
+    argv = [str(sample_file[0]) if arg == "INPUT" else arg for arg in argv]
+    assert main([*argv, "/dev/full"]) == 2
+    assert capsys.readouterr().err == NO_SPACE
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    ["tradeoff", "--n", "2", "--k", "4"],
+    ["converse", "--n", "2", "--k", "4"],
+    ["verify", "--n", "2", "--k", "3"],
+], ids=lambda argv: argv[0])
+def test_a_full_stdout_exits_2_with_one_error_line(tmp_path, argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        with open("/dev/full", "w") as full:
+            run = subprocess.run([sys.executable, "-m", "cachewright", *argv], cwd=tmp_path,
+                                 env={**env, **unbuffered}, stdout=full,
+                                 stderr=subprocess.PIPE, text=True, timeout=120)
+        assert (unbuffered, run.returncode, run.stderr) == (unbuffered, 2, NO_SPACE)
+
+
+def test_a_created_output_that_takes_no_more_is_removed(tmp_path, capsys, monkeypatch):
+    def no_space(text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full(path, mode, **kwargs):
+        fh = opened(path, mode, **kwargs)
+        fh.write = no_space
+        return fh
+
+    opened = cli._open
+    monkeypatch.setattr(cli, "_open", full)
+    out = tmp_path / "curve.csv"
+    argv = ["tradeoff", "--n", "2", "--k", "3", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == NO_SPACE
+    assert not out.exists()
+    out.write_bytes(b"8 bytes.")  # a file that was there is left as it was
+    assert main(argv) == 2
+    assert capsys.readouterr().err == NO_SPACE
+    assert out.read_bytes() == b"8 bytes."

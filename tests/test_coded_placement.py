@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -85,7 +87,7 @@ def test_placement_matches_hand_table_3_4():
                     lib[2].parts[(1, 2)])
     assert z1.parts[-1] == {"sum": total}
 
-    # user 4 wraps around: successor(4) = 1
+    # user 4 wraps around: succ(4) = 1
     z4 = caches[3]
     for n in (1, 2, 3):
         grid = lib[n - 1]
@@ -140,6 +142,21 @@ def test_delivery_refuses_non_surjective():
     lib = make_library(cfg)
     with pytest.raises(DemandNotInD):
         deliver(lib, (1, 1, 1, 1), cfg)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_the_pattern_is_the_first_request_order_on_d_and_refused_off_it(k):
+    for n in range(1, k + 1):
+        cfg = NetworkConfig(n, k)
+        for d in itertools.product(range(1, n + 1), repeat=k):
+            order = sorted(set(d), key=d.index)  # the files in order of first request
+            if len(order) == n:
+                assert NEW.pattern(d, cfg) == tuple(order.index(f) + 1 for f in d), d
+            else:
+                with pytest.raises(DemandNotInD,
+                                   match=rf"^demand {re.escape(str(d))} does not request "
+                                         "every file$"):
+                    NEW.pattern(d, cfg)
 
 
 def test_a_pattern_compiles_once_for_all_its_demands():

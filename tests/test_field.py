@@ -214,6 +214,8 @@ def _every_folded_value():
 def test_lane_reduction_covers_every_folded_value():
     lanes = _every_folded_value()
     assert _bounded(lanes) == tuple(x % 257 for x in lanes)
+    low = range(2 ** 17)  # a bound below 2**17 takes the same fold
+    assert _bounded(low) == tuple(x % 257 for x in low)
 
 
 def test_a_sum_whose_bound_crosses_2_32_folds_its_terms_and_matches_the_list_path():

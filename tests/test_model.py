@@ -7,15 +7,13 @@ from functools import cache
 
 import pytest
 
-from cachewright.errors import ConfigMismatch, IndexOutOfRange, NotPrime
+from cachewright.errors import ConfigMismatch, NotPrime
 from cachewright.model import (
     NetworkConfig,
     demand_orbits,
-    in_demand_set,
     pair_order,
     relabellings,
     split_file,
-    successor,
     validate_demand,
 )
 
@@ -182,7 +180,6 @@ def test_demand_orbits_are_d_in_groups_of_relabellings(k):
 def test_every_demand_surjective():
     cfg = NetworkConfig(3, 5)
     for d in _flat(cfg):
-        assert in_demand_set(d, cfg)
         assert set(d) == {1, 2, 3}
 
 
@@ -194,14 +191,6 @@ def test_other_users_cover_all_other_files():
             for user in range(1, k + 1):
                 others = {d[u - 1] for u in range(1, k + 1) if u != user}
                 assert others >= set(range(1, n + 1)) - {d[user - 1]}
-
-
-def test_successor():
-    assert successor(4, 4) == 1
-    assert successor(1, 4) == 2
-    assert successor(3, 4) == 4
-    with pytest.raises(IndexOutOfRange):
-        successor(5, 4)
 
 
 @pytest.mark.parametrize("demand", [(1, 2), (1, 2, 1, 2)])

@@ -136,21 +136,22 @@ def _count_spreads(monkeypatch):
     return packed
 
 
-def test_lanes_from_bytes_read_their_bytes_without_packing(monkeypatch):
+def test_lanes_from_bytes_keep_their_bytes_for_bytes_alone(monkeypatch):
     packed = _count_spreads(monkeypatch)
     data = random.Random(7).randbytes(100)
+    flipped = data[:-1] + bytes([data[-1] ^ 1])
     lanes, twin = F257.pack(data), F257.pack(bytes(data))
-    assert bytes(lanes) is data
-    assert lanes == twin and lanes != F257.pack(data[:-1] + bytes([data[-1] ^ 1]))
-    assert lanes == tuple(data) and tuple(data) == lanes and tuple(lanes) == tuple(data)
+    assert bytes(lanes) is data and packed == []
+    # the first read of the symbols packs once, and every later read reads those lanes
+    assert lanes == tuple(data) and packed == [data]
+    assert tuple(data) == lanes and tuple(lanes) == tuple(data)
     assert [lanes[i] for i in (0, 57, -1)] == [data[i] for i in (0, 57, -1)]
     assert lanes[10:20] == tuple(data[10:20])
-    assert packed == []
-    # value packs once, and the kernel then reads those lanes
     assert lanes.value == _canonical(tuple(data)).value and packed == [data]
+    assert lanes == twin and lanes != F257.pack(flipped) and packed == [data, data, flipped]
     assert F257.combine(*in_one_slot([(2, lanes), (-1, lanes)])) == tuple(data)
     assert F257.combine(*in_one_slot([(1, twin), (-1, lanes)])) == (0,) * 100
-    assert packed == [data, data]
+    assert packed == [data, data, flipped]
     assert lanes == twin and bytes(lanes) is data
     # a bytearray is copied, so a later write to it leaves the Lanes as it was
     buffer = bytearray(data)
