@@ -26,7 +26,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import Pool
 
 from . import baselines, coded_placement
 from .errors import ConfigMismatch
@@ -108,6 +107,8 @@ def run_verification(n: int, k: int, scheme: str = "new", jobs: int = 1,
     if jobs == 1:
         results = [_check_chunk(chunks[0])]
     else:
+        # imported here, so a process that starts no worker never loads it (about 1 MiB)
+        from multiprocessing import Pool
         with Pool(processes=jobs) as pool:
             results = pool.map(_check_chunk, chunks)
     failures = [f for _, fs, _ in results for f in fs]

@@ -4,6 +4,7 @@ and every top-level name under src/ is read there or is an entry point with its 
 from __future__ import annotations
 
 import ast
+import json
 import random
 import re
 import subprocess
@@ -48,6 +49,35 @@ def test_the_proof_half_loads_nothing_from_the_data_plane():
                if m.startswith("cachewright.") and not m.startswith("cachewright.converse")}
     assert outside == {"cachewright.tradeoff", "cachewright.errors"}
     assert "multiprocessing" not in loaded
+
+
+@pytest.mark.parametrize("module", ["cachewright.cli", "cachewright.verify"])
+def test_importing_the_entry_points_loads_no_worker_pool(module):
+    assert "multiprocessing" not in _loaded_after(module)
+
+
+def _verify_on_two_cpus(jobs: int) -> tuple[str, set[str]]:
+    """The JSON report of `verify --n 2 --k 3 --jobs JOBS` without wall_time, run in a fresh
+    interpreter whose os.cpu_count says 2, and the modules loaded when the run ended."""
+    code = ("import contextlib, io, json, os, sys; os.cpu_count = lambda: 2\n"
+            "from cachewright import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"    assert cli.main(['verify', '--n', '2', '--k', '3', '--jobs', '{jobs}']) == 0\n"
+            "report = json.loads(out.getvalue()); del report['wall_time']\n"
+            "print(json.dumps(report, sort_keys=True)); print(' '.join(sorted(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], cwd=SRC,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    report, loaded = result.stdout.splitlines()
+    return report, set(loaded.split())
+
+
+def test_only_a_verify_that_starts_workers_loads_the_worker_pool():
+    serial, loaded = _verify_on_two_cpus(1)
+    assert "multiprocessing" not in loaded
+    parallel, loaded = _verify_on_two_cpus(2)
+    assert "multiprocessing" in loaded
+    assert parallel == serial and json.loads(serial)["demands_checked"] == 6
 
 
 @pytest.mark.parametrize("name", ["field", "model", "scheme", "coded_placement", "baselines",

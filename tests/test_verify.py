@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import multiprocessing
 import os
 import random
 import re
@@ -27,7 +28,7 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
         raise AssertionError("a worker pool was started on a one-CPU machine")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(verify, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     capped = run_verification(2, 4, "new", jobs=3)
     assert capped.ok
     serial.wall_time = capped.wall_time = 0.0
@@ -318,7 +319,7 @@ def test_workers_get_whole_orbits(monkeypatch):
             return list(map(fn, args))
 
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(verify, "Pool", InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     cfg = NetworkConfig(3, 5)
     orbits = list(demand_orbits(cfg))
     for name in sorted(SCHEMES):

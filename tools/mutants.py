@@ -27,6 +27,10 @@ ROOT = Path(__file__).resolve().parent.parent
 CATALOGUE = Path(__file__).resolve().parent / "mutants.json"
 
 
+class NoSuchTest(Exception):
+    """pytest found no test by this node id, and so ran none."""
+
+
 def failed_tests(copy: Path, tests: list[str]) -> set[str]:
     """The node ids among tests that fail or error when pytest runs them in copy."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -38,6 +42,12 @@ def failed_tests(copy: Path, tests: list[str]) -> set[str]:
     failed = {test for test in tests for item in summary
               if test == item or test.startswith(item + "::")}
     if result.returncode not in (0, 1) and not failed:  # 1 is "some tests failed"
+        # 4 is a usage error; pytest names the first node id it could not find, by its path
+        found = re.search(r"^ERROR: (?:file or directory )?not found: (.+)$", result.stdout,
+                          re.MULTILINE)
+        for test in tests:
+            if found and found.group(1).endswith(test):
+                raise NoSuchTest(test)
         raise RuntimeError(f"pytest exited {result.returncode}:\n{result.stdout}")
     return failed
 
@@ -57,7 +67,12 @@ def main(argv: list[str]) -> int:
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
         every = sorted({test for entry in entries for test in entry["tests"]})
-        broken = failed_tests(copy, every)
+        try:
+            broken = failed_tests(copy, every)
+        except NoSuchTest as exc:
+            owner = next(entry["id"] for entry in entries if str(exc) in entry["tests"])
+            print(f"error: {owner}: pytest finds no test {exc}", file=sys.stderr)
+            return 2
         if broken:
             print(f"error: these fail on the unmutated code: {sorted(broken)}", file=sys.stderr)
             return 2
