@@ -23,7 +23,7 @@ from .converse.certificate import check_certificate, serialize_certificate
 from .converse.tightness import FAMILIES, tightness_check
 from .errors import CachewrightError, SymbolOutOfByteRange
 from .field import join_bytes
-from .model import NetworkConfig, split_file, validate_demand
+from .model import NetworkConfig, validate_demand
 from .tradeoff import assemble_known_curve, csv_lines
 from .verify import SCHEMES, run_verification
 
@@ -93,8 +93,7 @@ def cmd_roundtrip(args) -> int:
     with _output(args.out, "wb") as out:
         blobs = [payload if n == wanted else _filler(payload, n) for n in range(1, args.n + 1)]
         scheme = SCHEMES[args.scheme]
-        keys = scheme.keys(cfg)
-        library = [split_file(b, cfg, keys=keys) for b in blobs]
+        library = [scheme.split(b, cfg) for b in blobs]
         cache = scheme.place(library, cfg, users=(user,))[0]
         # Scheme.deliver and Scheme.decode each compile the pattern; one compile serves both
         d = validate_demand(demand, cfg)

@@ -51,7 +51,7 @@ _VAR_TYPES = frozenset({Var, int})
 
 
 def _check_vars(vs: VarSet, table) -> None:
-    admitted = table.admitted()
+    admitted = table.admitted
     if vs <= admitted and {*map(type, vs)} <= _VAR_TYPES:
         return
     for v in vs:
@@ -227,9 +227,6 @@ class PermSymmetry(Axiom):
             out[image - 1] = demand[user - 1]
         return tuple(out)
 
-    def side_conditions(self, table) -> None:
-        self.image(table)
-
     def image(self, table) -> VarSet:
         out = set()
         for v in self.s:
@@ -237,7 +234,7 @@ class PermSymmetry(Axiom):
                 out.add(zvar(self.perm[index_of(v) - 1]))
             elif kind_of(v) == "X":
                 moved = self.permuted_demand(table.demands[index_of(v) - 1])
-                if (moved_id := table.demand_id(moved)) is None:
+                if (moved_id := table.ids.get(moved)) is None:
                     raise OutsideTable(
                         f"permutation sends demand {index_of(v)} to {moved}, not in the table")
                 out.add(xvar(moved_id))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from ..errors import (
@@ -38,16 +38,15 @@ class Certificate:
     target_r: Fraction
     target_rhs: Fraction
 
-    def demand_id(self, demand: Demand) -> int | None:
-        if "_ids" not in self.__dict__:   # tables built once per certificate
-            object.__setattr__(self, "_ids", {d: i for i, d in enumerate(self.demands, start=1)})
-        return self._ids.get(tuple(demand))
+    @cached_property
+    def ids(self) -> dict[Demand, int]:
+        """The id of each demand in the table: its 1-based place there."""
+        return {d: i for i, d in enumerate(self.demands, start=1)}
 
+    @cached_property
     def admitted(self) -> set:
         """The variables range-checked against this table so far, grown by the checker."""
-        if "_admitted" not in self.__dict__:
-            object.__setattr__(self, "_admitted", set())
-        return self._admitted
+        return set()
 
     def target_text(self) -> str:
         return f"{self.target_m}M+{self.target_r}R >= {self.target_rhs}"
@@ -101,11 +100,12 @@ def check_certificate(cert: Certificate) -> CheckReport:
             raise NegativeMultiplierOnInequality(index, f"{axiom.kind} weighted {mult}")
         try:
             axiom.validate(cert)
+            terms = axiom.terms(cert)
         except OutsideTable as exc:
             raise SymmetryOutsideTable(index, str(exc)) from exc
         except ValueError as exc:
             raise MalformedAxiom(index, str(exc)) from exc
-        for key, coef in axiom.terms(cert):
+        for key, coef in terms:
             if key:   # the empty set has zero entropy
                 total = residual.get(key, 0) + coef * weight
                 if total:

@@ -204,18 +204,10 @@ class Lanes:
             ones, m8, m16, b257, _ = _lane_masks(self.n)
             # each step drops the int it replaces, so few lane-wide temporaries live at once
             acc, self._lanes = self._lanes, None
-            acc = (acc & m16) + (acc >> 16 & m16)
-            # 2**16 = 1 (mod 257) took every lane below 2**17; 2**8 = -1, twice, with biases
-            # of 2 * 257 and 257 keeping lanes non-negative: [3, 769], then [254, 512]
-            high = acc >> 8 & m16
-            acc &= m8
-            acc += b257 << 1
-            acc -= high
-            high = acc >> 8 & m8
-            acc &= m8
-            acc += b257
-            acc -= high
-            del high
+            for _ in range(2):  # 2**16 = 1 (mod 257): every lane below 2**17, then <= 65535
+                acc = (acc & m16) + (acc >> 16 & m16)
+            # 2**8 = -1 (mod 257), biased by 257 so every lane stays in [2, 512]
+            acc = (acc & m8) + b257 - (acc >> 8 & m16)
             # adding 255 carries into bit 9 exactly when a lane is >= 257
             self._lanes = acc - 257 * ((acc + m8) >> 9 & ones)
             self.bound = 256

@@ -307,7 +307,6 @@ def test_roundtrip_opens_out_before_the_work(tmp_path, sample_file, capsys, monk
     path, _ = sample_file
     monkeypatch.setattr(cli, "_filler", _fail_if_called)
     monkeypatch.setattr(scheme, "split_file", _fail_if_called)
-    monkeypatch.setattr(cli, "split_file", _fail_if_called)
     missing = tmp_path / "missing" / "o.bin"
     assert main(["roundtrip", "--n", "3", "--k", "4", "--demand", "1,1,2,3",
                  str(path), "--out", str(missing)]) == 2

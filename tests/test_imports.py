@@ -109,6 +109,15 @@ def test_the_certificate_checker_loads_only_the_converse_core():
                       "cachewright.errors"}
 
 
+def test_no_converse_module_writes_behind_a_frozen_dataclass():
+    # what a certificate derives from its table is a cached_property, not a hidden attribute
+    for path in sorted((SRC / "cachewright" / "converse").rglob("*.py")):
+        writes = [node for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                  and getattr(node.value, "id", None) == "object"]
+        assert writes == [], path.name
+
+
 ENTRY_POINTS = {"case1_certificate", "case2_certificate", "check_certificate",
                 "parse_certificate", "serialize_certificate", "perturbed", "tightness_check"}
 
