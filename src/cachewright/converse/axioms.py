@@ -15,9 +15,9 @@ or = 0 (equalities) over the variables of one demand table:
 
 Each kind declares its fields once, typed VarSet, User, DemandId, File or
 Perm; the table _FIELDS says how each type is written in certificate text,
-read back and range-checked, so a kind keeps only its side conditions and
-its terms. PermSymmetry is valid only when pi maps every broadcast in S to a
-demand that exists in the table; the checker enforces exactly that.
+read back and range-checked, so a kind keeps only its terms, which refuse an
+instance that breaks its side conditions. PermSymmetry's pi must map every
+broadcast in S to a demand in the table; the checker enforces exactly that.
 """
 
 from dataclasses import dataclass, fields
@@ -97,13 +97,10 @@ class Axiom:
     def validate(self, table) -> None:
         for name, f in self.spec:
             f.check(getattr(self, name), table)
-        self.side_conditions(table)
-
-    def side_conditions(self, table) -> None:
-        pass
 
     def terms(self, table) -> Sequence[tuple]:
-        """(key, integer coefficient) pairs: a variable set, or M, R or CONST."""
+        """(key, integer coefficient) pairs: a variable set, or M, R or CONST.
+        Raises ValueError for an instance that breaks its kind's side conditions."""
         raise NotImplementedError
 
 
@@ -134,11 +131,9 @@ class Submodularity(Axiom):
     a: VarSet
     b: VarSet
 
-    def side_conditions(self, table) -> None:
+    def terms(self, table):
         if not self.a or not self.b:
             raise ValueError("submodularity needs two nonempty sets")
-
-    def terms(self, table):
         return (self.a, 1), (self.b, 1), (self.a | self.b, -1), (self.a & self.b, -1)
 
 
@@ -147,13 +142,11 @@ class Monotonicity(Axiom):
     sup: VarSet
     sub: VarSet
 
-    def side_conditions(self, table) -> None:
+    def terms(self, table):
         if not self.sup:
             raise ValueError("monotonicity needs a nonempty superset")
         if not self.sub <= self.sup:
             raise ValueError("second set is not contained in the first")
-
-    def terms(self, table):
         return (self.sup, 1), (self.sub, -1)
 
 
@@ -179,13 +172,11 @@ class Decodability(Axiom):
     demand_id: DemandId
     s: VarSet
 
-    def side_conditions(self, table) -> None:
+    def terms(self, table):
         if zvar(self.user) not in self.s:
             raise ValueError(f"Z{self.user} missing from the conditioning set")
         if xvar(self.demand_id) not in self.s:
             raise ValueError(f"X{self.demand_id} missing from the conditioning set")
-
-    def terms(self, table):
         wanted = wvar(table.demands[self.demand_id - 1][self.user - 1])
         return (self.s | {wanted}, 1), (self.s, -1)
 
@@ -194,11 +185,9 @@ class Decodability(Axiom):
 class Totality(Axiom):
     s: VarSet
 
-    def side_conditions(self, table) -> None:
+    def terms(self, table):
         if sum(kind_of(v) == "W" for v in self.s) != table.n:   # members are distinct, in range
             raise ValueError("set does not contain every file")
-
-    def terms(self, table):
         return (self.s, 1), (CONST, -table.n)
 
 
@@ -206,13 +195,11 @@ class Totality(Axiom):
 class FileIndependence(Axiom):
     files: VarSet
 
-    def side_conditions(self, table) -> None:
+    def terms(self, table):
         if not self.files:
             raise ValueError("needs a nonempty file set")
         if any(kind_of(v) != "W" for v in self.files):
             raise ValueError("only file variables allowed")
-
-    def terms(self, table):
         return (self.files, 1), (CONST, -len(self.files))
 
 

@@ -10,7 +10,7 @@ equalities may be weighted with either sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -59,8 +59,8 @@ class CheckReport:
     residual_m: Fraction
     residual_r: Fraction
     residual_const: Fraction
-    leftover_terms: dict[VarSet, Fraction] = field(default_factory=dict)
-    reason: str = ""
+    leftover_terms: dict[VarSet, Fraction]
+    reason: str
 
     @property
     def verdict(self) -> str:
@@ -82,7 +82,7 @@ def _validate_table(cert: Certificate) -> None:
 
 
 def check_certificate(cert: Certificate) -> CheckReport:
-    """Validate side conditions, sum the axioms, compare with the target.
+    """Check each axiom's fields and side conditions, sum the axioms, compare with the target.
 
     Multipliers must be int or Fraction (bool is refused). The sum runs over
     integers: each multiplier is scaled by the lcm of all their denominators,

@@ -179,8 +179,8 @@ class Lanes:
 
     bound is at least every lane and below 2**32, and each lane is congruent mod 257
     to its symbol. FieldCtx.pack builds canonical Lanes, bound 256; from bytes it keeps
-    the bytes for bytes() alone, and the first read of its symbols (the packed kernel,
-    value, iteration, indexing, ==) builds the int, once. _combine_packed builds the
+    the bytes for bytes() alone, and the first read of value (by the packed kernel,
+    iteration, indexing or ==) spreads them into the int, once. _combine_packed builds the
     others with the bound of their sum. Reads as the tuple of its symbols (len,
     iteration, indexing, ==), unpacking on each read; the first read of value makes
     every lane canonical, once, in place.
@@ -256,8 +256,8 @@ def _combine_packed(step: Sequence[tuple[int, tuple]], slots: Sequence) -> Lanes
             raise LengthMismatch(f"cannot combine vectors of lengths {n} and {v.n}")
         c %= 257
         lanes = v._lanes
-        if lanes is None:
-            lanes = v._lanes = _spread(v._bytes)
+        if lanes is None:  # bytes not read yet: value spreads them into canonical lanes
+            lanes = v.value
         acc += c * lanes
         bound += c * v.bound
     if bound >> 32:  # lanes may have carried: sum again from canonical terms

@@ -35,6 +35,7 @@ from cachewright.converse.certificate import Certificate
 from cachewright.converse.entropy import Var, wvar, xvar, zvar
 from cachewright.converse.tightness import FAMILIES, scheme_point, yu_point
 from cachewright.errors import (
+    CertificateError,
     ConfigMismatch,
     MalformedAxiom,
     NegativeMultiplierOnInequality,
@@ -369,6 +370,43 @@ def test_symmetry_outside_table_carries_its_index():
     with pytest.raises(SymmetryOutsideTable) as info:
         check_certificate(cert)
     assert info.value.index == 1
+
+
+# every side condition of every kind, each broken alone at index 1 after a valid CacheBound;
+# no permutation of two users leaves _TABLE, so the last case drops its demand (2, 1)
+@pytest.mark.parametrize("bad, table, error, message", [
+    pytest.param(Submodularity(frozenset(), fs(zvar(1))), _TABLE, MalformedAxiom,
+                 "submodularity needs two nonempty sets", id="submod-empty-a"),
+    pytest.param(Submodularity(fs(zvar(1)), frozenset()), _TABLE, MalformedAxiom,
+                 "submodularity needs two nonempty sets", id="submod-empty-b"),
+    pytest.param(Monotonicity(frozenset(), frozenset()), _TABLE, MalformedAxiom,
+                 "monotonicity needs a nonempty superset", id="mono-empty-superset"),
+    pytest.param(Monotonicity(fs(wvar(1)), fs(zvar(1))), _TABLE, MalformedAxiom,
+                 "second set is not contained in the first", id="mono-not-a-subset"),
+    pytest.param(Decodability(1, 1, fs(xvar(1))), _TABLE, MalformedAxiom,
+                 "Z1 missing from the conditioning set", id="decode-without-z"),
+    pytest.param(Decodability(2, 1, fs(zvar(2))), _TABLE, MalformedAxiom,
+                 "X1 missing from the conditioning set", id="decode-without-x"),
+    pytest.param(Totality(fs(wvar(1), zvar(1))), _TABLE, MalformedAxiom,
+                 "set does not contain every file", id="total-misses-a-file"),
+    pytest.param(FileIndependence(frozenset()), _TABLE, MalformedAxiom,
+                 "needs a nonempty file set", id="fileind-empty"),
+    pytest.param(FileIndependence(fs(wvar(1), zvar(1))), _TABLE, MalformedAxiom,
+                 "only file variables allowed", id="fileind-non-file"),
+    pytest.param(PermSymmetry((1, 1), fs(zvar(1))), _TABLE, MalformedAxiom,
+                 "(1, 1) is not a permutation of [1, 2]", id="permsym-non-permutation"),
+    pytest.param(PermSymmetry((2, 1), fs(xvar(1))), ((1, 2),), SymmetryOutsideTable,
+                 "permutation sends demand 1 to (2, 1), not in the table",
+                 id="permsym-image-outside-table"),
+])
+def test_each_side_condition_is_refused_by_message_and_index(bad, table, error, message):
+    cert = Certificate(2, 2, 1, table, ((CacheBound(1), F(1)), (bad, F(1))), F(0), F(0), F(0))
+    with pytest.raises(CertificateError) as info:
+        check_certificate(cert)
+    assert type(info.value) is error
+    assert info.value.index == 1
+    assert str(info.value) == f"axiom 1: {message}"
+
 
 def test_budget_slack_is_accepted():
     # proving with a smaller M coefficient than the target is still a proof:

@@ -222,9 +222,8 @@ def test_only_pack_decides_whether_a_vector_is_packed():
     assert sorted(scope for scope, call in _by_scope(
         tree, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Lanes")
         if any(k.arg in ("data", None) for k in call.keywords)) == ["FieldCtx.pack"]
-    # ... and only the packed kernel and Lanes.value turn those bytes into lanes
-    assert sorted(_names_by_scope(tree, "_spread")) == [("Lanes.value", "Load"),
-                                                        ("_combine_packed", "Load")]
+    # ... and only Lanes.value turns those bytes into lanes; the kernel reads them through it
+    assert sorted(_names_by_scope(tree, "_spread")) == [("Lanes.value", "Load")]
     for path in sorted((SRC / "cachewright").rglob("*.py")):
         if path.name != "field.py":
             text = path.read_text()
