@@ -13,17 +13,17 @@ or = 0 (equalities) over the variables of one demand table:
   PermSymmetry       H(S) - H(pi S) = 0, pi relabelling users and demands
   FileSymmetry       H(W_a, Z_l) - H(W_b, Z_l) = 0
 
-Each kind declares its fields once, typed VarSet, User, DemandId, File or
-Perm; the table _FIELDS says how each type is written in certificate text,
-read back and range-checked, so a kind keeps only its terms, which refuse an
-instance that breaks its side conditions. PermSymmetry's pi must map every
-broadcast in S to a demand in the table; the checker enforces exactly that.
+Each kind declares its fields once, typed VarSet (a frozenset of int variable
+codes), User, DemandId, File or Perm; the table _FIELDS says how each type is
+written in certificate text, read back and range-checked, so a kind keeps only
+its terms, which refuse an instance that breaks its side conditions, as when
+PermSymmetry's pi sends a broadcast in S to a demand outside the table.
 """
 
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, NewType, Sequence
 
-from .entropy import (CONST, M, R, Var, VarSet, index_of, kind_of, natural, parse_varset,
+from .entropy import (CONST, M, R, VarSet, index_of, kind_of, natural, parse_varset,
                       varset_token, wvar, xvar, zvar)
 
 User = NewType("User", int)
@@ -47,7 +47,7 @@ _user = _bounded("user", lambda t: t.k)
 _file = _bounded("file index", lambda t: t.n)
 _demand_id = _bounded("demand id", lambda t: len(t.demands))
 _VAR_RANGE = {"W": _file, "Z": _bounded("cache index", lambda t: t.k), "X": _demand_id}
-_VAR_TYPES = frozenset({Var, int})
+_VAR_TYPES = frozenset({int})
 
 
 def _check_vars(vs: VarSet, table) -> None:

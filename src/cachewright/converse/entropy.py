@@ -5,11 +5,11 @@ broadcast X_i for the i-th demand of a certificate's demand table. A linear
 combination maps keys to coefficients: a variable set stands for its joint
 entropy, and M, R and CONST for the cache budget, the rate and a constant.
 
-A variable is an int, kind << 32 | idx with the kinds ordered W, Z, X, so the
-frozensets that key a combination hash, compare and sort in C, and in the
-order of certificate text. A plain int in a variable set is the variable its
-code names; nothing else is a variable. Constructors, parsing and text go
-through bounded memos; a malformed token is never kept and always raises.
+A variable is its int code kind << 32 | idx, kinds ordered W, Z, X: var
+builds one, kind_of and index_of read it back. So the frozensets that key a
+combination hash, compare and sort in C, in the order of certificate text.
+Constructors, parsing and text go through bounded memos; a malformed token is
+never kept and always raises.
 """
 
 from __future__ import annotations
@@ -37,33 +37,22 @@ def index_of(code: int) -> int:
     return code & 0xFFFFFFFF
 
 
-class Var(int):
-    """One random variable: kind 'W' (file), 'Z' (cache), or 'X' (broadcast)."""
+def var(kind: str, idx: int) -> int:
+    """The code of one random variable: kind 'W' (file), 'Z' (cache), or 'X' (broadcast)."""
+    if kind not in _KIND_ORDER or not 0 <= idx < 1 << 32:
+        raise ValueError(f"no variable ({kind!r}, {idx!r}): kinds W, Z, X, index below 2**32")
+    return _KIND_ORDER[kind] << 32 | idx
 
-    __slots__ = ()
-    kind, idx = property(kind_of), property(index_of)
 
-    def __new__(cls, kind: str, idx: int) -> "Var":
-        if kind not in _KIND_ORDER or not 0 <= idx < 1 << 32:
-            raise ValueError(f"no variable ({kind!r}, {idx!r}): kinds W, Z, X, index below 2**32")
-        return super().__new__(cls, _KIND_ORDER[kind] << 32 | idx)
-
-    def __getnewargs__(self) -> tuple[str, int]:   # pickle and copy rebuild through __new__
-        return self.kind, self.idx
-
-    def __repr__(self) -> str:
-        return f"Var({self.kind!r}, {self.idx})"
-
-    @staticmethod
-    @lru_cache(maxsize=4096)
-    def parse(token: str) -> "Var":
-        if token[:1] not in _KIND_ORDER:
-            raise ValueError(f"bad variable token {token!r}")
-        return Var(token[0], natural(token[1:]))
+@lru_cache(maxsize=4096)
+def parse_var(token: str) -> int:
+    if token[:1] not in _KIND_ORDER:
+        raise ValueError(f"bad variable token {token!r}")
+    return var(token[0], natural(token[1:]))
 
 
 VarSet = frozenset
-wvar, zvar, xvar = (lru_cache(maxsize=4096)(partial(Var, kind)) for kind in _KIND_ORDER)
+wvar, zvar, xvar = (lru_cache(maxsize=4096)(partial(var, kind)) for kind in _KIND_ORDER)
 
 
 def wset(count: int) -> VarSet:
@@ -90,7 +79,7 @@ def parse_varset(token: str) -> VarSet:
     if token == "-":
         return frozenset()
     names = token.split(",")
-    vs = frozenset(map(Var.parse, names))
+    vs = frozenset(map(parse_var, names))
     if len(vs) != len(names):
         raise ValueError(f"{token!r} names a variable twice")
     return vs

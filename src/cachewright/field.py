@@ -90,10 +90,8 @@ class FieldCtx:
         else:
             data, zero = tuple(data), (0,)
         n = max(1, -(-len(data) // count))
-        whole = len(data) // n * n
-        rest = data[whole:] + zero * (n * count - len(data))
-        return ([self.pack(data[i:i + n]) for i in range(0, whole, n)]
-                + [self.pack(rest[i:i + n]) for i in range(0, len(rest), n)]), n
+        parts = (data[i:i + n] for i in range(0, n * count, n))
+        return [self.pack(part + zero * (n - len(part))) for part in parts], n
 
     def pack(self, symbols: bytes | Sequence[Symbol]) -> Sequence[Symbol]:
         """The symbols, each in [0, p) by one min/max test at every prime, in the one form this

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from cachewright.converse.certificate import Certificate, CheckReport
-from cachewright.converse.entropy import CONST, M, R, varset_token
+from cachewright.converse.entropy import CONST, M, R, index_of, kind_of, varset_token
 
 
 def check_certificate(cert: Certificate) -> CheckReport:
@@ -22,7 +22,8 @@ def check_certificate(cert: Certificate) -> CheckReport:
     residual = {key: total for key, total in residual.items() if total}
     m, r, const = (residual.pop(key, Fraction(0)) for key in (M, R, CONST))
     if residual:
-        worst = min(residual, key=lambda s: sorted(("WZX".index(v.kind), v.idx) for v in s))
+        worst = min(residual,
+                    key=lambda s: sorted(("WZX".index(kind_of(v)), index_of(v)) for v in s))
         reason = (f"{len(residual)} entropy terms do not cancel, "
                   f"e.g. {residual[worst]}*H({varset_token(worst)})")
     elif m > cert.target_m:

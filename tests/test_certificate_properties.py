@@ -27,7 +27,7 @@ from cachewright.converse.axioms import (
 )
 from cachewright.converse.case1 import in_case1_range
 from cachewright.converse.certificate import Certificate
-from cachewright.converse.entropy import Var
+from cachewright.converse.entropy import wvar, xvar, zvar
 from cachewright.errors import CachewrightError
 
 
@@ -37,8 +37,7 @@ def certificates(draw) -> Certificate:
     demands = draw(st.lists(st.tuples(*[st.integers(1, n)] * k), min_size=1, max_size=4,
                             unique=True))
     user, file, demand_id = st.integers(1, k), st.integers(1, n), st.integers(1, len(demands))
-    var = st.one_of(file.map(lambda i: Var("W", i)), user.map(lambda i: Var("Z", i)),
-                    demand_id.map(lambda i: Var("X", i)))
+    var = st.one_of(file.map(wvar), user.map(zvar), demand_id.map(xvar))
     varset = st.frozensets(var, max_size=4)
     perm = st.permutations(range(1, k + 1)).map(tuple)
     kinds = [st.builds(Submodularity, varset, varset), st.builds(Monotonicity, varset, varset),

@@ -3,7 +3,9 @@
 tests/golden/tradeoff/nN_kK.csv holds `cachewright tradeoff --n N --k K` at
 the default 33 samples, and tests/golden/converse/nN_kK.out the stdout of
 `cachewright converse --n N --k K`, whose exit code is listed in
-tests/golden/converse/exit_codes.txt, for every 1 <= N <= K with 2 <= K <= 8.
+tests/golden/converse/exit_codes.txt, for every 1 <= N <= K with 2 <= K <= 8;
+tests/golden/converse/certificates.sha256 the SHA-256 of the text of every family
+certificate with 2 <= N <= K <= 8, which `converse --dump` writes.
 tests/golden/verify/SCHEME_nN_kK.json holds the JSON of `cachewright verify --n N
 --k K --scheme SCHEME` without its wall_time, for both schemes and every
 1 <= N <= K with 2 <= K <= 6.
@@ -12,11 +14,14 @@ tests/golden/verify/SCHEME_nN_kK.json holds the JSON of `cachewright verify --n 
 from __future__ import annotations
 
 import json
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
 
 from cachewright.cli import main
+from cachewright.converse import serialize_certificate
+from cachewright.converse.tightness import FAMILIES
 
 GOLDEN = Path(__file__).parent / "golden"
 PAIRS = [(n, k) for k in range(2, 9) for n in range(1, k + 1)]
@@ -51,6 +56,18 @@ def test_converse_matches_golden(n, k, capsysbinary):
     expected = (GOLDEN / "converse" / f"n{n}_k{k}.out").read_bytes()
     assert capsysbinary.readouterr().out == expected
     assert code == _exit_codes()[(n, k)]
+
+
+def test_family_certificate_text_matches_its_digest():
+    digests = {}
+    for line in (GOLDEN / "converse" / "certificates.sha256").read_text().splitlines():
+        digest, name = line.split("  ")
+        digests[name] = digest
+    assert len(digests) == 31
+    assert digests == {
+        f"theorem{f.theorem}-{n}-{k}": sha256(serialize_certificate(f.certificate(n, k)).encode())
+        .hexdigest()
+        for n, k in PAIRS if n >= 2 for f in FAMILIES if f.in_range(n, k)}
 
 
 @pytest.mark.parametrize("scheme,n,k", VERIFIED)

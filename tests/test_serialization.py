@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import copy
-import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,7 +11,8 @@ from cachewright.converse import (
     parse_certificate,
     serialize_certificate,
 )
-from cachewright.converse.entropy import Var, parse_varset, varset_token, wvar, xvar, zvar
+from cachewright.converse.entropy import (index_of, kind_of, parse_varset, var, varset_token,
+                                          wvar, xvar, zvar)
 from cachewright.errors import CachewrightError, ConfigMismatch
 
 
@@ -152,7 +151,8 @@ def test_a_variable_set_lists_files_then_caches_then_broadcasts_by_index():
     assert parse_varset(varset_token(vs)) == vs
     for kinds in ([xvar(2), xvar(1)], [zvar(3), xvar(1)], [xvar(1), wvar(5)], [zvar(7), wvar(8)]):
         assert varset_token(frozenset(kinds)) == ",".join(
-            f"{v.kind}{v.idx}" for v in sorted(kinds, key=lambda v: ("WZX".index(v.kind), v.idx)))
+            f"{kind_of(v)}{index_of(v)}"
+            for v in sorted(kinds, key=lambda v: ("WZX".index(kind_of(v)), index_of(v))))
     assert varset_token(frozenset()) == "-"
 
 
@@ -167,28 +167,18 @@ def test_blank_lines_are_skipped():
     assert parse_certificate("\n" + text) == cert
 
 
-_MIXED = [Var(kind, idx) for kind in "XZW" for idx in (2**32 - 1, 12, 3, 0, 1)]
-
-
-@pytest.mark.parametrize("var", _MIXED, ids=repr)
-def test_a_variable_keeps_its_kind_and_index_through_pickle_and_copy(var):
-    kind, idx = var.kind, var.idx
-    assert Var(kind, idx) == var and repr(var) == f"Var({kind!r}, {idx})"
-    copies = [pickle.loads(pickle.dumps(var, protocol))
-              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-    for back in copies + [copy.deepcopy(var), copy.copy(var)]:
-        assert (type(back), back, back.kind, back.idx) == (Var, var, kind, idx)
-    assert pickle.loads(pickle.dumps(frozenset(_MIXED))) == frozenset(_MIXED)
+_MIXED = [var(kind, idx) for kind in "XZW" for idx in (2**32 - 1, 12, 3, 0, 1)]
 
 
 def test_variables_sort_by_kind_files_caches_broadcasts_then_by_index():
     order = {"W": 0, "Z": 1, "X": 2}
-    reference = sorted(_MIXED, key=lambda v: (order[v.kind], v.idx))
+    reference = sorted(_MIXED, key=lambda v: (order[kind_of(v)], index_of(v)))
     assert sorted(_MIXED) == reference
-    assert [f"{v.kind}{v.idx}" for v in reference][:3] == ["W0", "W1", "W3"]
+    assert [var(kind_of(v), index_of(v)) for v in _MIXED] == _MIXED
+    assert [f"{kind_of(v)}{index_of(v)}" for v in reference][:3] == ["W0", "W1", "W3"]
 
 
 @pytest.mark.parametrize("kind, idx", [("Q", 1), ("W", -1), ("W", 2**32), ("", 1), ("WZ", 1)])
 def test_a_variable_outside_the_kinds_or_the_index_range_is_refused(kind, idx):
-    with pytest.raises(ValueError):
-        Var(kind, idx)
+    with pytest.raises(ValueError, match=r"^no variable .*: kinds W, Z, X, index below 2\*\*32$"):
+        var(kind, idx)
