@@ -6,6 +6,8 @@ converse (generate and check a lower-bound certificate). Exit codes: 0 all
 checks passed, 1 a verification or certificate check failed, 2 usage or
 configuration error, a failed write, or standard output closed early. main may
 be called any number of times in one process; the parser is built on the first call.
+The converse and tradeoff subcommands import the proof half (the converse package
+and the tradeoff module) when they run, so roundtrip and verify never load it.
 """
 
 from __future__ import annotations
@@ -19,12 +21,9 @@ import random
 import stat
 import sys
 
-from .converse.certificate import check_certificate, serialize_certificate
-from .converse.tightness import FAMILIES, tightness_check
 from .errors import CachewrightError, SymbolOutOfByteRange
 from .field import join_bytes
 from .model import NetworkConfig, validate_demand
-from .tradeoff import assemble_known_curve, csv_lines
 from .verify import SCHEMES, run_verification
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -135,6 +134,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
+    from .tradeoff import assemble_known_curve, csv_lines
+
     with _output(args.out, "w", encoding="utf-8", newline="") as out:
         curve = assemble_known_curve(args.n, args.k)
         (out or sys.stdout).writelines(csv_lines(curve, args.samples))
@@ -142,6 +143,12 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_converse(args) -> int:
+    from .converse.certificate import check_certificate, serialize_certificate
+    from .converse.tightness import FAMILIES, tightness_check
+
+    keys = (*(f.theorem for f in FAMILIES), "auto")
+    if args.theorem not in keys:
+        raise CachewrightError(f"--theorem {args.theorem} is not one of {', '.join(keys)}")
     chosen = [f for f in FAMILIES if args.theorem == f.theorem
               or args.theorem == "auto" and f.in_range(args.n, args.k)]
     if not chosen:
@@ -209,9 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converse", help="generate and check a lower-bound certificate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--theorem", choices=(*(f.theorem for f in FAMILIES), "auto"),
-                   default="auto",
-                   help="2: many-files bound, 4: few-files bound")
+    p.add_argument("--theorem", default="auto",
+                   help="2: many-files bound, 4: few-files bound, auto: each that applies")
     p.add_argument("--dump", default=None, help="write the certificate text here")
     p.set_defaults(func=cmd_converse)
     return parser
@@ -221,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser every main call reuses. argparse keeps no state between parse_args
     calls, and each cmd_* looks up FAMILIES, SCHEMES, run_verification and _filler
-    when it runs, so replacing one of them later still takes effect."""
+    when it runs, so replacing one of them later still takes effect. The parser reads
+    nothing from the proof half: cmd_converse checks the --theorem key."""
     return build_parser()
 
 

@@ -4,6 +4,8 @@ Each bound family of converse.tightness.FAMILIES is exact on the line from its
 corner up to N(K-1)/K (at 2N = K+1 the two lines coincide). Beyond N(K-1)/K
 the classical R(M) = 1 - M/N takes over; for a single file the exact curve is
 simply 1 - M on all of [0, 1]. Everything is carried as exact rationals.
+exact_regions and assemble_known_curve import converse.tightness when called, so
+importing this module loads none of the converse package.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from heapq import merge
 from itertools import groupby
 from typing import Iterator, Sequence
 
-from .converse.tightness import FAMILIES, bound_line, rate_chen, yu_point
 from .errors import DegenerateInput, OutOfRange, OutsideCharacterizedRegion
 
 Point = tuple[Fraction, Fraction]
@@ -107,6 +108,8 @@ def lower_envelope(points: Sequence[Point]) -> TradeoffCurve:
 
 def exact_regions(n: int, k: int) -> list[Segment]:
     """The memory regions where the exact tradeoff is known, with formulas."""
+    from .converse.tightness import FAMILIES, bound_line
+
     if not 1 <= n <= k:
         raise OutOfRange(f"need 1 <= N <= K, got ({n}, {k})")
     regions = []
@@ -148,6 +151,8 @@ def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
     order, then the K chords between uncoded-prefetching corners. A segment
     no line holds is memory-sharing.
     """
+    from .converse.tightness import FAMILIES, rate_chen, yu_point
+
     if not 1 <= n <= k or k < 2:
         raise OutOfRange(f"need 1 <= N <= K and K >= 2, got ({n}, {k})")
     chen = [(Fraction(0), Fraction(n)), (Fraction(1, k), rate_chen(n, k, Fraction(1, k)))]

@@ -14,7 +14,7 @@ import pytest
 
 from cachewright import cli, scheme, tradeoff
 from cachewright.cli import main
-from cachewright.converse import check_certificate, parse_certificate, perturbed
+from cachewright.converse import check_certificate, parse_certificate, perturbed, tightness
 from cachewright.errors import CachewrightError
 
 from test_field import PSI_12, PSI_13
@@ -185,7 +185,7 @@ def test_converse_dump_parses_and_checks(tmp_path, capsys):
     assert check_certificate(cert).ok
 
 
-@pytest.mark.parametrize("family", cli.FAMILIES, ids=lambda f: f"theorem-{f.theorem}")
+@pytest.mark.parametrize("family", tightness.FAMILIES, ids=lambda f: f"theorem-{f.theorem}")
 def test_converse_dump_round_trips_every_certified_pair(tmp_path, capsys, family):
     pairs = [(n, k) for k in range(2, 9) for n in range(2, k + 1) if family.in_range(n, k)]
     assert pairs
@@ -200,13 +200,22 @@ def test_converse_dump_round_trips_every_certified_pair(tmp_path, capsys, family
 
 def test_converse_refuses_one_dump_of_both_families(tmp_path, capsys, monkeypatch):
     # at 2N = K + 1 both regimes hold, and one file cannot hold two certificates
-    monkeypatch.setattr(cli, "FAMILIES", tuple(
-        dataclasses.replace(f, certificate=_fail_if_called) for f in cli.FAMILIES))
+    monkeypatch.setattr(tightness, "FAMILIES", tuple(
+        dataclasses.replace(f, certificate=_fail_if_called) for f in tightness.FAMILIES))
     dump = tmp_path / "cert.txt"
     assert main(["converse", "--n", "3", "--k", "5", "--dump", str(dump)]) == 2
     err = capsys.readouterr().err
     assert "both bound families, which certify the same line" in err
     assert "--theorem 2 or --theorem 4" in err
+    assert not dump.exists()
+
+
+def test_converse_refuses_a_theorem_key_no_family_has(tmp_path, capsys):
+    dump = tmp_path / "F"
+    assert main(["converse", "--n", "3", "--k", "4", "--theorem", "3", "--dump", str(dump)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --theorem 3 is not one of 2, 4, auto\n"
     assert not dump.exists()
 
 
@@ -321,16 +330,16 @@ def test_verify_opens_out_before_the_sweep(tmp_path, capsys, monkeypatch):
 
 
 def test_converse_opens_dump_before_the_certificates(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "FAMILIES", tuple(
-        dataclasses.replace(f, certificate=_fail_if_called) for f in cli.FAMILIES))
-    monkeypatch.setattr(cli, "tightness_check", _fail_if_called)
+    monkeypatch.setattr(tightness, "FAMILIES", tuple(
+        dataclasses.replace(f, certificate=_fail_if_called) for f in tightness.FAMILIES))
+    monkeypatch.setattr(tightness, "tightness_check", _fail_if_called)
     missing = tmp_path / "missing" / "cert.txt"
     assert main(["converse", "--n", "3", "--k", "4", "--dump", str(missing)]) == 2
     _assert_open_error(capsys, missing, "No such file or directory")
 
 
 def test_tradeoff_opens_out_before_the_curve(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "assemble_known_curve", _fail_if_called)
+    monkeypatch.setattr(tradeoff, "assemble_known_curve", _fail_if_called)
     missing = tmp_path / "missing" / "curve.csv"
     assert main(["tradeoff", "--n", "2", "--k", "3", "--out", str(missing)]) == 2
     _assert_open_error(capsys, missing, "No such file or directory")
@@ -341,7 +350,7 @@ def test_tradeoff_refuses_more_samples_than_it_can_hold(capsys, monkeypatch):
         raise AssertionError("emit_csv sampled the curve")
 
     curve = tradeoff.assemble_known_curve(2, 3)
-    monkeypatch.setattr(cli, "assemble_known_curve", lambda n, k: curve)
+    monkeypatch.setattr(tradeoff, "assemble_known_curve", lambda n, k: curve)
     monkeypatch.setattr(tradeoff, "Fraction", refuse)   # each sample is one Fraction
     assert main(["tradeoff", "--n", "2", "--k", "3", "--samples", str(10**6 + 1)]) == 2
     assert capsys.readouterr().err == "error: need at most 1000000 samples\n"
@@ -409,7 +418,7 @@ def test_work_that_raises_after_writing_leaves_only_what_it_wrote(tmp_path, monk
         yield "N,K\n"
         raise error("stopped")
 
-    monkeypatch.setattr(cli, "csv_lines", broken)
+    monkeypatch.setattr(tradeoff, "csv_lines", broken)
     out = tmp_path / "curve.csv"
     out.write_bytes(b"x" * 100_000)  # longer than anything written
     argv = ["tradeoff", "--n", "2", "--k", "3", "--out", str(out)]
@@ -515,10 +524,10 @@ def test_verify_out_holds_exactly_the_printed_report(tmp_path, capsys):
 
 
 def test_converse_prints_why_a_certificate_fails_and_exits_1(capsys, monkeypatch):
-    family = cli.FAMILIES[0]
+    family = tightness.FAMILIES[0]
     broken = dataclasses.replace(
         family, certificate=lambda n, k: perturbed(family.certificate(n, k), 0, 1))
-    monkeypatch.setattr(cli, "FAMILIES", (broken, *cli.FAMILIES[1:]))
+    monkeypatch.setattr(tightness, "FAMILIES", (broken, *tightness.FAMILIES[1:]))
     assert main(["converse", "--n", "3", "--k", "4", "--theorem", "2"]) == 1
     captured = capsys.readouterr()
     reason = check_certificate(broken.certificate(3, 4)).reason

@@ -9,7 +9,6 @@ import random
 import re
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -31,8 +30,9 @@ def test_tightness_does_not_reference_tradeoff():
     assert "tradeoff" not in source
 
 
-def _loaded_after(module: str, prelude: str = "") -> set[str]:
-    code = prelude + f"import sys; import {module}; print(' '.join(sorted(sys.modules)))"
+def _loaded_after(module: str, then: str = "") -> set[str]:
+    """The modules loaded in a fresh interpreter once it has imported module and run then."""
+    code = f"import sys; import {module}\n{then}\nprint(' '.join(sorted(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], cwd=SRC,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
@@ -44,7 +44,11 @@ def test_the_package_root_loads_no_submodule():
 
 
 def test_the_proof_half_loads_nothing_from_the_data_plane():
-    loaded = _loaded_after("cachewright.converse, cachewright.tradeoff")
+    # the entry points load on first use, so the test calls one from each side
+    loaded = _loaded_after("cachewright.converse, cachewright.tradeoff", then=(
+        "cachewright.tradeoff.assemble_known_curve(2, 3)\n"
+        "from cachewright import converse\n"
+        "assert converse.check_certificate(converse.case1_certificate(3, 4)).ok"))
     outside = {m for m in loaded
                if m.startswith("cachewright.") and not m.startswith("cachewright.converse")}
     assert outside == {"cachewright.tradeoff", "cachewright.errors"}
@@ -54,6 +58,29 @@ def test_the_proof_half_loads_nothing_from_the_data_plane():
 @pytest.mark.parametrize("module", ["cachewright.cli", "cachewright.verify"])
 def test_importing_the_entry_points_loads_no_worker_pool(module):
     assert "multiprocessing" not in _loaded_after(module)
+
+
+def test_importing_the_proof_half_loads_no_converse_submodule():
+    loaded = _loaded_after("cachewright.cli, cachewright.converse, cachewright.tradeoff")
+    assert {m for m in loaded if m.startswith("cachewright.converse.")} == set()
+
+
+@pytest.mark.parametrize("command", ["roundtrip", "verify"])
+def test_the_data_plane_commands_load_nothing_from_the_proof_half(tmp_path, command):
+    source, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    source.write_bytes(bytes(range(256)) * 8)
+    argv = {"roundtrip": ["roundtrip", "--n", "3", "--k", "4", "--demand", "1,2,3,1",
+                          "--user", "2", str(source), "--out", str(out)],
+            "verify": ["verify", "--n", "2", "--k", "3"]}[command]
+    loaded = _loaded_after("cachewright.cli", then=(
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cachewright.cli.main({argv!r}) == 0"))
+    assert "cachewright.verify" in loaded
+    assert {m for m in loaded if m.startswith(("cachewright.converse", "cachewright.tradeoff"))
+            } == set()
+    if command == "roundtrip":
+        assert out.read_bytes() == source.read_bytes()
 
 
 def _verify_on_two_cpus(jobs: int) -> tuple[str, set[str]]:
@@ -99,10 +126,7 @@ def test_each_scheme_runs_on_the_engine(module):
 
 
 def test_the_certificate_checker_loads_only_the_converse_core():
-    # converse/__init__ re-exports the generators, so a bare package stands in for it
-    bare = ("import sys, types; sub = types.ModuleType('cachewright.converse'); "
-            "sub.__path__ = ['cachewright/converse']; sys.modules['cachewright.converse'] = sub; ")
-    loaded = {m for m in _loaded_after("cachewright.converse.certificate", bare)
+    loaded = {m for m in _loaded_after("cachewright.converse.certificate")
               if m.startswith("cachewright.")}
     assert loaded == {"cachewright.converse", "cachewright.converse.certificate",
                       "cachewright.converse.axioms", "cachewright.converse.entropy",
@@ -118,15 +142,38 @@ def test_no_converse_module_writes_behind_a_frozen_dataclass():
         assert writes == [], path.name
 
 
-ENTRY_POINTS = {"case1_certificate", "case2_certificate", "check_certificate",
-                "parse_certificate", "serialize_certificate", "perturbed", "tightness_check"}
+# each entry point of the converse package, with the module that defines it
+ENTRY_POINTS = {"case1_certificate": "case1", "case2_certificate": "case2",
+                "check_certificate": "certificate", "parse_certificate": "certificate",
+                "serialize_certificate": "certificate", "perturbed": "certificate",
+                "tightness_check": "tightness"}
+
+_BINDINGS = """
+import importlib, json, types
+import cachewright.converse as converse
+
+def public():
+    return sorted(name for name, value in vars(converse).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType))
+
+before = public()
+same = {name: getattr(converse, name) is getattr(
+            importlib.import_module(f"cachewright.converse.{module}"), name)
+        for name, module in ENTRY_POINTS.items()}
+# hasattr is False only when the lookup raises AttributeError; any other error escapes
+print(json.dumps([before, same, public(), hasattr(converse, "no_such_entry_point")]))
+"""
 
 
 def test_the_converse_package_binds_only_its_entry_points():
-    import cachewright.converse as converse
-    public = {name for name, value in vars(converse).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert public == ENTRY_POINTS
+    result = subprocess.run([sys.executable, "-c", f"ENTRY_POINTS = {ENTRY_POINTS!r}{_BINDINGS}"],
+                            cwd=SRC, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    before, same, after, unknown_bound = json.loads(result.stdout)
+    assert before == []  # importing the package binds nothing
+    assert same == dict.fromkeys(ENTRY_POINTS, True)
+    assert after == sorted(ENTRY_POINTS)
+    assert unknown_bound is False
 
 
 def _imported_modules(path: Path):
