@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (ConfigMismatch, DivisionByZero, EvenModulus, LengthMismatch, NotPrime,
                      SymbolOutOfByteRange)
@@ -53,8 +52,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldCtx:
+class FieldCtx(NamedTuple):
     """The field Z_p for an odd prime p, and the owner of its vectors. Immutable, safe to share."""
 
     p: int
@@ -108,8 +106,9 @@ class FieldCtx:
         return symbols
 
 
+@lru_cache(maxsize=8, typed=True)  # one per modulus; a run uses one or two
 def make_field(p: int) -> FieldCtx:
-    """Build a field context, insisting on an odd prime modulus that is_prime decides exactly."""
+    """The field context of p, insisting on an odd prime modulus that is_prime decides exactly."""
     if p >= _MR_EXACT_BELOW:
         raise NotPrime(f"{p} is not below {_MR_EXACT_BELOW}, so it cannot be proved prime")
     if not is_prime(p):

@@ -9,9 +9,8 @@ relabellings expands it into the orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigMismatch, IndexOutOfRange, OutOfRange
 from .field import FieldCtx, Symbol, default_modulus, make_field
@@ -19,26 +18,34 @@ from .field import FieldCtx, Symbol, default_modulus, make_field
 Demand = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    """An (N, K) cache network served over the field Z_p; p None for default_modulus(K)."""
-
+class _NetworkConfig(NamedTuple):
     n: int
     k: int
-    p: int | None = None
+    p: int
 
-    def __post_init__(self):
-        if self.p is None:
-            object.__setattr__(self, "p", default_modulus(self.k))
-        if not 1 <= self.n <= self.k:
-            raise ConfigMismatch(f"need 1 <= N <= K, got N={self.n}, K={self.k}")
-        object.__setattr__(self, "_field", make_field(self.p))
-        if self.p <= self.k:
-            raise ConfigMismatch(f"modulus {self.p} must exceed K={self.k}")
+
+class NetworkConfig(_NetworkConfig):
+    """An (N, K) cache network served over the field Z_p; p None for default_modulus(K)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, p: int | None = None):
+        if p is None:
+            p = default_modulus(k)
+        if not 1 <= n <= k:
+            raise ConfigMismatch(f"need 1 <= N <= K, got N={n}, K={k}")
+        make_field(p)  # refuses a p that is not an odd prime
+        if p <= k:
+            raise ConfigMismatch(f"modulus {p} must exceed K={k}")
+        return super().__new__(cls, n, k, p)
+
+    @classmethod
+    def _make(cls, fields):  # so _replace validates too
+        return cls(*fields)
 
     @property
     def field(self) -> FieldCtx:
-        return self._field
+        return make_field(self.p)
 
     @property
     def subfiles_per_file(self) -> int:
@@ -50,8 +57,7 @@ def pair_order(k: int) -> list[tuple[int, int]]:
     return list(permutations(range(1, k + 1), 2))
 
 
-@dataclass
-class SubfileGrid:
+class SubfileGrid(NamedTuple):
     """One file cut into equal-length subfiles, keyed by user pair (i, j), or by user for MAN."""
 
     parts: dict[object, Sequence[Symbol]]

@@ -19,10 +19,9 @@ no programs, so a caller that runs one pattern's programs many times compiles th
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConfigMismatch, LengthMismatch
 from .field import FieldCtx, Symbol, join_bytes
@@ -41,8 +40,7 @@ def run(program: dict, slots: list, field: FieldCtx) -> dict:
     return out
 
 
-@dataclass
-class Cache:
+class Cache(NamedTuple):
     """One user's cache: parts[f-1] maps key to packet for file f alone, parts[N] mixes files;
     keys are the scheme's split keys, in the order a file's pieces are recovered."""
 
@@ -57,8 +55,7 @@ class Cache:
         return sum(map(len, self.parts)) * self.subfile_len
 
 
-@dataclass
-class Broadcast:
+class Broadcast(NamedTuple):
     """The packets sent for one demand."""
 
     demand: Demand
@@ -69,8 +66,7 @@ class Broadcast:
         return sum(len(p) for p in self.packets)
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(NamedTuple):
     """A linear scheme as its split keys and the compilers of its programs."""
 
     keys: Callable  # cfg -> the keys a file is split under, in file order

@@ -10,19 +10,17 @@ importing this module loads none of the converse package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
 from itertools import groupby
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DegenerateInput, OutOfRange, OutsideCharacterizedRegion
 
 Point = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     m_lo: Fraction
     m_hi: Fraction
     intercept: Fraction
@@ -33,27 +31,34 @@ class Segment:
         return self.intercept + self.slope * m
 
 
-@dataclass(frozen=True)
-class TradeoffCurve:
-    """Contiguous convex non-increasing piecewise-linear segments."""
-
+class _TradeoffCurve(NamedTuple):
     segments: tuple[Segment, ...]
     vertices: tuple[tuple[Fraction, Fraction, str], ...] = ()
 
-    def __post_init__(self):
-        segs = self.segments
-        for seg in segs:
+
+class TradeoffCurve(_TradeoffCurve):
+    """Contiguous convex non-increasing piecewise-linear segments."""
+
+    __slots__ = ()
+
+    def __new__(cls, segments: tuple[Segment, ...], vertices: tuple = ()):
+        for seg in segments:
             if not seg.m_lo < seg.m_hi:
                 raise DegenerateInput(f"empty segment [{seg.m_lo}, {seg.m_hi}]")
             if seg.slope > 0:
                 raise DegenerateInput("rate must be non-increasing in memory")
-        for left, right in zip(segs, segs[1:]):
+        for left, right in zip(segments, segments[1:]):
             if left.m_hi != right.m_lo:
                 raise DegenerateInput("segments not contiguous")
             if left.value(left.m_hi) != right.value(right.m_lo):
                 raise DegenerateInput("segments disagree at a junction")
             if left.slope > right.slope:
                 raise DegenerateInput("curve is not convex")
+        return super().__new__(cls, segments, vertices)
+
+    @classmethod
+    def _make(cls, fields):  # so _replace validates too
+        return cls(*fields)
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:

@@ -24,8 +24,8 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import baselines, coded_placement
 from .errors import ConfigMismatch
@@ -34,11 +34,10 @@ from .model import NetworkConfig, demand_orbits, relabellings
 SCHEMES = {"new": coded_placement.NEW, "man": baselines.MAN}
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     config: dict
     demands_checked: int
-    failures: list[dict] = field(default_factory=list)
+    failures: list[dict]
     wall_time: float = 0.0
     memory: Fraction = Fraction(0)
     rate: Fraction = Fraction(0)

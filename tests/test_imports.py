@@ -65,8 +65,9 @@ def test_importing_the_proof_half_loads_no_converse_submodule():
     assert {m for m in loaded if m.startswith("cachewright.converse.")} == set()
 
 
-@pytest.mark.parametrize("command", ["roundtrip", "verify"])
-def test_the_data_plane_commands_load_nothing_from_the_proof_half(tmp_path, command):
+def _loaded_by_command(tmp_path, command: str) -> set[str]:
+    """The modules loaded in a fresh interpreter once cli.main has run a roundtrip at (3,4)
+    or `verify --n 2 --k 3`; the roundtrip must give back its input."""
     source, out = tmp_path / "in.bin", tmp_path / "out.bin"
     source.write_bytes(bytes(range(256)) * 8)
     argv = {"roundtrip": ["roundtrip", "--n", "3", "--k", "4", "--demand", "1,2,3,1",
@@ -77,10 +78,35 @@ def test_the_data_plane_commands_load_nothing_from_the_proof_half(tmp_path, comm
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cachewright.cli.main({argv!r}) == 0"))
     assert "cachewright.verify" in loaded
-    assert {m for m in loaded if m.startswith(("cachewright.converse", "cachewright.tradeoff"))
-            } == set()
     if command == "roundtrip":
         assert out.read_bytes() == source.read_bytes()
+    return loaded
+
+
+@pytest.mark.parametrize("command", ["roundtrip", "verify"])
+def test_the_data_plane_commands_load_nothing_from_the_proof_half(tmp_path, command):
+    loaded = _loaded_by_command(tmp_path, command)
+    assert {m for m in loaded if m.startswith(("cachewright.converse", "cachewright.tradeoff"))
+            } == set()
+
+
+@pytest.mark.parametrize("command", ["roundtrip", "verify"])
+def test_the_data_plane_commands_load_no_dataclasses(tmp_path, command):
+    # dataclasses imports inspect, and with it ast, dis and tokenize
+    assert {"dataclasses", "inspect"} & _loaded_by_command(tmp_path, command) == set()
+
+
+def test_a_curve_and_its_csv_load_no_dataclasses():
+    loaded = _loaded_after("cachewright.tradeoff", then=(
+        "curve = cachewright.tradeoff.lower_envelope([(0, 2), (1, 1), (3, 0)])\n"
+        "assert cachewright.tradeoff.emit_csv(curve, 3).count('\\n') == 5"))
+    assert "dataclasses" not in loaded
+
+
+def test_only_the_converse_package_imports_dataclasses():
+    importers = [path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
+                 if "dataclasses" in set(_imported_modules(path))]
+    assert importers and all(path.startswith("cachewright/converse/") for path in importers)
 
 
 def _verify_on_two_cpus(jobs: int) -> tuple[str, set[str]]:

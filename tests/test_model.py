@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from functools import cache
 
@@ -45,6 +47,35 @@ def test_only_none_picks_the_default_modulus():
     assert NetworkConfig(2, 3).p == NetworkConfig(2, 3, None).p == 257
     with pytest.raises(NotPrime, match="^0 is not prime$"):
         NetworkConfig(2, 3, 0)
+
+
+def test_a_modulus_equal_to_k_is_refused():
+    with pytest.raises(ConfigMismatch, match="^modulus 5 must exceed K=5$"):
+        NetworkConfig(2, 5, p=5)
+
+
+COPIES = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
+          "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_a_config_is_a_read_only_record_that_copies_as_itself(how):
+    cfg = NetworkConfig(n=3, k=4)
+    assert repr(cfg) == "NetworkConfig(n=3, k=4, p=257)"
+    back = COPIES[how](cfg)
+    assert type(back) is NetworkConfig and back == cfg and repr(back) == repr(cfg)
+    assert back.field == cfg.field and hash(back) == hash(cfg)
+    for name in ("n", "p", "field", "other"):
+        with pytest.raises(AttributeError):
+            setattr(back, name, 7)
+    assert cfg == NetworkConfig(3, 4)
+
+
+def test_replacing_a_config_field_validates_again():
+    cfg = NetworkConfig(3, 4)
+    assert cfg._replace(n=2) == NetworkConfig(2, 4)
+    with pytest.raises(ConfigMismatch, match="^modulus 3 must exceed K=4$"):
+        cfg._replace(p=3)
 
 
 def test_pair_order_lexicographic():

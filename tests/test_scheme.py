@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import lcm
@@ -43,7 +42,7 @@ def _man_with_user_1_coefficient(coef):
             return {name: tuple((coef, ref) if (c, ref) == (-1, (2, 3)) else (c, ref)
                                 for c, ref in terms) for name, terms in decoder(k).items()}
         return delivery, mutated
-    return dataclasses.replace(baselines.MAN, serving=serving)
+    return baselines.MAN._replace(serving=serving)
 
 
 def test_a_coefficient_one_random_symbol_misses_fails_the_unit_vector_proof(monkeypatch):
@@ -157,7 +156,7 @@ def test_a_placement_that_singles_out_a_file_breaks_the_contract():
                             for (f, key), step in program.items() if f == 1 and key[0] == "diff"})
         return program
 
-    broken = dataclasses.replace(NEW, caching=caching)
+    broken = NEW._replace(caching=caching)
     assert _where_relabelling_breaks_placement(broken, NetworkConfig(2, 3)) == ((0, 2, 1), 1, 0)
     assert _where_relabelling_breaks_placement(broken, NetworkConfig(3, 5)) == ((0, 1, 3, 2), 1, 1)
 
@@ -177,7 +176,7 @@ def test_each_deliver_and_decode_compiles_its_pattern_once(name):
             return decoder(user)
         return delivery, counted
 
-    scheme = dataclasses.replace(SCHEMES[name], serving=serving)
+    scheme = SCHEMES[name]._replace(serving=serving)
     cfg, demand = NetworkConfig(3, 5), (1, 2, 1, 3, 2)
     pattern = scheme.pattern(demand, cfg)
     files = unit_vector_files(scheme, cfg)
@@ -199,7 +198,7 @@ def test_a_roundtrip_compiles_its_pattern_once(name, tmp_path, monkeypatch):
         compiled.append(pattern)
         return chosen.serving(cfg, pattern)
 
-    monkeypatch.setitem(cli.SCHEMES, name, dataclasses.replace(chosen, serving=serving))
+    monkeypatch.setitem(cli.SCHEMES, name, chosen._replace(serving=serving))
     source = tmp_path / "in.bin"
     source.write_bytes(b"hello world, twice over")
     for demand, user in (("1,2,1,3,2", "4"), ("3,3,1,2,1", "1")):

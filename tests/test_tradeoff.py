@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -206,6 +208,25 @@ def test_curve_validation():
 def test_curve_validation_names_each_defect(segments, reason):
     with pytest.raises(DegenerateInput, match=f"^{reason}$"):
         TradeoffCurve(tuple(Segment(*map(F, s), "a") for s in segments))
+
+
+@pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+def test_a_curve_is_a_read_only_record_that_copies_as_itself(how):
+    curve = assemble_known_curve(3, 4)
+    back = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
+            "deepcopy": copy.deepcopy}[how](curve)
+    assert type(back) is TradeoffCurve and back == curve and repr(back) == repr(curve)
+    for name in ("segments", "vertices", "domain", "other"):
+        with pytest.raises(AttributeError):
+            setattr(back, name, ())
+
+
+def test_replacing_a_curve_field_validates_again():
+    curve = lower_envelope([(F(0), F(2)), (F(1), F(1)), (F(2), F(0))])
+    assert curve._replace(vertices=()) == TradeoffCurve(curve.segments)
+    bent = (Segment(F(0), F(1), F(2), F(-1, 2), "a"), Segment(F(1), F(2), F(5, 2), F(-1), "a"))
+    with pytest.raises(DegenerateInput, match="^curve is not convex$"):
+        curve._replace(segments=bent)
 
 
 def test_assemble_3_4():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import multiprocessing
@@ -31,8 +30,7 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     capped = run_verification(2, 4, "new", jobs=3)
     assert capped.ok
-    serial.wall_time = capped.wall_time = 0.0
-    assert capped.to_json() == serial.to_json()
+    assert capped._replace(wall_time=0.0).to_json() == serial._replace(wall_time=0.0).to_json()
 
 
 def _long_library(scheme, cfg):
@@ -50,7 +48,7 @@ def test_placing_one_user_matches_placing_all(name, n, k):
     assert [c.user for c in everyone] == list(range(1, k + 1))
     for user in range(1, k + 1):
         (one,) = scheme.place(library, cfg, users=(user,))
-        assert vars(one) == vars(everyone[user - 1])
+        assert one._asdict() == everyone[user - 1]._asdict()
     assert scheme.place(library, cfg, users=(k, 1)) == [everyone[k - 1], everyone[0]]
 
 
@@ -89,7 +87,7 @@ def test_a_sweep_compiles_each_pattern_once(name, monkeypatch):
 
     run = engine.run
     monkeypatch.setattr(engine, "run", counted)
-    monkeypatch.setitem(verify.SCHEMES, name, dataclasses.replace(scheme, serving=serving))
+    monkeypatch.setitem(verify.SCHEMES, name, scheme._replace(serving=serving))
     assert len(orbits) == 90
     for chunk in (orbits, orbits[1::2]):
         served.clear(), decoded.clear(), runs.clear()
@@ -114,7 +112,7 @@ def _recaching(scheme, user: int, make):
             return program
         return {name: make(*name) if step == ((1, name),) else step
                 for name, step in program.items()}
-    return dataclasses.replace(scheme, caching=caching)
+    return scheme._replace(caching=caching)
 
 
 def test_a_cache_copy_that_is_another_subfile_fails_its_user(monkeypatch):
@@ -162,7 +160,7 @@ def _mutant(scheme, user: int, term: int, coef: int | None = None, slot: int | N
             first[term] = (c if coef is None else coef, (s if slot is None else slot, key))
             return {**steps, name: tuple(first)}
         return delivery, mutated
-    return dataclasses.replace(scheme, serving=serving)
+    return scheme._replace(serving=serving)
 
 
 def _per_demand_failures(scheme, cfg) -> tuple[list[dict], int]:
@@ -211,9 +209,7 @@ def test_verify_json_is_the_same_at_every_packing_threshold(name, n, k, mutant, 
     for limit in (field._PACKED_MAX_TERMS, 0):
         monkeypatch.setattr(field, "_PACKED_MAX_TERMS", limit)
         packed.clear()
-        report = run_verification(n, k, name)
-        report.wall_time = 0.0
-        reports.append(report.to_json())
+        reports.append(run_verification(n, k, name)._replace(wall_time=0.0).to_json())
         counts.append(len(packed))
     packed_run, listed_run = map(json.loads, reports)
     assert packed_run["demands_checked"] == listed_run["demands_checked"]
@@ -296,8 +292,7 @@ def test_two_jobs_report_what_one_job_reports(name, monkeypatch):
     serial = run_verification(4, 6, name, jobs=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     parallel = run_verification(4, 6, name, jobs=2)
-    serial.wall_time = parallel.wall_time = 0.0
-    assert parallel.to_json() == serial.to_json()
+    assert parallel._replace(wall_time=0.0).to_json() == serial._replace(wall_time=0.0).to_json()
 
 
 def test_workers_get_whole_orbits(monkeypatch):
@@ -349,7 +344,7 @@ def _without_stage2_head(scheme):
         delivery, decoder = scheme.serving(cfg, pattern)
         return delivery, lambda k: {key: step for key, step in decoder(k).items()
                                     if key != (k, k % cfg.k + 1)}
-    return dataclasses.replace(scheme, serving=serving)
+    return scheme._replace(serving=serving)
 
 
 @pytest.mark.parametrize("n, k", [(2, 2), (3, 5)])
