@@ -182,16 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coded-caching schemes, tradeoff curves, and converse certificates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scheme=False):
+    def common(p):
         p.add_argument("--n", type=int, required=True, help="number of files")
         p.add_argument("--k", type=int, required=True, help="number of users")
         p.add_argument("--prime", type=int, default=None,
                        help="field modulus (default: auto)")
-        if scheme:
-            p.add_argument("--scheme", choices=tuple(SCHEMES), default="new")
+        p.add_argument("--scheme", choices=tuple(SCHEMES), default="new")
 
     p = sub.add_parser("roundtrip", help="split, place, deliver, decode one file")
-    common(p, scheme=True)
+    common(p)
     p.add_argument("input", help="path of the file to push through the scheme")
     p.add_argument("--demand", required=True, help="comma-separated file indices")
     p.add_argument("--user", type=int, default=1, help="which user decodes")
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("verify", help="decode every demand in D, every user")
-    common(p, scheme=True)
+    common(p)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers (default: 1)")
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.add_argument("--force", action="store_true",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ..errors import IndexOutOfRange
 from .axioms import (
     CacheBound,
     Decodability,
@@ -43,10 +44,8 @@ class Builder:
         self.axioms.append((axiom, mult))
 
     def certificate(self) -> Certificate:
-        t_m, t_r, rhs = self.target
-        return Certificate(self.n, self.k, self.case, self.demands,
-                           tuple(self.axioms), Fraction(t_m), Fraction(t_r),
-                           Fraction(rhs))
+        return Certificate(self.n, self.k, self.case, self.demands, tuple(self.axioms),
+                           *self.target)
 
     def requested(self, demand_id: int, user: int) -> int:
         return self.demands[demand_id - 1][user - 1]
@@ -130,6 +129,13 @@ def cyclic_table(n: int, base: Demand) -> tuple[tuple[Demand, ...], dict[int, in
     k = len(base)
     demands = tuple(base[shift:] + base[:shift] for shift in range(k))
     return demands, {l: (n - l) % k + 1 for l in range(1, k + 1)}
+
+
+def ab_sets(n: int, k: int, i: int) -> tuple[frozenset[int], frozenset[int]]:
+    """A_i = {1, ..., N-i} and B_i = {K-i+2, ..., K}, both families' sets for 1 <= i <= N."""
+    if not 1 <= i <= n:
+        raise IndexOutOfRange(f"i={i} outside [1, {n}]")
+    return frozenset(range(1, n - i + 1)), frozenset(range(k - i + 2, k + 1))
 
 
 def transposition(a: int, b: int, k: int) -> tuple[int, ...]:

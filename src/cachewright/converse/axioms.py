@@ -47,15 +47,14 @@ _user = _bounded("user", lambda t: t.k)
 _file = _bounded("file index", lambda t: t.n)
 _demand_id = _bounded("demand id", lambda t: len(t.demands))
 _VAR_RANGE = {"W": _file, "Z": _bounded("cache index", lambda t: t.k), "X": _demand_id}
-_VAR_TYPES = frozenset({int})
 
 
 def _check_vars(vs: VarSet, table) -> None:
     admitted = table.admitted
-    if vs <= admitted and {*map(type, vs)} <= _VAR_TYPES:
+    if vs <= admitted and {*map(type, vs)} <= {int}:
         return
     for v in vs:
-        if type(v) not in _VAR_TYPES:
+        if type(v) is not int:
             raise ValueError(f"{v!r} is not a variable")
         _VAR_RANGE[kind_of(v)](index_of(v), table)   # raises for a code the table lacks
     admitted |= vs

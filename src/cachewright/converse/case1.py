@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import IndexOutOfRange, OutOfCaseRange
+from ..errors import OutOfCaseRange
 from ._chains import (
     Builder,
+    ab_sets,
     budget_family,
     chain_step,
     close_with_independence,
@@ -46,10 +47,7 @@ def case1_demand_table(n: int, k: int) -> tuple[tuple[Demand, ...], dict[int, in
 def case1_sets(n: int, k: int, i: int):
     """The demand-id sets (A_i, B_i, C_i, J) used by the bound."""
     _guard(n, k)
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"i={i} outside [1, {n}]")
-    a = frozenset(range(1, n - i + 1))
-    b = frozenset(range(k - i + 2, k + 1))
+    a, b = ab_sets(n, k, i)
     c = frozenset(range(max(1, k - n - i + 2), n - i + 1))
     j = frozenset(range(n + 1, k + 1))
     return a, b, c, j

@@ -22,6 +22,7 @@ from fractions import Fraction
 from ..errors import IndexOutOfRange, OutOfCaseRange
 from ._chains import (
     Builder,
+    ab_sets,
     budget_family,
     chain_step,
     close_with_independence,
@@ -55,10 +56,7 @@ def case2_demand_table(n: int, k: int) -> tuple[tuple[Demand, ...], dict[int, in
 def case2_sets(n: int, k: int, i: int):
     """The demand-id sets (A_i, B_i, E_i, G_i, L_i) for 1 <= i <= N."""
     _guard(n, k)
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"i={i} outside [1, {n}]")
-    a = frozenset(range(1, n - i + 1))
-    b = frozenset(range(k - i + 2, k + 1))
+    a, b = ab_sets(n, k, i)
     e = frozenset(range(n + 1, 2 * n - i + 1))
     g = frozenset(range(2 * n - i + 1, k - i + 2))
     return a, b, e, g, a | b | e | g

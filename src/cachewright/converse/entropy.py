@@ -60,19 +60,13 @@ def wset(count: int) -> VarSet:
     return frozenset(map(wvar, range(1, count + 1)))
 
 
-class _Texts(dict):
-    """The text of each variable code read so far, up to 4,096 of them."""
-
-    def __missing__(self, code: int) -> str:
-        text = kind_of(code) + str(index_of(code))
-        return self.setdefault(code, text) if len(self) < 4096 else text
-
-
-_TEXT = _Texts()
+@lru_cache(maxsize=4096)
+def _var_text(code: int) -> str:
+    return kind_of(code) + str(index_of(code))
 
 
 def varset_token(vs: VarSet) -> str:
-    return ",".join(map(_TEXT.__getitem__, sorted(vs))) if vs else "-"
+    return ",".join(map(_var_text, sorted(vs))) if vs else "-"
 
 
 def parse_varset(token: str) -> VarSet:

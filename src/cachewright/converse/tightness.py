@@ -1,8 +1,8 @@
 """The paper's two bound families, and the closed-form corners their lines meet.
 
-Every achievable (M, R) the rate-memory curves use is a formula here: the
-coded-placement point, the uncoded-prefetching corners and the small-cache
-line N - NM. Nothing here runs a scheme; verify measures those points.
+Every achievable (M, R) the rate-memory curves use is a formula here, and they read every
+corner from here: the coded-placement point, the uncoded-prefetching corners (yu_point) and
+the small-cache line N - NM. Nothing here runs a scheme; verify measures those points.
 """
 
 from __future__ import annotations

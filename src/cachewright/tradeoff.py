@@ -1,11 +1,11 @@
 """Rate-memory tradeoff curves: exact closed forms, envelopes, CSV emission.
 
-Each bound family of converse.tightness.FAMILIES is exact on the line from its
-corner up to N(K-1)/K (at 2N = K+1 the two lines coincide). Beyond N(K-1)/K
-the classical R(M) = 1 - M/N takes over; for a single file the exact curve is
-simply 1 - M on all of [0, 1]. Everything is carried as exact rationals.
-exact_regions and assemble_known_curve import converse.tightness when called, so
-importing this module loads none of the converse package.
+Every corner comes from converse.tightness: yu_point(N, K, r) is (0, N) at r = 0, the
+Maddah-Ali-Niesen (MAN) corner at r = K-1, full caching at r = K and the single-file cut at
+r = K-2; each bound family gives its corner and line. Exact are each family's line from its
+corner to the MAN corner, the MAN chord on to full caching and, for one file, the chord from
+(0, 1) to the MAN corner. Everything is exact rationals. The curve functions import
+converse.tightness when called, so importing this module loads none of the converse package.
 """
 
 from __future__ import annotations
@@ -74,12 +74,8 @@ class TradeoffCurve(_TradeoffCurve):
         return self.segment_at(m).value(m)
 
     def segment_at(self, m: Fraction) -> Segment:
-        for seg in self.segments:
-            if seg.m_lo <= m < seg.m_hi:
-                return seg
-        if not self.segments:
-            raise DegenerateInput("the curve is empty: it has no segments")
-        return self.segments[-1]
+        self.domain  # refuses an empty curve
+        return next((seg for seg in self.segments if seg.m_lo <= m < seg.m_hi), self.segments[-1])
 
 
 def _cross(a: Point, b: Point, c: Point) -> Fraction:
@@ -113,17 +109,17 @@ def lower_envelope(points: Sequence[Point]) -> TradeoffCurve:
 
 def exact_regions(n: int, k: int) -> list[Segment]:
     """The memory regions where the exact tradeoff is known, with formulas."""
-    from .converse.tightness import FAMILIES, bound_line
+    from .converse.tightness import FAMILIES, bound_line, yu_point
 
     if not 1 <= n <= k:
         raise OutOfRange(f"need 1 <= N <= K, got ({n}, {k})")
     regions = []
-    man_m = Fraction(n * (k - 1), k)
+    man = yu_point(n, k, k - 1)
     if n == 1 and k >= 2:  # M + R >= 1: a cache and one broadcast must hold the file
-        regions.append(Segment(Fraction(0), man_m, Fraction(1), Fraction(-1), "yu"))
-    regions += [Segment(f.corner(n, k)[0], man_m, *bound_line(f.target(n, k)),
+        regions.append(_chord(yu_point(n, k, 0), man, "yu"))
+    regions += [Segment(f.corner(n, k)[0], man[0], *bound_line(f.target(n, k)),
                         f"theorem-case{f.case}") for f in FAMILIES if f.in_range(n, k)]
-    regions.append(Segment(man_m, Fraction(n), Fraction(1), -Fraction(1, n), "man"))
+    regions.append(_chord(man, yu_point(n, k, k), "man"))
     return regions
 
 
@@ -160,9 +156,10 @@ def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
 
     if not 1 <= n <= k or k < 2:
         raise OutOfRange(f"need 1 <= N <= K and K >= 2, got ({n}, {k})")
-    chen = [(Fraction(0), Fraction(n)), (Fraction(1, k), rate_chen(n, k, Fraction(1, k)))]
+    yu = [yu_point(n, k, r) for r in range(k + 1)]
+    chen = [yu[0], (Fraction(1, k), rate_chen(n, k, Fraction(1, k)))]
     named = [(chen[0], "chen-left"), (chen[1], "chen-corner")]
-    named += [(yu_point(n, k, r), f"yu-r{r}") for r in range(1, k + 1)]
+    named += [(yu[r], f"yu-r{r}") for r in range(1, k + 1)]
     corners = [(f.corner(n, k), f.tag(n, k)) for f in FAMILIES if f.in_range(n, k)]
     labels: dict[Point, list[str]] = {}
     for point, label in named + corners:
@@ -170,10 +167,10 @@ def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
     hull = lower_envelope(list(labels))
 
     # the breakpoints: hull vertices, tagged by their named points, plus cut points
-    cuts = {Fraction(1, k): "chen-corner", Fraction(n * (k - 1), k): "man-corner"}
+    cuts = {Fraction(1, k): "chen-corner", yu[k - 1][0]: "man-corner"}
     cuts.update((m, tag) for (m, _), tag in corners)
-    if n == 1:   # the few-files corner N(K-2)/K at N = 1; M + R >= 1 is exact on all of [0, 1]
-        cuts[Fraction(k - 2, k)] = f"yu-r{k - 2}"
+    if n == 1:   # the few-files corner at N = 1; M + R >= 1 is exact on all of [0, 1]
+        cuts[yu[k - 2][0]] = f"yu-r{k - 2}"
     lo, hi = hull.domain
     tagged = {m: (r, list(labels[m, r])) for m, r, _ in hull.vertices}
     for m, cut in cuts.items():
@@ -183,7 +180,6 @@ def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
             tagged[m][1].append(cut)
     vertices = [(m, r, "+".join(dict.fromkeys(tags))) for m, (r, tags) in sorted(tagged.items())]
 
-    yu = [yu_point(n, k, r) for r in range(k + 1)]
     lines = [_chord(*chen, "chen"), *exact_regions(n, k)]
     lines += [_chord(a, b, "yu") for a, b in zip(yu, yu[1:])]
     segments = []

@@ -475,3 +475,16 @@ def test_the_curve_functions_refuse_what_they_do_not_describe(call, message):
     with pytest.raises(OutOfRange) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_each_exact_region_runs_between_vertices_of_the_curve():
+    # both functions read their corners from tightness, so each exact line starts and ends
+    # where the curve has a vertex, and the man line starts at the MAN corner yu_point(K-1)
+    for k in range(2, 21):
+        for n in range(1, k + 1):
+            at = {m for m, _, _ in assemble_known_curve(n, k).vertices}
+            regions = exact_regions(n, k)
+            for region in regions:
+                assert region.m_lo in at and region.m_hi in at, (n, k, region)
+            man = next(region for region in regions if region.provenance == "man")
+            assert (man.m_lo, man.value(man.m_lo)) == yu_point(n, k, k - 1), (n, k)
