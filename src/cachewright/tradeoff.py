@@ -1,11 +1,8 @@
 """Rate-memory tradeoff curves: exact closed forms, envelopes, CSV emission.
 
-Every corner comes from converse.tightness: yu_point(N, K, r) is (0, N) at r = 0, the
-Maddah-Ali-Niesen (MAN) corner at r = K-1, full caching at r = K and the single-file cut at
-r = K-2; each bound family gives its corner and line. Exact are each family's line from its
-corner to the MAN corner, the MAN chord on to full caching and, for one file, the chord from
-(0, 1) to the MAN corner. Everything is exact rationals. The curve functions import
-converse.tightness when called, so importing this module loads none of the converse package.
+known_results lists the known lines and points; exact_regions and assemble_known_curve only
+read it. Every corner comes from converse.tightness, imported when the curve functions run,
+so importing this module loads none of the converse package. All is exact rationals.
 """
 
 from __future__ import annotations
@@ -107,20 +104,43 @@ def lower_envelope(points: Sequence[Point]) -> TradeoffCurve:
     return TradeoffCurve(tuple(segments), tuple(hull))
 
 
-def exact_regions(n: int, k: int) -> list[Segment]:
-    """The memory regions where the exact tradeoff is known, with formulas."""
-    from .converse.tightness import FAMILIES, bound_line, yu_point
+def known_results(n: int, k: int) -> tuple[list, list]:
+    """The known lines as (Segment, exact) and the named points as (point, tag, joins the
+    hull, cuts the curve), in the order they are read.
 
+    The lines: the chen chord on [0, 1/K], cited; for one file, M + R >= 1 from (0, 1) to the
+    Maddah-Ali-Niesen (MAN) corner (a cache and one broadcast must hold the file); each bound
+    family's line from its corner to the MAN corner; the MAN chord on to full caching; then
+    the K chords between uncoded-prefetching corners. The points: chen-left, chen-corner,
+    yu-r1..yu-rK, man-corner, each family's corner and, for one file, yu-r<K-2>, which only
+    cuts: on the hull it would add yu-r0 to (0, 1) at K = 2.
+    """
+    from .converse.tightness import FAMILIES, bound_line, rate_chen, yu_point
+
+    yu = [yu_point(n, k, r) for r in range(k + 1)]
+    man = yu[k - 1]
+    chen = [yu[0], (Fraction(1, k), rate_chen(n, k, Fraction(1, k)))]
+    families = [f for f in FAMILIES if f.in_range(n, k)]
+    one_file = n == 1 < k   # at K = 1 the origin is the MAN corner: no line, no cut
+    lines = [(_chord(*chen, "chen"), False)]
+    lines += [(_chord(yu[0], man, "yu"), True)] if one_file else []
+    lines += [(Segment(f.corner(n, k)[0], man[0], *bound_line(f.target(n, k)),
+                       f"theorem-case{f.case}"), True) for f in families]
+    lines += [(_chord(man, yu[k], "man"), True)]
+    lines += [(_chord(a, b, "yu"), False) for a, b in zip(yu, yu[1:])]
+    points = [(chen[0], "chen-left", True, False), (chen[1], "chen-corner", True, True)]
+    points += [(yu[r], f"yu-r{r}", True, False) for r in range(1, k + 1)]
+    points += [(man, "man-corner", True, True)]
+    points += [(f.corner(n, k), f.tag(n, k), True, True) for f in families]
+    points += [(yu[k - 2], f"yu-r{k - 2}", False, True)] if one_file else []
+    return lines, points
+
+
+def exact_regions(n: int, k: int) -> list[Segment]:
+    """The memory regions where the exact tradeoff is known: known_results' exact lines."""
     if not 1 <= n <= k:
         raise OutOfRange(f"need 1 <= N <= K, got ({n}, {k})")
-    regions = []
-    man = yu_point(n, k, k - 1)
-    if n == 1 and k >= 2:  # M + R >= 1: a cache and one broadcast must hold the file
-        regions.append(_chord(yu_point(n, k, 0), man, "yu"))
-    regions += [Segment(f.corner(n, k)[0], man[0], *bound_line(f.target(n, k)),
-                        f"theorem-case{f.case}") for f in FAMILIES if f.in_range(n, k)]
-    regions.append(_chord(man, yu_point(n, k, k), "man"))
-    return regions
+    return [line for line, exact in known_results(n, k)[0] if exact]
 
 
 def exact_tradeoff(n: int, k: int, memory) -> Fraction:
@@ -131,61 +151,40 @@ def exact_tradeoff(n: int, k: int, memory) -> Fraction:
         raise OutOfRange("memory cannot be negative")
     if m >= n:
         return Fraction(0)
-    values = [reg.value(m) for reg in regions
-              if reg.m_lo <= m <= reg.m_hi]
+    values = [reg.value(m) for reg in regions if reg.m_lo <= m <= reg.m_hi]
     if not values:
-        raise OutsideCharacterizedRegion(
-            f"M={m} below the characterized region for ({n}, {k})")
+        raise OutsideCharacterizedRegion(f"M={m} below the characterized region for ({n}, {k})")
     return min(values)
 
 
 def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
-    """Best known achievable curve from the assembled corner points.
+    """Best known achievable curve: the lower hull of known_results' hull points, with a
+    breakpoint at every cut inside it.
 
-    Sources: the full-library corner and the coded-delivery corner of the
-    N - NM line, every uncoded-prefetching corner, the coded-placement
-    scheme's point where it applies, and full caching at (N, 0).
-
-    Each segment is the chord between two consecutive breakpoints, tagged by
-    the first known line whose span holds it and whose line is its own. The
-    lines are tried in one list: the chen chord on [0, 1/K], exact_regions in
-    order, then the K chords between uncoded-prefetching corners. A segment
-    no line holds is memory-sharing.
+    A vertex is tagged by the hull points at it, then by the cut at its M, dropping a label
+    already in the tag; where two cuts share an M, the later one names it. Each segment is
+    the chord between two consecutive breakpoints, tagged by the first known line whose span
+    holds it and whose line is its own. A segment no line holds is memory-sharing.
     """
-    from .converse.tightness import FAMILIES, rate_chen, yu_point
-
     if not 1 <= n <= k or k < 2:
         raise OutOfRange(f"need 1 <= N <= K and K >= 2, got ({n}, {k})")
-    yu = [yu_point(n, k, r) for r in range(k + 1)]
-    chen = [yu[0], (Fraction(1, k), rate_chen(n, k, Fraction(1, k)))]
-    named = [(chen[0], "chen-left"), (chen[1], "chen-corner")]
-    named += [(yu[r], f"yu-r{r}") for r in range(1, k + 1)]
-    corners = [(f.corner(n, k), f.tag(n, k)) for f in FAMILIES if f.in_range(n, k)]
+    lines, points = known_results(n, k)
     labels: dict[Point, list[str]] = {}
-    for point, label in named + corners:
-        labels.setdefault(point, []).append(label)
+    for point, tag, joins_hull, _ in points:
+        if joins_hull:
+            labels.setdefault(point, []).append(tag)
     hull = lower_envelope(list(labels))
-
-    # the breakpoints: hull vertices, tagged by their named points, plus cut points
-    cuts = {Fraction(1, k): "chen-corner", yu[k - 1][0]: "man-corner"}
-    cuts.update((m, tag) for (m, _), tag in corners)
-    if n == 1:   # the few-files corner at N = 1; M + R >= 1 is exact on all of [0, 1]
-        cuts[yu[k - 2][0]] = f"yu-r{k - 2}"
     lo, hi = hull.domain
-    tagged = {m: (r, list(labels[m, r])) for m, r, _ in hull.vertices}
-    for m, cut in cuts.items():
+    tagged = {m: (r, labels[m, r]) for m, r, _ in hull.vertices}
+    for m, cut in {point[0]: tag for point, tag, _, cuts_curve in points if cuts_curve}.items():
         if lo < m < hi:
-            if m not in tagged:
-                tagged[m] = (hull.evaluate(m), [])
-            tagged[m][1].append(cut)
+            tagged.setdefault(m, (hull.evaluate(m), []))[1].append(cut)
     vertices = [(m, r, "+".join(dict.fromkeys(tags))) for m, (r, tags) in sorted(tagged.items())]
 
-    lines = [_chord(*chen, "chen"), *exact_regions(n, k)]
-    lines += [_chord(a, b, "yu") for a, b in zip(yu, yu[1:])]
     segments = []
     for (a, ra, _), (b, rb, _) in zip(vertices, vertices[1:]):
         piece = _chord((a, ra), (b, rb), "memory-sharing")
-        tag = next((line.provenance for line in lines if line.m_lo <= a and b <= line.m_hi
+        tag = next((line.provenance for line, _ in lines if line.m_lo <= a and b <= line.m_hi
                     and (line.intercept, line.slope) == (piece.intercept, piece.slope)),
                    piece.provenance)
         segments.append(Segment(a, b, piece.intercept, piece.slope, tag))

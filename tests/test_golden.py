@@ -13,8 +13,10 @@ tests/golden/digests/ holds one SHA-256 per CLI run, of its exit code, stdout, s
 the file it wrote, with wall_time blanked: roundtrip.sha256 for every demand, user and
 scheme at (3,4) on a seeded 64 KiB + 17 byte file; verify_p11.sha256 for `verify --prime
 11` under both schemes and every 1 <= N <= K <= 6; converse_theorems.sha256 for `converse
---theorem T --dump` under each key T and every 1 <= N <= K <= 8, refusals included. They
-were written from the code before a change, so they check that the change keeps behaviour.
+--theorem T --dump` under each key T and every 1 <= N <= K <= 8, refusals included;
+tradeoff_k9_k20.sha256 for `tradeoff --n N --k K` at every 1 <= N <= K with 9 <= K <= 20,
+beyond the CSV goldens. They were written from the code before a change, so they check that
+the change keeps behaviour.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ def test_verify_json_matches_golden_apart_from_wall_time(scheme, n, k, capsys):
 
 
 DIGESTS = GOLDEN / "digests"
-DIGEST_CASES = {"roundtrip": 648, "verify_p11": 42, "converse_theorems": 108}
+DIGEST_CASES = {"roundtrip": 648, "verify_p11": 42, "converse_theorems": 108,
+                "tradeoff_k9_k20": 174}
 WALL_TIME = re.compile(rb'"wall_time": [-+.0-9e]+')
 
 
@@ -123,13 +126,17 @@ def _digest_cases(name: str, tmp_path: Path) -> dict[str, str]:
                     ["verify", "--n", str(n), "--k", str(k), "--scheme", scheme,
                      "--prime", "11", "--out", str(written)], written)
                 for scheme in ("man", "new") for k in range(1, 7) for n in range(1, k + 1)}
+    if name == "tradeoff_k9_k20":
+        return {f"tradeoff-n{n}-k{k}": _run_digest(
+                    ["tradeoff", "--n", str(n), "--k", str(k)], written)
+                for k in range(9, 21) for n in range(1, k + 1)}
     return {f"converse-n{n}-k{k}-theorem{theorem}": _run_digest(
                 ["converse", "--n", str(n), "--k", str(k), "--theorem", theorem,
                  "--dump", str(written)], written)
             for theorem in ("2", "4", "auto") for k in range(1, 9) for n in range(1, k + 1)}
 
 
-@pytest.mark.parametrize("name", ["roundtrip", "verify_p11", "converse_theorems"])
+@pytest.mark.parametrize("name", list(DIGEST_CASES))
 def test_cli_runs_match_their_digests(name, tmp_path):
     expected = {}
     for line in (DIGESTS / f"{name}.sha256").read_text().splitlines():

@@ -89,6 +89,12 @@ def test_exact_tradeoff_single_file():
             assert exact_tradeoff(1, k, m) == 1 - m
 
 
+def test_one_file_one_user_is_the_man_chord_alone():
+    # at K = 1 the origin (0, 1) is the MAN corner, so no N = 1 line may be built there
+    assert exact_regions(1, 1) == [Segment(F(0), F(1), F(1), F(-1), "man")]
+    assert exact_tradeoff(1, 1, F(1, 2)) == F(1, 2)
+
+
 def single_file_certificate(k):
     """M + R >= 1 for one file: user 1's cache and the one broadcast decode W1."""
     return parse_certificate("\n".join([
