@@ -13,14 +13,14 @@ or = 0 (equalities) over the variables of one demand table:
   PermSymmetry       H(S) - H(pi S) = 0, pi relabelling users and demands
   FileSymmetry       H(W_a, Z_l) - H(W_b, Z_l) = 0
 
-Each kind declares its fields once, typed VarSet (a frozenset of int variable
-codes), User, DemandId, File or Perm; the table _FIELDS says how each type is
-written in certificate text, read back and range-checked, so a kind keeps only
-its terms, which refuse an instance that breaks its side conditions, as when
-PermSymmetry's pi sends a broadcast in S to a demand outside the table.
+Each kind is a NamedTuple that declares its fields once, typed VarSet (a
+frozenset of int variable codes), User, DemandId, File or Perm; the table _FIELDS
+says how each type is written in certificate text, read back and range-checked,
+so a kind keeps only its terms, which refuse an instance that breaks its side
+conditions, as when PermSymmetry's pi sends a broadcast in S to a demand outside
+the table. Two instances are equal only when their kinds and fields are.
 """
 
-from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, NewType, Sequence
 
 from .entropy import (CONST, M, R, VarSet, index_of, kind_of, natural, parse_varset,
@@ -84,34 +84,39 @@ _KINDS: dict[str, type] = {}
 
 
 class Axiom:
-    """Text form and range checks of every kind, derived from its declared fields."""
+    """Text form, range checks and equality of every kind, derived from its declared fields.
+    Each kind's terms(table) gives (key, integer coefficient) pairs, a key being a variable
+    set, M, R or CONST, and raises ValueError for an instance that breaks its side conditions."""
 
+    __slots__ = ()
     kind: str
     equality: bool
-    spec: tuple[tuple[str, _Field], ...]
+    spec: tuple[_Field, ...]
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:   # tuple's own __ne__ would ignore the kind
+        return not self == other
+
+    __hash__ = tuple.__hash__   # defining __eq__ alone would leave the kinds unhashable
 
     def tokens(self) -> list[str]:
-        return [f.write(getattr(self, name)) for name, f in self.spec]
+        return [f.write(value) for f, value in zip(self.spec, self)]
 
     def validate(self, table) -> None:
-        for name, f in self.spec:
-            f.check(getattr(self, name), table)
-
-    def terms(self, table) -> Sequence[tuple]:
-        """(key, integer coefficient) pairs: a variable set, or M, R or CONST.
-        Raises ValueError for an instance that breaks its kind's side conditions."""
-        raise NotImplementedError
+        for f, value in zip(self.spec, self):
+            f.check(value, table)
 
 
 def _kind(kind: str, equality: bool) -> Callable:
-    """Make a frozen dataclass of an axiom kind and register its text name."""
-    def register(cls):
-        # f.type is the annotation object itself because this module does not
-        # postpone the evaluation of annotations
-        cls = dataclass(frozen=True)(cls)
-        cls.kind, cls.equality = kind, equality
-        cls.spec = tuple((f.name, _FIELDS[f.type]) for f in fields(cls))
-        _KINDS[kind] = cls
+    """Make an Axiom of a kind's NamedTuple and register its text name; the kind keeps the
+    NamedTuple's name, so pickle finds it in this module."""
+    def register(fields: type) -> type:
+        # the annotations are the type objects themselves: this module does not postpone them
+        _KINDS[kind] = cls = type(fields.__name__, (Axiom, fields), {
+            "__slots__": (), "kind": kind, "equality": equality,
+            "spec": tuple(_FIELDS[t] for t in fields.__annotations__.values())})
         return cls
     return register
 
@@ -122,11 +127,11 @@ def axiom_from_tokens(kind: str, tokens: list[str]) -> Axiom:
     cls = _KINDS[kind]
     if len(tokens) != len(cls.spec):
         raise ValueError(f"{kind} takes {len(cls.spec)} fields, got {len(tokens)}")
-    return cls(*(f.read(t) for (_, f), t in zip(cls.spec, tokens)))
+    return cls(*(f.read(t) for f, t in zip(cls.spec, tokens)))
 
 
 @_kind("SUBMOD", equality=False)
-class Submodularity(Axiom):
+class Submodularity(NamedTuple):
     a: VarSet
     b: VarSet
 
@@ -137,7 +142,7 @@ class Submodularity(Axiom):
 
 
 @_kind("MONO", equality=False)
-class Monotonicity(Axiom):
+class Monotonicity(NamedTuple):
     sup: VarSet
     sub: VarSet
 
@@ -150,7 +155,7 @@ class Monotonicity(Axiom):
 
 
 @_kind("CACHE", equality=False)
-class CacheBound(Axiom):
+class CacheBound(NamedTuple):
     user: User
 
     def terms(self, table):
@@ -158,7 +163,7 @@ class CacheBound(Axiom):
 
 
 @_kind("RATE", equality=False)
-class RateBound(Axiom):
+class RateBound(NamedTuple):
     demand_id: DemandId
 
     def terms(self, table):
@@ -166,7 +171,7 @@ class RateBound(Axiom):
 
 
 @_kind("DECODE", equality=True)
-class Decodability(Axiom):
+class Decodability(NamedTuple):
     user: User
     demand_id: DemandId
     s: VarSet
@@ -181,7 +186,7 @@ class Decodability(Axiom):
 
 
 @_kind("TOTAL", equality=True)
-class Totality(Axiom):
+class Totality(NamedTuple):
     s: VarSet
 
     def terms(self, table):
@@ -191,7 +196,7 @@ class Totality(Axiom):
 
 
 @_kind("FILEIND", equality=True)
-class FileIndependence(Axiom):
+class FileIndependence(NamedTuple):
     files: VarSet
 
     def terms(self, table):
@@ -203,7 +208,7 @@ class FileIndependence(Axiom):
 
 
 @_kind("PERMSYM", equality=True)
-class PermSymmetry(Axiom):
+class PermSymmetry(NamedTuple):
     perm: Perm
     s: VarSet
 
@@ -233,7 +238,7 @@ class PermSymmetry(Axiom):
 
 
 @_kind("FILESYM", equality=True)
-class FileSymmetry(Axiom):
+class FileSymmetry(NamedTuple):
     file_a: File
     file_b: File
     user: User

@@ -10,10 +10,10 @@ equalities may be weighted with either sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from ..errors import (
     ConfigMismatch,
@@ -27,8 +27,7 @@ from .entropy import CONST, M, R, VarSet, natural, varset_token
 Demand = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     n: int
     k: int
     case: int
@@ -38,22 +37,22 @@ class Certificate:
     target_r: Fraction
     target_rhs: Fraction
 
-    @cached_property
+    @property
     def ids(self) -> dict[Demand, int]:
         """The id of each demand in the table: its 1-based place there."""
         return {d: i for i, d in enumerate(self.demands, start=1)}
-
-    @cached_property
-    def admitted(self) -> set:
-        """The variables range-checked against this table so far, grown by the checker."""
-        return set()
 
     def target_text(self) -> str:
         return f"{self.target_m}M+{self.target_r}R >= {self.target_rhs}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+# what the axioms of one check read: the demand table, its ids computed once, and the
+# variables range-checked against it so far, which the check grows
+_Table = NamedTuple("_Table", [("n", int), ("k", int), ("demands", tuple), ("ids", dict),
+                               ("admitted", set)])
+
+
+class CheckReport(NamedTuple):
     ok: bool
     axiom_count: int
     residual_m: Fraction
@@ -93,14 +92,15 @@ def check_certificate(cert: Certificate) -> CheckReport:
         if not isinstance(mult, (int, Fraction)) or isinstance(mult, bool):
             raise MalformedAxiom(index, f"multiplier {mult!r} is not an int or a Fraction")
     scale = lcm(*(mult.denominator for _, mult in cert.axioms))
+    table = _Table(cert.n, cert.k, cert.demands, cert.ids, set())
     residual: dict = {}   # zero sums are dropped at once, so the dict stays small
     for index, (axiom, mult) in enumerate(cert.axioms):
         weight = mult.numerator * (scale // mult.denominator)
         if not axiom.equality and weight < 0:
             raise NegativeMultiplierOnInequality(index, f"{axiom.kind} weighted {mult}")
         try:
-            axiom.validate(cert)
-            terms = axiom.terms(cert)
+            axiom.validate(table)
+            terms = axiom.terms(table)
         except OutsideTable as exc:
             raise SymmetryOutsideTable(index, str(exc)) from exc
         except ValueError as exc:
@@ -135,8 +135,7 @@ def perturbed(cert: Certificate, index: int, delta=1) -> Certificate:
     axioms = list(cert.axioms)
     axiom, mult = axioms[index]
     axioms[index] = (axiom, mult + Fraction(delta))
-    return Certificate(cert.n, cert.k, cert.case, cert.demands, tuple(axioms),
-                       cert.target_m, cert.target_r, cert.target_rhs)
+    return cert._replace(axioms=tuple(axioms))
 
 
 def _frac_token(x: Fraction) -> str:

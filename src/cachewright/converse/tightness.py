@@ -7,10 +7,9 @@ the small-cache line N - NM. Nothing here runs a scheme; verify measures those p
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..errors import OutOfCaseRange, OutOfRange
 from .case1 import case1_certificate, case1_target, in_case1_range
@@ -59,8 +58,7 @@ def bound_line(target: tuple[Fraction, Fraction, Fraction]) -> tuple[Fraction, F
     return c / b, -a / b
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One theorem: a lower-bound line certified on a regime of (N, K) and met
     exactly by an achievable corner, which the known curve tags as `tag`."""
 
@@ -83,8 +81,7 @@ FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class TightnessEntry:
+class TightnessEntry(NamedTuple):
     case: int
     memory: Fraction
     bound_rate: Fraction
@@ -95,8 +92,7 @@ class TightnessEntry:
         return self.bound_rate == self.achievable_rate
 
 
-@dataclass(frozen=True)
-class TightnessReport:
+class TightnessReport(NamedTuple):
     n: int
     k: int
     entries: tuple[TightnessEntry, ...]

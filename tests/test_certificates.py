@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-import dataclasses
+import copy
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -286,15 +287,31 @@ def _out_of_range(value):
     return [0, 3]
 
 
-_BROKEN = [dataclasses.replace(axiom, **{f.name: bad})
-           for axiom in _VALID for f in dataclasses.fields(axiom)
-           for bad in _out_of_range(getattr(axiom, f.name))]
+_BROKEN = [axiom._replace(**{name: bad})
+           for axiom in _VALID for name in axiom._fields
+           for bad in _out_of_range(getattr(axiom, name))]
 
 
 def test_every_kind_has_a_valid_instance():
     assert len({type(a) for a in _VALID}) == 9
     cert = Certificate(2, 2, 1, _TABLE, tuple((a, F(1)) for a in _VALID), F(0), F(0), F(0))
     check_certificate(cert)   # no field or side condition is violated
+
+
+def test_an_axiom_equals_only_its_own_kind_and_a_certificate_copies_equal():
+    # two kinds with the same field types and values, and the bare fields of each
+    a, b = fs(wvar(1)), fs(zvar(1))
+    for one, other, fields in ((Submodularity(a, b), Monotonicity(a, b), (a, b)),
+                               (CacheBound(1), RateBound(1), (1,))):
+        assert (one == other, one != other) == (False, True)
+        assert (one == fields, one != fields, other == fields, other != fields) == (
+            False, True, False, True)
+    assert len(set(_VALID)) == 9
+    cert = FAMILIES[0].certificate(3, 4)
+    for record in (cert, check_certificate(cert)):
+        for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                       copy.deepcopy(record)):
+            assert type(copied) is type(record) and copied == record
 
 
 @pytest.mark.parametrize("bad", _BROKEN, ids=lambda a: " ".join([a.kind, *a.tokens()]))
@@ -372,7 +389,7 @@ def test_insufficient_constant_fails():
 ])
 def test_a_coefficient_above_its_target_is_the_reason_a_check_fails(field_name, reason):
     cert = case1_certificate(3, 4)  # proves 4M + 8R >= 11 exactly
-    lowered = dataclasses.replace(cert, **{field_name: getattr(cert, field_name) - 1})
+    lowered = cert._replace(**{field_name: getattr(cert, field_name) - 1})
     rep = check_certificate(lowered)
     assert (rep.ok, rep.reason) == (False, reason)
 

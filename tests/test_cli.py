@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import errno
 import json
 import os
@@ -201,7 +200,7 @@ def test_converse_dump_round_trips_every_certified_pair(tmp_path, capsys, family
 def test_converse_refuses_one_dump_of_both_families(tmp_path, capsys, monkeypatch):
     # at 2N = K + 1 both regimes hold, and one file cannot hold two certificates
     monkeypatch.setattr(tightness, "FAMILIES", tuple(
-        dataclasses.replace(f, certificate=_fail_if_called) for f in tightness.FAMILIES))
+        f._replace(certificate=_fail_if_called) for f in tightness.FAMILIES))
     dump = tmp_path / "cert.txt"
     assert main(["converse", "--n", "3", "--k", "5", "--dump", str(dump)]) == 2
     err = capsys.readouterr().err
@@ -331,7 +330,7 @@ def test_verify_opens_out_before_the_sweep(tmp_path, capsys, monkeypatch):
 
 def test_converse_opens_dump_before_the_certificates(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(tightness, "FAMILIES", tuple(
-        dataclasses.replace(f, certificate=_fail_if_called) for f in tightness.FAMILIES))
+        f._replace(certificate=_fail_if_called) for f in tightness.FAMILIES))
     monkeypatch.setattr(tightness, "tightness_check", _fail_if_called)
     missing = tmp_path / "missing" / "cert.txt"
     assert main(["converse", "--n", "3", "--k", "4", "--dump", str(missing)]) == 2
@@ -525,8 +524,8 @@ def test_verify_out_holds_exactly_the_printed_report(tmp_path, capsys):
 
 def test_converse_prints_why_a_certificate_fails_and_exits_1(capsys, monkeypatch):
     family = tightness.FAMILIES[0]
-    broken = dataclasses.replace(
-        family, certificate=lambda n, k: perturbed(family.certificate(n, k), 0, 1))
+    broken = family._replace(
+        certificate=lambda n, k: perturbed(family.certificate(n, k), 0, 1))
     monkeypatch.setattr(tightness, "FAMILIES", (broken, *tightness.FAMILIES[1:]))
     assert main(["converse", "--n", "3", "--k", "4", "--theorem", "2"]) == 1
     captured = capsys.readouterr()

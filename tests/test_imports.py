@@ -26,8 +26,16 @@ def test_each_side_imports_first_in_a_fresh_interpreter(first):
 
 
 def test_tightness_does_not_reference_tradeoff():
-    source = (SRC / "cachewright" / "converse" / "tightness.py").read_text()
-    assert "tradeoff" not in source
+    # the rule is on imports: tightness may name tradeoff in prose, but never loads it
+    path = SRC / "cachewright" / "converse" / "tightness.py"
+    assert "cachewright.tradeoff" not in set(_imported_modules(path))
+    loaded = _loaded_after("cachewright.converse.tightness", then=(
+        "from cachewright.converse.tightness import FAMILIES, tightness_check\n"
+        "assert tightness_check(3, 4).tight\n"
+        "assert [f.case for f in FAMILIES if f.in_range(3, 5)] == [1, 2]\n"
+        "for f in FAMILIES:\n"
+        "    f.certificate(3, 5)"))
+    assert "cachewright.converse.case2" in loaded and "cachewright.tradeoff" not in loaded
 
 
 def _loaded_after(module: str, then: str = "") -> set[str]:
@@ -66,20 +74,28 @@ def test_importing_the_proof_half_loads_no_converse_submodule():
 
 
 def _loaded_by_command(tmp_path, command: str) -> set[str]:
-    """The modules loaded in a fresh interpreter once cli.main has run a roundtrip at (3,4)
-    or `verify --n 2 --k 3`; the roundtrip must give back its input."""
-    source, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    """The modules loaded in a fresh interpreter once cli.main has run a roundtrip, converse
+    --dump or tradeoff at (3,4), or `verify --n 2 --k 3`; the roundtrip must give back its
+    input, and the dump must hold a certificate."""
+    source, out, dump = tmp_path / "in.bin", tmp_path / "out.bin", tmp_path / "cert.txt"
     source.write_bytes(bytes(range(256)) * 8)
-    argv = {"roundtrip": ["roundtrip", "--n", "3", "--k", "4", "--demand", "1,2,3,1",
-                          "--user", "2", str(source), "--out", str(out)],
-            "verify": ["verify", "--n", "2", "--k", "3"]}[command]
+    argv, runs = {
+        "roundtrip": (["roundtrip", "--n", "3", "--k", "4", "--demand", "1,2,3,1", "--user", "2",
+                       str(source), "--out", str(out)], "cachewright.verify"),
+        "verify": (["verify", "--n", "2", "--k", "3"], "cachewright.verify"),
+        "converse": (["converse", "--n", "3", "--k", "4", "--dump", str(dump)],
+                     "cachewright.converse.tightness"),
+        "tradeoff": (["tradeoff", "--n", "3", "--k", "4"], "cachewright.converse.tightness"),
+    }[command]
     loaded = _loaded_after("cachewright.cli", then=(
         "import contextlib, io\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cachewright.cli.main({argv!r}) == 0"))
-    assert "cachewright.verify" in loaded
+    assert runs in loaded
     if command == "roundtrip":
         assert out.read_bytes() == source.read_bytes()
+    if command == "converse":
+        assert dump.read_text(encoding="utf-8").startswith("NK 3 4 CASE 1\n")
     return loaded
 
 
@@ -96,6 +112,11 @@ def test_the_data_plane_commands_load_no_dataclasses(tmp_path, command):
     assert {"dataclasses", "inspect"} & _loaded_by_command(tmp_path, command) == set()
 
 
+@pytest.mark.parametrize("command", ["converse", "tradeoff"])
+def test_the_proof_half_commands_load_no_dataclasses(tmp_path, command):
+    assert {"dataclasses", "inspect"} & _loaded_by_command(tmp_path, command) == set()
+
+
 def test_a_curve_and_its_csv_load_no_dataclasses():
     loaded = _loaded_after("cachewright.tradeoff", then=(
         "curve = cachewright.tradeoff.lower_envelope([(0, 2), (1, 1), (3, 0)])\n"
@@ -103,10 +124,10 @@ def test_a_curve_and_its_csv_load_no_dataclasses():
     assert "dataclasses" not in loaded
 
 
-def test_only_the_converse_package_imports_dataclasses():
+def test_no_source_module_imports_dataclasses():
     importers = [path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
                  if "dataclasses" in set(_imported_modules(path))]
-    assert importers and all(path.startswith("cachewright/converse/") for path in importers)
+    assert importers == []
 
 
 def _verify_on_two_cpus(jobs: int) -> tuple[str, set[str]]:
@@ -160,7 +181,7 @@ def test_the_certificate_checker_loads_only_the_converse_core():
 
 
 def test_no_converse_module_writes_behind_a_frozen_dataclass():
-    # what a certificate derives from its table is a cached_property, not a hidden attribute
+    # what a certificate derives from its table is a plain property, not a hidden attribute
     for path in sorted((SRC / "cachewright" / "converse").rglob("*.py")):
         writes = [node for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
@@ -203,14 +224,17 @@ def test_the_converse_package_binds_only_its_entry_points():
 
 
 def _imported_modules(path: Path):
-    """The absolute name of every module an import statement in path reads from."""
+    """The absolute name of every module an import statement in path reads from, and of each
+    name a from-import takes, so that `from .. import tradeoff` yields cachewright.tradeoff."""
     package = list(path.relative_to(SRC).parent.parts)
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = package[:len(package) - node.level + 1] if node.level else []
-            yield ".".join(base + ([node.module] if node.module else []))
+            source = ".".join(base + ([node.module] if node.module else []))
+            yield source
+            yield from (f"{source}.{alias.name}" for alias in node.names)
 
 
 def test_no_module_imports_from_the_converse_package_root():
