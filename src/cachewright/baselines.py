@@ -15,7 +15,7 @@ from typing import Callable
 
 from .errors import ConfigMismatch
 from .model import NetworkConfig
-from .scheme import Scheme
+from .scheme import SENT, Scheme
 
 
 def _caching(cfg: NetworkConfig, k: int) -> dict:
@@ -33,7 +33,7 @@ def _serving(cfg: NetworkConfig, pattern) -> tuple[dict, Callable[[int], dict]]:
 
 
 def _decoding(cfg: NetworkConfig, k: int) -> dict:
-    missing = ((1, (cfg.k, 0)),) + tuple((-1, (j - 1, j)) for j in range(1, cfg.k + 1) if j != k)
+    missing = ((1, (SENT, 0)),) + tuple((-1, (j - 1, j)) for j in range(1, cfg.k + 1) if j != k)
     return {k: missing}
 
 

@@ -18,8 +18,8 @@ W_{d_k}^{k,succ(k)} (halving when somebody else shares user k's file) and
 peels off the remaining W_{d_k}^{kj}.
 
 Each phase is compiled into a coefficient program for the engine in `scheme`;
-a pattern's delivery and each user's decoder share one table that holds each
-a_ks / m_ks beside its inverse a_ks * m_ks, so decoding divides by no
+a pattern's delivery and each user's decoder share one table, whose entry
+table[k][s] is the pair (a_ks / m_ks, a_ks * m_ks), so decoding divides by no
 coefficient. A cache keeps W_n^{ij} under (n-1, (i, j)), the difference
 ending in W_n^{kj} under (n-1, ("diff", j)) and the sum packet under
 (N, "sum"); decoding names the 2K-2 pieces W_{d_k}^{ij} that mention user k by
@@ -37,7 +37,7 @@ from typing import Callable
 
 from .errors import DemandNotInD, OutOfRange
 from .model import Demand, NetworkConfig, pair_order
-from .scheme import Scheme
+from .scheme import MIXED, OWN, SENT, Scheme
 
 
 def _pattern(d: Demand, cfg: NetworkConfig) -> Demand:
@@ -67,41 +67,37 @@ def _caching(cfg: NetworkConfig, k: int) -> dict:
 
 def _serving(cfg: NetworkConfig, pattern: Demand) -> tuple[dict, Callable[[int], dict]]:
     """The delivery, and a decoder that compiles one user's program per call, from one table
-    coef[k][s] = a_ks / m_ks, where 1/m_ks comes from cfg.field.inv, and its inverse
-    undo[k][s] = a_ks * m_ks."""
+    table[k][s] = (a_ks / m_ks, a_ks * m_ks), where 1/m_ks comes from cfg.field.inv."""
     counts = Counter(pattern)
     inv = [0] + [cfg.field.inv(m) for m in range(1, cfg.k)]
     # (a/m, a*m) by m, for a = 1 and a = -1: each pair is made once and shared by the table
     plus = [(inv[m], m) for m in range(cfg.k)]
     minus = [(-c, -m) for c, m in plus]
     users = range(1, cfg.k + 1)
-    coef = [[0] * (cfg.k + 1) for _ in range(cfg.k + 1)]
-    undo = [[0] * (cfg.k + 1) for _ in range(cfg.k + 1)]
+    table = [[(0, 0)] * (cfg.k + 1) for _ in range(cfg.k + 1)]
     for k in users:
         for s in users:
             same = pattern[k - 1] == pattern[s - 1]  # then user k is among the requesters of d_s
-            coef[k][s], undo[k][s] = (minus if same else plus)[counts[pattern[s - 1]] - same]
+            table[k][s] = (minus if same else plus)[counts[pattern[s - 1]] - same]
     # row k, the packet X_d^k, is built once: the delivery sends it and stage 1 reads its terms
-    delivery = {k - 1: tuple([(coef[k][s], (s - 1, (k, s))) for s in users if s != k])
+    delivery = {k - 1: tuple([(table[k][s][0], (s - 1, (k, s))) for s in users if s != k])
                 for k in users}
     # user k halves its stage-2 sum exactly when somebody else shares its file
     half = cfg.field.inv(2)
     halves = [0] + [half if counts[f] > 1 else 1 for f in pattern]
-    return delivery, partial(_decoding, cfg, halves, coef, undo, delivery)
+    return delivery, partial(_decoding, cfg, halves, table, delivery)
 
 
-def _decoding(cfg: NetworkConfig, halves: list, coef: list, undo: list, delivery: dict,
-              k: int) -> dict:
-    sent, mixed, own = cfg.k, cfg.k + 1, cfg.k + 2  # the broadcast, the cache's slot N, steps
+def _decoding(cfg: NetworkConfig, halves: list, table: list, delivery: dict, k: int) -> dict:
     succ = k % cfg.k + 1
     others = [u for u in range(1, cfg.k + 1) if u != k]
     steps = {}
 
     # stage 1: X_d^j minus its known stage-1 terms, row j less its term s = k, read at slot
-    # s - 1, is coef[j][k] * W^{jk}
+    # s - 1, is a_jk / m_jk * W^{jk}, and table[j][k] holds its inverse a_jk * m_jk
     for j in others:
-        back = undo[j][k]
-        steps[(j, k)] = tuple([(back, (sent, j - 1))] + [
+        back = table[j][k][1]
+        steps[(j, k)] = tuple([(back, (SENT, j - 1))] + [
             (-back * c, read) for c, read in delivery[j - 1] if read[0] != k - 1])
 
     # stage 2: X_d^k plus the weighted diffs is the sum over files != wanted of
@@ -109,11 +105,11 @@ def _decoding(cfg: NetworkConfig, halves: list, coef: list, undo: list, delivery
     # the wanted file; the sum packet minus that is W_wanted^{k,succ}, doubled in
     # that case. Only the stage-1 steps above read the broadcast for W^{jk}.
     half = halves[k]
-    steps[(k, succ)] = tuple([(half, (mixed, "sum")), (-half, (sent, k - 1))] + [
-        (-half * coef[k][j], (j - 1, ("diff", j))) for j in others if j != succ])
+    steps[(k, succ)] = tuple([(half, (MIXED, "sum")), (-half, (SENT, k - 1))] + [
+        (-half * table[k][j][0], (j - 1, ("diff", j))) for j in others if j != succ])
     for j in others:
         if j != succ:
-            steps[(k, j)] = ((1, (own, (k, succ))), (-1, (k - 1, ("diff", j))))
+            steps[(k, j)] = ((1, (OWN, (k, succ))), (-1, (k - 1, ("diff", j))))
     return steps
 
 

@@ -10,8 +10,8 @@ it. caching(cfg, user) reads file f at slot f-1 and names a packet (f-1, key), o
 it mixes files. serving(cfg, pattern) compiles a pattern's delivery, and returns a decoder
 that compiles one user's program per call. Delivery reads the file user u requests at slot u-1
 and names a packet by its position on the wire. User k's decoder reads what the user caches of
-that file at slot u-1, the broadcast at K, its cache's slot N at K+1 and its own results at
-K+2, and names each piece it computes by its key; the user caches the rest of the wanted file.
+that file at slot u-1, the broadcast at SENT, its cache's slot N at MIXED and its own results
+at OWN, and names each piece it computes by its key; the user caches the rest of the wanted file.
 Both read a demand only through the scheme's pattern of it. Scheme.send and Scheme.recover lay
 out those slots from a library, a cache and a demand, and run compiled programs: a Scheme keeps
 no programs, so a caller that runs one pattern's programs many times compiles them once.
@@ -26,6 +26,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .errors import ConfigMismatch, LengthMismatch
 from .field import FieldCtx, Symbol, join_bytes
 from .model import Demand, NetworkConfig, SubfileGrid, split_file, validate_demand, validate_users
+
+SENT, MIXED, OWN = -3, -2, -1  # a decoder's last slots, from the end of Scheme.recover's list
 
 
 def run(program: dict, slots: list, field: FieldCtx) -> dict:

@@ -141,6 +141,23 @@ def test_checker_matches_the_fraction_reference(family, n, k):
         assert not report.ok and report.leftover_terms
 
 
+_WIDE_PAIRS = [(f, n, k) for k in range(2, 21) for n in range(2, k + 1) for f in FAMILIES
+               if f.in_range(n, k)]
+
+
+def test_every_family_certificate_to_k_20_passes_is_tight_and_lies_in_d():
+    # each certificate's table requests every file in every row, so it bounds the worst
+    # case over D, and through it the worst case over all demands
+    assert len(_WIDE_PAIRS) == 199
+    for family, n, k in _WIDE_PAIRS:
+        cert = family.certificate(n, k)
+        assert check_certificate(cert).ok, (family.theorem, n, k)
+        assert (cert.target_m, cert.target_r, cert.target_rhs) == family.target(n, k)
+        files = set(range(1, n + 1))
+        assert all(set(demand) == files for demand in cert.demands), (family.theorem, n, k)
+        assert tightness_check(n, k).tight, (n, k)
+
+
 def test_checker_refuses_a_multiplier_that_is_not_rational():
     for bad in (1.0, 0.5, "1", True):
         axioms = ((CacheBound(1), F(1)), (CacheBound(2), bad))

@@ -13,6 +13,7 @@ from cachewright import baselines, cli, coded_placement, verify
 from cachewright.coded_placement import NEW
 from cachewright.model import (NetworkConfig, SubfileGrid, demand_orbits, pair_order,
                                relabellings)
+from cachewright.scheme import MIXED, OWN, SENT
 from cachewright.verify import SCHEMES, run_verification
 
 from demand_set import all_demands
@@ -248,7 +249,7 @@ def test_stage1_recovery_reads_only_broadcast_and_uncoded_cache(k):
                 if i == user:
                     continue
                 for _, (s, key) in program[(i, user)]:  # the step that recovers W^{i,user}
-                    assert key < k if s == k else s < k and key in pairs, \
+                    assert key < k if s == SENT else 0 <= s < k and key in pairs, \
                         (pattern, user, i, (s, key))
 
 
@@ -379,5 +380,31 @@ def test_no_decoding_step_copies_a_cached_piece(name, k):
             for user in range(1, k + 1):
                 for key, step in decoder(user).items():
                     copies = len(step) == 1 and step[0][0] == 1
-                    assert not (copies and step[0][1][0] in (*range(k), k + 1)), \
+                    assert not (copies and step[0][1][0] in (*range(k), MIXED)), \
                         (n, pattern, user, key, step)
+
+
+def _reads(steps) -> set:
+    """The slots the terms of the steps read."""
+    return {slot for step in steps for _, (slot, _) in step}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_each_program_reads_only_the_slots_its_runner_lays_out(name):
+    # caching reads the N files, delivery the K requested files, and a decoder those K or
+    # the three slots Scheme.recover lays out after them, by name; a decoder that read the
+    # broadcast at slot K would still decode, since K is where SENT lands, so only this
+    # check holds a compiler to the names
+    scheme = SCHEMES[name]
+    for k in range(2, 7):
+        users = range(1, k + 1)
+        for n in range(2, k + 1):
+            cfg = NetworkConfig(n, k)
+            placed = _reads(step for user in users for step in scheme.caching(cfg, user).values())
+            assert placed <= set(range(n)), (n, k)
+            for pattern in {scheme.pattern(demand, cfg) for demand in all_demands(cfg)}:
+                delivery, decoder = scheme.serving(cfg, pattern)
+                assert _reads(delivery.values()) <= set(range(k)), (n, pattern)
+                for user in users:
+                    assert _reads(decoder(user).values()) <= {*range(k), SENT, MIXED, OWN}, \
+                        (n, pattern, user)
