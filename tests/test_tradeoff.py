@@ -291,6 +291,25 @@ def test_new_point_improves_on_prior_envelope():
                 assert rate < chord, (n, k)
 
 
+def test_the_uncoded_envelope_at_m_a_exceeds_the_scheme_by_a_closed_form():
+    # the lower envelope of the yu_point corners is the exact tradeoff under uncoded placement
+    # (Yu, Maddah-Ali and Avestimehr, IEEE T-IT 2018; cited, not checked); at M_A it exceeds
+    # 1/(K-1) by (2N-K-1)/(N K (K-1)^2) for N >= 2, and by the sign of 2N-K-1 for every N
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    counts = {1: 0, -1: 0, 0: 0}
+    for k in range(2, 41):
+        for n in range(1, k + 1):
+            m_a, rate = scheme_point(n, k)
+            gap = lower_envelope([yu_point(n, k, r) for r in range(k + 1)]).evaluate(m_a) - rate
+            if n >= 2:
+                assert gap == F(2 * n - k - 1, n * k * (k - 1) ** 2), (n, k)
+            assert sign(gap) == sign(2 * n - k - 1), (n, k)
+            counts[sign(gap)] += 1
+    assert counts == {1: 400, -1: 400, 0: 19}
+
+
 def test_emit_csv_endpoints():
     text = emit_csv(assemble_known_curve(3, 4), 2)
     lines = text.strip().split("\n")
