@@ -8,7 +8,11 @@ FieldCtx.combine sums a step of (c, (slot, key)) terms, reading each vector
 as slots[slot][key].
 A vector packed from bytes keeps them for bytes() alone and becomes lanes the
 first time its symbols are read, so a subfile that is only copied is never
-packed and joins back as its own bytes.
+packed and joins back as its own bytes. A pending sum, which combine returns at
+257 when asked to, is the third lazy source: its length and exact bound are
+known at once, and the packed kernel sums its lanes the first time they are
+read, so a packet nothing reads is never summed. In every sum at 257 a term
+whose coefficient is 1 adds its lanes unscaled.
 """
 
 from __future__ import annotations
@@ -62,18 +66,20 @@ class FieldCtx(NamedTuple):
             raise DivisionByZero("cannot invert 0")
         return pow(a, self.p - 2, self.p)
 
-    def combine(self, step: Sequence[tuple[int, tuple]], slots: Sequence) -> Sequence[Symbol]:
+    def combine(self, step: Sequence[tuple[int, tuple]], slots: Sequence,
+                pending: bool = False) -> Sequence[Symbol]:
         """Sum of c * slots[slot][key] over the step's (c, (slot, key)) terms, for any integers
         c, reduced mod p once at the end.
 
         Every scheme's placement, delivery and decoding runs through here. At p = 257 the packed
         kernel reads each of up to _PACKED_MAX_TERMS terms' vectors from the slots once; others
-        take the list path, given the vectors.
+        take the list path, given the vectors. pending asks the kernel for a pending sum, which
+        it makes on its first read; the list path sums at once.
         """
         if not step:
             raise LengthMismatch("no vectors to combine")
         if self.p == 257 and len(step) <= _PACKED_MAX_TERMS:
-            return _combine_packed(step, slots)
+            return _combine_packed(step, slots, pending)
         return _combine_list(self.p, _read(step, slots))
 
     def split(self, data: bytes | Sequence[Symbol], count: int) -> tuple[list, int]:
@@ -146,7 +152,8 @@ def _combine_list(p: int, terms: list[tuple[int, Sequence[Symbol]]]) -> tuple[Sy
 
 
 # The packed kernel for p = 257. Each Lanes holds one 32-bit lane per symbol in
-# one Python int, so a term costs one big-int multiply and add, and carries an
+# one Python int, so a term costs one big-int multiply and add (a unit term skips
+# the multiply, and the first term the add: it starts the sum), and carries an
 # exact bound on every lane: 256 from pack, and sum (c mod 257) * bound for a
 # combine, summed beside the multiply-adds. A sum whose bound stays below 2**32
 # cannot carry from one lane into the next, so the kernel keeps it, congruent
@@ -178,17 +185,20 @@ class Lanes:
     to its symbol. FieldCtx.pack builds canonical Lanes, bound 256; from bytes it keeps
     the bytes for bytes() alone, and the first read of value (by the packed kernel,
     iteration, indexing or ==) spreads them into the int, once. _combine_packed builds the
-    others with the bound of their sum. Reads as the tuple of its symbols (len,
+    others with the bound of their sum; a pending one keeps its step and the vectors it
+    reads instead of the int, and the first read of its lanes (by the kernel, or through
+    value) has the kernel sum them, once. Reads as the tuple of its symbols (len,
     iteration, indexing, ==), unpacking on each read; the first read of value makes
     every lane canonical, once, in place.
     """
 
-    __slots__ = ("_lanes", "_bytes", "bound", "n")
+    __slots__ = ("_lanes", "_bytes", "_pending", "bound", "n")
 
     def __init__(self, lanes: int | None, n: int, bound: int = 256, *,
-                 data: bytes | None = None):
+                 data: bytes | None = None, pending: tuple | None = None):
         self._lanes = lanes
         self._bytes = data
+        self._pending = pending
         self.bound = bound
         self.n = n
 
@@ -196,8 +206,8 @@ class Lanes:
     def value(self) -> int:
         """The lanes as one int, every lane in [0, 257)."""
         if self._lanes is None:
-            self._lanes = _spread(self._bytes)
-        elif self.bound > 256:
+            self._lanes = _spread(self._bytes) if self._pending is None else self._sum()
+        if self.bound > 256:
             ones, m8, m16, b257, _ = _lane_masks(self.n)
             # each step drops the int it replaces, so few lane-wide temporaries live at once
             acc, self._lanes = self._lanes, None
@@ -208,6 +218,12 @@ class Lanes:
             # adding 255 carries into bit 9 exactly when a lane is >= 257
             self._lanes = acc - 257 * ((acc + m8) >> 9 & ones)
             self.bound = 256
+        return self._lanes
+
+    def _sum(self) -> int:
+        """A pending Lanes' lanes, each at most bound: the kernel sums the step from the
+        vectors it kept, none of them pending, once."""
+        self._lanes, self._pending = _combine_packed(*self._pending)._lanes, None
         return self._lanes
 
     def __len__(self) -> int:
@@ -239,23 +255,48 @@ class Lanes:
         return value.to_bytes(4 * self.n, sys.byteorder)[_LOW_BYTE::4]
 
 
-def _combine_packed(step: Sequence[tuple[int, tuple]], slots: Sequence) -> Lanes:
+def _combine_packed(step: Sequence[tuple[int, tuple]], slots: Sequence,
+                    pending: bool = False) -> Lanes:
     """FieldCtx.combine mod 257 of up to _PACKED_MAX_TERMS terms, on lanes if every vector
-    the step reads from the slots is Lanes; one pass, each vector read where it is summed."""
-    _, (s, key) = step[0]
-    n = getattr(slots[s][key], "n", None)
-    acc = bound = 0
-    for c, (s, key) in step:
+    the step reads from the slots is Lanes; one pass, each vector read where it is summed.
+
+    A unit term adds its lanes unscaled, and the first term starts the sum. A pending step
+    is checked and bounded now and kept, by slot and key, for this kernel to sum on the first
+    read of its lanes; one the kernel would refuse or sum again, or that reads a pending
+    vector, is summed now.
+    """
+    if pending:
+        _, (s, key) = step[0]
+        n, bound, reads = getattr(slots[s][key], "n", None), 0, {}
+        for c, (s, key) in step:
+            v = reads.setdefault(s, {})[key] = slots[s][key]
+            if not isinstance(v, Lanes) or v.n != n or v._pending is not None:
+                break  # summed below, where the list path, a refusal or a pending term is met
+            bound += c % 257 * v.bound
+        else:
+            if not bound >> 32:
+                return Lanes(None, n, bound, pending=(step, reads))
+    terms = iter(step)
+    c, (s, key) = next(terms)
+    first = slots[s][key]
+    if not isinstance(first, Lanes):  # a term the kernel cannot read: all take the list path
+        return _combine_list(257, _read(step, slots))
+    n, c = first.n, c % 257
+    lanes = first._lanes
+    if lanes is None:  # bytes not spread yet, or a pending sum not made yet
+        lanes = first.value if first._pending is None else first._sum()
+    acc, bound = lanes if c == 1 else c * lanes, c * first.bound
+    for c, (s, key) in terms:
         v = slots[s][key]
-        if not isinstance(v, Lanes):  # a term the kernel cannot read: all take the list path
+        if not isinstance(v, Lanes):
             return _combine_list(257, _read(step, slots))
         if v.n != n:
             raise LengthMismatch(f"cannot combine vectors of lengths {n} and {v.n}")
         c %= 257
         lanes = v._lanes
-        if lanes is None:  # bytes not read yet: value spreads them into canonical lanes
-            lanes = v.value
-        acc += c * lanes
+        if lanes is None:
+            lanes = v.value if v._pending is None else v._sum()
+        acc += lanes if c == 1 else c * lanes
         bound += c * v.bound
     if bound >> 32:  # lanes may have carried: sum again from canonical terms
         acc = sum(c % 257 * v.value for c, v in _read(step, slots))

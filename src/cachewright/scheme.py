@@ -15,30 +15,34 @@ at OWN, and names each piece it computes by its key; the user caches the rest of
 Both read a demand only through the scheme's pattern of it. Scheme.send and Scheme.recover lay
 out those slots and run compiled programs, which verify compiles once per pattern (a Scheme
 keeps none); Scheme.deliver and Scheme.decode compile and run one demand, as roundtrip does.
+Scheme.place leaves each combined packet pending, so the field sums it only when something
+first reads it; its copies, and everything send and recover make, are made at once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConfigMismatch, LengthMismatch
-from .field import FieldCtx, Symbol, join_bytes
+from .field import Symbol, join_bytes
 from .model import Demand, NetworkConfig, SubfileGrid, split_file, validate_demand, validate_users
 
 SENT, MIXED, OWN = -3, -2, -1  # a decoder's last slots, from the end of Scheme.recover's list
 
 
-def run(program: dict, slots: list, field: FieldCtx) -> dict:
-    """Run the steps in order, storing each under its name in the last slot; return that."""
+def run(program: dict, slots: list, combine: Callable) -> dict:
+    """Run the steps in order, storing each under its name in the last slot; return that.
+    A step of one unit term is a copy, and combine(step, slots) sums every other."""
     out = slots[-1]
     for name, step in program.items():
         if len(step) == 1 and step[0][0] == 1:
             s, key = step[0][1]
             out[name] = slots[s][key]
         else:
-            out[name] = field.combine(step, slots)
+            out[name] = combine(step, slots)
     return out
 
 
@@ -100,16 +104,17 @@ class Scheme(NamedTuple):
 
     def place(self, library: list[SubfileGrid], cfg: NetworkConfig,
               users: Iterable[int] | None = None) -> list[Cache]:
-        """The caches of the listed users, in the order given; all K by default."""
+        """The caches of the listed users, in the order given; all K by default. Each combined
+        packet is pending, summed by the field on its first read."""
         programs = [(user, self.caching(cfg, user)) for user in validate_users(users, cfg)]
         sub_len = self._subfile_len(library, cfg)
         keys = tuple(self.keys(cfg))
         files = [g.parts for g in library]
         lengths = tuple(g.original_length for g in library)
-        caches = []
+        combine, caches = partial(cfg.field.combine, pending=True), []
         for user, program in programs:
             parts = tuple({} for _ in range(cfg.n + 1))
-            for (slot, key), packet in run(program, [*files, {}], cfg.field).items():
+            for (slot, key), packet in run(program, [*files, {}], combine).items():
                 parts[slot][key] = packet
             caches.append(Cache(user, parts, lengths, sub_len, keys))
         return caches
@@ -117,7 +122,7 @@ class Scheme(NamedTuple):
     def send(self, cfg: NetworkConfig, delivery: dict, library: list[SubfileGrid],
              demand: Demand) -> dict:
         """The broadcast packets by position for demand, a delivery of its pattern."""
-        return run(delivery, [library[f - 1].parts for f in demand] + [{}], cfg.field)
+        return run(delivery, [library[f - 1].parts for f in demand] + [{}], cfg.field.combine)
 
     def recover(self, cfg: NetworkConfig, decoding: dict, cache: Cache, demand: Demand,
                 sent: Sequence | dict) -> tuple:
@@ -126,7 +131,7 @@ class Scheme(NamedTuple):
         the cache; else the piece the user caches of that file under the key."""
         held = [cache.parts[f - 1] for f in demand]
         try:
-            out = run(decoding, [*held, sent, cache.parts[-1], {}], cfg.field)
+            out = run(decoding, [*held, sent, cache.parts[-1], {}], cfg.field.combine)
             return itemgetter(*cache.keys)(held[cache.user - 1] | out)
         except KeyError as key:  # its str is the key's repr
             raise ConfigMismatch(f"user {cache.user} neither decodes nor caches {key}") from None

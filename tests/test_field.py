@@ -285,10 +285,10 @@ def test_vec_combine_reads_bytes_like_vectors_as_symbols():
 def test_vec_combine_takes_the_packed_path_at_257_at_every_length(monkeypatch):
     calls = []
 
-    def spy(step, slots):
+    def spy(step, slots, pending=False):
         _, (slot, key) = step[0]
         calls.append(len(slots[slot][key]))
-        return kernel(step, slots)
+        return kernel(step, slots, pending)
 
     kernel = field._combine_packed
     monkeypatch.setattr(field, "_combine_packed", spy)

@@ -312,15 +312,28 @@ def test_only_pack_decides_whether_a_vector_is_packed():
     folds = _by_scope(tree, lambda n: isinstance(n, ast.BinOp) and isinstance(n.op, ast.RShift)
                       and getattr(n.right, "value", None) == 16)
     assert [scope for scope, _ in folds] == ["Lanes.value"]
-    # only pack builds a Lanes that keeps bytes, which it can name only by keyword ...
+    # only pack builds a Lanes that keeps bytes, and only the kernel one that is pending,
+    # each of which they can name only by keyword ...
     init = next(node for _, node in _by_scope(tree, lambda n: isinstance(n, ast.FunctionDef))
                 if node.name == "__init__")
-    assert [arg.arg for arg in init.args.kwonlyargs] == ["data"]
-    assert sorted(scope for scope, call in _by_scope(
-        tree, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Lanes")
-        if any(k.arg in ("data", None) for k in call.keywords)) == ["FieldCtx.pack"]
+    assert [arg.arg for arg in init.args.kwonlyargs] == ["data", "pending"]
+    built = list(_by_scope(
+        tree, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Lanes"))
+    for keyword, builder in (("data", "FieldCtx.pack"), ("pending", "_combine_packed")):
+        assert sorted(scope for scope, call in built
+                      if any(k.arg in (keyword, None) for k in call.keywords)) == [builder]
     # ... and only Lanes.value turns those bytes into lanes; the kernel reads them through it
     assert sorted(_names_by_scope(tree, "_spread")) == [("Lanes.value", "Load")]
+    # a pending sum is the kernel's own, reached through Lanes._sum alone, which the kernel and
+    # value call; the kernel never calls itself, so a pending vector, whose terms are never
+    # pending, is summed one level down
+    calls = list(_by_scope(tree, lambda n: isinstance(n, ast.Call)))
+    assert sorted(scope for scope, call in calls
+                  if getattr(call.func, "id", None) == "_combine_packed") == \
+        ["FieldCtx.combine", "Lanes._sum"]
+    assert sorted(scope for scope, call in calls
+                  if getattr(call.func, "attr", None) == "_sum") == \
+        ["Lanes.value", "_combine_packed", "_combine_packed"]
     for path in sorted((SRC / "cachewright").rglob("*.py")):
         if path.name != "field.py":
             text = path.read_text()

@@ -160,15 +160,39 @@ def test_lanes_from_bytes_keep_their_bytes_for_bytes_alone(monkeypatch):
     assert bytes(copy) == data
 
 
-@pytest.mark.parametrize("name, packs", [("new", 18), ("man", 4)])
-def test_a_roundtrip_packs_only_the_subfiles_its_kernel_reads(name, packs, tmp_path,
-                                                              monkeypatch):
-    # at (3, 4) a new roundtrip splits 36 subfiles and combines 18 of them; man splits 12
-    # and combines K = 4, those its one packet sums
+def _subfiles_read(chosen, cfg, demand, user):
+    """(file index, key) of each subfile a roundtrip's kernel reads: those its delivery combines,
+    and those of the cache packets its decoder combines, a copied packet being its subfile and
+    a combined one the subfiles its caching step reads. No copy step reads through the kernel,
+    and the broadcast and the decoder's own results are sums, not subfiles."""
+    from cachewright.scheme import MIXED
+
+    def combined(program):
+        return [step for step in program.values() if len(step) > 1 or step[0][0] != 1]
+
+    delivery, decoder = chosen.serving(cfg, chosen.pattern(demand, cfg))
+    caching = chosen.caching(cfg, user)
+    read = {(demand[s] - 1, key) for step in combined(delivery) for _, (s, key) in step}
+    for step in combined(decoder(user)):
+        for _, (s, key) in step:
+            if 0 <= s < cfg.k or s == MIXED:  # a part of the cache: the file it holds, or slot N
+                packet = caching[(demand[s] - 1, key) if s >= 0 else (cfg.n, key)]
+                read |= {at for _, at in packet}
+    return read
+
+
+@pytest.mark.parametrize("name", ["new", "man"])
+def test_a_roundtrip_packs_only_the_subfiles_its_kernel_reads(name, tmp_path, monkeypatch):
+    # at (3, 4) a new roundtrip splits 36 subfiles, places 7 combined packets, of which the
+    # decoder reads some, and delivers 4 packets of 3 subfiles each; man splits 12 and
+    # combines K = 4, those its one packet sums
     from cachewright import cli
+    from cachewright.verify import SCHEMES
     packed = _count_spreads(monkeypatch)
+    cfg = NetworkConfig(3, 4)
     source, out = tmp_path / "in.bin", tmp_path / "out.bin"
     source.write_bytes(random.Random(f"lazy-{name}").randbytes(65536))
+    counts = set()
     for demand in ("1,2,3,1", "3,3,1,2", "2,1,3,3"):
         for user in range(1, 5):
             packed.clear()
@@ -176,8 +200,14 @@ def test_a_roundtrip_packs_only_the_subfiles_its_kernel_reads(name, packs, tmp_p
                              "--demand", demand, "--user", str(user), str(source),
                              "--out", str(out)]) == 0
             assert out.read_bytes() == source.read_bytes()
+            packs = len(_subfiles_read(SCHEMES[name], cfg, tuple(map(int, demand.split(","))),
+                                       user))
             assert len(packed) == packs, (demand, user)
             assert len({id(data) for data in packed}) == packs
+            counts.add(packs)
+    # the coded scheme reads 15 or 16 of its 36 subfiles, where placing every packet at once
+    # read 18; man reads the K its packet sums
+    assert counts == ({15, 16} if name == "new" else {4})
 
 
 @pytest.mark.parametrize("name", ["new", "man"])
@@ -316,6 +346,147 @@ def test_every_packed_result_keeps_its_lanes_below_257(data):
     lanes.frombytes(result.value.to_bytes(4 * result.n, sys.byteorder))
     assert all(0 <= x < 257 for x in lanes)
     assert result == _reference(terms)
+
+
+_COEFFICIENTS = st.one_of(st.sampled_from([0, 1, 256, 257, 258, -1, -256]),
+                         st.integers(-2 ** 40, 2 ** 40))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_the_kernel_sums_any_step_as_the_list_path_does(data):
+    # 1 to 8 terms over byte-backed, canonical and loose Lanes of one length, some of them
+    # drawn twice; a unit term adds its lanes unscaled and a zero term adds nothing
+    length = data.draw(st.integers(1, 40))
+    pool = data.draw(st.lists(st.one_of(
+        st.binary(min_size=length, max_size=length).map(F257.pack),
+        st.tuples(*[st.integers(0, 256)] * length).map(_canonical),
+        st.lists(st.integers(0, 2 ** 32 - 1), min_size=length, max_size=length).map(_bounded)),
+        min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.tuples(_COEFFICIENTS, st.integers(0, len(pool) - 1)),
+                               min_size=1, max_size=8))
+    terms = [(c, pool[i]) for c, i in picks]
+    symbols = [tuple(v) for v in pool]  # each vector's symbols, read before the kernel runs
+    result = field._combine_packed(*in_one_slot(terms))
+    bound = sum(c % 257 * v.bound for c, v in terms)  # the terms' bounds as the kernel read them
+    if bound < 2 ** 32:
+        assert result.bound == bound
+    else:  # summed again from the canonical terms
+        assert result.bound == 256 * sum(c % 257 for c, _ in terms)
+    _assert_bounded(result)
+    shared = result._lanes
+    assert result == field._combine_list(257, [(c, symbols[i]) for c, i in picks])
+    assert [tuple(v) for v in pool] == symbols
+    # a single unit term is its own sum: the result starts from the term's int, and making
+    # the result canonical replaces the result's int, never the term's
+    if len(terms) == 1 and terms[0][0] % 257 == 1:
+        assert shared is terms[0][1]._lanes
+
+
+def _bytes_or_refusal(vector):
+    try:
+        return bytes(vector)
+    except ValueError:
+        return "not bytes"
+
+
+@pytest.mark.parametrize("name", ["new", "man"])
+def test_every_placed_packet_reads_as_the_combine_of_its_caching_step(name):
+    # each combined packet is pending: its length and bound are those FieldCtx.combine gives
+    # its caching step at once, before its first read, and that read, by bytes() or by its
+    # symbols, gives the combine's; a copy is the library's own subfile, and no pending
+    # packet keeps a pending term
+    from cachewright.verify import SCHEMES
+    chosen, rng = SCHEMES[name], random.Random(f"pending-{name}")
+    for k in range(2, 6):
+        for n in range(2, k + 1):
+            cfg = NetworkConfig(n, k)
+            length = len(chosen.keys(cfg)) * rng.randrange(1, 9)
+            library = [chosen.split(rng.randbytes(length), cfg) for _ in range(n)]
+            slots = [g.parts for g in library] + [{}]
+            for read in ("bytes", "symbols"):
+                for cache in chosen.place(library, cfg):
+                    caching = chosen.caching(cfg, cache.user)
+                    assert set(caching) == {(slot, key) for slot, part in
+                                            enumerate(cache.parts) for key in part}
+                    for (slot, key), step in caching.items():
+                        got = cache.parts[slot][key]
+                        if len(step) == 1 and step[0][0] == 1:
+                            (_, (s, copied)), = step
+                            assert got is slots[s][copied]
+                            continue
+                        want = cfg.field.combine(step, slots)
+                        assert got._pending is not None, (n, k, slot, key)
+                        assert all(v._pending is None
+                                   for vectors in got._pending[1].values()
+                                   for v in vectors.values())
+                        assert (len(got), got.bound) == (len(want), want.bound)
+                        if read == "bytes":
+                            assert _bytes_or_refusal(got) == _bytes_or_refusal(want)
+                        assert got == want and tuple(got) == tuple(want)
+                        assert _bytes_or_refusal(got) == _bytes_or_refusal(want)
+                        assert got._pending is None and len(got) == len(want)
+
+
+def test_a_caching_step_over_unequal_lengths_is_refused_by_place():
+    from cachewright.coded_placement import NEW
+    cfg = NetworkConfig(2, 3)
+    library = [NEW.split(random.Random(i).randbytes(30), cfg) for i in range(2)]
+    library[0].parts[(1, 3)] = F257.pack(b"\0" * 4)  # one symbol short
+    # user 1's difference (1, 2) - (1, 3) of file 1 reads it
+    with pytest.raises(LengthMismatch, match="^cannot combine vectors of lengths 5 and 4$"):
+        NEW.place(library, cfg, users=(1,))
+    # users 2 and 3 sum no step that reads it, and user 2 copies it
+    assert [cache.user for cache in NEW.place(library, cfg, users=(2, 3))] == [2, 3]
+
+
+def test_a_pending_combine_sums_at_once_what_the_kernel_would_refuse_or_sum_again():
+    packed, plain = F257.pack(bytes(range(1, 9))), tuple(range(8))
+    pending = F257.combine(*in_one_slot([(1, packed), (2, packed)]), pending=True)
+    assert pending._pending is not None and pending.bound == 3 * 256
+    # a term that is not Lanes sends the step down the list path, at once
+    listed = F257.combine(*in_one_slot([(1, packed), (2, plain)]), pending=True)
+    assert not isinstance(listed, Lanes) and listed == tuple(3 * i + 1 for i in range(8))
+    # a step whose bound reaches 2**32 is summed again from canonical terms, at once
+    top = _bounded([2 ** 32 - 1] * 8)
+    again = F257.combine(*in_one_slot([(1, top), (1, _bounded([1] * 8))]), pending=True)
+    assert again._pending is None and again.bound == 2 * 256 and again == (1,) * 8
+    # a step that reads a pending vector is summed at once, and reads that one's lanes
+    nested = F257.combine(*in_one_slot([(1, pending), (-1, packed)]), pending=True)
+    assert nested._pending is None and pending._pending is None
+    assert nested == tuple(2 * b % 257 for b in range(1, 9))
+    # so is every step at another prime, which takes the list path
+    other = make_field(263).combine(*in_one_slot([(1, plain), (1, plain)]), pending=True)
+    assert other == tuple(2 * i for i in range(8))
+    # a pending packet's first read sums it once: bytes() and the symbols agree
+    twice = F257.combine(*in_one_slot([(2, packed), (-1, packed)]), pending=True)
+    assert bytes(twice) == bytes(range(1, 9)) and twice._pending is None
+    assert twice == tuple(range(1, 9))
+
+
+@pytest.mark.parametrize("n, k, sums, placed", [(3, 4, 27, 28), (8, 8, 104, 392)])
+def test_verify_sums_only_the_cache_packets_its_decoders_read(n, k, sums, placed,
+                                                              monkeypatch):
+    # every cache holds N(K-2) differences and one sum packet, K(N(K-2) + 1) in all; the
+    # decoders of (8, 8) read 104 of them, and at (3, 4) every one but one
+    from cachewright.verify import run_verification
+    counts = [0, 0]  # packets left pending, pending sums made
+    kernel, summed = field._combine_packed, field.Lanes._sum
+
+    def combine(step, slots, pending=False):
+        result = kernel(step, slots, pending)
+        counts[0] += getattr(result, "_pending", None) is not None
+        return result
+
+    def made(self):
+        counts[1] += 1
+        return summed(self)
+
+    monkeypatch.setattr(field, "_combine_packed", combine)
+    monkeypatch.setattr(field.Lanes, "_sum", made)
+    assert run_verification(n, k, "new").ok
+    assert counts == [placed, sums]
+    assert placed == k * (n * (k - 2) + 1)
 
 
 def test_join_bytes_names_the_first_lane_outside_a_byte():

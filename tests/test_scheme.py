@@ -298,8 +298,9 @@ def test_the_compilers_run_over_q_and_agree_with_f257(name):
         assert lcm(*denominators) == (2 * lcm(*range(1, k)) if name == "new" else 1), k
 
 
-def _combine_over_q(step, slots) -> tuple:
-    """The sum of each coefficient times the vector its term reads from the slots, exactly."""
+def _combine_over_q(step, slots, pending=False) -> tuple:
+    """The sum of each coefficient times the vector its term reads from the slots, exactly;
+    over Q every sum is made at once, so pending changes nothing."""
     terms = [(c, slots[slot][key]) for c, (slot, key) in step]
     return tuple(sum(c * v[i] for c, v in terms) for i in range(len(terms[0][1])))
 

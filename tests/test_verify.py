@@ -6,8 +6,11 @@ import multiprocessing
 import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,8 @@ from cachewright.model import NetworkConfig, demand_orbits
 from cachewright.verify import SCHEMES, run_verification
 
 from demand_set import all_demands
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch):
@@ -204,7 +209,8 @@ def test_verify_json_is_the_same_at_every_packing_threshold(name, n, k, mutant, 
         monkeypatch.setitem(verify.SCHEMES, name, _mutant(SCHEMES[name], **MUTANTS[mutant][1]))
     kernel, packed = field._combine_packed, []
     monkeypatch.setattr(field, "_combine_packed",
-                        lambda step, slots: packed.append(1) or kernel(step, slots))
+                        lambda step, slots, pending=False:
+                        packed.append(1) or kernel(step, slots, pending))
     reports, counts = [], []
     for limit in (field._PACKED_MAX_TERMS, 0):
         monkeypatch.setattr(field, "_PACKED_MAX_TERMS", limit)
@@ -266,10 +272,10 @@ def test_wide_groups_take_the_packed_kernel_only_at_257(monkeypatch):
     # 120 symbols wide: every combine is packed at p = 257, and takes the list path at 263
     packed, listed = [], []
 
-    def spy(step, slots):
+    def spy(step, slots, pending=False):
         _, (slot, key) = step[0]
         packed.append(slots[slot][key].n)
-        return kernel(step, slots)
+        return kernel(step, slots, pending)
 
     def list_spy(p, terms):
         listed.append(len(terms[0][1]))
@@ -336,6 +342,23 @@ def test_a_sweep_holds_first_demands_not_d():
         tracemalloc.stop()
     assert report.ok and report.demands_checked == 191520
     assert peak < 2 * 2**20, peak
+
+
+def test_verify_8_8_peaks_at_or_below_137_mib():
+    # every subfile of (8, 8) is 8! = 40,320 lanes wide, and placement leaves its 392
+    # combined packets pending, of which the decoders read 104: a fresh interpreter's peak
+    # resident set, the library and every summed packet included, stays where it was before
+    # the library had a lane per relabelling. The peak is the interpreter's own, VmHWM:
+    # Linux carries the forking process's peak across exec into ru_maxrss, so inside this
+    # suite ru_maxrss would read the suite's size
+    code = ("from cachewright.verify import run_verification\n"
+            "assert run_verification(8, 8, 'new').ok\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))")
+    result = subprocess.run([sys.executable, "-c", code], cwd=SRC, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) <= 137 * 1024  # kB
 
 
 def _without_stage2_head(scheme):
