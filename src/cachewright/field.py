@@ -9,8 +9,8 @@ as slots[slot][key].
 A vector packed from bytes keeps them for bytes() alone and becomes lanes the
 first time its symbols are read, so a subfile that is only copied is never
 packed and joins back as its own bytes. A pending sum, which combine returns at
-257 when asked to, is the third lazy source: its length and exact bound are
-known at once, and the packed kernel sums its lanes the first time they are
+257 when asked to, is the third lazy source: it keeps its step and the slots
+that step reads, and the packed kernel sums it the first time its lanes are
 read, so a packet nothing reads is never summed. In every sum at 257 a term
 whose coefficient is 1 adds its lanes unscaled.
 """
@@ -185,16 +185,16 @@ class Lanes:
     to its symbol. FieldCtx.pack builds canonical Lanes, bound 256; from bytes it keeps
     the bytes for bytes() alone, and the first read of value (by the packed kernel,
     iteration, indexing or ==) spreads them into the int, once. _combine_packed builds the
-    others with the bound of their sum; a pending one keeps its step and the vectors it
-    reads instead of the int, and the first read of its lanes (by the kernel, or through
-    value) has the kernel sum them, once. Reads as the tuple of its symbols (len,
-    iteration, indexing, ==), unpacking on each read; the first read of value makes
-    every lane canonical, once, in place.
+    others with the bound of their sum; a pending one keeps its step and the slots it reads
+    instead of the int, and learns its bound when its lanes are made: the first read of them
+    (by the kernel, or through value) has the kernel sum them, once. Reads as the tuple of
+    its symbols (len, iteration, indexing, ==), unpacking on each read; the first read of
+    value makes every lane canonical, once, in place.
     """
 
     __slots__ = ("_lanes", "_bytes", "_pending", "bound", "n")
 
-    def __init__(self, lanes: int | None, n: int, bound: int = 256, *,
+    def __init__(self, lanes: int | None, n: int, bound: int | None = 256, *,
                  data: bytes | None = None, pending: tuple | None = None):
         self._lanes = lanes
         self._bytes = data
@@ -221,9 +221,12 @@ class Lanes:
         return self._lanes
 
     def _sum(self) -> int:
-        """A pending Lanes' lanes, each at most bound: the kernel sums the step from the
-        vectors it kept, none of them pending, once."""
-        self._lanes, self._pending = _combine_packed(*self._pending)._lanes, None
+        """A pending Lanes' lanes: the kernel sums the step from the slots it kept, once, and
+        its bound becomes the sum's; a list-path sum is packed back into lanes."""
+        summed = _combine_packed(*self._pending)
+        if not isinstance(summed, Lanes):
+            summed = FieldCtx(257).pack(summed)
+        self._lanes, self.bound, self._pending = summed._lanes, summed.bound, None
         return self._lanes
 
     def __len__(self) -> int:
@@ -261,26 +264,16 @@ def _combine_packed(step: Sequence[tuple[int, tuple]], slots: Sequence,
     the step reads from the slots is Lanes; one pass, each vector read where it is summed.
 
     A unit term adds its lanes unscaled, and the first term starts the sum. A pending step
-    is checked and bounded now and kept, by slot and key, for this kernel to sum on the first
-    read of its lanes; one the kernel would refuse or sum again, or that reads a pending
-    vector, is summed now.
+    whose first term is Lanes is kept, with the slots it reads, for this kernel to sum on
+    the first read of its lanes, where any refusal is raised.
     """
-    if pending:
-        _, (s, key) = step[0]
-        n, bound, reads = getattr(slots[s][key], "n", None), 0, {}
-        for c, (s, key) in step:
-            v = reads.setdefault(s, {})[key] = slots[s][key]
-            if not isinstance(v, Lanes) or v.n != n or v._pending is not None:
-                break  # summed below, where the list path, a refusal or a pending term is met
-            bound += c % 257 * v.bound
-        else:
-            if not bound >> 32:
-                return Lanes(None, n, bound, pending=(step, reads))
     terms = iter(step)
     c, (s, key) = next(terms)
     first = slots[s][key]
     if not isinstance(first, Lanes):  # a term the kernel cannot read: all take the list path
         return _combine_list(257, _read(step, slots))
+    if pending:
+        return Lanes(None, first.n, None, pending=(step, {s: slots[s] for _, (s, _) in step}))
     n, c = first.n, c % 257
     lanes = first._lanes
     if lanes is None:  # bytes not spread yet, or a pending sum not made yet

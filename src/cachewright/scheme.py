@@ -15,8 +15,8 @@ at OWN, and names each piece it computes by its key; the user caches the rest of
 Both read a demand only through the scheme's pattern of it. Scheme.send and Scheme.recover lay
 out those slots and run compiled programs, which verify compiles once per pattern (a Scheme
 keeps none); Scheme.deliver and Scheme.decode compile and run one demand, as roundtrip does.
-Scheme.place leaves each combined packet pending, so the field sums it only when something
-first reads it; its copies, and everything send and recover make, are made at once.
+Scheme.place checks the library once and leaves each combined packet pending on copies of its
+part dicts, summed when first read; its copies, and what send and recover make, are made at once.
 """
 
 from __future__ import annotations
@@ -97,19 +97,22 @@ class Scheme(NamedTuple):
         lengths = {g.subfile_len for g in library}
         if len(lengths) != 1:
             raise ConfigMismatch("files split with differing subfile lengths")
-        count = len(self.keys(cfg))
-        if any(len(g.parts) != count for g in library):
+        keys = set(self.keys(cfg))
+        if any(g.parts.keys() != keys for g in library):
             raise ConfigMismatch("file not split for this (N, K)")
         return lengths.pop()
 
     def place(self, library: list[SubfileGrid], cfg: NetworkConfig,
               users: Iterable[int] | None = None) -> list[Cache]:
-        """The caches of the listed users, in the order given; all K by default. Each combined
-        packet is pending, summed by the field on its first read."""
+        """The caches of the listed users, in the order given; all K by default. Every file must
+        hold the scheme's keys, each subfile_len symbols long. A combined packet is pending on
+        copies of the part dicts, summed on its first read: a later library change is unseen."""
         programs = [(user, self.caching(cfg, user)) for user in validate_users(users, cfg)]
         sub_len = self._subfile_len(library, cfg)
         keys = tuple(self.keys(cfg))
-        files = [g.parts for g in library]
+        files = [dict(g.parts) for g in library]
+        if any(len(v) != sub_len for part in files for v in part.values()):
+            raise LengthMismatch(f"a subfile is not {sub_len} symbols long")
         lengths = tuple(g.original_length for g in library)
         combine, caches = partial(cfg.field.combine, pending=True), []
         for user, program in programs:

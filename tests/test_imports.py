@@ -325,8 +325,8 @@ def test_only_pack_decides_whether_a_vector_is_packed():
     # ... and only Lanes.value turns those bytes into lanes; the kernel reads them through it
     assert sorted(_names_by_scope(tree, "_spread")) == [("Lanes.value", "Load")]
     # a pending sum is the kernel's own, reached through Lanes._sum alone, which the kernel and
-    # value call; the kernel never calls itself, so a pending vector, whose terms are never
-    # pending, is summed one level down
+    # value call when they first read its lanes; the kernel never calls itself, and a pending
+    # term it meets is summed through _sum where it is read
     calls = list(_by_scope(tree, lambda n: isinstance(n, ast.Call)))
     assert sorted(scope for scope, call in calls
                   if getattr(call.func, "id", None) == "_combine_packed") == \
@@ -334,6 +334,9 @@ def test_only_pack_decides_whether_a_vector_is_packed():
     assert sorted(scope for scope, call in calls
                   if getattr(call.func, "attr", None) == "_sum") == \
         ["Lanes.value", "_combine_packed", "_combine_packed"]
+    # the kernel passes over a step once: a pending step is kept as it is, not checked first
+    loops = _by_scope(tree, lambda n: isinstance(n, (ast.For, ast.AsyncFor)))
+    assert [scope for scope, _ in loops].count("_combine_packed") == 1
     for path in sorted((SRC / "cachewright").rglob("*.py")):
         if path.name != "field.py":
             text = path.read_text()

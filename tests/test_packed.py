@@ -352,23 +352,36 @@ _COEFFICIENTS = st.one_of(st.sampled_from([0, 1, 256, 257, 258, -1, -256]),
                          st.integers(-2 ** 40, 2 ** 40))
 
 
+def _pending_sum(terms):
+    """A pending sum of byte-backed vectors, as placement leaves a cache packet, with its
+    symbols and the bound the kernel will sum it to, worked out without reading it."""
+    pending = F257.combine(*in_one_slot([(c, F257.pack(b)) for c, b in terms]), pending=True)
+    assert pending._pending is not None
+    bound = 256 * sum(c % 257 for c, _ in terms)
+    return pending, _reference([(c, tuple(b)) for c, b in terms]), bound
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_the_kernel_sums_any_step_as_the_list_path_does(data):
-    # 1 to 8 terms over byte-backed, canonical and loose Lanes of one length, some of them
-    # drawn twice; a unit term adds its lanes unscaled and a zero term adds nothing
+    # 1 to 8 terms over byte-backed, canonical, loose and pending Lanes of one length, some of
+    # them drawn twice; a unit term adds its lanes unscaled and a zero term adds nothing, and a
+    # pending term is summed where the kernel first reads it
     length = data.draw(st.integers(1, 40))
+    raw = st.binary(min_size=length, max_size=length)
     pool = data.draw(st.lists(st.one_of(
-        st.binary(min_size=length, max_size=length).map(F257.pack),
-        st.tuples(*[st.integers(0, 256)] * length).map(_canonical),
-        st.lists(st.integers(0, 2 ** 32 - 1), min_size=length, max_size=length).map(_bounded)),
+        raw.map(lambda b: (F257.pack(b), tuple(b), 256)),
+        st.tuples(*[st.integers(0, 256)] * length).map(lambda s: (_canonical(s), s, 256)),
+        st.lists(st.integers(0, 2 ** 32 - 1), min_size=length, max_size=length).map(
+            lambda lanes: (_bounded(lanes), tuple(x % 257 for x in lanes), max(lanes))),
+        st.lists(st.tuples(_COEFFICIENTS, raw), min_size=1, max_size=4).map(_pending_sum)),
         min_size=1, max_size=4))
     picks = data.draw(st.lists(st.tuples(_COEFFICIENTS, st.integers(0, len(pool) - 1)),
                                min_size=1, max_size=8))
-    terms = [(c, pool[i]) for c, i in picks]
-    symbols = [tuple(v) for v in pool]  # each vector's symbols, read before the kernel runs
+    terms = [(c, pool[i][0]) for c, i in picks]
+    symbols = [s for _, s, _ in pool]  # each vector's symbols, found without reading it
     result = field._combine_packed(*in_one_slot(terms))
-    bound = sum(c % 257 * v.bound for c, v in terms)  # the terms' bounds as the kernel read them
+    bound = sum(c % 257 * pool[i][2] for c, i in picks)  # the bounds the kernel reads
     if bound < 2 ** 32:
         assert result.bound == bound
     else:  # summed again from the canonical terms
@@ -376,11 +389,11 @@ def test_the_kernel_sums_any_step_as_the_list_path_does(data):
     _assert_bounded(result)
     shared = result._lanes
     assert result == field._combine_list(257, [(c, symbols[i]) for c, i in picks])
-    assert [tuple(v) for v in pool] == symbols
     # a single unit term is its own sum: the result starts from the term's int, and making
     # the result canonical replaces the result's int, never the term's
     if len(terms) == 1 and terms[0][0] % 257 == 1:
         assert shared is terms[0][1]._lanes
+    assert [tuple(v) for v, _, _ in pool] == symbols
 
 
 def _bytes_or_refusal(vector):
@@ -392,10 +405,10 @@ def _bytes_or_refusal(vector):
 
 @pytest.mark.parametrize("name", ["new", "man"])
 def test_every_placed_packet_reads_as_the_combine_of_its_caching_step(name):
-    # each combined packet is pending: its length and bound are those FieldCtx.combine gives
-    # its caching step at once, before its first read, and that read, by bytes() or by its
-    # symbols, gives the combine's; a copy is the library's own subfile, and no pending
-    # packet keeps a pending term
+    # each combined packet is pending, with the length FieldCtx.combine gives its caching step;
+    # its first read, through the kernel, by bytes() or by its symbols, gives the combine's,
+    # and the kernel's read makes its lanes to the combine's bound; a copy is the library's
+    # own subfile
     from cachewright.verify import SCHEMES
     chosen, rng = SCHEMES[name], random.Random(f"pending-{name}")
     for k in range(2, 6):
@@ -404,7 +417,7 @@ def test_every_placed_packet_reads_as_the_combine_of_its_caching_step(name):
             length = len(chosen.keys(cfg)) * rng.randrange(1, 9)
             library = [chosen.split(rng.randbytes(length), cfg) for _ in range(n)]
             slots = [g.parts for g in library] + [{}]
-            for read in ("bytes", "symbols"):
+            for read in ("kernel", "bytes", "symbols"):
                 for cache in chosen.place(library, cfg):
                     caching = chosen.caching(cfg, cache.user)
                     assert set(caching) == {(slot, key) for slot, part in
@@ -417,51 +430,83 @@ def test_every_placed_packet_reads_as_the_combine_of_its_caching_step(name):
                             continue
                         want = cfg.field.combine(step, slots)
                         assert got._pending is not None, (n, k, slot, key)
-                        assert all(v._pending is None
-                                   for vectors in got._pending[1].values()
-                                   for v in vectors.values())
-                        assert (len(got), got.bound) == (len(want), want.bound)
+                        assert len(got) == len(want)
+                        if read == "kernel":  # lanes made, not yet canonical
+                            bound = want.bound
+                            assert field._combine_packed(*in_one_slot([(1, got)])) == want
+                            assert got.bound == bound
                         if read == "bytes":
                             assert _bytes_or_refusal(got) == _bytes_or_refusal(want)
                         assert got == want and tuple(got) == tuple(want)
                         assert _bytes_or_refusal(got) == _bytes_or_refusal(want)
-                        assert got._pending is None and len(got) == len(want)
+                        assert got._pending is None and got.bound == want.bound
+
+
+@pytest.mark.parametrize("name", ["new", "man"])
+def test_a_library_changed_after_placement_changes_no_cache(name):
+    # place reads copies of the files' part dicts, so replacing every part of the library
+    # after placement leaves each packet, pending or copied, the combine of the library placed
+    from cachewright.verify import SCHEMES
+    chosen, rng = SCHEMES[name], random.Random(f"placed-{name}")
+    for k in range(2, 5):
+        for n in range(2, k + 1):
+            cfg = NetworkConfig(n, k)
+            length = len(chosen.keys(cfg)) * rng.randrange(1, 5)
+            library = [chosen.split(rng.randbytes(length), cfg) for _ in range(n)]
+            placed = [dict(g.parts) for g in library] + [{}]
+            caches = chosen.place(library, cfg)
+            for g in library:
+                for key, v in g.parts.items():
+                    g.parts[key] = F257.pack(bytes(255 - b for b in bytes(v)))
+            for cache in caches:
+                for (slot, key), step in chosen.caching(cfg, cache.user).items():
+                    assert cache.parts[slot][key] == cfg.field.combine(step, placed), \
+                        (n, k, cache.user, slot, key)
 
 
 def test_a_caching_step_over_unequal_lengths_is_refused_by_place():
+    # place checks every subfile's length, and every file's keys, once, before any step
     from cachewright.coded_placement import NEW
     cfg = NetworkConfig(2, 3)
     library = [NEW.split(random.Random(i).randbytes(30), cfg) for i in range(2)]
     library[0].parts[(1, 3)] = F257.pack(b"\0" * 4)  # one symbol short
-    # user 1's difference (1, 2) - (1, 3) of file 1 reads it
-    with pytest.raises(LengthMismatch, match="^cannot combine vectors of lengths 5 and 4$"):
-        NEW.place(library, cfg, users=(1,))
-    # users 2 and 3 sum no step that reads it, and user 2 copies it
-    assert [cache.user for cache in NEW.place(library, cfg, users=(2, 3))] == [2, 3]
+    for users in ((1,), (2, 3), None):  # user 2 only copies it, and user 3 never reads it
+        with pytest.raises(LengthMismatch, match="^a subfile is not 5 symbols long$"):
+            NEW.place(library, cfg, users=users)
+    library[0].parts[(1, 3)] = library[1].parts[(1, 3)]
+    assert [cache.user for cache in NEW.place(library, cfg)] == [1, 2, 3]
+    # a file keyed otherwise, with as many keys, is not split for this (N, K)
+    library[1].parts[(3, 1)] = library[1].parts.pop((1, 3))
+    with pytest.raises(ConfigMismatch, match="^file not split for this"):
+        NEW.place(library, cfg, users=(2,))
 
 
-def test_a_pending_combine_sums_at_once_what_the_kernel_would_refuse_or_sum_again():
+def test_a_step_is_pending_whenever_its_first_term_is_lanes():
+    # the first read sums it as the list path does, whatever the kernel then meets: a
+    # caller's tuple term, a bound reaching 2**32, a pending term; unequal lengths are
+    # refused at that read
     packed, plain = F257.pack(bytes(range(1, 9))), tuple(range(8))
-    pending = F257.combine(*in_one_slot([(1, packed), (2, packed)]), pending=True)
-    assert pending._pending is not None and pending.bound == 3 * 256
-    # a term that is not Lanes sends the step down the list path, at once
-    listed = F257.combine(*in_one_slot([(1, packed), (2, plain)]), pending=True)
-    assert not isinstance(listed, Lanes) and listed == tuple(3 * i + 1 for i in range(8))
-    # a step whose bound reaches 2**32 is summed again from canonical terms, at once
     top = _bounded([2 ** 32 - 1] * 8)
-    again = F257.combine(*in_one_slot([(1, top), (1, _bounded([1] * 8))]), pending=True)
-    assert again._pending is None and again.bound == 2 * 256 and again == (1,) * 8
-    # a step that reads a pending vector is summed at once, and reads that one's lanes
-    nested = F257.combine(*in_one_slot([(1, pending), (-1, packed)]), pending=True)
-    assert nested._pending is None and pending._pending is None
-    assert nested == tuple(2 * b % 257 for b in range(1, 9))
-    # so is every step at another prime, which takes the list path
+    for read in (_bytes_or_refusal, tuple):
+        inner = F257.combine(*in_one_slot([(1, packed), (2, packed)]), pending=True)
+        for terms in ([(1, packed), (2, packed)], [(2, packed), (-1, packed)],
+                      [(1, packed), (2, plain)], [(3, top), (-1, plain), (1, packed)],
+                      [(1, top), (1, _bounded([1] * 8))], [(1, inner), (-1, packed)]):
+            got = F257.combine(*in_one_slot(terms), pending=True)
+            assert isinstance(got, Lanes) and got._pending is not None and len(got) == 8
+            first = read(got)
+            assert got._pending is None and isinstance(got.value, int)
+            want = field._combine_list(257, [(c, tuple(v)) for c, v in terms])
+            assert first == read(F257.pack(want)) and got == want
+        assert inner._pending is None
+    uneven = F257.combine(*in_one_slot([(1, packed), (1, F257.pack(b"\0" * 7))]), pending=True)
+    with pytest.raises(LengthMismatch, match="^cannot combine vectors of lengths 8 and 7$"):
+        tuple(uneven)
+    # a step the kernel cannot start, and every step at another prime, is summed at once
+    listed = F257.combine(*in_one_slot([(1, plain), (2, packed)]), pending=True)
+    assert not isinstance(listed, Lanes) and listed == tuple(3 * i + 2 for i in range(8))
     other = make_field(263).combine(*in_one_slot([(1, plain), (1, plain)]), pending=True)
     assert other == tuple(2 * i for i in range(8))
-    # a pending packet's first read sums it once: bytes() and the symbols agree
-    twice = F257.combine(*in_one_slot([(2, packed), (-1, packed)]), pending=True)
-    assert bytes(twice) == bytes(range(1, 9)) and twice._pending is None
-    assert twice == tuple(range(1, 9))
 
 
 @pytest.mark.parametrize("n, k, sums, placed", [(3, 4, 27, 28), (8, 8, 104, 392)])
