@@ -127,7 +127,7 @@ def axiom_from_tokens(kind: str, tokens: list[str]) -> Axiom:
     cls = _KINDS[kind]
     if len(tokens) != len(cls.spec):
         raise ValueError(f"{kind} takes {len(cls.spec)} fields, got {len(tokens)}")
-    return cls(*(f.read(t) for f, t in zip(cls.spec, tokens)))
+    return cls._make([f.read(t) for f, t in zip(cls.spec, tokens)])
 
 
 @_kind("SUBMOD", equality=False)

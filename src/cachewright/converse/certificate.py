@@ -11,7 +11,6 @@ equalities may be weighted with either sign.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
@@ -22,7 +21,7 @@ from ..errors import (
     SymmetryOutsideTable,
 )
 from .axioms import Axiom, OutsideTable, axiom_from_tokens
-from .entropy import CONST, M, R, VarSet, natural, varset_token
+from .entropy import CONST, M, R, VarSet, memo, natural, varset_token
 
 Demand = tuple[int, ...]
 
@@ -142,7 +141,7 @@ def _frac_token(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@lru_cache(maxsize=4096)   # a certificate has a few distinct multipliers; Fractions are immutable
+@memo   # a certificate has a few distinct multipliers; Fractions are immutable
 def _parse_frac(token: str) -> Fraction:
     num, den = token.split("/")
     return Fraction(-natural(num[1:]) if num[:1] == "-" else natural(num), natural(den))
@@ -154,8 +153,7 @@ def serialize_certificate(cert: Certificate) -> str:
     for i, d in enumerate(cert.demands, start=1):
         lines.append("D " + str(i) + " " + " ".join(str(f) for f in d))
     for axiom, mult in cert.axioms:
-        lines.append("AX " + " ".join([axiom.kind, *axiom.tokens()])
-                     + " MUL " + _frac_token(mult))
+        lines.append(" ".join(["AX", axiom.kind, *axiom.tokens(), "MUL", _frac_token(mult)]))
     lines.append(f"TARGET {_frac_token(cert.target_m)} M + "
                  f"{_frac_token(cert.target_r)} R >= {_frac_token(cert.target_rhs)}")
     return "\n".join(lines) + "\n"
@@ -182,7 +180,12 @@ def parse_certificate(text: str) -> Certificate:
         if not parts:
             continue
         try:
-            if parts[0] == "NK":
+            if parts[0] == "AX":   # nearly every line
+                if parts[-2] != "MUL":
+                    raise ValueError("axiom line lacks a multiplier")
+                axioms.append((axiom_from_tokens(parts[1], parts[2:-2]),
+                               _parse_frac(parts[-1])))
+            elif parts[0] == "NK":
                 if header is not None:
                     raise ValueError("second NK line")
                 header = [natural(t) for t in _fields(parts, _NK)]
@@ -196,11 +199,6 @@ def parse_certificate(text: str) -> Certificate:
                 if len(demand) != header[1] or not all(1 <= f <= header[0] for f in demand):
                     raise ValueError(f"demand is not K={header[1]} files in [1, {header[0]}]")
                 demands.append(demand)
-            elif parts[0] == "AX":
-                if parts[-2] != "MUL":
-                    raise ValueError("axiom line lacks a multiplier")
-                axioms.append((axiom_from_tokens(parts[1], parts[2:-2]),
-                               _parse_frac(parts[-1])))
             elif parts[0] == "TARGET":
                 if target is not None:
                     raise ValueError("second TARGET line")

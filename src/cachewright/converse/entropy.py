@@ -14,12 +14,26 @@ never kept and always raises.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
+from typing import Callable
 
 _KIND_ORDER = {"W": 0, "Z": 1, "X": 2}
 M, R, CONST = "M", "R", "1"
 
 
+def memo(f: Callable) -> Callable:
+    """f with its values kept in a dict, emptied when it holds 4096; an x that makes f raise
+    is not kept. A hit is one dict lookup, about half the cost of an lru_cache hit."""
+    class Memo(dict):
+        def __missing__(self, x):
+            if len(self) >= 4096:
+                self.clear()
+            self[x] = value = f(x)
+            return value
+    return Memo().__getitem__
+
+
+@memo
 def natural(token: str) -> int:
     """A whole number of certificate text: ASCII digits, no sign, '_' or leading zero."""
     if token.isdigit() and token.isascii() and (token[0] != "0" or token == "0"):
@@ -44,7 +58,7 @@ def var(kind: str, idx: int) -> int:
     return _KIND_ORDER[kind] << 32 | idx
 
 
-@lru_cache(maxsize=4096)
+@memo
 def parse_var(token: str) -> int:
     if token[:1] not in _KIND_ORDER:
         raise ValueError(f"bad variable token {token!r}")
@@ -52,7 +66,7 @@ def parse_var(token: str) -> int:
 
 
 VarSet = frozenset
-wvar, zvar, xvar = (lru_cache(maxsize=4096)(partial(var, kind)) for kind in _KIND_ORDER)
+wvar, zvar, xvar = (memo(partial(var, kind)) for kind in _KIND_ORDER)
 
 
 def wset(count: int) -> VarSet:
@@ -60,7 +74,7 @@ def wset(count: int) -> VarSet:
     return frozenset(map(wvar, range(1, count + 1)))
 
 
-@lru_cache(maxsize=4096)
+@memo
 def _var_text(code: int) -> str:
     return kind_of(code) + str(index_of(code))
 

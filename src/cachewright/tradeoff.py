@@ -163,8 +163,9 @@ def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
 
     A vertex is tagged by the hull points at it, then by the cut at its M, dropping a label
     already in the tag; where two cuts share an M, the later one names it. Each segment is
-    the chord between two consecutive breakpoints, tagged by the first known line whose span
-    holds it and whose line is its own. A segment no line holds is memory-sharing.
+    the piece of the hull between two consecutive breakpoints, tagged by the first known line,
+    in known_results order, whose span holds it and whose line is its own. A segment no line
+    holds is memory-sharing.
     """
     if not 1 <= n <= k or k < 2:
         raise OutOfRange(f"need 1 <= N <= K and K >= 2, got ({n}, {k})")
@@ -181,13 +182,17 @@ def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
             tagged.setdefault(m, (hull.evaluate(m), []))[1].append(cut)
     vertices = [(m, r, "+".join(dict.fromkeys(tags))) for m, (r, tags) in sorted(tagged.items())]
 
-    segments = []
-    for (a, ra, _), (b, rb, _) in zip(vertices, vertices[1:]):
-        piece = _chord((a, ra), (b, rb), "memory-sharing")
-        tag = next((line.provenance for line, _ in lines if line.m_lo <= a and b <= line.m_hi
-                    and (line.intercept, line.slope) == (piece.intercept, piece.slope)),
-                   piece.provenance)
-        segments.append(Segment(a, b, piece.intercept, piece.slope, tag))
+    on_line: dict[tuple[Fraction, Fraction], list[Segment]] = {}   # in known_results order
+    for line, _ in lines:
+        on_line.setdefault((line.intercept, line.slope), []).append(line)
+    segments, i = [], 0
+    for (a, _, _), (b, _, _) in zip(vertices, vertices[1:]):
+        if a == hull.segments[i].m_hi:   # each piece lies on the hull segment it starts in
+            i += 1
+        _, _, intercept, slope, _ = hull.segments[i]
+        tag = next((line.provenance for line in on_line.get((intercept, slope), ())
+                    if line.m_lo <= a and b <= line.m_hi), "memory-sharing")
+        segments.append(Segment(a, b, intercept, slope, tag))
     return TradeoffCurve(tuple(segments), tuple(vertices))
 
 

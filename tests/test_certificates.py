@@ -16,6 +16,7 @@ from cachewright.converse import (
     check_certificate,
     parse_certificate,
     perturbed,
+    serialize_certificate,
     tightness_check,
 )
 from cachewright.converse.axioms import (
@@ -145,17 +146,31 @@ _WIDE_PAIRS = [(f, n, k) for k in range(2, 21) for n in range(2, k + 1) for f in
                if f.in_range(n, k)]
 
 
-def test_every_family_certificate_to_k_20_passes_is_tight_and_lies_in_d():
+@pytest.fixture(scope="module")
+def wide_certificates():
+    return [(family, n, k, family.certificate(n, k)) for family, n, k in _WIDE_PAIRS]
+
+
+def test_every_family_certificate_to_k_20_passes_is_tight_and_lies_in_d(wide_certificates):
     # each certificate's table requests every file in every row, so it bounds the worst
     # case over D, and through it the worst case over all demands
-    assert len(_WIDE_PAIRS) == 199
-    for family, n, k in _WIDE_PAIRS:
-        cert = family.certificate(n, k)
+    assert len(wide_certificates) == 199
+    for family, n, k, cert in wide_certificates:
         assert check_certificate(cert).ok, (family.theorem, n, k)
         assert (cert.target_m, cert.target_r, cert.target_rhs) == family.target(n, k)
         files = set(range(1, n + 1))
         assert all(set(demand) == files for demand in cert.demands), (family.theorem, n, k)
         assert tightness_check(n, k).tight, (n, k)
+
+
+def test_every_family_certificate_to_k_20_survives_its_text(wide_certificates):
+    # the benchmark's range: the text parses back to the certificate and writes again as
+    # the same bytes
+    for family, n, k, cert in wide_certificates:
+        text = serialize_certificate(cert)
+        parsed = parse_certificate(text)
+        assert parsed == cert, (family.theorem, n, k)
+        assert serialize_certificate(parsed) == text, (family.theorem, n, k)
 
 
 def test_checker_refuses_a_multiplier_that_is_not_rational():

@@ -11,8 +11,8 @@ from cachewright.converse import (
     parse_certificate,
     serialize_certificate,
 )
-from cachewright.converse.entropy import (index_of, kind_of, parse_varset, var, varset_token,
-                                          wvar, xvar, zvar)
+from cachewright.converse.entropy import (index_of, kind_of, natural, parse_var, parse_varset,
+                                          var, varset_token, wvar, xvar, zvar)
 from cachewright.errors import CachewrightError, ConfigMismatch
 
 
@@ -143,6 +143,20 @@ def test_a_malformed_variable_is_refused_every_time_it_is_read(token):
         parse_certificate("\n".join(lines) + "\n")
     assert len(messages) == 1
     assert str(info.value).replace("line 5: ", "line 4: ") == messages.pop()
+
+
+def test_the_token_memos_stay_bounded_and_keep_no_failure():
+    # each is a dict behind its function, emptied when it holds 4096 values
+    for read, inputs in ((natural, map(str, range(10_000))),
+                         (parse_var, (f"X{i}" for i in range(10_000))), (xvar, range(10_000))):
+        for x in inputs:
+            read(x)
+        assert 0 < len(read.__self__) <= 4096
+    for read, bad in ((natural, "01"), (parse_var, "Q1"), (xvar, 2**32)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                read(bad)
+        assert bad not in read.__self__
 
 
 def test_a_variable_set_lists_files_then_caches_then_broadcasts_by_index():

@@ -26,6 +26,7 @@ from cachewright.tradeoff import (
     emit_csv,
     exact_regions,
     exact_tradeoff,
+    known_results,
     lower_envelope,
     Segment,
     TradeoffCurve,
@@ -415,6 +416,23 @@ def test_gomez_point_3_3_is_left_open():
     assert curve.segment_at(F(1, 2)).provenance == "memory-sharing"
     with pytest.raises(OutsideCharacterizedRegion):
         exact_tradeoff(3, 3, F(1, 2))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+def test_a_segment_on_two_known_lines_takes_the_first_whose_span_holds_it(k):
+    # at N = 1 every known line is M + R = 1; a segment's tag is the first line in
+    # known_results order whose span holds it, so [0, 1/K] stays chen although yu's
+    # M + R >= 1 holds it too
+    lines = [line for line, _ in known_results(1, k)[0]]
+    curve = assemble_known_curve(1, k)
+    for seg in curve.segments:
+        holders = [line.provenance for line in lines
+                   if line.m_lo <= seg.m_lo and seg.m_hi <= line.m_hi
+                   and (line.intercept, line.slope) == (seg.intercept, seg.slope)]
+        assert seg.provenance == holders[0], (k, seg, holders)
+        if seg.m_lo == 0:
+            assert holders[:2] == ["chen", "yu"] and seg.m_hi == F(1, k)
+    assert [seg.provenance for seg in curve.segments] == ["chen", *["yu"] * min(k - 2, 2), "man"]
 
 
 SEGMENT_TAGS = {"chen", "yu", "theorem-case1", "theorem-case2", "man", "memory-sharing"}
