@@ -15,12 +15,14 @@ or = 0 (equalities) over the variables of one demand table:
 
 Each kind is a NamedTuple that declares its fields once, typed VarSet (a
 frozenset of int variable codes), User, DemandId, File or Perm; the table _FIELDS
-says how each type is written in certificate text, read back and range-checked,
-so a kind keeps only its terms, which refuse an instance that breaks its side
-conditions, as when PermSymmetry's pi sends a broadcast in S to a demand outside
-the table. Two instances are equal only when their kinds and fields are.
+says how each type is written in certificate text, read back and checked, one value
+or, for fields_valid, a whole column at a time. So a kind keeps only its terms,
+which refuse an instance that breaks its side conditions, as when PermSymmetry's pi
+sends a broadcast in S to a demand outside the table. Two instances are equal only
+when their kinds and fields are.
 """
 
+from itertools import chain
 from typing import Callable, NamedTuple, NewType, Sequence
 
 from .entropy import (CONST, M, R, VarSet, index_of, kind_of, natural, parse_varset,
@@ -36,48 +38,74 @@ class OutsideTable(ValueError):
     """A symmetry sends some broadcast to a demand the table lacks."""
 
 
+class _Field(NamedTuple):
+    write: Callable[[object], str]
+    read: Callable[[str], object]
+    check: Callable[[object, object], None]
+    column: Callable[[list, object], bool]   # True only when check passes on every value
+
+
 def _bounded(what: str, bound: Callable) -> Callable:
     def check(i: int, table) -> None:
+        if type(i) is not int:
+            raise ValueError(f"{what} {i!r} is not an int")
         if not 1 <= i <= bound(table):
             raise ValueError(f"{what} {i} outside [1, {bound(table)}]")
     return check
 
 
-_user = _bounded("user", lambda t: t.k)
-_file = _bounded("file index", lambda t: t.n)
-_demand_id = _bounded("demand id", lambda t: len(t.demands))
-_VAR_RANGE = {"W": _file, "Z": _bounded("cache index", lambda t: t.k), "X": _demand_id}
+def _int_field(what: str, bound: Callable) -> _Field:
+    def column(values: list, table) -> bool:
+        return {*map(type, values)} == {int} and 1 <= min(values) and max(values) <= bound(table)
+    return _Field(str, natural, _bounded(what, bound), column)
+
+
+_USER = _int_field("user", lambda t: t.k)
+_FILE = _int_field("file index", lambda t: t.n)
+_DEMAND_ID = _int_field("demand id", lambda t: len(t.demands))
+_VAR_RANGE = {"W": _FILE.check, "Z": _bounded("cache index", lambda t: t.k), "X": _DEMAND_ID.check}
 
 
 def _check_vars(vs: VarSet, table) -> None:
-    admitted = table.admitted
-    if vs <= admitted and {*map(type, vs)} <= {int}:
-        return
+    if type(vs) is not frozenset:
+        raise ValueError(f"variable set {vs!r} is not a frozenset")
     for v in vs:
         if type(v) is not int:
             raise ValueError(f"{v!r} is not a variable")
         _VAR_RANGE[kind_of(v)](index_of(v), table)   # raises for a code the table lacks
-    admitted |= vs
+
+
+def _vars_column(column: list, table) -> bool:
+    members = chain.from_iterable(column)   # typed before a union, where True would pass as 1
+    if {*map(type, column)} != {frozenset} or not {*map(type, members)} <= {int}:
+        return False
+    codes = frozenset().union(*column)
+    spans = [range((kind << 32) + 1, (kind << 32) + min(bound, 0xFFFFFFFF) + 1)
+             for kind, bound in enumerate((table.n, table.k, len(table.demands)))]
+    # the spans are disjoint, so every code lies in one exactly when the counts add up
+    return sum(sum(map(span.__contains__, codes)) for span in spans) == len(codes)
 
 
 def _check_perm(perm: Perm, table) -> None:
+    if type(perm) is not tuple or not {*map(type, perm)} <= {int}:
+        raise ValueError(f"permutation {perm!r} is not a tuple of ints")
     if sorted(perm) != list(range(1, table.k + 1)):
         raise ValueError(f"{perm} is not a permutation of [1, {table.k}]")
 
 
-class _Field(NamedTuple):
-    write: Callable[[object], str]
-    read: Callable[[str], object]
-    check: Callable[[object, object], None]
+def _perm_column(column: list, table) -> bool:
+    if {*map(type, column)} != {tuple} or not {*map(type, chain.from_iterable(column))} <= {int}:
+        return False
+    return all(map(list(range(1, table.k + 1)).__eq__, map(sorted, set(column))))
 
 
 _FIELDS = {
-    VarSet: _Field(varset_token, parse_varset, _check_vars),
-    User: _Field(str, natural, _user),
-    DemandId: _Field(str, natural, _demand_id),
-    File: _Field(str, natural, _file),
+    VarSet: _Field(varset_token, parse_varset, _check_vars, _vars_column),
+    User: _USER,
+    DemandId: _DEMAND_ID,
+    File: _FILE,
     Perm: _Field(lambda p: ",".join(map(str, p)),
-                 lambda t: tuple(map(natural, t.split(","))), _check_perm),
+                 lambda t: tuple(map(natural, t.split(","))), _check_perm, _perm_column),
 }
 
 _KINDS: dict[str, type] = {}
@@ -128,6 +156,25 @@ def axiom_from_tokens(kind: str, tokens: list[str]) -> Axiom:
     if len(tokens) != len(cls.spec):
         raise ValueError(f"{kind} takes {len(cls.spec)} fields, got {len(tokens)}")
     return cls._make([f.read(t) for f, t in zip(cls.spec, tokens)])
+
+
+def fields_valid(axioms: Sequence[Axiom], table) -> bool:
+    """True only when validate(table) passes for every one of axioms. The values of each field
+    type, gathered from every kind, are checked as one column; False stands for anything that
+    cannot be vouched for, such as an unregistered kind or a wrong arity. It never raises, so
+    a caller that gets False validates axiom by axiom to find the first bad one."""
+    if {type(table.n), type(table.k)} != {int}:
+        return False
+    groups: dict[type, list] = {}
+    for axiom in axioms:
+        groups.setdefault(type(axiom), []).append(axiom)
+    columns: dict[_Field, list] = {f: [] for f in _FIELDS.values()}
+    for cls, group in groups.items():
+        if cls not in _KINDS.values() or {*map(len, group)} != {len(cls.spec)}:
+            return False
+        for f, column in zip(cls.spec, zip(*group)):
+            columns[f] += column
+    return all(f.column(column, table) for f, column in columns.items() if column)
 
 
 @_kind("SUBMOD", equality=False)

@@ -20,7 +20,7 @@ from ..errors import (
     NegativeMultiplierOnInequality,
     SymmetryOutsideTable,
 )
-from .axioms import Axiom, OutsideTable, axiom_from_tokens
+from .axioms import Axiom, OutsideTable, axiom_from_tokens, fields_valid
 from .entropy import CONST, M, R, VarSet, memo, natural, varset_token
 
 Demand = tuple[int, ...]
@@ -45,10 +45,8 @@ class Certificate(NamedTuple):
         return f"{self.target_m}M+{self.target_r}R >= {self.target_rhs}"
 
 
-# what the axioms of one check read: the demand table, its ids computed once, and the
-# variables range-checked against it so far, which the check grows
-_Table = NamedTuple("_Table", [("n", int), ("k", int), ("demands", tuple), ("ids", dict),
-                               ("admitted", set)])
+# what the axioms of one check read: the demand table and its ids, computed once
+_Table = NamedTuple("_Table", [("n", int), ("k", int), ("demands", tuple), ("ids", dict)])
 
 
 class CheckReport(NamedTuple):
@@ -82,23 +80,31 @@ def _validate_table(cert: Certificate) -> None:
 def check_certificate(cert: Certificate) -> CheckReport:
     """Check each axiom's fields and side conditions, sum the axioms, compare with the target.
 
-    Multipliers must be int or Fraction (bool is refused). The sum runs over
+    The fields are checked a column at a time (fields_valid); when that refuses, each axiom
+    is validated in turn, so the first bad one raises. Multipliers must be int or Fraction
+    (bool is refused), each distinct one checked once. The sum runs over
     integers: each multiplier is scaled by the lcm of all their denominators,
     and only the surviving residual entries are divided back by that lcm.
     """
     _validate_table(cert)
-    for index, (_, mult) in enumerate(cert.axioms):
+    mults = [mult for _, mult in cert.axioms]
+    distinct = dict(zip(map(id, mults), mults))   # Fraction's hash is Python code; id is not
+    for mult in distinct.values():
         if not isinstance(mult, (int, Fraction)) or isinstance(mult, bool):
+            index = [*map(id, mults)].index(id(mult))
             raise MalformedAxiom(index, f"multiplier {mult!r} is not an int or a Fraction")
-    scale = lcm(*(mult.denominator for _, mult in cert.axioms))
-    table = _Table(cert.n, cert.k, cert.demands, cert.ids, set())
+    scale = lcm(*(mult.denominator for mult in distinct.values()))
+    weights = {key: mult.numerator * (scale // mult.denominator) for key, mult in distinct.items()}
+    table = _Table(cert.n, cert.k, cert.demands, cert.ids)
+    checked = fields_valid([axiom for axiom, _ in cert.axioms], table)
     residual: dict = {}   # zero sums are dropped at once, so the dict stays small
     for index, (axiom, mult) in enumerate(cert.axioms):
-        weight = mult.numerator * (scale // mult.denominator)
+        weight = weights[id(mult)]
         if not axiom.equality and weight < 0:
             raise NegativeMultiplierOnInequality(index, f"{axiom.kind} weighted {mult}")
         try:
-            axiom.validate(table)
+            if not checked:   # only a certificate with a bad field gets here: find the first
+                axiom.validate(table)
             terms = axiom.terms(table)
         except OutsideTable as exc:
             raise SymmetryOutsideTable(index, str(exc)) from exc

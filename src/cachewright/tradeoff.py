@@ -29,8 +29,27 @@ class Segment(NamedTuple):
 
 
 class _TradeoffCurve(NamedTuple):
+    """A curve's fields and how it is read, with no check of its shape."""
+
     segments: tuple[Segment, ...]
     vertices: tuple[tuple[Fraction, Fraction, str], ...] = ()
+
+    @property
+    def domain(self) -> tuple[Fraction, Fraction]:
+        if not self.segments:
+            raise DegenerateInput("the curve is empty: it has no segments")
+        return self.segments[0].m_lo, self.segments[-1].m_hi
+
+    def evaluate(self, m) -> Fraction:
+        m = Fraction(m)
+        lo, hi = self.domain
+        if not lo <= m <= hi:
+            raise OutOfRange(f"M={m} outside curve domain [{lo}, {hi}]")
+        return self.segment_at(m).value(m)
+
+    def segment_at(self, m: Fraction) -> Segment:
+        self.domain  # refuses an empty curve
+        return next((seg for seg in self.segments if seg.m_lo <= m < seg.m_hi), self.segments[-1])
 
 
 class TradeoffCurve(_TradeoffCurve):
@@ -57,23 +76,6 @@ class TradeoffCurve(_TradeoffCurve):
     def _make(cls, fields):  # so _replace validates too
         return cls(*fields)
 
-    @property
-    def domain(self) -> tuple[Fraction, Fraction]:
-        if not self.segments:
-            raise DegenerateInput("the curve is empty: it has no segments")
-        return self.segments[0].m_lo, self.segments[-1].m_hi
-
-    def evaluate(self, m) -> Fraction:
-        m = Fraction(m)
-        lo, hi = self.domain
-        if not lo <= m <= hi:
-            raise OutOfRange(f"M={m} outside curve domain [{lo}, {hi}]")
-        return self.segment_at(m).value(m)
-
-    def segment_at(self, m: Fraction) -> Segment:
-        self.domain  # refuses an empty curve
-        return next((seg for seg in self.segments if seg.m_lo <= m < seg.m_hi), self.segments[-1])
-
 
 def _cross(a: Point, b: Point, c: Point) -> Fraction:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -86,6 +88,11 @@ def lower_envelope(points: Sequence[Point]) -> TradeoffCurve:
     interior points are merged into one segment, so consecutive segment
     slopes strictly increase. The vertices carry the empty tag.
     """
+    return TradeoffCurve(*_lower_hull(points))
+
+
+def _lower_hull(points: Sequence[Point]) -> _TradeoffCurve:
+    """lower_envelope's hull, its shape not yet checked."""
     best: dict[Fraction, Fraction] = {}
     for m, r in points:
         m, r = Fraction(m), Fraction(r)
@@ -101,7 +108,7 @@ def lower_envelope(points: Sequence[Point]) -> TradeoffCurve:
         hull.append((m, r, ""))
 
     segments = [_chord(a[:2], b[:2], "memory-sharing") for a, b in zip(hull, hull[1:])]
-    return TradeoffCurve(tuple(segments), tuple(hull))
+    return _TradeoffCurve(tuple(segments), tuple(hull))
 
 
 def known_results(n: int, k: int) -> tuple[list, list]:
@@ -174,7 +181,7 @@ def assemble_known_curve(n: int, k: int) -> TradeoffCurve:
     for point, tag, joins_hull, _ in points:
         if joins_hull:
             labels.setdefault(point, []).append(tag)
-    hull = lower_envelope(list(labels))
+    hull = _lower_hull(list(labels))   # checked as part of the assembled curve
     lo, hi = hull.domain
     tagged = {m: (r, labels[m, r]) for m, r, _ in hull.vertices}
     for m, cut in {point[0]: tag for point, tag, _, cuts_curve in points if cuts_curve}.items():

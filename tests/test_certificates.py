@@ -9,6 +9,8 @@ from math import lcm
 
 import pytest
 import reference_certificate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachewright.converse import (
     case1_certificate,
@@ -29,6 +31,7 @@ from cachewright.converse.axioms import (
     RateBound,
     Submodularity,
     Totality,
+    fields_valid,
 )
 from cachewright.converse.case1 import case1_target, in_case1_range
 from cachewright.converse.case2 import case2_target, in_case2_range
@@ -463,3 +466,120 @@ def test_the_header_n_costs_the_checker_nothing(axiom, verdict):
     start = time.perf_counter()
     assert _checked(10**9, axiom) == verdict
     assert time.perf_counter() - start < 1
+
+
+# the members of test_a_set_member_that_is_not_a_variable_is_refused; each goes first into a
+# set, so True and 1.0 stay in place of an equal W1 that the set or other axioms name
+_NOT_VARIABLES = ["W1", ("W", 1), None, 1.0, True, 3 << 32, -1]
+
+
+def _wrong_typed(value):
+    if isinstance(value, frozenset):
+        return [list(value), set(value), *(frozenset((m, *value)) for m in _NOT_VARIABLES)]
+    if isinstance(value, tuple):   # a permutation of the users
+        return [list(value), (float(value[0]), *value[1:])]
+    return [float(value), True, str(value)]
+
+
+_WIDE = case1_certificate(6, 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_column_check_refuses_exactly_what_validate_refuses(data):
+    index = data.draw(st.integers(0, len(_WIDE.axioms) - 1), label="index")
+    axiom, mult = _WIDE.axioms[index]
+    name = data.draw(st.sampled_from(axiom._fields), label="field")
+    value = getattr(axiom, name)
+    bad = axiom._replace(**{name: data.draw(
+        st.sampled_from(_out_of_range(value) + _wrong_typed(value)), label="value")})
+    cert = _WIDE._replace(axioms=(*_WIDE.axioms[:index], (bad, mult), *_WIDE.axioms[index + 1:]))
+    try:
+        bad.validate(cert)
+    except ValueError as exc:
+        refusal = str(exc)
+    else:
+        refusal = None
+    assert fields_valid([a for a, _ in cert.axioms], cert) == (refusal is None)
+    if refusal is not None:
+        two = _WIDE._replace(axioms=((CacheBound(1), F(1)), (bad, F(1))))
+        with pytest.raises(MalformedAxiom) as alone:
+            check_certificate(two)
+        with pytest.raises(MalformedAxiom) as info:
+            check_certificate(cert)
+        assert (alone.value.index, str(alone.value)) == (1, f"axiom 1: {refusal}")
+        assert (info.value.index, str(info.value)) == (index, f"axiom {index}: {refusal}")
+
+
+@pytest.mark.parametrize("bad, message", [
+    pytest.param(CacheBound(1.0), "user 1.0 is not an int", id="cache-float"),
+    pytest.param(CacheBound(True), "user True is not an int", id="cache-bool"),
+    pytest.param(CacheBound("1"), "user '1' is not an int", id="cache-str"),
+    pytest.param(RateBound(True), "demand id True is not an int", id="rate-bool"),
+    pytest.param(Decodability(True, 1, fs(zvar(1), xvar(1))), "user True is not an int",
+                 id="decode-bool"),
+    pytest.param(FileSymmetry(1, 2.0, 1), "file index 2.0 is not an int", id="filesym-float"),
+    pytest.param(PermSymmetry([2, 1], fs(zvar(1))), "permutation [2, 1] is not a tuple of ints",
+                 id="permsym-list"),
+    pytest.param(PermSymmetry((2.0, 1), fs(zvar(1))),
+                 "permutation (2.0, 1) is not a tuple of ints", id="permsym-float"),
+    pytest.param(Submodularity([wvar(1)], fs(zvar(1))), "variable set [1] is not a frozenset",
+                 id="submod-list"),
+    pytest.param(Submodularity({wvar(1)}, fs(zvar(1))), "variable set {1} is not a frozenset",
+                 id="submod-set"),
+])
+def test_a_field_of_the_wrong_type_is_refused_by_name(bad, message):
+    axioms = ((CacheBound(1), F(1)), (bad, F(1)))
+    cert = Certificate(2, 2, 1, _TABLE, axioms, F(0), F(0), F(0))
+    assert not fields_valid([a for a, _ in axioms], cert)
+    with pytest.raises(MalformedAxiom) as info:
+        check_certificate(cert)
+    assert (info.value.index, str(info.value)) == (1, f"axiom 1: {message}")
+
+
+@pytest.mark.parametrize("bad", _BROKEN, ids=lambda a: " ".join([a.kind, *a.tokens()]))
+def test_the_column_check_refuses_every_broken_field(bad):
+    cert = Certificate(2, 2, 1, _TABLE, (), F(0), F(0), F(0))
+    assert fields_valid(_VALID, cert) and not fields_valid([*_VALID, bad], cert)
+
+
+@pytest.mark.parametrize("member", _NOT_VARIABLES)
+def test_the_column_check_refuses_a_set_member_that_is_not_a_variable(member):
+    cert = Certificate(2, 2, 1, _TABLE, (), F(0), F(0), F(0))
+    assert not fields_valid([*_VALID, Submodularity(frozenset({member}), fs(zvar(1)))], cert)
+
+
+def test_the_column_check_refuses_an_unregistered_kind_or_a_wrong_arity():
+    cert = Certificate(2, 2, 1, _TABLE, (), F(0), F(0), F(0))
+    assert not fields_valid([CacheBound(1), (1,)], cert)
+    assert not fields_valid([CacheBound(1), tuple.__new__(CacheBound, (1, 1))], cert)
+    assert not fields_valid([FileSymmetry(1, 2, 1), tuple.__new__(FileSymmetry, (1, 2))], cert)
+
+
+def test_a_side_condition_before_a_bad_field_is_the_first_refusal():
+    axioms = ((CacheBound(1), F(1)), (Monotonicity(frozenset(), frozenset()), F(1)),
+              (CacheBound(3), F(1)))
+    with pytest.raises(MalformedAxiom) as info:
+        check_certificate(Certificate(2, 2, 1, _TABLE, axioms, F(0), F(0), F(0)))
+    assert str(info.value) == "axiom 1: monotonicity needs a nonempty superset"
+    axioms = ((PermSymmetry((2, 1), fs(xvar(1))), F(1)), (CacheBound(3), F(1)))
+    with pytest.raises(SymmetryOutsideTable) as info:
+        check_certificate(Certificate(2, 2, 1, ((1, 2),), axioms, F(0), F(0), F(0)))
+    assert info.value.index == 0
+
+
+def test_a_negative_inequality_weight_before_a_bad_field_is_the_first_refusal():
+    axioms = ((Totality(fs(wvar(1), wvar(2))), F(-1)), (CacheBound(1), F(-1)),
+              (CacheBound(True), F(1)))
+    with pytest.raises(NegativeMultiplierOnInequality) as info:
+        check_certificate(Certificate(2, 2, 1, _TABLE, axioms, F(0), F(0), F(0)))
+    assert str(info.value) == "axiom 1: CACHE weighted -1"
+
+
+def test_a_bad_multiplier_is_named_at_its_first_index_when_its_object_repeats():
+    half, bad = F(1, 2), 0.5
+    axioms = ((CacheBound(1), half), (CacheBound(2), half), (CacheBound(1), bad),
+              (CacheBound(2), "1"), (CacheBound(2), bad))
+    with pytest.raises(MalformedAxiom) as info:
+        check_certificate(Certificate(2, 2, 1, _TABLE, axioms, F(2), F(0), F(0)))
+    assert str(info.value) == "axiom 2: multiplier 0.5 is not an int or a Fraction"

@@ -399,6 +399,7 @@ UNREAD_BY_DESIGN = {
     "cachewright.coded_placement.deliver": "a library entry point README documents",
     "cachewright.coded_placement.decode": "a library entry point README documents",
     "cachewright.tradeoff.exact_tradeoff": "a library entry point README documents: R*(M)",
+    "cachewright.tradeoff.lower_envelope": "a library entry point README documents: a hull",
     "cachewright.field.coded_to_wire": "only perfbench reads it; moves in ROADMAP item 14",
     "cachewright.tradeoff.emit_csv": "only perfbench reads it; moves in ROADMAP item 14",
 }
