@@ -549,11 +549,17 @@ def test_the_column_check_refuses_a_set_member_that_is_not_a_variable(member):
     assert not fields_valid([*_VALID, Submodularity(frozenset({member}), fs(zvar(1)))], cert)
 
 
-def test_the_column_check_refuses_an_unregistered_kind_or_a_wrong_arity():
+def test_the_column_check_refuses_an_unregistered_kind_a_wrong_arity_or_a_float_bound():
     cert = Certificate(2, 2, 1, _TABLE, (), F(0), F(0), F(0))
     assert not fields_valid([CacheBound(1), (1,)], cert)
     assert not fields_valid([CacheBound(1), tuple.__new__(CacheBound, (1, 1))], cert)
     assert not fields_valid([FileSymmetry(1, 2, 1), tuple.__new__(FileSymmetry, (1, 2))], cert)
+    # a header N the checker compares but the column spans cannot hold: validate decides
+    axioms = ((Monotonicity(fs(wvar(2)), frozenset()), F(1)),
+              (FileIndependence(fs(wvar(2))), F(-1)))
+    float_n = Certificate(2.0, 2, 1, _TABLE, axioms, F(1), F(0), F(-1))
+    assert not fields_valid([a for a, _ in axioms], float_n)
+    assert check_certificate(float_n).ok
 
 
 def test_a_side_condition_before_a_bad_field_is_the_first_refusal():
