@@ -29,6 +29,7 @@ from .certificate import Certificate, Demand
 from .entropy import VarSet, wset, wvar, xvar, zvar
 
 ONE = Fraction(1)
+MINUS_ONE = -ONE   # one object for every -1 weight: the checker weighs each object once
 
 
 class Builder:
@@ -60,13 +61,14 @@ def budget_family(bld: Builder, user: int, ids: list[int]) -> VarSet:
     in which user sees every one of the files 1..N-1 requested."""
     bld.add(CacheBound(user))
     cur: VarSet = frozenset({zvar(user)})
+    sources: dict[int, int] = {}   # each file user requests, at its first demand in ids
     for d in ids:
         bld.add(RateBound(d))
         bld.add(Submodularity(cur, frozenset({xvar(d)})))
         cur = cur | {xvar(d)}
+        sources.setdefault(bld.requested(d, user), d)
     for f in range(1, bld.n):
-        source = next(d for d in ids if bld.requested(d, user) == f)
-        bld.add(Decodability(user, source, cur), -ONE)
+        bld.add(Decodability(user, sources[f], cur), MINUS_ONE)
         cur = cur | wset(f)
     assert cur == family_term(bld.n, user, ids)
     return cur
@@ -81,7 +83,7 @@ def chain_step(bld: Builder, user: int, b_id: int, small: frozenset[int]) -> Non
     big_x = frozenset(xvar(i) for i in small | {b_id})
     small_x = frozenset(xvar(i) for i in small)
     bld.add(Submodularity(w | big_x, w | {zvar(user)} | small_x))
-    bld.add(Decodability(user, b_id, w | {zvar(user)} | big_x), -ONE)
+    bld.add(Decodability(user, b_id, w | {zvar(user)} | big_x), MINUS_ONE)
     bld.add(Totality(wset(bld.n) | {zvar(user)} | big_x))
 
 
@@ -105,7 +107,7 @@ def reduction(bld: Builder, user: int, s_term: VarSet, s_ids: frozenset[int],
         assert bld.requested(d, user) == 1
         bld.add(RateBound(d))
         bld.add(Submodularity(frozenset({z}), frozenset({xvar(d)})))
-        bld.add(Decodability(user, d, frozenset({z, xvar(d)})), -ONE)
+        bld.add(Decodability(user, d, frozenset({z, xvar(d)})), MINUS_ONE)
     cur = frozenset({wvar(1), z, xvar(t_ids[0])})
     for d in t_ids[1:]:
         nxt = frozenset({wvar(1), z, xvar(d)})

@@ -2,7 +2,8 @@
 
 known_results lists the known lines and points; exact_regions and assemble_known_curve only
 read it. Every corner comes from converse.tightness, imported when the curve functions run,
-so importing this module loads none of the converse package. All is exact rationals.
+so importing this module loads none of the converse package. All is exact rationals: the hull
+and the CSV rows compute on ints over one denominator per coordinate.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import merge
 from itertools import groupby
+from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DegenerateInput, OutOfRange, OutsideCharacterizedRegion
@@ -77,10 +79,6 @@ class TradeoffCurve(_TradeoffCurve):
         return cls(*fields)
 
 
-def _cross(a: Point, b: Point, c: Point) -> Fraction:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
 def lower_envelope(points: Sequence[Point]) -> TradeoffCurve:
     """Lower convex hull of (M, R) points, exact rational arithmetic.
 
@@ -92,23 +90,39 @@ def lower_envelope(points: Sequence[Point]) -> TradeoffCurve:
 
 
 def _lower_hull(points: Sequence[Point]) -> _TradeoffCurve:
-    """lower_envelope's hull, its shape not yet checked."""
-    best: dict[Fraction, Fraction] = {}
-    for m, r in points:
-        m, r = Fraction(m), Fraction(r)
-        if m not in best or r < best[m]:
-            best[m] = r
+    """lower_envelope's hull, its shape not yet checked.
+
+    The comparisons run on ints: each M is scaled by the lcm of the M denominators and each R
+    by the lcm of the R denominators. Both scales are positive, so every sign is unchanged.
+    """
+    exact = [(m if type(m) is Fraction else Fraction(m), r if type(r) is Fraction else Fraction(r))
+             for m, r in points]
+    m_den = lcm(*[m.denominator for m, _ in exact])
+    r_den = lcm(*[r.denominator for _, r in exact])
+    best: dict[int, tuple[int, Fraction, Fraction]] = {}   # the least R per M, first on a tie
+    for m, r in exact:
+        x, y = m.numerator * (m_den // m.denominator), r.numerator * (r_den // r.denominator)
+        if x not in best or y < best[x][0]:
+            best[x] = (y, m, r)
     if len(best) < 2:
         raise DegenerateInput("need at least two distinct memory values")
 
-    hull: list[tuple[Fraction, Fraction, str]] = []
-    for m, r in sorted(best.items()):
-        while len(hull) >= 2 and _cross(hull[-2][:2], hull[-1][:2], (m, r)) <= 0:
+    hull: list[tuple[int, int, Fraction, Fraction]] = []
+    for x, (y, m, r) in sorted(best.items()):
+        while len(hull) >= 2:
+            (x0, y0, _, _), (x1, y1, _, _) = hull[-2], hull[-1]
+            if (x1 - x0) * (y - y0) > (y1 - y0) * (x - x0):
+                break
             hull.pop()
-        hull.append((m, r, ""))
+        hull.append((x, y, m, r))
 
-    segments = [_chord(a[:2], b[:2], "memory-sharing") for a, b in zip(hull, hull[1:])]
-    return _TradeoffCurve(tuple(segments), tuple(hull))
+    vertices = tuple((m, r, "") for _, _, m, r in hull)
+    segments = []   # each chord's intercept and slope, read off its scaled ends
+    for (x0, y0, m0, _), (x1, y1, m1, _) in zip(hull, hull[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        segments.append(Segment(m0, m1, Fraction(y0 * dx - dy * x0, r_den * dx),
+                                Fraction(dy * m_den, dx * r_den), "memory-sharing"))
+    return _TradeoffCurve(tuple(segments), vertices)
 
 
 def known_results(n: int, k: int) -> tuple[list, list]:
@@ -208,12 +222,15 @@ def _chord(a: Point, b: Point, provenance: str) -> Segment:
     return Segment(a[0], b[0], a[1] - slope * a[0], slope, provenance)
 
 
-def _decimal(x: Fraction) -> str:
-    return f"{float(x):.10g}"
-
-
 CSV_HEADER = "M_exact,M_decimal,R_exact,R_decimal,provenance"
-MAX_SAMPLES = 10**6   # the rows stream, but 10**6 of them take about 26 s
+MAX_SAMPLES = 10**6   # the rows stream, but 10**6 of them take about 3 s at (3,4)
+
+
+def _exact_and_decimal(num: int, den: int) -> str:
+    """num/den as str(Fraction) writes it, then its float to 10 significant digits."""
+    g = gcd(num, den)
+    exact = f"{num // g}" if g == den else f"{num // g}/{den // g}"
+    return f"{exact},{num / den:.10g}"   # int true division rounds correctly, as float() does
 
 
 def csv_lines(curve: TradeoffCurve, sample_count: int) -> Iterator[str]:
@@ -225,6 +242,8 @@ def csv_lines(curve: TradeoffCurve, sample_count: int) -> Iterator[str]:
     right end). The grid is merged with the segment ends as it is made, so
     memory does not grow with sample_count, and the rows walk the segments
     once: at a junction both neighbours give the same R, as TradeoffCurve checks.
+    Every M is an int over one denominator, a multiple of sample_count - 1 and of every
+    end's denominator, so the grid steps exactly; each segment's R is (a + b*M) / d.
     """
     if sample_count < 2:
         raise OutOfRange("need at least two samples")
@@ -234,16 +253,30 @@ def csv_lines(curve: TradeoffCurve, sample_count: int) -> Iterator[str]:
     if not curve.segments:
         return
     lo, hi = curve.domain
-    ends = sorted({seg.m_lo for seg in curve.segments} | {hi})
-    grid = (lo + Fraction(t, sample_count - 1) * (hi - lo) for t in range(sample_count))
-    tags = {m: tag for m, _, tag in reversed(curve.vertices) if tag}
-    segments, i = curve.segments, 0
+    steps = sample_count - 1
+    den = lcm(hi.denominator, *[seg.m_lo.denominator for seg in curve.segments]) * steps
+
+    def scaled(m: Fraction) -> int:
+        return m.numerator * (den // m.denominator)
+
+    segments = []   # (M at its right end, a, b, d, provenance): R = (a + b*M) / d on it
+    for seg in curve.segments:
+        c, s = seg.intercept, seg.slope
+        segments.append((scaled(seg.m_hi), c.numerator * s.denominator * den,
+                         s.numerator * c.denominator, c.denominator * s.denominator * den,
+                         seg.provenance))
+    lo_n, hi_n = scaled(lo), scaled(hi)
+    ends = [lo_n, *(end for end, *_ in segments)]   # contiguous, so already in order
+    grid = range(lo_n, hi_n + 1, (hi_n - lo_n) // steps)
+    tags = {m.numerator * den // m.denominator: tag for m, _, tag in reversed(curve.vertices)
+            if tag and m.numerator * den % m.denominator == 0}   # a vertex off every row tags none
+    i, last = 0, len(segments) - 1
     for m, _ in groupby(merge(ends, grid)):
-        while i + 1 < len(segments) and m >= segments[i].m_hi:
+        while i < last and m >= segments[i][0]:
             i += 1
-        seg = segments[i]
-        r = seg.value(m)
-        yield f"{m},{_decimal(m)},{r},{_decimal(r)},{tags.get(m, seg.provenance)}\n"
+        _, a, b, d, provenance = segments[i]
+        yield (f"{_exact_and_decimal(m, den)},{_exact_and_decimal(a + b * m, d)},"
+               f"{tags.get(m, provenance)}\n")
 
 
 def emit_csv(curve: TradeoffCurve, sample_count: int) -> str:

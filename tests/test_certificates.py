@@ -176,6 +176,15 @@ def test_every_family_certificate_to_k_20_survives_its_text(wide_certificates):
         assert serialize_certificate(parsed) == text, (family.theorem, n, k)
 
 
+def test_every_family_certificate_to_k_20_shares_one_object_for_its_minus_one_weights(
+        wide_certificates):
+    # the checker weighs each distinct multiplier object once, so a generator that made a
+    # fresh -1 per axiom would have it weigh thousands where one does
+    for family, n, k, cert in wide_certificates:
+        minus_ones = {id(mult) for _, mult in cert.axioms if mult == -1}
+        assert len(minus_ones) == 1, (family.theorem, n, k, len(minus_ones))
+
+
 def test_checker_refuses_a_multiplier_that_is_not_rational():
     for bad in (1.0, 0.5, "1", True):
         axioms = ((CacheBound(1), F(1)), (CacheBound(2), bad))

@@ -6,6 +6,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cachewright.converse import check_certificate, parse_certificate, perturbed
 from cachewright.converse.case1 import case1_target, in_case1_range
@@ -183,6 +185,69 @@ def test_lower_envelope_merges_collinear_points_into_one_segment(count):
     assert [v[:2] for v in curve.vertices] == [pts[0], pts[-1]]
 
 
+def _reference_hull(points) -> list[tuple[F, F]]:
+    """lower_envelope's vertices in Fraction arithmetic: the least R per M, then the
+    monotone chain, dropping a point on or above the chord of its neighbours."""
+    best: dict[F, F] = {}
+    for m, r in points:
+        m, r = F(m), F(r)
+        if m not in best or r < best[m]:
+            best[m] = r
+    hull: list[tuple[F, F]] = []
+    for m, r in sorted(best.items()):
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (r - hull[-2][1])
+                                  - (hull[-1][1] - hull[-2][1]) * (m - hull[-2][0])) <= 0:
+            hull.pop()
+        hull.append((m, r))
+    return hull
+
+
+def _primes(count: int) -> list[int]:
+    found: list[int] = []
+    candidate = 2
+    while len(found) < count:
+        if all(candidate % p for p in found):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+_PRIMES = _primes(400)
+_rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+_numbers = st.one_of(st.integers(-6, 6), _rationals)
+# a few M values, so that M repeats; points on one line, so that runs are collinear; ints
+# alone; and 200 points over 400 distinct prime denominators, where the lcm scaling grows
+_repeated_m = st.lists(st.tuples(st.sampled_from([F(0), F(1, 3), F(1, 2), 1, F(7, 4)]), _numbers),
+                       max_size=12)
+_collinear = st.builds(lambda a, b, ms, extra: [(m, a + b * F(m)) for m in ms] + extra,
+                       _rationals, _rationals, st.lists(_numbers, max_size=10),
+                       st.lists(st.tuples(_numbers, _numbers), max_size=3))
+_ints = st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=10)
+_prime_denominators = st.builds(
+    lambda tops: [(F(tops[i], _PRIMES[i]), F(tops[200 + i], _PRIMES[200 + i])) for i in range(200)],
+    st.lists(st.integers(-10**6, 10**6), min_size=400, max_size=400))
+_CONVEX_PRIMES = [(F(i * p + 1, p), F((200 - i) ** 2 * q // 7 + 1, q))
+                  for i, (p, q) in enumerate(zip(_PRIMES[:200], _PRIMES[200:]))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_repeated_m, _collinear, _ints, _prime_denominators).flatmap(st.permutations))
+@example(_CONVEX_PRIMES)
+def test_lower_envelope_matches_a_fraction_reference_hull(points):
+    hull = _reference_hull(points)
+    slopes = [(b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(hull, hull[1:])]
+    if len(hull) < 2 or any(slope > 0 for slope in slopes):
+        with pytest.raises(DegenerateInput):
+            lower_envelope(points)
+        return
+    curve = lower_envelope(points)
+    assert [v[:2] for v in curve.vertices] == hull
+    assert [seg[:4] for seg in curve.segments] == [
+        (a[0], b[0], a[1] - slope * a[0], slope) for a, b, slope in zip(hull, hull[1:], slopes)]
+    assert {type(x) for seg in curve.segments for x in seg[:4]} == {F}
+    assert {type(x) for v in curve.vertices for x in v[:2]} == {F}
+
+
 def test_lower_envelope_strictly_convex_slopes():
     pts = [(F(0), F(3)), (F(1, 4), F(9, 4)), (F(3, 4), F(3, 2)),
            (F(3, 2), F(2, 3)), (F(25, 12), F(1, 3)), (F(9, 4), F(1, 4)), (F(3), F(0))]
@@ -334,12 +399,22 @@ def _reference_csv(curve: TradeoffCurve, sample_count: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _shifted_hull(n: int, k: int) -> TradeoffCurve:
+    """The hull of the uncoded corners r >= 1 moved right by 1/(K+1), so its domain starts
+    off 0 and its ends have unlike denominators; each segment gets its own tag and the
+    vertices none, so a junction row is tagged by the segment that starts there."""
+    hull = lower_envelope([(m + F(1, k + 1), r) for m, r in
+                           (yu_point(n, k, r) for r in range(1, k + 1))])
+    return TradeoffCurve(tuple(seg._replace(provenance=f"piece-{i}")
+                               for i, seg in enumerate(hull.segments)), hull.vertices)
+
+
 @pytest.mark.parametrize("k", range(2, 20))
 def test_emit_csv_matches_the_row_by_row_reference(k):
     for n in range(1, k + 1):
-        curve = assemble_known_curve(n, k)
-        for samples in (2, 3, 33, 101):
-            assert emit_csv(curve, samples) == _reference_csv(curve, samples), (n, k, samples)
+        for curve in (assemble_known_curve(n, k), _shifted_hull(n, k)):
+            for samples in (2, 3, 7, 33, 101) + ((1000,) if n == k else ()):
+                assert emit_csv(curve, samples) == _reference_csv(curve, samples), (n, k, samples)
 
 
 def _family_tags(n: int, k: int, curve: TradeoffCurve) -> list[str]:
